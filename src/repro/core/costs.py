@@ -13,13 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.errors import CalibrationError
 from repro.units import nsec, usec
-
-try:  # batch cost math fast path; the model never requires numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 __all__ = ["CsdCostModel", "ClientCostModel"]
 
@@ -76,12 +73,12 @@ class CsdCostModel:
         scalar expressions), and the sequential Python sum preserves the
         rounding order of the accumulation it replaces.
         """
-        if _np is not None and len(entry_counts) >= 16:
-            counts = _np.asarray(entry_counts, dtype=_np.float64)
-            steps = _np.ceil(_np.log2(_np.maximum(counts, 2.0)))
+        if len(entry_counts) >= 16:
+            counts = np.asarray(entry_counts, dtype=np.float64)
+            steps = np.ceil(np.log2(np.maximum(counts, 2.0)))
             terms = (
                 (self.key_compare * steps)
-                * _np.asarray(lookups, dtype=_np.float64)
+                * np.asarray(lookups, dtype=np.float64)
             ).tolist()
             return sum(terms)
         return sum(

@@ -17,7 +17,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Generator
 from contextlib import contextmanager
-from typing import Optional
 
 import numpy as np
 
@@ -25,18 +24,15 @@ from repro.core.block_cache import BlockCache
 from repro.core.costs import CsdCostModel
 from repro.core.keyspace import Keyspace, KeyspaceState
 from repro.core.klog import (
-    pack_klog_records,
-    unpack_klog_records,
+    TOMBSTONE_LEN,
+    KlogColumns,
+    column_key_bytes,
+    pack_klog_columns,
     unpack_klog_records_prefix,
 )
 from repro.core.membuf import MEMBUF_BYTES, MemBuffer
 from repro.core.meta import META_V1, META_V2, MetaCodec, MetaStream, choose_stream
-from repro.core.pidx import (
-    PidxSketch,
-    build_pidx_blocks,
-    pack_value_pointer,
-    read_block_entries,
-)
+from repro.core.pidx import PidxPacker, PidxSketch, read_block_entries
 from repro.core.query import QueryEngine
 from repro.core.scheduler import QueryScheduler
 from repro.core.sidx import (
@@ -48,6 +44,7 @@ from repro.core.sidx import (
     unpack_sidx_pairs,
 )
 from repro.core.sort import ExternalSorter, ParallelSortCoordinator
+from repro.core.vlog import gather_values, pointer_columns, stripe_groups
 from repro.core.zone_manager import ZoneCluster, ZoneManager, ZonePointer
 from repro.errors import (
     DbError,
@@ -59,7 +56,6 @@ from repro.errors import (
     ZoneFullError,
 )
 from repro.host.threads import ThreadCtx
-from repro.lsm.block import BlockBuilder
 from repro.lsm.bloom import BloomFilter
 from repro.obs.journal import journal_event
 from repro.obs.trace import trace_span, trace_wait
@@ -72,8 +68,6 @@ from repro.units import KiB
 
 __all__ = ["KvCsdDevice"]
 
-#: Zone-append group size for VLOG/KLOG/PIDX/SIDX flushes: one stripe unit.
-FLUSH_GROUP_BYTES = 48 * KiB
 #: The fixed zone holding the keyspace table (Section IV's metadata zone).
 METADATA_ZONE_ID = 0
 #: The checkpoint standby zone (``durable_meta`` only): checkpoints are
@@ -710,14 +704,14 @@ class KvCsdDevice:
             spent += pointer[2]
             if spent > budget:
                 return False
-        keys_per_block: list[list[bytes]] = []
+        keys: list[bytes] = []
+        bounds = [0]
         for zone_id, offset, length in sketch.block_pointers:
             blob = yield from self.ssd.read(zone_id, offset, length)
-            keys_per_block.append(
-                [key for key, _ptr in read_block_entries(blob)]
-            )
-        yield from self._attach_blooms(ks, sketch, keys_per_block, ctx)
-        self.stats.counter("blooms_reconstructed").add(len(keys_per_block))
+            keys.extend(key for key, _ptr in read_block_entries(blob))
+            bounds.append(len(keys))
+        yield from self._attach_blooms(ks, sketch, keys, bounds, ctx)
+        self.stats.counter("blooms_reconstructed").add(len(sketch))
         return True
 
     def _rescan_klog(self, ks: Keyspace, ctx: ThreadCtx) -> Generator:
@@ -940,11 +934,16 @@ class KvCsdDevice:
                     self.costs.request_overhead
                     + self.costs.membuf_insert_per_pair * len(keys),
                 )
-                records = []
-                for key in keys:
-                    self._seqs[name] += 1
-                    records.append((key, self._seqs[name], None))
-                blob = pack_klog_records(records)
+                first_seq = self._seqs[name] + 1
+                self._seqs[name] += len(keys)
+                no_pointer = np.zeros(len(keys), dtype=np.int64)
+                blob = pack_klog_columns(
+                    keys,
+                    np.arange(first_seq, first_seq + len(keys)),
+                    no_pointer,
+                    no_pointer,
+                    np.full(len(keys), TOMBSTONE_LEN),
+                )
                 clusters_before = len(ks.klog_clusters)
                 yield from self._append_stream(ks.klog_clusters, [blob], ctx)
                 if len(ks.klog_clusters) != clusters_before:
@@ -987,47 +986,24 @@ class KvCsdDevice:
         ctx: ThreadCtx,
     ) -> Generator:
         clusters_before = len(ks.klog_clusters) + len(ks.vlog_clusters)
-        # Pack values into stripe groups; remember each value's place.
-        groups: list[bytes] = []
-        placements: list[tuple[int, int, int]] = []  # (group_idx, offset, len)
-        vlen = len(pairs[0][1]) if pairs else 0
-        if (
-            len(pairs) >= 8
-            and vlen
-            and all(len(value) == vlen for _key, value, _seq in pairs)
-        ):
-            # Uniform values: the greedy packing puts a fixed count in every
-            # group, so grouping collapses to slicing.
-            per = max(1, FLUSH_GROUP_BYTES // vlen)
-            values = [value for _key, value, _seq in pairs]
-            groups = [
-                b"".join(values[i : i + per]) for i in range(0, len(values), per)
-            ]
-            placements = [
-                (i // per, (i % per) * vlen, vlen) for i in range(len(values))
-            ]
-        else:
-            current: list[bytes] = []
-            used = 0
-            for _key, value, _seq in pairs:
-                if current and used + len(value) > FLUSH_GROUP_BYTES:
-                    groups.append(b"".join(current))
-                    current, used = [], 0
-                placements.append((len(groups), used, len(value)))
-                current.append(value)
-                used += len(value)
-            if current:
-                groups.append(b"".join(current))
+        # Values go to VLOG stripe groups; each value's place in its group
+        # plus the group's pointer is the KLOG record's pointer.
+        values = [value for _key, value, _seq in pairs]
+        lengths = np.fromiter(map(len, values), dtype=np.int64, count=len(values))
+        groups, group_index, group_off = stripe_groups(b"".join(values), lengths)
         yield from self._exec(
             ctx,
             self.costs.block_build_per_byte * sum(len(g) for g in groups),
         )
         group_ptrs = yield from self._append_stream(ks.vlog_clusters, groups, ctx)
-        records = []
-        for (key, _value, seq), (gidx, off, length) in zip(pairs, placements):
-            zone_id, zone_off, _ = group_ptrs[gidx]
-            records.append((key, seq, (zone_id, zone_off + off, length)))
-        blob = pack_klog_records(records)
+        group_zone, group_start = pointer_columns(group_ptrs)
+        blob = pack_klog_columns(
+            [key for key, _value, _seq in pairs],
+            [seq for _key, _value, seq in pairs],
+            group_zone[group_index],
+            group_start[group_index] + group_off,
+            lengths,
+        )
         yield from self._exec(ctx, self.costs.block_build_per_byte * len(blob))
         yield from self._append_stream(ks.klog_clusters, [blob], ctx)
         if len(ks.klog_clusters) + len(ks.vlog_clusters) != clusters_before:
@@ -1132,22 +1108,20 @@ class KvCsdDevice:
         sidx0 = set(ks.sidx)
         bloom_dram0 = self._bloom_dram.get(ks.name, 0)
         try:
-            # ---- step 1: read back the unordered KLOG records
-            records: list[tuple[bytes, tuple[int, ZonePointer | None]]] = []
-            klog_bytes = 0
+            # ---- step 1: read back the unordered KLOG records, as one
+            # column batch that stays columnar up to the published index
             with self._compact_phase(ks, "read_klog"), trace_span(
                 self.env, "compact.read_klog", "stage"
             ):
+                blobs: list[bytes] = []
                 for cluster in ks.klog_clusters:
                     contents = yield from cluster.read_all()
-                    for blob in contents.values():
-                        klog_bytes += len(blob)
-                        # Prefix-tolerant: a zone sealed by mount after a
-                        # torn power-cut append legally carries a garbage
-                        # suffix behind its intact records.
-                        parsed, _torn = unpack_klog_records_prefix(blob)
-                        for key, seq, pointer in parsed:
-                            records.append((key, (seq, pointer)))
+                    blobs.extend(contents.values())
+                klog_bytes = sum(map(len, blobs))
+                # Prefix-tolerant: a zone sealed by mount after a torn
+                # power-cut append legally carries a garbage suffix behind
+                # its intact records.
+                records = KlogColumns.from_blobs(blobs, torn_ok=True)
                 yield from self._exec(ctx, self.costs.record_parse * len(records))
 
             # ---- step 2: sort the keys (external merge sort under the budget,
@@ -1158,15 +1132,9 @@ class KvCsdDevice:
                 budget_bytes=self.board.spec.sort_budget_bytes,
                 shards=shards,
                 compare_cost=self.board.scale_cpu(self.costs.key_compare),
-                pack=lambda recs: pack_klog_records(
-                    [(k, s, p) for k, (s, p) in recs]
-                ),
-                unpack=lambda blob: [
-                    (k, (s, p)) for k, s, p in unpack_klog_records(blob)
-                ],
-                sort_key=lambda rec: (rec[0], -rec[1][0]),  # key asc, seq desc
+                pack=KlogColumns.pack,
+                unpack=lambda blob: KlogColumns.from_blobs([blob]),
                 make_ctx=lambda: self._ctx(priority=5),
-                key_kind="key_seq_desc",
             )
             vlog_bytes = sum(c.bytes_stored() for c in ks.vlog_clusters)
             value_passes = max(
@@ -1212,14 +1180,7 @@ class KvCsdDevice:
                     )
                     sorted_records = sort_out[0]
             # Newest-wins dedup; tombstones drop their key entirely.
-            live: list[tuple[bytes, ZonePointer]] = []
-            last_key: Optional[bytes] = None
-            for key, (_seq, pointer) in sorted_records:
-                if key == last_key:
-                    continue
-                last_key = key
-                if pointer is not None:
-                    live.append((key, pointer))
+            live = sorted_records[sorted_records.newest_live()]
 
             # ---- step 3: gather values in key order into stripe groups
             # (the per-record placement is independent across key ranges, so
@@ -1250,41 +1211,13 @@ class KvCsdDevice:
                             for start in range(0, len(live), per_shard)
                         ],
                     )
-            groups: list[bytes] = []
-            placements: list[tuple[int, int, int]] = []
-            vlen = live[0][1][2] if live else 0
-            if vlen and all(ptr[2] == vlen for _key, ptr in live):
-                # Uniform value widths (the common case): group boundaries
-                # fall at a fixed record count, so the greedy packing loop
-                # collapses to slicing — same groups, same placements.
-                per = max(1, FLUSH_GROUP_BYTES // vlen)
-                values = [
-                    zone_blobs[zone_id][offset : offset + length]
-                    for _key, (zone_id, offset, length) in live
-                ]
-                groups = [
-                    b"".join(values[i : i + per])
-                    for i in range(0, len(values), per)
-                ]
-                placements = [
-                    (i // per, (i % per) * vlen, vlen)
-                    for i in range(len(values))
-                ]
-            else:
-                current: list[bytes] = []
-                used = 0
-                for _key, (zone_id, offset, length) in live:
-                    value = zone_blobs[zone_id][offset : offset + length]
-                    if current and used + length > FLUSH_GROUP_BYTES:
-                        groups.append(b"".join(current))
-                        current, used = [], 0
-                    placements.append((len(groups), used, length))
-                    current.append(value)
-                    used += length
-                if current:
-                    groups.append(b"".join(current))
+            groups, group_index, group_off = stripe_groups(
+                gather_values(zone_blobs, live.zone, live.off, live.vlen), live.vlen
+            )
+            zone_blobs.clear()  # the unsorted copy; ``groups`` holds the values now
 
             # ---- step 4: write SORTED_VALUES and build PIDX blocks
+            packer = PidxPacker(live.keys, self.block_bytes)
             with self._compact_phase(ks, "materialize"), trace_span(
                 self.env, "compact.materialize", "stage"
             ):
@@ -1295,11 +1228,13 @@ class KvCsdDevice:
                     group_ptrs = yield from self._append_stream(
                         ks.sorted_value_clusters, groups, ctx
                     )
-                    pidx_entries = [
-                        (key, (group_ptrs[gidx][0], group_ptrs[gidx][1] + off, length))
-                        for (key, _old), (gidx, off, length) in zip(live, placements)
-                    ]
-                    blocks = build_pidx_blocks(pidx_entries, self.block_bytes)
+                    group_zone, group_start = pointer_columns(group_ptrs)
+                    blocks = packer.feed(
+                        group_zone[group_index],
+                        group_start[group_index] + group_off,
+                        live.vlen,
+                    )
+                    blocks += packer.finish()
                     yield from self._exec(
                         ctx,
                         self.costs.block_build_per_byte
@@ -1312,26 +1247,14 @@ class KvCsdDevice:
                     for (pivot, _blob), pointer in zip(blocks, block_ptrs):
                         sketch.add_block(pivot, pointer)
                 else:
-                    sketch, value_pointers = yield from self._materialize_pipelined(
-                        ks, live, groups, placements
+                    sketch = yield from self._materialize_pipelined(
+                        ks, packer, groups, group_index, group_off, live.vlen
                     )
             ks.pidx_sketch = sketch
             ks.n_pairs = len(live)
             if self.bloom_bits_per_key and len(sketch):
-                # Reconstruct each block's key membership from the sorted key
-                # list and the sketch pivots (blocks partition the key order),
-                # avoiding a decode of the just-written PIDX blobs.
-                keys = [key for key, _ptr in live]
-                bounds = [bisect_left(keys, pivot) for pivot in sketch.pivots]
-                bounds.append(len(keys))
                 yield from self._attach_blooms(
-                    ks,
-                    sketch,
-                    [
-                        keys[bounds[i] : bounds[i + 1]]
-                        for i in range(len(sketch))
-                    ],
-                    ctx,
+                    ks, sketch, column_key_bytes(live.keys), packer.bounds, ctx
                 )
             self._journal("sketch.build",
                 keyspace=ks.name,
@@ -1381,10 +1304,14 @@ class KvCsdDevice:
                 ):
                     values_resident = sum(len(g) for g in groups)
                     if values_resident <= self.board.spec.sort_budget_bytes:
-                        value_by_key = {}
-                        for (key, _old), (gidx, off, length) in zip(live, placements):
-                            blob = groups[gidx]
-                            value_by_key[key] = blob[off : off + length]
+                        sorted_values = b"".join(groups)
+                        ends = np.cumsum(live.vlen, dtype=np.int64).tolist()
+                        value_by_key = {
+                            key: sorted_values[start:end]
+                            for key, start, end in zip(
+                                column_key_bytes(live.keys), [0] + ends, ends
+                            )
+                        }
                         # Each index sorts an independent pair set: build them
                         # concurrently across the SoC cores.
                         procs = [
@@ -1459,10 +1386,13 @@ class KvCsdDevice:
         self,
         ks: Keyspace,
         sketch,
-        keys_per_block: list[list[bytes]],
+        keys: list[bytes],
+        bounds: list[int],
         ctx: ThreadCtx,
     ) -> Generator:
         """Build one bloom filter per index block and charge DRAM for them.
+
+        Block ``i`` holds ``keys[bounds[i]:bounds[i + 1]]``; ``bounds[0]`` is 0.
 
         Works for PIDX sketches (member = primary key) and SIDX sketches
         (member = encoded secondary key) alike.  The filter bytes are
@@ -1473,23 +1403,21 @@ class KvCsdDevice:
         device simply runs without them.
         """
         bits = self.bloom_bits_per_key
-        if not bits or not keys_per_block:
+        n_blocks = len(bounds) - 1
+        if not bits or n_blocks < 1:
             return
-        total_keys = 0
         total_bytes = 0
-        with trace_span(
-            self.env, "compact.build_blooms", "stage", blocks=len(keys_per_block)
-        ):
-            for idx, members in enumerate(keys_per_block):
+        with trace_span(self.env, "compact.build_blooms", "stage", blocks=n_blocks):
+            for idx in range(n_blocks):
+                members = keys[bounds[idx] : bounds[idx + 1]]
                 bloom = BloomFilter(len(members), bits_per_key=bits)
                 bloom.add_many(members)
                 sketch.attach_bloom(idx, bloom)
-                total_keys += len(members)
                 total_bytes += bloom.size_bytes
-            yield from self._exec(ctx, self.costs.bloom_build_per_key * total_keys)
+            yield from self._exec(ctx, self.costs.bloom_build_per_key * bounds[-1])
             yield from self.board.dram.reserve(total_bytes)
         self._bloom_dram[ks.name] = self._bloom_dram.get(ks.name, 0) + total_bytes
-        self.stats.counter("bloom_filters_built").add(len(keys_per_block))
+        self.stats.counter("bloom_filters_built").add(n_blocks)
         self.stats.counter("bloom_filter_bytes").add(total_bytes)
 
     def _attach_sidx_blooms(
@@ -1506,21 +1434,17 @@ class KvCsdDevice:
         bounds = [bisect_left(composites, pivot) for pivot in sketch.pivots]
         bounds.append(len(composites))
         yield from self._attach_blooms(
-            ks,
-            sketch,
-            [
-                [skey for skey, _pkey in sorted_pairs[bounds[i] : bounds[i + 1]]]
-                for i in range(len(sketch))
-            ],
-            ctx,
+            ks, sketch, [skey for skey, _pkey in sorted_pairs], bounds, ctx
         )
 
     def _materialize_pipelined(
         self,
         ks: Keyspace,
-        live: list[tuple[bytes, ZonePointer]],
+        packer: PidxPacker,
         groups: list[bytes],
-        placements: list[tuple[int, int, int]],
+        group_index: np.ndarray,
+        group_off: np.ndarray,
+        lengths: np.ndarray,
     ) -> Generator:
         """Stream SORTED_VALUES appends concurrently with PIDX construction.
 
@@ -1531,9 +1455,9 @@ class KvCsdDevice:
         as their entries' value pointers are known.  Device channel time
         for the value stream thus hides behind the index builder's CPU
         time instead of preceding it.  Block boundaries and contents are
-        identical to the serial :func:`build_pidx_blocks` path.
+        identical to the serial path's: both feed the same ``packer``.
 
-        Returns ``(sketch, value_pointers)``.
+        Returns the sketch.
         """
         queue = BoundedQueue(self.env, capacity=4)
         writer_ctx = self._ctx(priority=5)
@@ -1554,48 +1478,40 @@ class KvCsdDevice:
                     yield from queue.put((start, ptrs))
                 yield from queue.put(None)
 
-        group_ptrs: dict[int, ZonePointer] = {}
-        value_pointers: list[ZonePointer] = []
         sketch = PidxSketch()
 
-        def flush_block(builder: BlockBuilder) -> Generator:
-            pivot = builder.first_key
-            assert pivot is not None
-            blob = builder.finish()
-            yield from self._exec(
-                builder_ctx, self.costs.block_build_per_byte * len(blob)
-            )
-            ptrs = yield from self._append_stream(
-                ks.pidx_clusters, [blob], builder_ctx
-            )
-            sketch.add_block(pivot, ptrs[0])
+        def flush_blocks(blocks: list[tuple[bytes, bytes]]) -> Generator:
+            for pivot, blob in blocks:
+                yield from self._exec(
+                    builder_ctx, self.costs.block_build_per_byte * len(blob)
+                )
+                ptrs = yield from self._append_stream(
+                    ks.pidx_clusters, [blob], builder_ctx
+                )
+                sketch.add_block(pivot, ptrs[0])
 
         def pidx_builder() -> Generator:
             with trace_span(self.env, "materialize.pidx_builder", "stage"):
-                entry_idx = 0
-                builder = BlockBuilder(self.block_bytes)
+                done = 0
                 while True:
                     item = yield from queue.get()
                     if item is None:
                         break
                     start, ptrs = item
-                    for j, pointer in enumerate(ptrs):
-                        group_ptrs[start + j] = pointer
-                    # Consume every entry whose value group has landed.
-                    while entry_idx < len(live):
-                        gidx, off, length = placements[entry_idx]
-                        if gidx not in group_ptrs:
-                            break
-                        zone_id, zone_off, _ = group_ptrs[gidx]
-                        pointer = (zone_id, zone_off + off, length)
-                        value_pointers.append(pointer)
-                        builder.add(live[entry_idx][0], pack_value_pointer(pointer))
-                        entry_idx += 1
-                        if builder.full:
-                            yield from flush_block(builder)
-                            builder = BlockBuilder(self.block_bytes)
-                if not builder.empty:
-                    yield from flush_block(builder)
+                    # Groups land in order and entries are in group order, so
+                    # the entries this batch completes are the next run.
+                    stop = int(np.searchsorted(group_index, start + len(ptrs)))
+                    zone, base = pointer_columns(ptrs)
+                    local = group_index[done:stop] - start
+                    yield from flush_blocks(
+                        packer.feed(
+                            zone[local],
+                            base[local] + group_off[done:stop],
+                            lengths[done:stop],
+                        )
+                    )
+                    done = stop
+                yield from flush_blocks(packer.finish())
 
         yield AllOf(
             self.env,
@@ -1608,7 +1524,7 @@ class KvCsdDevice:
                 ),
             ],
         )
-        return sketch, value_pointers
+        return sketch
 
     def _build_sidx_inline(
         self,

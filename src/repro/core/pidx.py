@@ -17,24 +17,47 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cache
+
+import numpy as np
 
 from repro.errors import DbError
+from repro.core.klog import column_key_bytes, column_lists, key_column
 from repro.core.zone_manager import ZonePointer
 from repro.lsm.block import BlockBuilder, BlockReader
 from repro.lsm.bloom import BloomFilter
 
-try:  # bulk block-packing fast path; the format never requires numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
-__all__ = ["PidxSketch", "build_pidx_blocks", "pack_value_pointer", "unpack_value_pointer"]
+__all__ = [
+    "PidxPacker",
+    "PidxSketch",
+    "build_pidx_blocks",
+    "pack_value_pointer",
+    "unpack_value_pointer",
+]
 
 _PTR = struct.Struct("<IQI")
 _U32 = struct.Struct("<I")
 
-#: below this many entries the per-entry builder beats numpy dispatch
-_VECTOR_MIN_ENTRIES = 256
+#: Below this many entries a list of keys is packed by the per-entry builder:
+#: joining the keys and filling the record array costs ~16 us before the
+#: first entry and ~0.3 us per entry, the builder loop ~2.5 us per entry, and
+#: they meet near 6 entries.  A key column that is already an array has paid
+#: the join and always packs in bulk.
+_VECTOR_MIN_ENTRIES = 8
+
+@cache
+def _entry_dtype(key_len: int) -> np.dtype:
+    """The packed block-entry layout for one key width."""
+    return np.dtype(
+        [
+            ("klen", "<u4"),
+            ("key", f"S{key_len}"),
+            ("plen", "<u4"),
+            ("zone", "<u4"),
+            ("off", "<u8"),
+            ("vlen", "<u4"),
+        ]
+    )
 
 
 def pack_value_pointer(pointer: ZonePointer) -> bytes:
@@ -46,6 +69,96 @@ def unpack_value_pointer(blob: bytes) -> ZonePointer:
     return (zone_id, offset, length)
 
 
+class PidxPacker:
+    """Cuts PIDX blocks from sorted key and value-pointer columns.
+
+    The keys are known up front; the pointer columns arrive through
+    :meth:`feed` in entry order as the values they point at land (all at
+    once on the serial path, one appended batch at a time on the pipelined
+    one), and each call returns the ``(first_key, block_blob)`` pairs it
+    completed.  :meth:`finish` returns the partial tail block.
+
+    With every key the same width every entry serializes to the same size,
+    so block boundaries fall at a fixed entry count and the entry bytes come
+    from one packed record array — byte-for-byte what the per-entry
+    :class:`BlockBuilder` loop produces (pinned by
+    ``tests/core/test_formats.py``).  Variable-width keys, short lists and
+    out-of-order input take that loop, which also raises its errors.
+    """
+
+    def __init__(self, keys: np.ndarray | list[bytes], block_bytes: int = 4096):
+        n = len(keys)
+        #: entry index at which each emitted block starts, plus the end
+        self.bounds = [0]
+        self._fed = 0
+        self._arr = None
+        if isinstance(keys, list):
+            keys = key_column(keys, _VECTOR_MIN_ENTRIES)
+        if (
+            isinstance(keys, np.ndarray)
+            and block_bytes >= 64  # BlockBuilder rejects smaller; let it raise
+            and not (n > 1 and bool((keys[1:] < keys[:-1]).any()))
+        ):
+            width = keys.dtype.itemsize
+            self._arr = arr = np.empty(n, dtype=_entry_dtype(width))
+            arr["klen"] = width
+            arr["key"] = keys
+            arr["plen"] = _PTR.size
+            # BlockBuilder closes a block at the first entry that pushes its
+            # size to >= block_bytes, i.e. after ceil(block_bytes / entry) adds.
+            self._per = -(-block_bytes // arr.dtype.itemsize)
+            self._offsets = (
+                np.arange(self._per, dtype="<u4") * arr.dtype.itemsize
+            ).tobytes()
+        else:
+            self._keys = column_key_bytes(keys)
+            self._block_bytes = block_bytes
+            self._builder = BlockBuilder(block_bytes)
+
+    def _cut(self, stop: int) -> tuple[bytes, bytes]:
+        """Serialize entries ``[bounds[-1], stop)`` of the record array."""
+        start = self.bounds[-1]
+        self.bounds.append(stop)
+        count = stop - start
+        blob = (
+            self._arr[start:stop].tobytes()
+            + self._offsets[: 4 * count]
+            + _U32.pack(count)
+        )
+        return blob[4 : 4 + self._arr.dtype["key"].itemsize], blob
+
+    def _close(self) -> tuple[bytes, bytes]:
+        builder = self._builder
+        self.bounds.append(self.bounds[-1] + builder.n_entries)
+        self._builder = BlockBuilder(self._block_bytes)
+        return builder.first_key, builder.finish()
+
+    def feed(self, zone, off, vlen) -> list[tuple[bytes, bytes]]:
+        """Supply the value pointers of the next ``len(zone)`` entries."""
+        lo, hi = self._fed, self._fed + len(zone)
+        self._fed = hi
+        blocks = []
+        arr = self._arr
+        if arr is not None:
+            arr["zone"][lo:hi] = zone
+            arr["off"][lo:hi] = off
+            arr["vlen"][lo:hi] = vlen
+            while self.bounds[-1] + self._per <= hi:
+                blocks.append(self._cut(self.bounds[-1] + self._per))
+            return blocks
+        for key, *pointer in zip(self._keys[lo:hi], *column_lists(zone, off, vlen)):
+            self._builder.add(key, _PTR.pack(*pointer))
+            if self._builder.full:
+                blocks.append(self._close())
+        return blocks
+
+    def finish(self) -> list[tuple[bytes, bytes]]:
+        """The partial last block, if any entries remain uncut."""
+        if self._arr is not None:
+            return [self._cut(self._fed)] if self.bounds[-1] < self._fed else []
+        return [] if self._builder.empty else [self._close()]
+
+
 def build_pidx_blocks(
     sorted_entries: list[tuple[bytes, ZonePointer]], block_bytes: int = 4096
 ) -> list[tuple[bytes, bytes]]:
@@ -53,85 +166,14 @@ def build_pidx_blocks(
 
     Returns ``[(first_key, block_blob), ...]`` in key order.
     """
-    if _np is not None and len(sorted_entries) >= _VECTOR_MIN_ENTRIES:
-        blocks = _build_blocks_vectorized(sorted_entries, block_bytes)
-        if blocks is not None:
-            return blocks
-    blocks = []
-    builder = BlockBuilder(block_bytes)
-    for key, pointer in sorted_entries:
-        builder.add(key, pack_value_pointer(pointer))
-        if builder.full:
-            assert builder.first_key is not None
-            blocks.append((builder.first_key, builder.finish()))
-            builder = BlockBuilder(block_bytes)
-    if not builder.empty:
-        assert builder.first_key is not None
-        blocks.append((builder.first_key, builder.finish()))
-    return blocks
-
-
-def _build_blocks_vectorized(
-    sorted_entries: list[tuple[bytes, ZonePointer]], block_bytes: int
-) -> list[tuple[bytes, bytes]] | None:
-    """Bulk-pack uniform-width entries; ``None`` defers to the builder loop.
-
-    With every key the same width every entry serializes to the same size,
-    so block boundaries fall at a fixed entry count and the entry bytes of
-    the whole run can be emitted by one packed numpy record array — the
-    output is byte-for-byte what the per-entry :class:`BlockBuilder` loop
-    produces (pinned by ``tests/core/test_pidx.py``).  Variable-width keys
-    or out-of-order input fall back to the reference loop (which also
-    reproduces its exact error behaviour).
-    """
-    if block_bytes < 64:  # BlockBuilder rejects these; let it raise
-        return None
-    klen = len(sorted_entries[0][0])
-    if klen == 0 or any(len(key) != klen for key, _ptr in sorted_entries):
-        return None
-    entry_bytes = 4 + klen + 4 + _PTR.size
-    # BlockBuilder closes a block at the first entry that pushes its size
-    # to >= block_bytes, i.e. after ceil(block_bytes / entry_bytes) adds.
-    per = -(-block_bytes // entry_bytes)
-    n = len(sorted_entries)
-    keys = [key for key, _ptr in sorted_entries]
-    arr = _np.empty(
-        n,
-        dtype=[
-            ("klen", "<u4"),
-            ("key", f"S{klen}"),
-            ("vlen", "<u4"),
-            ("zone", "<u4"),
-            ("voff", "<u8"),
-            ("vlen2", "<u4"),
-        ],
+    packer = PidxPacker([key for key, _ptr in sorted_entries], block_bytes)
+    pointers = [ptr for _key, ptr in sorted_entries]
+    blocks = packer.feed(
+        [ptr[0] for ptr in pointers],
+        [ptr[1] for ptr in pointers],
+        [ptr[2] for ptr in pointers],
     )
-    if arr.dtype.itemsize != entry_bytes:  # pragma: no cover - packed by default
-        return None
-    arr["klen"] = klen
-    arr["vlen"] = _PTR.size
-    arr["key"] = _np.frombuffer(b"".join(keys), dtype=f"S{klen}")
-    try:
-        arr["zone"] = [ptr[0] for _key, ptr in sorted_entries]
-        arr["voff"] = [ptr[1] for _key, ptr in sorted_entries]
-        arr["vlen2"] = [ptr[2] for _key, ptr in sorted_entries]
-    except (OverflowError, ValueError, TypeError):
-        return None  # out-of-range pointer fields: struct.pack's error wins
-    kview = arr["key"]
-    if n > 1 and bool((kview[1:] < kview[:-1]).any()):
-        return None  # unsorted input: the builder loop raises the real error
-    entries_blob = arr.tobytes()
-    full_offsets = (_np.arange(per, dtype="<u4") * entry_bytes).tobytes()
-    full_trailer = full_offsets + _U32.pack(per)
-    blocks: list[tuple[bytes, bytes]] = []
-    for start in range(0, n, per):
-        m = min(per, n - start)
-        trailer = (
-            full_trailer if m == per else full_offsets[: 4 * m] + _U32.pack(m)
-        )
-        blob = entries_blob[start * entry_bytes : (start + m) * entry_bytes]
-        blocks.append((keys[start], blob + trailer))
-    return blocks
+    return blocks + packer.finish()
 
 
 @dataclass

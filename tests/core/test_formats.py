@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.klog import (
+    KlogColumns,
     klog_record_size,
+    pack_klog_columns,
     pack_klog_records,
     unpack_klog_records,
     unpack_klog_records_prefix,
@@ -29,6 +31,12 @@ from repro.core.sidx import (
     pack_sidx_pairs,
     read_sidx_block,
     unpack_sidx_pairs,
+)
+from repro.core.vlog import (
+    FLUSH_GROUP_BYTES,
+    gather_values,
+    pointer_columns,
+    stripe_groups,
 )
 from repro.core.wire import (
     BULK_MESSAGE_BYTES,
@@ -119,6 +127,185 @@ def test_klog_prefix_parse_tolerates_tail_truncation_only():
 def test_klog_tombstone_sentinel_collision_rejected():
     with pytest.raises(DbError):
         pack_klog_records([(b"k", 1, (0, 0, 0xFFFFFFFF))])
+
+
+def _scalar_pack(records):
+    """The record format, spelled out: what every packer must produce."""
+    out = b""
+    for key, seq, pointer in records:
+        zone, off, vlen = pointer or (0, 0, 0xFFFFFFFF)
+        out += struct.pack("<H", len(key)) + key + struct.pack("<QIQI", seq, zone, off, vlen)
+    return out
+
+
+def _klog_records(n, widths=(16,), nul_tails=False):
+    rng = np.random.default_rng(n)
+    records = []
+    for i in range(n):
+        key = bytes(rng.integers(1, 256, size=widths[i % len(widths)], dtype=np.uint8))
+        if nul_tails and i % 3 == 0:
+            key = key[:-2] + b"\x00" * min(2, len(key))
+        records.append((key, 1000 + i, None if i % 7 == 3 else (i % 5, 64 * i, 1 + i % 90)))
+    return records
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 400])
+@pytest.mark.parametrize("widths", [(16,), (1,), (3, 16, 32)], ids=["w16", "w1", "mixed"])
+def test_klog_columns_are_the_records_in_another_shape(n, widths):
+    records = _klog_records(n, widths, nul_tails=True)
+    blob = _scalar_pack(records)
+    assert pack_klog_records(records) == blob
+    batch = KlogColumns.from_records(records)
+    assert len(batch) == n
+    assert batch.pack() == blob
+    # uniform keys ride as one array, anything else as a list of bytes
+    assert isinstance(batch.keys, np.ndarray) == (n >= 8 and len(widths) == 1)
+    parsed = KlogColumns.from_blobs([blob])
+    assert isinstance(parsed.keys, np.ndarray) == (n >= 8 and len(widths) == 1)
+    assert parsed.pack() == blob
+    assert unpack_klog_records(blob) == records
+    # slices, masks and permutations select records
+    assert unpack_klog_records(batch[2:5].pack()) == records[2:5]
+    mask = np.arange(n) % 2 == 0
+    assert unpack_klog_records(batch[mask].pack()) == records[::2]
+    order = np.arange(n)[::-1]
+    assert unpack_klog_records(batch[order].pack()) == records[::-1]
+
+
+def test_klog_columns_from_several_extents_and_torn_tail():
+    records = _klog_records(60)
+    extents = [pack_klog_records(records[a:b]) for a, b in ((0, 25), (25, 27), (27, 60))]
+    batch = KlogColumns.from_blobs([extents[0], b"", *extents[1:]])
+    assert isinstance(batch.keys, np.ndarray)  # even with a 2-record extent
+    assert unpack_klog_records(batch.pack()) == records
+    torn = extents[2][:-5]
+    with pytest.raises(KlogTruncatedError):
+        KlogColumns.from_blobs([extents[0], torn])
+    batch = KlogColumns.from_blobs([extents[0], torn], torn_ok=True)
+    assert unpack_klog_records(batch.pack()) == records[:25] + records[27:59]
+    # extents of different key widths cannot share a key array
+    other = pack_klog_records(_klog_records(20, widths=(9,)))
+    batch = KlogColumns.from_blobs([extents[0], other])
+    assert isinstance(batch.keys, list)
+    assert batch.pack() == extents[0] + other
+
+
+def test_klog_columns_concat_mixes_key_representations():
+    uniform = KlogColumns.from_records(_klog_records(20))
+    mixed = KlogColumns.from_records(_klog_records(20, widths=(4, 16)))
+    assert KlogColumns.concat([uniform, uniform]).pack() == uniform.pack() * 2
+    assert KlogColumns.concat([uniform, mixed]).pack() == uniform.pack() + mixed.pack()
+
+
+@pytest.mark.parametrize("widths", [(16,), (2, 16)], ids=["w16", "mixed"])
+def test_klog_columns_compaction_order_dedup_and_rank(widths):
+    records = _klog_records(300, widths, nul_tails=True)
+    records += [(k, s + 5000, None if s % 2 else (9, s, 7)) for k, s, _p in records[::4]]
+    batch = KlogColumns.from_records(records)
+    ordered = sorted(records, key=lambda r: (r[0], -r[1]))
+    got = batch[batch.sort_order()]
+    assert unpack_klog_records(got.pack()) == ordered
+    newest = {}
+    for key, _seq, pointer in ordered:
+        newest.setdefault(key, pointer)
+    live = [(k, p) for k, p in newest.items() if p is not None]
+    kept = got[got.newest_live()]
+    assert [(k, p) for k, _s, p in unpack_klog_records(kept.pack())] == live
+    pivots = got[np.array([40, 41, 200])]
+    marks = [(k, -s) for k, s, _p in unpack_klog_records(pivots.pack())]
+    expected = [sum(m <= (k, -s) for m in marks) for k, s, _p in records]
+    assert batch.rank(pivots).tolist() == expected
+
+
+def test_pack_klog_columns_takes_lists_and_arrays():
+    records = _klog_records(50)
+    keys = [k for k, _s, _p in records]
+    seqs = [s for _k, s, _p in records]
+    ptrs = [p or (0, 0, 0xFFFFFFFF) for _k, _s, p in records]
+    zone, off, vlen = (list(col) for col in zip(*ptrs))
+    blob = pack_klog_records(records)
+    assert pack_klog_columns(keys, seqs, zone, off, vlen) == blob
+    assert pack_klog_columns(
+        np.frombuffer(b"".join(keys), dtype="S16"),
+        np.array(seqs), np.array(zone), np.array(off), np.array(vlen),
+    ) == blob
+    with pytest.raises(DbError):
+        pack_klog_columns([b"k" * 70000], [1], [0], [0], [4])
+
+
+# ------------------------------------------------------------------ vlog
+def _greedy_groups(values):
+    """The stripe-group rule, one value at a time."""
+    groups, placements, current, used = [], [], [], 0
+    for value in values:
+        if current and used + len(value) > FLUSH_GROUP_BYTES:
+            groups.append(b"".join(current))
+            current, used = [], 0
+        placements.append((len(groups), used))
+        current.append(value)
+        used += len(value)
+    if current:
+        groups.append(b"".join(current))
+    return groups, placements
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [
+        [],
+        [0, 0, 0],
+        [64] * 2000,
+        [FLUSH_GROUP_BYTES] * 3,
+        [FLUSH_GROUP_BYTES + 1, 5, FLUSH_GROUP_BYTES + 7],
+        [1 + (37 * i) % 5000 for i in range(400)],
+        [0 if i % 9 == 0 else 700 for i in range(300)],
+    ],
+    ids=["none", "empty-values", "uniform", "stripe-sized", "oversized", "mixed", "with-empties"],
+)
+def test_stripe_groups_match_greedy_packing(lengths):
+    values = [bytes([i % 251]) * n for i, n in enumerate(lengths)]
+    groups, index, offset = stripe_groups(b"".join(values), np.array(lengths, dtype=np.int64))
+    expected_groups, placements = _greedy_groups(values)
+    assert groups == expected_groups
+    assert list(zip(index.tolist(), offset.tolist())) == placements
+
+
+@pytest.mark.parametrize("n", [0, 5, 255, 256, 3000])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_gather_values_equals_per_value_slices(n, uniform):
+    rng = np.random.default_rng(n)
+    zone_blobs = {
+        z: bytes(rng.integers(0, 256, size=size, dtype=np.uint8))
+        for z, size in ((11, 50_000), (4, 0), (7, 20_000))
+    }
+    zone = rng.choice([11, 7], size=n).astype(np.uint32)
+    vlen = np.full(n, 48, dtype=np.uint32)
+    if not uniform:
+        vlen = rng.integers(0, 97, size=n).astype(np.uint32)
+    off = rng.integers(0, 20_000 - 96, size=n).astype(np.uint64)
+    expected = b"".join(
+        zone_blobs[z][o : o + v] for z, o, v in zip(zone.tolist(), off.tolist(), vlen.tolist())
+    )
+    assert gather_values(zone_blobs, zone, off, vlen) == expected
+
+
+def test_gather_values_rejects_pointer_past_its_zone():
+    zone_blobs = {2: bytes(1000), 3: bytes(1000)}
+    zone = np.full(300, 2, dtype=np.uint32)
+    off = np.arange(300, dtype=np.uint64)
+    off[17] = 990  # would read on into zone 3's bytes
+    with pytest.raises(DbError):
+        gather_values(zone_blobs, zone, off, np.full(300, 16, dtype=np.uint32))
+    zone[17], off[17] = 9, 0  # a zone that was never read
+    with pytest.raises(DbError):
+        gather_values(zone_blobs, zone, off, np.full(300, 16, dtype=np.uint32))
+
+
+def test_pointer_columns():
+    zone, start = pointer_columns([(3, 4096, 10), (5, 0, 20)])
+    assert zone.tolist() == [3, 5] and start.tolist() == [4096, 0]
+    zone, start = pointer_columns([])
+    assert len(zone) == 0 and len(start) == 0
 
 
 # ------------------------------------------------------------------ membuf
@@ -302,8 +489,8 @@ def _reference_pidx_blocks(entries, block_bytes):
         (412, 9, 4096),    # odd key width
         (300, 16, 64),     # minimum block size -> one entry per block
         (320, 16, 40 * 8), # block boundary exactly at a full block
-        (256, 16, 4096),   # exactly the vectorization threshold
-        (255, 16, 4096),   # one below the threshold (builder loop)
+        (8, 16, 4096),     # exactly the vectorization threshold
+        (7, 16, 4096),     # one below the threshold (builder loop)
     ],
 )
 def test_pidx_blocks_vectorized_matches_builder(n, klen, block_bytes):

@@ -111,6 +111,19 @@ def test_v2_roundtrip_reattaches_blooms(ssd):
     assert stream.bloom_bytes["ks"] > 0
 
 
+@pytest.mark.parametrize(
+    "n_bits,k",
+    [(0, 7), (64, 0), (64, 31)],
+    ids=["no-bits", "no-probes", "too-many-probes"],
+)
+def test_bloom_annex_rejects_impossible_header(n_bits, k):
+    # An 18-byte header-only blob passes the length check when n_bits == 0;
+    # probing it divided by zero, and k == 0 answered "maybe" forever.
+    header = n_bits.to_bytes(8, "little") + k.to_bytes(2, "little") + bytes(8)
+    with pytest.raises(DbError):
+        BloomFilter.from_bytes(header + bytes((n_bits + 7) // 8))
+
+
 def test_v2_torn_tail_keeps_intact_prefix(ssd):
     ks = make_keyspace(ssd)
     codec = MetaCodec(META_V2)

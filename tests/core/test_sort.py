@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.klog import KlogColumns, pack_klog_records, unpack_klog_records
 from repro.core.sort import (
     MERGE_BUFFER_BYTES,
     ExternalSorter,
@@ -320,41 +321,112 @@ def test_parallel_sort_rejects_bad_shard_count():
         )
 
 
-# ------------------------------------------------ declared-key vectorized sort
-def _compaction_records(n, seed=1, klen=8, dup_every=5):
-    """(key, (seq, payload)) records with duplicate keys across seqs."""
+# ------------------------------------------- compaction order: lists and columns
+def _compaction_records(n, seed=1, klen=8, dup_every=5, mixed_widths=False):
+    """(key, seq, pointer|None) records: duplicate keys across seqs, tombstones."""
     rng = np.random.default_rng(seed)
     base = rng.integers(0, 2**32, size=n)
     records = []
     for i, k in enumerate(base):
         key = int(k).to_bytes(klen, "big")
-        records.append((key, (i, f"p{i}".encode())))
+        if mixed_widths:
+            key = key[: 1 + i % klen]
+        records.append((key, i, (i % 7, 64 * i, 48)))
         if i % dup_every == 0:
-            records.append((key, (n + i, f"q{i}".encode())))
+            records.append((key, n + i, None if i % 2 else (1, i, 48)))
     return records
+
+
+def _compaction_key(record):
+    return (record[0], -record[1][0])  # key ascending, seq descending
+
+
+def _list_sorter(zm, budget_bytes, shards):
+    """The tuple-list sort perf/micro.py and PR 6 drove compaction through."""
+    return ParallelSortCoordinator(
+        zm,
+        budget_bytes=budget_bytes,
+        shards=shards,
+        compare_cost=25e-9,
+        pack=lambda recs: pack_klog_records([(k, s, p) for k, (s, p) in recs]),
+        unpack=lambda blob: [(k, (s, p)) for k, s, p in unpack_klog_records(blob)],
+        sort_key=_compaction_key,
+        key_kind="key_seq_desc",
+    )
+
+
+def _column_sorter(zm, budget_bytes, shards):
+    return ParallelSortCoordinator(
+        zm,
+        budget_bytes=budget_bytes,
+        shards=shards,
+        compare_cost=25e-9,
+        pack=KlogColumns.pack,
+        unpack=lambda blob: KlogColumns.from_blobs([blob]),
+    )
+
+
+def _run_compaction_sort(make_coordinator, batch, total_bytes, budget_bytes, shards):
+    env = Environment()
+    _sorter, ssd, zm = make_sorter(env, budget_bytes)
+    coord = make_coordinator(zm, budget_bytes, shards)
+    ctx = ThreadCtx(cpu=CpuPool(env, 4))
+    out = env.run(env.process(coord.sort(batch, total_bytes, ctx)))
+    plans = [(p.total_bytes, p.n_runs, p.n_merge_passes) for p in coord.last_plans]
+    return out, env.now, ssd.stats.bytes_written, plans, zm.allocated_clusters
 
 
 @pytest.mark.parametrize("n", [10, 500])
 def test_key_seq_desc_sort_matches_python_sorted(n):
     env = Environment()
-    sorter, _ssd, _zm = make_sorter(env, budget_bytes=1 * MiB)
-    sorter.sort_key = lambda rec: (rec[0], -rec[1][0])
-    sorter._key_is_default = False
-    sorter._key_kind = "key_seq_desc"
-    records = _compaction_records(n)
-    expected = sorted(records, key=lambda rec: (rec[0], -rec[1][0]))
-    assert sorter._sorted(list(records)) == expected
+    _sorter, _ssd, zm = make_sorter(env, budget_bytes=1 * MiB)
+    sorter = ExternalSorter(
+        zm, 1 * MiB, 25e-9, pack=None, unpack=None,
+        sort_key=_compaction_key, key_kind="key_seq_desc",
+    )
+    records = [(k, (s, p)) for k, s, p in _compaction_records(n)]
+    assert sorter._sorted(list(records)) == sorted(records, key=_compaction_key)
 
 
 def test_key_seq_desc_variable_width_keys_fall_back():
     env = Environment()
-    sorter, _ssd, _zm = make_sorter(env, budget_bytes=1 * MiB)
-    sorter.sort_key = lambda rec: (rec[0], -rec[1][0])
-    sorter._key_is_default = False
-    sorter._key_kind = "key_seq_desc"
+    _sorter, _ssd, zm = make_sorter(env, budget_bytes=1 * MiB)
+    sorter = ExternalSorter(
+        zm, 1 * MiB, 25e-9, pack=None, unpack=None,
+        sort_key=_compaction_key, key_kind="key_seq_desc",
+    )
     records = [(b"k" * (1 + i % 3), (i, b"")) for i in range(200)]
-    expected = sorted(records, key=lambda rec: (rec[0], -rec[1][0]))
-    assert sorter._sorted(list(records)) == expected
+    assert sorter._sorted(list(records)) == sorted(records, key=_compaction_key)
+
+
+@pytest.mark.parametrize("mixed_widths", [False, True])
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("spill", [False, True])
+def test_column_batch_sort_equals_record_list_sort(mixed_widths, shards, spill):
+    # Same records, same order, same simulated charges: the column batch is
+    # the record list in another shape, so bucket sizes, spill plans, temp
+    # I/O and the clock must not be able to tell them apart.
+    records = _compaction_records(2000, mixed_widths=mixed_widths)
+    total = len(pack_klog_records(records))
+    budget = total // 5 if spill else 10 * MiB
+    as_list = [(k, (s, p)) for k, s, p in records]
+    expected, *model = _run_compaction_sort(_list_sorter, as_list, total, budget, shards)
+    assert expected == sorted(as_list, key=_compaction_key)
+    got, *column_model = _run_compaction_sort(
+        _column_sorter, KlogColumns.from_records(records), total, budget, shards
+    )
+    assert isinstance(got.keys, list) == mixed_widths
+    assert unpack_klog_records(got.pack()) == [(k, s, p) for k, (s, p) in expected]
+    assert column_model == model
+    assert model[-1] == 0  # temp clusters released
+    assert (model[1] > 0) == spill
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_column_batch_sort_empty_and_singleton(n):
+    batch = KlogColumns.from_records(_compaction_records(5)[:n])
+    got, *_ = _run_compaction_sort(_column_sorter, batch, 64, 1024, 4)
+    assert got.pack() == batch.pack()
 
 
 def test_coordinator_forwards_key_kind_only_with_custom_key():

@@ -47,6 +47,26 @@ def test_bloom_corrupt_payload_rejected():
         BloomFilter.from_bytes(blob[:-1])
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 1000])
+@pytest.mark.parametrize("bits_per_key", [10, 7, 1])
+def test_bloom_add_many_equals_repeated_add(n, bits_per_key):
+    # the array path must set exactly the bits the scalar loop sets,
+    # including in a last byte the filter only partly owns
+    keys = [f"key-{i}".encode() + bytes(i % 3) for i in range(n)]
+    one_by_one = BloomFilter(n, bits_per_key)
+    for key in keys:
+        one_by_one.add(key)
+    at_once = BloomFilter(n, bits_per_key)
+    at_once.add_many(keys)
+    if n in (7, 9) and bits_per_key == 10:
+        assert at_once.n_bits % 8 != 0
+    assert at_once.to_bytes() == one_by_one.to_bytes()
+    at_once.add_many(keys[: n // 2])  # a second batch ORs into the first
+    for key in keys[: n // 2]:
+        one_by_one.add(key)
+    assert at_once.to_bytes() == one_by_one.to_bytes()
+
+
 def test_bloom_validation():
     with pytest.raises(DbError):
         BloomFilter(n_keys=-1)
