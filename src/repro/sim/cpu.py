@@ -2,10 +2,16 @@
 
 Compute work in the reproduction (sorting, compaction, request handling,
 checksum/serialization overhead) is expressed as *seconds of CPU time* and
-billed to a :class:`CpuPool` via :meth:`CpuPool.execute`.  Each core is a
-capacity-1 resource; threads either pin to a specific core (the paper pins
-every test thread) or run on any core of an allowed set (RocksDB's background
-compaction workers run on whichever pinned cores are available).
+billed to a :class:`CpuPool` via :meth:`CpuPool.execute`.  Threads either pin
+to a specific core (the paper pins every test thread) or run on any core of
+an allowed set (RocksDB's background compaction workers run on whichever
+pinned cores are available; the device firmware floats over the whole SoC).
+
+The pool is its own scheduler: one busy bit per core and one run queue of
+waiters ordered by ``(priority, arrival)``, each carrying the set of cores it
+may run on.  Work that finds an allowed core idle takes it on the spot —
+no kernel event — and a core that is released goes straight to the first
+waiter allowed on it, so a core is never idle while work it could run waits.
 
 Long work items are split into timeslices so that a multi-second compaction
 job cannot monopolise a core against interactive foreground work — the same
@@ -14,13 +20,12 @@ effect an OS scheduler provides.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Generator
 from typing import Optional, Sequence
 
 from repro.errors import SimulationError
-from repro.sim.core import Environment
-from repro.sim.resources import Resource
-from repro.sim.sync import AnyOf
+from repro.sim.core import Environment, Event
 
 __all__ = ["CpuPool"]
 
@@ -59,87 +64,64 @@ class CpuPool:
         self.n_cores = n_cores
         self.timeslice = timeslice
         self.name = name
-        self._cores = [Resource(env, capacity=1) for _ in range(n_cores)]
         #: cumulative busy seconds per core, for utilization reporting
         self.busy_time = [0.0] * n_cores
-        self._all_cores = list(range(n_cores))
-        #: memoized sorted core lists per distinct ``cores=`` argument —
-        #: thread contexts pass the same pinned set on every execute()
-        self._allowed_cache: dict[tuple, list[int]] = {}
+        #: bit ``i`` set = core ``i`` is held (running, or handed to a waiter
+        #: whose wake-up event has not been processed yet)
+        self._busy = 0
+        #: run queue, sorted: ``(priority, arrival seq, allowed mask, event)``
+        self._waiting: list[tuple[int, int, int, Event]] = []
+        self._seq = 0
+        self._all_mask = (1 << n_cores) - 1
+        #: memoized core masks per distinct ``cores=`` argument — thread
+        #: contexts pass the same pinned set on every execute()
+        self._mask_cache: dict[tuple, int] = {}
+        self._resource = f"cpu.{name}"  # span name and critical-path resource
+        self._lanes = [f"{name}/core{idx}" for idx in range(n_cores)]
 
-    # -- acquisition ----------------------------------------------------------
-    def _acquire(
-        self, allowed: Sequence[int], priority: int
-    ) -> Generator:
-        """Acquire exactly one core out of ``allowed``; yields (index, request)."""
-        cores = self._cores
-        if len(allowed) == 1:
-            idx = allowed[0]
-            req = cores[idx].request(priority)
-            yield req
-            return idx, req
-        if all(not cores[idx]._users for idx in allowed):
-            # Every allowed core is idle, so the AnyOf fan-out below would
-            # grant all requests and keep the lowest allowed index.  Replay
-            # that outcome with identical event-counter timing: the requests
-            # grant in creation order, and the wake-up event is scheduled
-            # while the first grant is being processed — exactly when the
-            # original AnyOf would have fired.
-            requests = [cores[idx].request(priority) for idx in allowed]
-            woke = self.env.event()
-            requests[0].callbacks.append(lambda _evt: woke.succeed())
-            yield woke
-            keep = allowed[0]
-            for idx, req in zip(allowed[1:], requests[1:]):
-                cores[idx].release(req)
-            return keep, requests[0]
-        requests = {idx: cores[idx].request(priority) for idx in allowed}
-        yield AnyOf(self.env, list(requests.values()))
-        granted = [idx for idx, req in requests.items() if req.processed and req.ok]
-        keep = min(granted)
-        for idx, req in requests.items():
-            if idx != keep:
-                cores[idx].release(req)
-        return keep, requests[keep]
-
-    def _claim(self, allowed, priority, critpath, resource, op, root, token):
-        """``_acquire`` plus blocked-by edge + holder registration.
-
-        Only runs when a critical-path observer is installed; records an
-        edge when the claim actually waited (holder snapshot taken at wait
-        start — the work the claimant was stuck behind) and registers this
-        actor as a holder of ``resource`` until the matching release.
-        """
-        t0 = self.env.now
-        holders = critpath.holders(resource)
-        idx, req = yield from self._acquire(allowed, priority)
-        now = self.env.now
-        if now > t0:
-            critpath.record_edge(resource, "cpu", t0, now, op, root, holders)
-        critpath.acquire(resource, token)
-        return idx, req
-
-    def _check_allowed(self, core: Optional[int], cores: Optional[Sequence[int]]):
-        if core is not None and cores is not None:
-            raise SimulationError("pass either core= or cores=, not both")
+    # -- scheduling -----------------------------------------------------------
+    def _allowed_mask(self, core: Optional[int], cores: Optional[Sequence[int]]) -> int:
+        """Bit mask of the cores ``core=`` / ``cores=`` allow."""
         if core is not None:
+            if cores is not None:
+                raise SimulationError("pass either core= or cores=, not both")
             if not 0 <= core < self.n_cores:
                 raise SimulationError(f"core index {core} out of range")
-            return [core]
-        if cores is not None:
-            key = tuple(cores)
-            cached = self._allowed_cache.get(key)
-            if cached is not None:
-                return cached
-            allowed = sorted(set(cores))
-            if not allowed:
+            return 1 << core
+        if cores is None:
+            return self._all_mask
+        key = tuple(cores)
+        mask = self._mask_cache.get(key)
+        if mask is None:
+            if not key:
                 raise SimulationError("cores= must not be empty")
-            for idx in allowed:
+            mask = 0
+            for idx in key:
                 if not 0 <= idx < self.n_cores:
                     raise SimulationError(f"core index {idx} out of range")
-            self._allowed_cache[key] = allowed
-            return allowed
-        return self._all_cores
+                mask |= 1 << idx
+            self._mask_cache[key] = mask
+        return mask
+
+    def _release(self, idx: int) -> None:
+        """Hand core ``idx`` to the first waiter allowed on it, else idle it."""
+        bit = 1 << idx
+        waiting = self._waiting
+        for pos, waiter in enumerate(waiting):
+            if waiter[2] & bit:
+                del waiting[pos]
+                waiter[3].succeed(idx)  # the core stays busy across the hand-over
+                return
+        self._busy &= ~bit
+
+    def _withdraw(self, waiter: tuple[int, int, int, Event]) -> None:
+        """Leave the run queue after an exception hit a waiting ``execute``."""
+        event = waiter[3]
+        if event.triggered:
+            # Already handed a core whose wake-up had not been processed.
+            self._release(event.value)
+        else:
+            self._waiting.remove(waiter)
 
     # -- work ------------------------------------------------------------------
     def execute(
@@ -152,108 +134,80 @@ class CpuPool:
         """Consume ``seconds`` of CPU time on one core (generator).
 
         ``core=`` pins the work to a single core; ``cores=`` restricts it to a
-        set; neither means any core in the pool.  Lower ``priority`` values
-        win the queue when cores are contended.
+        set; neither means any core in the pool.  The lowest-index idle
+        allowed core is taken; when all are busy the work queues, and lower
+        ``priority`` values win the queue (arrival order among equals).
 
         Work longer than the pool timeslice releases and re-acquires the core
         between slices, so concurrent work items interleave rather than run
-        to completion serially.
+        to completion serially.  Zero seconds still takes and returns a core,
+        so it queues behind work ahead of it on a contended core.
         """
         if seconds < 0:
             raise SimulationError("cannot execute negative CPU time")
-        allowed = self._check_allowed(core, cores)
-        tracer = self.env.tracer
-        critpath = self.env.critpath
+        mask = self._allowed_mask(core, cores)
+        env = self.env
+        tracer = env.tracer
+        critpath = env.critpath
+        resource = self._resource
         if critpath is not None:
-            resource = f"cpu.{self.name}"
             actor_op, actor_root = critpath.actor()
-            token = (
-                actor_op if actor_root is None else f"{actor_op}#{actor_root}"
-            )
-        if tracer is None:
-            # Untraced fast path: skip all span bookkeeping.  Acquisition
-            # still goes through the queue — a synchronous take would hand
-            # the following timeout an earlier event counter than the seed's,
-            # reordering same-instant wakeups under contention.
-            env = self.env
-            cores_ = self._cores
-            remaining = float(seconds)
-            if remaining == 0.0:
-                if critpath is None:
-                    idx, req = yield from self._acquire(allowed, priority)
-                else:
-                    idx, req = yield from self._claim(
-                        allowed, priority, critpath, resource,
-                        actor_op, actor_root, token,
-                    )
-                    critpath.release(resource, token)
-                cores_[idx].release(req)
-                return
-            timeslice = self.timeslice
-            while remaining > 0:
-                if critpath is None:
-                    idx, req = yield from self._acquire(allowed, priority)
-                else:
-                    idx, req = yield from self._claim(
-                        allowed, priority, critpath, resource,
-                        actor_op, actor_root, token,
-                    )
-                slice_len = remaining if remaining < timeslice else timeslice
-                try:
-                    yield env.timeout(slice_len)
-                finally:
-                    self.busy_time[idx] += slice_len
-                    cores_[idx].release(req)
-                    if critpath is not None:
-                        critpath.release(resource, token)
-                remaining -= slice_len
-            return
+            token = actor_op if actor_root is None else f"{actor_op}#{actor_root}"
+        remaining = float(seconds)
         span = None
-        wait = 0.0
         if tracer is not None:
-            span = tracer.start(
-                f"cpu.{self.name}", "cpu", pool=self.name, run=float(seconds)
-            )
+            span = tracer.start(resource, "cpu", pool=self.name, run=remaining)
+        wait = 0.0
+        timeslice = self.timeslice
+        busy_time = self.busy_time
         try:
-            remaining = float(seconds)
-            if remaining == 0.0:
-                # Zero-cost work still passes through the queue once so that
-                # ordering against other work on the core is preserved.
-                t0 = self.env.now
-                if critpath is None:
-                    idx, req = yield from self._acquire(allowed, priority)
+            while True:
+                idle = mask & ~self._busy
+                if idle:
+                    bit = idle & -idle  # lowest-index idle allowed core
+                    self._busy |= bit
+                    idx = bit.bit_length() - 1
                 else:
-                    idx, req = yield from self._claim(
-                        allowed, priority, critpath, resource,
-                        actor_op, actor_root, token,
-                    )
-                    critpath.release(resource, token)
-                wait += self.env.now - t0
-                if span is not None:
-                    span.lane = f"{self.name}/core{idx}"
-                self._cores[idx].release(req)
-                return
-            while remaining > 0:
-                t0 = self.env.now
-                if critpath is None:
-                    idx, req = yield from self._acquire(allowed, priority)
-                else:
-                    idx, req = yield from self._claim(
-                        allowed, priority, critpath, resource,
-                        actor_op, actor_root, token,
-                    )
-                wait += self.env.now - t0
+                    t0 = env.now
+                    if critpath is not None:
+                        # the work this charge is stuck behind
+                        holders = critpath.holders(resource)
+                    self._seq += 1
+                    waiter = (priority, self._seq, mask, Event(env))
+                    insort(self._waiting, waiter)
+                    try:
+                        idx = yield waiter[3]
+                    except BaseException:
+                        self._withdraw(waiter)
+                        raise
+                    now = env.now
+                    if now > t0:
+                        wait += now - t0
+                        if critpath is not None:
+                            critpath.record_edge(
+                                resource, "cpu", t0, now, actor_op, actor_root, holders
+                            )
+                if critpath is not None:
+                    critpath.acquire(resource, token)
                 if span is not None and span.lane is None:
-                    span.lane = f"{self.name}/core{idx}"
-                slice_len = min(remaining, self.timeslice)
+                    span.lane = self._lanes[idx]
+                slice_len = remaining if remaining < timeslice else timeslice
+                started = env.now
                 try:
-                    yield self.env.timeout(slice_len)
+                    if slice_len > 0.0:
+                        yield env.timeout(slice_len)
+                except BaseException:
+                    busy_time[idx] += env.now - started  # slice cut short
+                    raise
+                else:
+                    busy_time[idx] += slice_len
                 finally:
-                    self.busy_time[idx] += slice_len
-                    self._cores[idx].release(req)
+                    self._release(idx)
                     if critpath is not None:
                         critpath.release(resource, token)
                 remaining -= slice_len
+                if remaining <= 0.0:
+                    return
         finally:
             if span is not None:
                 tracer.finish(span, wait=wait, run=float(seconds) - remaining)
@@ -263,7 +217,7 @@ class CpuPool:
         horizon = self.env.now if up_to is None else up_to
         if horizon <= 0:
             return [0.0] * self.n_cores
-        return [min(1.0, busy / horizon) for busy in self.busy_time]
+        return [busy / horizon for busy in self.busy_time]
 
     def total_busy_time(self) -> float:
         """Sum of busy seconds over all cores."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import InterruptError, SimulationError
 from repro.sim import CpuPool, Environment
 
 
@@ -186,3 +186,83 @@ def test_utilization_at_time_zero():
     env = Environment()
     cpu = CpuPool(env, n_cores=2)
     assert cpu.utilization() == [0.0, 0.0]
+
+
+def test_interrupt_while_queued_does_not_leak_the_core():
+    env = Environment()
+    cpu = CpuPool(env, n_cores=1, timeslice=10.0)
+    done = []
+
+    def worker(name, delay):
+        yield env.timeout(delay)
+        try:
+            yield from cpu.execute(1.0, core=0)
+        except InterruptError:
+            done.append((name, "interrupted", env.now))
+            return
+        done.append((name, "ran", env.now))
+
+    env.process(worker("a", 0.0))
+    queued = env.process(worker("b", 0.0))
+    env.process(worker("c", 0.6))
+
+    def interrupter():
+        yield env.timeout(0.505)  # "a" holds the core, "b" is queued
+        queued.interrupt()
+
+    env.process(interrupter())
+    env.run(until=10.0)
+    # The withdrawn waiter must not be handed the core when "a" finishes.
+    assert done == [("b", "interrupted", 0.505), ("a", "ran", 1.0), ("c", "ran", 2.0)]
+    assert cpu.total_busy_time() == 2.0
+
+
+def test_interrupt_between_hand_over_and_wake_up_passes_the_core_on():
+    env = Environment()
+    cpu = CpuPool(env, n_cores=1, timeslice=10.0)
+    done = []
+
+    def worker(name):
+        try:
+            yield from cpu.execute(1.0, core=0)
+        except InterruptError:
+            return
+        done.append((name, env.now))
+
+    env.process(worker("a"))
+    queued = env.process(worker("b"))
+    env.process(worker("c"))
+
+    def interrupter():
+        # Created after the workers, so at t=1.0 it runs right after "a"'s
+        # slice ends: "b" already owns the core, its wake-up is still pending.
+        yield env.timeout(1.0)
+        queued.interrupt()
+
+    env.process(interrupter())
+    env.run(until=10.0)
+    assert done == [("a", 1.0), ("c", 2.0)]
+
+
+def test_busy_time_counts_only_the_served_part_of_an_interrupted_slice():
+    env = Environment()
+    cpu = CpuPool(env, n_cores=1, timeslice=10.0)
+
+    def victim():
+        try:
+            yield from cpu.execute(1.0, core=0)
+        except InterruptError:
+            pass
+
+    running = env.process(victim())
+
+    def interrupter():
+        yield env.timeout(0.25)
+        running.interrupt()
+
+    env.process(interrupter())
+    env.run(until=0.25)
+    assert cpu.busy_time == [0.25]
+    # utilization() reports what was accounted, unclamped: an over-count
+    # would show as > 1.0 instead of hiding behind a min().
+    assert cpu.utilization() == [1.0]
