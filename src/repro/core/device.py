@@ -796,10 +796,14 @@ class KvCsdDevice:
         the timeline sampler and ``repro metrics`` see recovery health
         without reaching into private fields.
         """
-        counters = self.stats.counter_values
+        counters = self.stats.counters
 
         def counter_gauge(name: str):
-            return lambda: float(counters().get(name, 0))
+            def read() -> float:
+                counter = counters.get(name)  # created on first increment
+                return counter.value if counter is not None else 0.0
+
+            return read
 
         gauges = {
             "recovery.count": counter_gauge("recoveries"),
@@ -1091,13 +1095,9 @@ class KvCsdDevice:
     ) -> Generator:
         ctx = self._ctx(priority=5)
         t0 = self.env.now
-        tracer = self.env.tracer
-        job_span = (
-            tracer.start(
-                "job.compaction", "job", lane="jobs/compaction", keyspace=ks.name
-            )
-            if tracer is not None
-            else None
+        probe = self.env.probe
+        job_span = probe and probe.span_begin(
+            "job.compaction", "job", "jobs/compaction", {"keyspace": ks.name}
         )
         # Pre-job snapshot for fault containment: a ReproError mid-job (e.g.
         # an injected media error) unwinds the partial outputs back to this.
@@ -1378,7 +1378,7 @@ class KvCsdDevice:
             self._job_errors.setdefault(ks.name, []).append(exc)
         finally:
             if job_span is not None:
-                tracer.finish(job_span)
+                probe.span_end(job_span)
             self._jobs[ks.name].remove(done)
             done.succeed()
 
@@ -1609,17 +1609,10 @@ class KvCsdDevice:
     def _sidx_job(self, ks: Keyspace, config: SidxConfig, done: Event) -> Generator:
         ctx = self._ctx(priority=5)
         t0 = self.env.now
-        tracer = self.env.tracer
-        job_span = (
-            tracer.start(
-                "job.sidx",
-                "job",
-                lane="jobs/sidx",
-                keyspace=ks.name,
-                index=config.name,
-            )
-            if tracer is not None
-            else None
+        probe = self.env.probe
+        job_span = probe and probe.span_begin(
+            "job.sidx", "job", "jobs/sidx",
+            {"keyspace": ks.name, "index": config.name},
         )
         bloom_dram0 = self._bloom_dram.get(ks.name, 0)
         try:
@@ -1704,7 +1697,7 @@ class KvCsdDevice:
             self._job_errors.setdefault(ks.name, []).append(exc)
         finally:
             if job_span is not None:
-                tracer.finish(job_span)
+                probe.span_end(job_span)
             self._jobs[ks.name].remove(done)
             done.succeed()
 

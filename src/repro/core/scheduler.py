@@ -20,7 +20,7 @@ Observability: admission and dispatch emit ``query.admit`` /
 ``query.dispatch`` journal events, admitted/dispatched counters and a
 queue-depth histogram accumulate on the device's stats registry (exported
 through :class:`~repro.obs.metrics.MetricsHub`), and a captured
-:class:`~repro.obs.trace.TraceContext` travels with each queued command so
+:class:`~repro.obs.probe.TraceContext` travels with each queued command so
 worker-side spans parent under the submitting command's span tree.
 """
 
@@ -30,8 +30,7 @@ from collections.abc import Callable, Generator
 from typing import Any, Optional
 
 from repro.errors import SimulationError
-from repro.obs.journal import journal_event
-from repro.obs.trace import CAT_STAGE, TraceContext
+from repro.obs.probe import TraceContext
 from repro.sim.core import Environment, Event
 from repro.sim.stats import StatsRegistry
 from repro.sim.sync import BoundedQueue
@@ -43,28 +42,24 @@ __all__ = ["QueryScheduler"]
 class _QueuedQuery:
     """One admitted query command in flight through the scheduler."""
 
-    __slots__ = ("op", "fn", "done", "tctx", "seq", "admit_at", "waiter_op",
-                 "waiter_root", "admit_holders")
+    __slots__ = ("op", "fn", "done", "seq", "tctx", "admit_at", "actor",
+                 "token", "admit_holders")
 
     def __init__(
-        self,
-        op: str,
-        fn: Callable[[Any], Generator],
-        done: Event,
-        tctx: Optional[TraceContext],
-        seq: int,
+        self, op: str, fn: Callable[[Any], Generator], done: Event, seq: int
     ):
         self.op = op
         self.fn = fn
         self.done = done
-        self.tctx = tctx
         self.seq = seq
-        # Critical-path stamps, filled at admission when an observer is
-        # installed: admit time, submitting op identity, and the snapshot of
-        # ops the workers were executing when this query got in line.
+        # Observer stamps, filled at admission when a probe is installed:
+        # the submitter's trace context, admit time, submitting op identity
+        # and holder token, and the snapshot of ops the workers were
+        # executing when this query got in line.
+        self.tctx: Optional[TraceContext] = None
         self.admit_at: Optional[float] = None
-        self.waiter_op: Optional[str] = None
-        self.waiter_root: Optional[int] = None
+        self.actor: Optional[tuple[str, Optional[int]]] = None
+        self.token: Optional[str] = None
         self.admit_holders: tuple = ()
 
 
@@ -119,21 +114,21 @@ class QueryScheduler:
         env = self.env
         seq = self._admitted
         self._admitted += 1
-        tracer = env.tracer
-        tctx = tracer.capture() if tracer is not None else None
-        journal_event(
-            env, "query.admit", dev=self.owner, op=op, seq=seq,
-            depth=len(self.queue),
-        )
+        item = _QueuedQuery(op, fn, Event(env), seq)
+        probe = env.probe
+        if probe is not None:
+            probe.event(
+                "query.admit",
+                {"dev": self.owner, "op": op, "seq": seq, "depth": len(self.queue)},
+            )
+            item.tctx = probe.capture()
+            item.admit_at = env.now
+            item.actor = probe.actor()
+            item.token = probe.token()
+            item.admit_holders = probe.holders("soc.query_queue")
         if self.stats is not None:
             self.stats.counter("query_admitted").add()
             self.stats.histogram("query_queue_depth").record(float(len(self.queue)))
-        item = _QueuedQuery(op, fn, Event(env), tctx, seq)
-        critpath = env.critpath
-        if critpath is not None:
-            item.admit_at = env.now
-            item.waiter_op, item.waiter_root = critpath.actor()
-            item.admit_holders = critpath.holders("soc.query_queue")
         yield from self.queue.put(item)
         result = yield item.done
         return result
@@ -141,52 +136,44 @@ class QueryScheduler:
     def _worker(self, idx: int) -> Generator:
         """Forever-looping worker: pop, execute on a fresh firmware ctx."""
         env = self.env
+        lane = f"query-worker-{idx}"
         while True:
             item = yield from self.queue.get()
-            critpath = env.critpath
-            if critpath is not None and item.admit_at is not None:
-                # Queue-sojourn edge: admitted -> dispatched, blocked behind
-                # whatever the workers were running at admission time.
-                if env.now > item.admit_at:
-                    critpath.record_edge(
-                        "soc.query_queue", "queue", item.admit_at, env.now,
-                        item.waiter_op, item.waiter_root, item.admit_holders,
+            probe = env.probe
+            if probe is not None:
+                if item.admit_at is not None:
+                    # Queue-sojourn edge: admitted -> dispatched, blocked
+                    # behind whatever the workers ran at admission time.
+                    probe.wait_edge(
+                        "soc.query_queue", "queue", item.admit_at,
+                        item.admit_holders, item.actor,
                     )
-            journal_event(
-                env, "query.dispatch", dev=self.owner, op=item.op,
-                seq=item.seq, worker=idx,
-            )
+                probe.event(
+                    "query.dispatch",
+                    {"dev": self.owner, "op": item.op, "seq": item.seq,
+                     "worker": idx},
+                )
             if self.stats is not None:
                 self.stats.counter("query_dispatched").add()
             ctx = self.board.firmware_ctx()
-            if item.tctx is not None and env.tracer is not None:
+            if item.tctx is not None:
                 # Parent this worker's spans under the submitting command.
-                with item.tctx.activate():
-                    with env.tracer.span(
-                        "query.dispatch",
-                        CAT_STAGE,
-                        lane=f"query-worker-{idx}",
-                        op=item.op,
-                        worker=idx,
-                    ):
-                        yield from self._run(item, ctx)
+                with item.tctx.activate(), probe.span(
+                    "query.dispatch", "stage", lane,
+                    {"op": item.op, "worker": idx},
+                ):
+                    yield from self._run(item, ctx)
             else:
                 yield from self._run(item, ctx)
 
     def _run(self, item: _QueuedQuery, ctx: Any) -> Generator:
         """Execute one query, routing result/exception to the submitter."""
         self._busy += 1
-        critpath = self.env.critpath
-        token = None
-        if critpath is not None and item.waiter_op is not None:
+        token = item.token
+        if token is not None:
             # While executing, this op *holds* the scheduler: queries queued
             # behind it will name it in their blocked-by snapshots.
-            token = (
-                item.waiter_op
-                if item.waiter_root is None
-                else f"{item.waiter_op}#{item.waiter_root}"
-            )
-            critpath.acquire("soc.query_queue", token)
+            self.env.probe.acquire("soc.query_queue", token)
         try:
             result = yield from item.fn(ctx)
         except Exception as exc:  # noqa: BLE001 - re-raised at the submitter
@@ -196,7 +183,7 @@ class QueryScheduler:
         finally:
             self._busy -= 1
             if token is not None:
-                critpath.release("soc.query_queue", token)
+                self.env.probe.release("soc.query_queue", token)
 
     @property
     def busy_workers(self) -> int:

@@ -191,11 +191,11 @@ class ZoneManager:
         an op that *holds* zones shows up in other ops' DRAM/flash blocked-by
         snapshots via the shared free-pool pressure it creates.
         """
-        critpath = self.ssd.env.critpath
-        if critpath is not None:
-            token = critpath.token()
+        probe = self.ssd.env.probe
+        if probe is not None:
+            token = probe.token()
             for _ in range(n_zones):
-                critpath.acquire("zones.pool", token)
+                probe.acquire("zones.pool", token)
 
     def mark_used(self, zone_ids: list[int]) -> None:
         """Remove recovered zones from the free pool (device mount)."""
@@ -292,11 +292,11 @@ class ZoneManager:
             self.ssd.env, "cluster.release", dev=self.ssd.name,
             zones=sorted(cluster.zone_ids),
         )
-        critpath = self.ssd.env.critpath
-        if critpath is not None:
-            token = critpath.token()
+        probe = self.ssd.env.probe
+        if probe is not None:
+            token = probe.token()
             for _ in cluster.zone_ids:
-                critpath.release("zones.pool", token)
+                probe.release("zones.pool", token)
 
     def introspect(self) -> dict:
         """Free-pool and allocation accounting (no simulation events)."""

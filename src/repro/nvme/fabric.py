@@ -43,6 +43,8 @@ class NvmeOfLink:
         self.name = name
         self._tx = Resource(env, capacity=1)
         self._rx = Resource(env, capacity=1)
+        #: per direction: (span name, trace lane)
+        self._spans = {op: (f"{name}.{op}", f"{name}/{op}") for op in ("tx", "rx")}
         self.bytes_tx = 0
         self.bytes_rx = 0
 
@@ -50,23 +52,22 @@ class NvmeOfLink:
         seconds = (
             self.latency + self.capsule_overhead + nbytes / self.bandwidth
         )
-        tracer = self.env.tracer
-        if tracer is None:
+        probe = self.env.probe
+        if probe is None:
             with direction.request() as req:
                 yield req
                 yield self.env.timeout(seconds)
             return
-        with tracer.span(
-            f"{self.name}.{op}",
-            "transport",
-            lane=f"{self.name}/{op}",
-            bytes=nbytes,
-            busy=seconds,
+        name, lane = self._spans[op]
+        with probe.span(
+            name, "transport", lane, {"bytes": nbytes, "busy": seconds},
+            nests=False,
         ) as span:
             with direction.request() as req:
                 t0 = self.env.now
                 yield req
-                span.args["wait"] = self.env.now - t0
+                if span is not None:
+                    span.args["wait"] = self.env.now - t0
                 yield self.env.timeout(seconds)
 
     def send(self, nbytes: int) -> Generator:

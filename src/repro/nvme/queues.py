@@ -28,14 +28,13 @@ from typing import TYPE_CHECKING, Any, Optional
 from repro.errors import NvmeError, SimulationError
 from repro.nvme.commands import Completion, NvmeCommand
 from repro.nvme.kv_commands import COMMAND_WIRE_BYTES
-from repro.obs.journal import journal_event
-from repro.obs.trace import CAT_COMMAND, CAT_QUEUE, TraceContext, trace_span
+from repro.obs.probe import NULL_SCOPE, TraceContext
 from repro.sim.core import Environment, Event
 from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nvme.controller import NvmeController
-    from repro.obs.trace import Span
+    from repro.obs.probe import SpanRecord
 
 __all__ = ["CommandTicket", "QueuePair", "KvQueuePair"]
 
@@ -48,7 +47,7 @@ class CommandTicket:
                  "_slot", "_reaped", "cp_token")
 
     def __init__(self, cid: int, command: NvmeCommand, op: str, event: Event,
-                 span: Optional["Span"], posted_at: float):
+                 span: Optional["SpanRecord"], posted_at: float):
         self.cid = cid
         self.command = command
         self.op = op
@@ -102,44 +101,33 @@ class QueuePair:
         :meth:`poll`.  Blocks only while the queue is at full depth.
         """
         env = self.env
-        tracer = env.tracer
+        probe = env.probe
+        op = type(command).__name__
         prev = span = None
-        if tracer is not None:
-            prev = tracer.current()
-            span = tracer.start(
-                f"nvme.{type(command).__name__}", CAT_QUEUE, lane="nvme/qp"
-            )
+        if probe is not None:
+            prev = probe.current()
+            span = probe.span_begin(f"nvme.{op}", "queue", "nvme/qp")
         self._next_cid += 1
-        ticket = CommandTicket(
-            self._next_cid, command, type(command).__name__, Event(env), span, env.now
-        )
+        ticket = CommandTicket(self._next_cid, command, op, Event(env), span, env.now)
         req = self._slots.request()
         t0 = env.now
-        critpath = env.critpath
-        if critpath is not None:
-            slot_holders = critpath.holders("qp.nvme")
+        if probe is not None:
+            slot_holders = probe.holders("qp.nvme")
         yield req
-        if span is not None:
-            span.args["wait"] = env.now - t0
         ticket._slot = req
-        if critpath is not None:
-            waiter_op, waiter_root = critpath.actor()
-            if env.now > t0:
-                critpath.record_edge(
-                    "qp.nvme", "qp_slot", t0, env.now,
-                    waiter_op, waiter_root, slot_holders,
-                )
-            ticket.cp_token = (
-                waiter_op if waiter_root is None else f"{waiter_op}#{waiter_root}"
-            )
-            critpath.acquire("qp.nvme", ticket.cp_token)
+        if probe is not None:
+            if span is not None:
+                span.args["wait"] = env.now - t0
+            probe.wait_edge("qp.nvme", "qp_slot", t0, slot_holders)
+            ticket.cp_token = probe.token()
+            probe.acquire("qp.nvme", ticket.cp_token)
         ticket.submitted_at = env.now
         self.submitted += 1
-        # The executor process inherits the command's span, then the poster's
-        # previous span is restored so later posts become siblings.
+        # The executor process starts under the command's span, then the
+        # poster's previous span is restored so later posts become siblings.
         env.process(self._execute(ticket), name=f"qp-cmd-{ticket.cid}")
-        if tracer is not None:
-            tracer.set_current(prev)
+        if probe is not None:
+            probe.set_current(prev)
         return ticket
 
     def try_post(self, command: NvmeCommand) -> Generator:
@@ -163,7 +151,7 @@ class QueuePair:
             self._release_hold(ticket, "qp.nvme")
             if ticket.span is not None:
                 ticket.span.args.setdefault("error", type(exc).__name__)
-                self.env.tracer.finish(ticket.span)
+                self.env.probe.span_end(ticket.span)
             ticket.event.fail(exc)
             return
         ticket.completion = completion
@@ -172,16 +160,14 @@ class QueuePair:
         self._slots.release(ticket._slot)
         self._release_hold(ticket, "qp.nvme")
         if ticket.span is not None:
-            self.env.tracer.finish(ticket.span)
+            self.env.probe.span_end(ticket.span)
         self._done.append(ticket)
         ticket.event.succeed(completion)
 
     def _release_hold(self, ticket: CommandTicket, resource: str) -> None:
         """Drop the slot-holder registration made at post time, if any."""
         if ticket.cp_token is not None:
-            critpath = self.env.critpath
-            if critpath is not None:
-                critpath.release(resource, ticket.cp_token)
+            self.env.probe.release(resource, ticket.cp_token)
             ticket.cp_token = None
 
     # -- completion reaping --------------------------------------------------
@@ -297,9 +283,6 @@ class KvQueuePair:
         self.capsule_bytes = capsule_bytes
         self.result_bytes = result_bytes
         self.depth = depth
-        #: label for critpath resources + journal events; cluster routers
-        #: name each device's pair (e.g. ``dev3.host-kv``) so blocked-by
-        #: edges and explain blockers identify the device, not just "the QP"
         self.name = name
         #: optional factory of device-side execution contexts.  By default
         #: commands execute on the submitting thread's context — the
@@ -317,6 +300,19 @@ class KvQueuePair:
         self._next_cid = 0
         self._done: list[CommandTicket] = []
 
+    @property
+    def name(self) -> str:
+        """Label for critpath resources + journal events; cluster routers
+        name each device's pair (e.g. ``dev3.host-kv``) so blocked-by edges
+        and explain blockers identify the device, not just "the QP"."""
+        return self._name
+
+    @name.setter
+    def name(self, name: str) -> None:
+        self._name = name
+        self._slot_resource = f"qp.{name}"
+        self._cq_resource = f"cq.{name}"
+
     # -- submission ----------------------------------------------------------
     def post(
         self,
@@ -333,58 +329,50 @@ class KvQueuePair:
         submission queue is at full depth.
         """
         env = self.env
-        tracer = env.tracer
+        probe = env.probe
         op = op or type(command).__name__
         payload = self.capsule_bytes(command)
         self._next_cid += 1
         cid = self._next_cid
         prev = span = None
-        if tracer is not None:
-            prev = tracer.current()
-            span = tracer.start(f"cmd.{op}", CAT_COMMAND, **(span_args or {}))
+        scope = NULL_SCOPE
+        if probe is not None:
+            prev = probe.current()
+            span = probe.span_begin(f"cmd.{op}", "command", None, span_args)
+            scope = probe.span(
+                "sq.post", "queue", "nvme/kv-sq", {"cid": cid, "op": op}
+            )
         ticket = CommandTicket(cid, command, op, Event(env), span, env.now)
-        with trace_span(
-            env, "sq.post", CAT_QUEUE, lane="nvme/kv-sq", cid=cid, op=op
-        ) as post_span:
+        with scope as post_span:
             req = self._slots.request()
             t0 = env.now
-            critpath = env.critpath
-            if critpath is not None:
-                slot_holders = critpath.holders(f"qp.{self.name}")
+            if probe is not None:
+                slot_holders = probe.holders(self._slot_resource)
             yield req
-            if post_span is not None:
-                post_span.args["wait"] = env.now - t0
             ticket._slot = req
-            if critpath is not None:
-                waiter_op, waiter_root = critpath.actor()
-                if env.now > t0:
-                    critpath.record_edge(
-                        f"qp.{self.name}", "qp_slot", t0, env.now,
-                        waiter_op, waiter_root, slot_holders,
-                    )
-                ticket.cp_token = (
-                    waiter_op
-                    if waiter_root is None
-                    else f"{waiter_op}#{waiter_root}"
-                )
-                critpath.acquire(f"qp.{self.name}", ticket.cp_token)
+            if probe is not None:
+                if post_span is not None:
+                    post_span.args["wait"] = env.now - t0
+                probe.wait_edge(self._slot_resource, "qp_slot", t0, slot_holders)
+                ticket.cp_token = probe.token()
+                probe.acquire(self._slot_resource, ticket.cp_token)
             yield from ctx.execute(
                 self.costs.per_command + self.costs.pack_per_byte * payload
             )
             yield from self.link.send(COMMAND_WIRE_BYTES + payload)
         ticket.submitted_at = env.now
         self.submitted += 1
-        if env.journal is not None:
-            journal_event(
-                env, "sq.post",
-                cid=cid, op=op, qp=self.name, inflight=self.inflight,
-                thread=ctx.where() if hasattr(ctx, "where") else "?",
+        if probe is not None:
+            probe.event(
+                "sq.post",
+                {"cid": cid, "op": op, "qp": self.name, "inflight": self.inflight,
+                 "thread": ctx.where() if hasattr(ctx, "where") else "?"},
             )
-        # The device-side process inherits the command's span, then the
+        # The device-side process starts under the command's span, then the
         # poster's previous span is restored so later posts are siblings.
         env.process(self._device_side(ticket, ctx), name=f"kv-cmd-{cid}")
-        if tracer is not None:
-            tracer.set_current(prev)
+        if probe is not None:
+            probe.set_current(prev)
         return ticket
 
     def try_post(
@@ -432,9 +420,7 @@ class KvQueuePair:
     def _release_hold(self, ticket: CommandTicket) -> None:
         """Drop the slot-holder registration made at post time, if any."""
         if ticket.cp_token is not None:
-            critpath = self.env.critpath
-            if critpath is not None:
-                critpath.release(f"qp.{self.name}", ticket.cp_token)
+            self.env.probe.release(self._slot_resource, ticket.cp_token)
             ticket.cp_token = None
 
     def submit(
@@ -446,19 +432,15 @@ class KvQueuePair:
     ) -> Generator:
         """``post()`` + ``wait()`` for one command; returns its Completion.
 
-        When tracing and journalling are both disabled the device side runs
-        inline in the calling process instead of a spawned one: with exactly
+        When nothing observes the run the device side executes inline in
+        the calling process instead of a spawned one: with exactly
         one command in flight the caller would only sit blocked on the
         completion event anyway, so the slot hold, link transfers, CPU
         charges and completion bookkeeping happen at identical virtual
         times — minus the spawn/complete event round trip.
         """
         env = self.env
-        if (
-            env.tracer is not None
-            or env.journal is not None
-            or env.critpath is not None
-        ):
+        if env.probe is not None:
             # Any observer routes through the fully instrumented async path
             # (virtual-time identical; only host-side event counts differ).
             ticket = yield from self.post(command, ctx, op=op, span_args=span_args)
@@ -522,18 +504,25 @@ class KvQueuePair:
         """
         completion = yield ticket.event
         self._reap(ticket)
-        tracer = self.env.tracer
-        if tracer is not None and ticket.span is not None:
-            with TraceContext(tracer, ticket.span).activate():
+        span = ticket.span
+        if span is None:
+            yield from self._unpack(ticket, completion, ctx)
+        else:
+            probe = self.env.probe
+            with TraceContext(probe, span):
+                with probe.span(
+                    "cq.reap", "queue", "nvme/kv-cq",
+                    {"cid": ticket.cid, "op": ticket.op,
+                     "status": completion.status}, nests=False,
+                ):
+                    pass  # zero-duration marker: the CQE arrival instant
                 yield from self._unpack(ticket, completion, ctx)
             if not completion.ok:
                 err = completion.error
-                ticket.span.args.setdefault(
+                span.args.setdefault(
                     "error", type(err).__name__ if err is not None else completion.status
                 )
-            tracer.finish(ticket.span)
-        else:
-            yield from self._unpack(ticket, completion, ctx)
+            probe.span_end(span)
         if raise_on_error and not completion.ok:
             if completion.error is not None:
                 raise completion.error
@@ -542,11 +531,6 @@ class KvQueuePair:
 
     def _unpack(self, ticket: CommandTicket, completion: Completion, ctx: Any):
         """Host-side decode of the reaped result (zero-size: no events)."""
-        with trace_span(
-            self.env, "cq.reap", CAT_QUEUE, lane="nvme/kv-cq",
-            cid=ticket.cid, op=ticket.op, status=completion.status,
-        ):
-            pass  # zero-duration marker: the CQE arrival instant
         if completion.ok and ticket.result_bytes:
             yield from ctx.execute(self.costs.unpack_per_byte * ticket.result_bytes)
 
@@ -558,13 +542,12 @@ class KvQueuePair:
         ticket is reported exactly once across ``poll``/``wait``.
         """
         done, self._done = self._done, []
-        tracer = self.env.tracer
         for ticket in done:
             ticket._reaped = True
             self.reaped += 1
-            self._record_reap_edge(ticket)
-            if tracer is not None and ticket.span is not None:
-                tracer.finish(ticket.span)
+            if ticket.span is not None:
+                self._record_reap_edge(ticket)
+                self.env.probe.span_end(ticket.span)
         return done
 
     def _record_reap_edge(self, ticket: CommandTicket) -> None:
@@ -576,17 +559,12 @@ class KvQueuePair:
         that tail to the completion queue, behind the commands still in
         flight on this pair.
         """
-        critpath = self.env.critpath
-        if (
-            critpath is not None
-            and ticket.span is not None
-            and ticket.completed_at is not None
-            and self.env.now > ticket.completed_at
-        ):
-            critpath.record_edge(
-                f"cq.{self.name}", "cq_reap", ticket.completed_at, self.env.now,
-                ticket.span.name, ticket.span.span_id,
-                critpath.holders(f"qp.{self.name}"),
+        if ticket.span is not None and ticket.completed_at is not None:
+            probe = self.env.probe
+            probe.wait_edge(
+                self._cq_resource, "cq_reap", ticket.completed_at,
+                probe.holders(self._slot_resource),
+                (ticket.span.name, ticket.span.span_id),
             )
 
     def _reap(self, ticket: CommandTicket) -> None:
@@ -597,13 +575,15 @@ class KvQueuePair:
         self._record_reap_edge(ticket)
         if ticket in self._done:
             self._done.remove(ticket)
-        queued, executed = ticket.latency_split()
-        journal_event(
-            self.env, "cq.reap",
-            cid=ticket.cid, op=ticket.op, qp=self.name,
-            status=ticket.completion.status if ticket.completion else "FAILED",
-            queued=queued, executed=executed,
-        )
+        probe = self.env.probe
+        if probe is not None:
+            queued, executed = ticket.latency_split()
+            probe.event(
+                "cq.reap",
+                {"cid": ticket.cid, "op": ticket.op, "qp": self.name,
+                 "status": ticket.completion.status if ticket.completion else "FAILED",
+                 "queued": queued, "executed": executed},
+            )
 
     # -- accounting ----------------------------------------------------------
     @property

@@ -43,6 +43,8 @@ class PcieLink:
         self.name = name
         self._tx = Resource(env, capacity=1)
         self._rx = Resource(env, capacity=1)
+        #: per direction: (span name, trace lane)
+        self._spans = {op: (f"{name}.{op}", f"{name}/{op}") for op in ("tx", "rx")}
         #: cumulative bytes moved each way, for data-movement reporting
         self.bytes_tx = 0
         self.bytes_rx = 0
@@ -54,8 +56,8 @@ class PcieLink:
 
     def _move(self, direction: Resource, nbytes: int, op: str) -> Generator:
         seconds = self.latency + nbytes / self.bandwidth
-        tracer = self.env.tracer
-        if tracer is None:
+        probe = self.env.probe
+        if probe is None:
             # Untraced fast path: no span objects, but acquisition still
             # passes through the queue so the occupancy timeout keeps the
             # seed's event-counter position.
@@ -63,17 +65,16 @@ class PcieLink:
                 yield queued
                 yield self.env.timeout(seconds)
             return
-        with tracer.span(
-            f"{self.name}.{op}",
-            "transport",
-            lane=f"{self.name}/{op}",
-            bytes=nbytes,
-            busy=seconds,
+        name, lane = self._spans[op]
+        with probe.span(
+            name, "transport", lane, {"bytes": nbytes, "busy": seconds},
+            nests=False,
         ) as span:
             with direction.request() as req:
                 t0 = self.env.now
                 yield req
-                span.args["wait"] = self.env.now - t0
+                if span is not None:
+                    span.args["wait"] = self.env.now - t0
                 yield self.env.timeout(seconds)
 
     def send(self, nbytes: int) -> Generator:

@@ -13,9 +13,9 @@ consistency checks on demand or at flush/phase boundaries
 (:mod:`repro.obs.audit`).
 
 Every layer follows the same zero-cost contract: nothing is installed by
-default, each instrumentation site is a single ``None`` check when off, and
-none of them create simulation events when on — virtual time is identical
-either way.
+default, each instrumentation site is a single ``env.probe is None`` check
+when off, and the one recorder behind all of them (:mod:`repro.obs.probe`)
+creates no simulation events when on — virtual time is identical either way.
 """
 
 from __future__ import annotations
@@ -195,6 +195,13 @@ def register_device_metrics(
         hub.register_link(getattr(link, "name", "link"), link)
 
 
+def _install(env: Any, hub: MetricsHub, retain_spans: bool) -> tuple[Tracer, MetricsHub]:
+    """Add the simulation kernel's own gauges, then start tracing into ``hub``."""
+    for name, fn in env.metric_gauges().items():
+        hub.register_gauge(name, fn)
+    return install_tracer(env, hub=hub, retain_spans=retain_spans), hub
+
+
 def install_observability(
     env: Any,
     device: Optional[Any] = None,
@@ -209,16 +216,16 @@ def install_observability(
     present), the SSD's :class:`IoStats` and fault-trip counters, the host
     link's byte counters, the NVMe queue pairs (the SoC's block queue
     and any host KV queue pairs registered on the device) for in-flight
-    depth gauges, and the instantaneous gauges (scheduler queue depth,
-    DRAM budget pressure, zone-pool occupancy) the timeline samples, then
-    installs a tracer feeding per-op latency histograms into the hub.
-    ``prefix`` scopes the registration names (see
-    :func:`register_device_metrics`).
+    depth gauges, the instantaneous gauges (scheduler queue depth, DRAM
+    budget pressure, zone-pool occupancy) the timeline samples and the
+    kernel's self-telemetry (``sim.*``: events scheduled, heap and
+    immediate-queue depth, timeout pool), then installs a tracer feeding
+    per-op latency histograms into the hub.  ``prefix`` scopes the
+    registration names (see :func:`register_device_metrics`).
     """
     hub = MetricsHub()
     register_device_metrics(hub, device=device, ssd=ssd, link=link, prefix=prefix)
-    tracer = install_tracer(env, hub=hub, retain_spans=retain_spans)
-    return tracer, hub
+    return _install(env, hub, retain_spans)
 
 
 def install_cluster_observability(
@@ -235,7 +242,7 @@ def install_cluster_observability(
     devices publish eight distinct ``devN.host-kv`` queue gauges instead
     of silently overwriting one.  When ``router`` is given its ring/
     migration gauges are registered unprefixed (they are cluster-level,
-    not per-device).
+    not per-device), like the kernel's ``sim.*`` gauges.
     """
     hub = MetricsHub()
     for node in nodes:
@@ -249,5 +256,4 @@ def install_cluster_observability(
     if router is not None:
         for name, fn in router.metric_gauges().items():
             hub.register_gauge(name, fn)
-    tracer = install_tracer(env, hub=hub, retain_spans=retain_spans)
-    return tracer, hub
+    return _install(env, hub, retain_spans)

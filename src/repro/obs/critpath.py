@@ -9,11 +9,12 @@ scheduler's admission queue — are instrumented to record a
 for how long, and who *held* the resource when the wait began.  Holder
 identity is kept in a per-resource registry updated at grant/release time,
 so an edge can say "GET #412 blocked 62% behind compaction job 3's DRAM
-hold".
+hold".  Edges and holders are recorded by the probe
+(:mod:`repro.obs.probe`: ``holders`` / ``wait_edge`` / ``acquire`` /
+``release``); this module installs that part of it and analyses the result.
 
-Zero cost when disabled: ``Environment.critpath`` defaults to ``None`` and
-every instrumentation site costs one attribute check (the same contract as
-``env.tracer``/``env.journal``/``env.timeline``).  The observer is pure
+Zero cost when disabled: ``Environment.probe`` defaults to ``None`` and
+every instrumentation site costs one attribute check.  The registry is pure
 bookkeeping — it creates no simulation events even when installed, so the
 virtual clock stays bit-identical with the observer on, off, or constructed
 but never installed (pinned by the golden-clock tests).
@@ -33,8 +34,10 @@ into "what changed" hints for the bench regression gate.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
+from repro.obs.probe import BlockedEdge, get_probe
 from repro.obs.trace import (
     CAT_COMMAND,
     CAT_CPU,
@@ -66,176 +69,25 @@ __all__ = [
 #: blocked wait is more specific than any enclosing span.
 _EDGE_DEPTH = 1 << 20
 
-#: Holder snapshots are capped so a single edge can't balloon the report.
-_HOLDER_CAP = 16
 
-
-class BlockedEdge:
-    """One realised wait: ``waiter_op`` blocked on ``resource`` [start, end).
-
-    ``holders`` is the snapshot of holder tokens (``"op.name#root_span_id"``)
-    taken when the wait *began* — the work the waiter was actually stuck
-    behind, not whoever happened to hold the resource at grant time.
-    """
-
-    __slots__ = ("resource", "kind", "start", "end", "waiter_op",
-                 "waiter_root", "holders")
-
-    def __init__(
-        self,
-        resource: str,
-        kind: str,
-        start: float,
-        end: float,
-        waiter_op: str,
-        waiter_root: Optional[int],
-        holders: tuple[str, ...] = (),
-    ):
-        self.resource = resource
-        self.kind = kind
-        self.start = start
-        self.end = end
-        self.waiter_op = waiter_op
-        self.waiter_root = waiter_root
-        self.holders = holders
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "resource": self.resource,
-            "kind": self.kind,
-            "start": self.start,
-            "end": self.end,
-            "waiter_op": self.waiter_op,
-            "waiter_root": self.waiter_root,
-            "holders": list(self.holders),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BlockedEdge({self.waiter_op!r} on {self.resource!r} "
-            f"[{self.start:.6g}, {self.end:.6g}) behind {self.holders!r})"
-        )
-
-
+@dataclass(slots=True, eq=False)
 class CritPathObserver:
-    """Blocked-by edge recorder + per-resource holder registry.
+    """Query surface over the probe's blocked-by edges.
 
-    Constructing one touches nothing: it only becomes visible to the
-    simulator once :func:`install_critpath` assigns it to
-    ``env.critpath`` — the constructed-but-uninstalled case is part of the
-    golden-clock byte-identity contract.
+    Constructing one touches nothing: the instrumented sites only record
+    once :func:`install_critpath` hands it to the probe — the
+    constructed-but-uninstalled case is part of the golden-clock
+    byte-identity contract.
     """
 
-    __slots__ = ("env", "tracer", "edges", "max_edges", "dropped_edges",
-                 "_holders")
-
-    def __init__(
-        self,
-        env: "Environment",
-        tracer: Optional[Tracer] = None,
-        max_edges: int = 200_000,
-    ):
-        self.env = env
-        #: resolved lazily against ``env.tracer`` when not pinned, so the
-        #: observer can be built before tracing is installed.
-        self.tracer = tracer
-        self.edges: list[BlockedEdge] = []
-        self.max_edges = max_edges
-        self.dropped_edges = 0
-        self._holders: dict[str, dict[str, int]] = {}
-
-    # -- actor identity ------------------------------------------------------
-    def actor(self) -> tuple[str, Optional[int]]:
-        """(op name, root span id) of the work the active process serves.
-
-        Walks the tracer's current span to its root (the ``cmd.*``/``job.*``
-        span), so every wait and hold is attributed to a client-visible op.
-        Without a tracer the process name is the best identity available.
-        """
-        tracer = self.tracer if self.tracer is not None else self.env.tracer
-        if tracer is not None:
-            span = tracer.current()
-            if span is not None:
-                root = span
-                while root.parent is not None:
-                    root = root.parent
-                return root.name, root.span_id
-        proc = self.env.active_process
-        if proc is not None and proc.name:
-            return f"proc.{proc.name}", None
-        return "main", None
-
-    def token(self) -> str:
-        """Holder-registry identity: ``"name#root_id"`` (or bare name)."""
-        op, root = self.actor()
-        return op if root is None else f"{op}#{root}"
-
-    # -- holder registry -----------------------------------------------------
-    def acquire(self, resource: str, token: str) -> None:
-        """Record that ``token`` now holds one unit of ``resource``."""
-        held = self._holders.get(resource)
-        if held is None:
-            held = self._holders[resource] = {}
-        held[token] = held.get(token, 0) + 1
-
-    def release(self, resource: str, token: str) -> None:
-        """Drop one unit; tolerant of unmatched releases (e.g. a DRAM
-        reservation released by a different op than reserved it)."""
-        held = self._holders.get(resource)
-        if held is None:
-            return
-        count = held.get(token)
-        if count is None:
-            return
-        if count <= 1:
-            del held[token]
-        else:
-            held[token] = count - 1
-
-    def holders(self, resource: str, cap: int = _HOLDER_CAP) -> tuple[str, ...]:
-        """Snapshot of current holder tokens (insertion order, capped)."""
-        held = self._holders.get(resource)
-        if not held:
-            return ()
-        if len(held) <= cap:
-            return tuple(held)
-        out = []
-        for token in held:
-            out.append(token)
-            if len(out) >= cap:
-                break
-        return tuple(out)
-
-    # -- blocked-by edges ----------------------------------------------------
-    def wait_begin(self, resource: str) -> tuple:
-        """Stamp a wait's start: time, waiter identity, holder snapshot."""
-        op, root = self.actor()
-        return (self.env.now, op, root, self.holders(resource))
-
-    def wait_end(self, resource: str, kind: str, begun: tuple) -> None:
-        """Record the edge if any virtual time actually passed."""
-        start, op, root, holders = begun
-        now = self.env.now
-        if now > start:
-            self.record_edge(resource, kind, start, now, op, root, holders)
-
-    def record_edge(
-        self,
-        resource: str,
-        kind: str,
-        start: float,
-        end: float,
-        waiter_op: str,
-        waiter_root: Optional[int],
-        holders: Iterable[str] = (),
-    ) -> None:
-        if len(self.edges) >= self.max_edges:
-            self.dropped_edges += 1
-            return
-        self.edges.append(
-            BlockedEdge(resource, kind, start, end, waiter_op, waiter_root,
-                        tuple(holders))
-        )
+    env: "Environment"
+    #: the tracer whose spans the edges refer to (always ``env.tracer``:
+    #: waiters are resolved through the probe's own span state)
+    tracer: Optional[Tracer] = None
+    max_edges: int = 200_000
+    #: the probe appends here once installed, and counts what it drops
+    edges: list[BlockedEdge] = field(default_factory=list)
+    dropped_edges: int = 0
 
     def edges_by_root(self) -> dict[int, list[BlockedEdge]]:
         """Edges grouped by the root span id of their waiter."""
@@ -249,9 +101,12 @@ class CritPathObserver:
 def install_critpath(
     env: "Environment", tracer: Optional[Tracer] = None
 ) -> CritPathObserver:
-    """Install a :class:`CritPathObserver` on ``env`` and return it."""
+    """Start recording blocked-by edges and holders on ``env``."""
     observer = CritPathObserver(env, tracer=tracer)
-    env.critpath = observer
+    probe = get_probe(env)
+    probe.critpath = observer
+    probe.edges = observer.edges
+    probe.holding = {}
     return observer
 
 

@@ -27,39 +27,12 @@ __all__ = [
 ]
 
 
-def run_traced_selftest(seed: int = 0, n_pairs: int = 2000, critpath: bool = False):
-    """Run the traced selftest workload; returns ``(testbed, tracer, hub)``.
+def _selftest(kv, seed: int, n_pairs: int) -> None:
+    """Bulk load, compact, point GETs, a multi-GET and a range query."""
+    from repro.workloads import get_phase
 
-    ``critpath=True`` additionally installs the blocked-by/holder observer
-    (:func:`repro.obs.critpath.install_critpath`) before any simulation
-    activity; retrieve it afterwards as ``kv.env.critpath``.
-    """
-    from repro.bench import build_kvcsd_testbed
-    from repro.units import MiB
-    from repro.workloads import SyntheticSpec, generate_pairs, get_phase, load_phase
-
-    # A device block cache, query workers, and blooms are part of the
-    # observed configuration so the cache's hit/miss/eviction series and the
-    # scheduler/bloom counters show up in the metrics export, and the trace
-    # carries query-worker dispatch spans.
-    kv = build_kvcsd_testbed(
-        seed=seed, block_cache_bytes=4 * MiB, query_workers=2,
-        bloom_bits_per_key=10,
-    )
-    tracer, hub = kv.enable_tracing()
-    if critpath:
-        from repro.obs.critpath import install_critpath
-
-        install_critpath(kv.env, tracer=tracer)
-
-    pairs = generate_pairs(SyntheticSpec(n_pairs=n_pairs, seed=seed))
+    pairs = _load_and_compact(kv, seed, n_pairs)
     keys = [k for k, _ in pairs[::50]]
-    load_phase(kv.env, kv.adapter, [("ks", pairs, kv.thread_ctx(0))])
-
-    def ready():
-        yield from kv.adapter.prepare_queries("ks", kv.thread_ctx(0))
-
-    kv.env.run(kv.env.process(ready()))
     get_phase(kv.env, kv.adapter, [("ks", keys, kv.thread_ctx(0))])
 
     def batched_queries():
@@ -69,6 +42,53 @@ def run_traced_selftest(seed: int = 0, n_pairs: int = 2000, critpath: bool = Fal
         yield from kv.client.range_query("ks", lo, hi, ctx)
 
     kv.env.run(kv.env.process(batched_queries()))
+
+
+def _load_and_compact(kv, seed: int, n_pairs: int) -> list:
+    """Load ``n_pairs`` into keyspace ``ks`` and wait until it is queryable."""
+    from repro.workloads import SyntheticSpec, generate_pairs, load_phase
+
+    pairs = generate_pairs(SyntheticSpec(n_pairs=n_pairs, seed=seed))
+    load_phase(kv.env, kv.adapter, [("ks", pairs, kv.thread_ctx(0))])
+
+    def ready():
+        yield from kv.adapter.prepare_queries("ks", kv.thread_ctx(0))
+
+    kv.env.run(kv.env.process(ready()))
+    return pairs
+
+
+def _selftest_testbed(seed: int):
+    """The observed selftest configuration.
+
+    A device block cache, query workers, and blooms are part of it so the
+    cache's hit/miss/eviction series and the scheduler/bloom counters show
+    up in the metrics export, and the trace carries query-worker dispatch
+    spans.
+    """
+    from repro.bench import build_kvcsd_testbed
+    from repro.units import MiB
+
+    return build_kvcsd_testbed(
+        seed=seed, block_cache_bytes=4 * MiB, query_workers=2,
+        bloom_bits_per_key=10,
+    )
+
+
+def run_traced_selftest(seed: int = 0, n_pairs: int = 2000, critpath: bool = False):
+    """Run the traced selftest workload; returns ``(testbed, tracer, hub)``.
+
+    ``critpath=True`` additionally installs the blocked-by/holder observer
+    (:func:`repro.obs.critpath.install_critpath`) before any simulation
+    activity; retrieve it afterwards as ``kv.env.critpath``.
+    """
+    kv = _selftest_testbed(seed)
+    tracer, hub = kv.enable_tracing()
+    if critpath:
+        from repro.obs.critpath import install_critpath
+
+        install_critpath(kv.env, tracer=tracer)
+    _selftest(kv, seed, n_pairs)
     return kv, tracer, hub
 
 
@@ -137,35 +157,12 @@ def run_timed_selftest(
     recorder)``; the recorder holds the full labeled series set and any SLO
     alerts the run produced.
     """
-    from repro.bench import build_kvcsd_testbed
     from repro.obs.journal import install_journal
-    from repro.units import MiB
-    from repro.workloads import SyntheticSpec, generate_pairs, get_phase, load_phase
 
-    kv = build_kvcsd_testbed(
-        seed=seed, block_cache_bytes=4 * MiB, query_workers=2,
-        bloom_bits_per_key=10,
-    )
+    kv = _selftest_testbed(seed)
     install_journal(kv.env)
     tracer, hub, recorder = kv.enable_timeline(config)
-
-    pairs = generate_pairs(SyntheticSpec(n_pairs=n_pairs, seed=seed))
-    keys = [k for k, _ in pairs[::50]]
-    load_phase(kv.env, kv.adapter, [("ks", pairs, kv.thread_ctx(0))])
-
-    def ready():
-        yield from kv.adapter.prepare_queries("ks", kv.thread_ctx(0))
-
-    kv.env.run(kv.env.process(ready()))
-    get_phase(kv.env, kv.adapter, [("ks", keys, kv.thread_ctx(0))])
-
-    def batched_queries():
-        ctx = kv.thread_ctx(1)
-        yield from kv.client.multi_get("ks", keys[:16], ctx)
-        lo, hi = min(keys), max(keys)
-        yield from kv.client.range_query("ks", lo, hi, ctx)
-
-    kv.env.run(kv.env.process(batched_queries()))
+    _selftest(kv, seed, n_pairs)
     return kv, tracer, hub, recorder
 
 
@@ -196,7 +193,6 @@ def run_saturated_workload(
     from repro.bench import build_kvcsd_testbed
     from repro.nvme.kv_commands import KvGetCmd
     from repro.obs.journal import install_journal
-    from repro.workloads import SyntheticSpec, generate_pairs, load_phase
 
     kv = build_kvcsd_testbed(
         seed=seed, query_workers=1, queue_depth=queue_depth
@@ -207,14 +203,7 @@ def run_saturated_workload(
         from repro.obs.critpath import install_critpath
 
         install_critpath(kv.env, tracer=tracer)
-
-    pairs = generate_pairs(SyntheticSpec(n_pairs=n_pairs, seed=seed))
-    load_phase(kv.env, kv.adapter, [("ks", pairs, kv.thread_ctx(0))])
-
-    def ready():
-        yield from kv.adapter.prepare_queries("ks", kv.thread_ctx(0))
-
-    kv.env.run(kv.env.process(ready()))
+    pairs = _load_and_compact(kv, seed, n_pairs)
 
     keys = [pairs[i % n_pairs][0] for i in range(burst)]
 

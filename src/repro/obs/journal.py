@@ -10,10 +10,11 @@ the span that was current when the event fired — so a journal line can be
 joined back to the exact command or background job in the trace timeline.
 
 The journal follows the same zero-cost contract as tracing:
-``Environment.journal`` defaults to ``None`` and every emission site goes
-through :func:`journal_event`, which is a single attribute check when
-disabled.  Recording creates **no simulation events** either way, so
-journaled runs are byte-identical to bare runs.
+``Environment.probe`` defaults to ``None`` and every emission site goes
+through :func:`journal_event` (or ``probe.event`` where the site already
+holds the probe), which is a single attribute check when disabled.
+Recording creates **no simulation events** either way, so journaled runs
+are byte-identical to bare runs.
 
 The event ring is bounded (``capacity`` events); once full, the oldest
 events are dropped and counted, which keeps long soak runs at a fixed
@@ -118,14 +119,19 @@ class JournalEvent:
 
 
 class EventJournal:
-    """Bounded ring of :class:`JournalEvent` stamped from one environment."""
+    """Bounded ring of lifecycle events and its query/export surface.
+
+    The probe is the ring's only writer (:meth:`repro.obs.probe.Probe.event`
+    appends ``(seq, time, type, span_id, fields)`` rows and keeps the
+    counters); :class:`JournalEvent` objects are built when events are read.
+    """
 
     def __init__(self, env: "Environment", capacity: int = 4096):
         if capacity < 1:
             raise SimulationError("journal capacity must be >= 1")
         self.env = env
         self.capacity = capacity
-        self.events: deque[JournalEvent] = deque(maxlen=capacity)
+        self.ring: deque[tuple] = deque(maxlen=capacity)
         self.total_recorded = 0
         self.dropped = 0
         #: optional observer called with every recorded event *after* it is
@@ -134,44 +140,29 @@ class EventJournal:
         #: may raise to abort the simulation at that point.
         self.on_record = None
 
+    @property
+    def events(self) -> list[JournalEvent]:
+        """The retained events, oldest first."""
+        return [JournalEvent(*row) for row in self.ring]
+
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.ring)
 
     def record(self, type_: str, **fields: Any) -> JournalEvent:
         """Append one event, stamping virtual time and the current span."""
-        if type_ not in EVENT_TYPES:
-            raise SimulationError(f"unknown journal event type {type_!r}")
-        span_id: Optional[int] = None
-        tracer = self.env.tracer
-        if tracer is not None:
-            span = tracer.current()
-            if span is not None:
-                span_id = span.span_id
-        event = JournalEvent(
-            seq=self.total_recorded,
-            time=self.env.now,
-            type=type_,
-            span_id=span_id,
-            fields=fields,
-        )
-        if len(self.events) == self.capacity:
-            self.dropped += 1
-        self.events.append(event)
-        self.total_recorded += 1
-        if self.on_record is not None:
-            self.on_record(event)
-        return event
+        self.env.probe.event(type_, fields)
+        return JournalEvent(*self.ring[-1])
 
     # -- queries -------------------------------------------------------------
     def tail(self, n: int = 16) -> list[JournalEvent]:
         """The most recent ``n`` events, oldest first."""
         if n <= 0:
             return []
-        return list(self.events)[-n:]
+        return [JournalEvent(*row) for row in list(self.ring)[-n:]]
 
     def of_type(self, type_: str) -> list[JournalEvent]:
         """All retained events of one type, in order."""
-        return [e for e in self.events if e.type == type_]
+        return [JournalEvent(*row) for row in self.ring if row[2] == type_]
 
     # -- export --------------------------------------------------------------
     def as_dicts(self) -> list[dict[str, Any]]:
@@ -179,17 +170,17 @@ class EventJournal:
 
     def to_jsonl(self) -> str:
         """One JSON object per line, oldest first (trailing newline)."""
-        lines = [json.dumps(e.as_dict(), sort_keys=True) for e in self.events]
+        lines = [json.dumps(e, sort_keys=True) for e in self.as_dicts()]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def summary(self) -> dict[str, Any]:
         """Counts per event type plus ring accounting, for snapshots."""
         by_type: dict[str, int] = {}
-        for event in self.events:
-            by_type[event.type] = by_type.get(event.type, 0) + 1
+        for row in self.ring:
+            by_type[row[2]] = by_type.get(row[2], 0) + 1
         return {
             "capacity": self.capacity,
-            "retained": len(self.events),
+            "retained": len(self),
             "total_recorded": self.total_recorded,
             "dropped": self.dropped,
             "by_type": dict(sorted(by_type.items())),
@@ -197,16 +188,17 @@ class EventJournal:
 
 
 def install_journal(env: "Environment", capacity: int = 4096) -> EventJournal:
-    """Attach a fresh :class:`EventJournal` to ``env`` and return it."""
-    journal = EventJournal(env, capacity=capacity)
-    env.journal = journal
+    """Start journalling on ``env`` into a fresh :class:`EventJournal`."""
+    from repro.obs.probe import get_probe  # probe imports this module
+
+    journal = get_probe(env).journal = EventJournal(env, capacity)
     return journal
 
 
 def journal_event(env: "Environment", type_: str, **fields: Any) -> None:
     """Record one event when a journal is installed; no-op (one attribute
     check) otherwise.  Mirrors :func:`repro.obs.trace.trace_span`'s contract:
-    emission sites cost nothing in the default, journal-off configuration."""
-    journal = env.journal
-    if journal is not None:
-        journal.record(type_, **fields)
+    emission sites cost nothing in the default, probe-off configuration."""
+    probe = env.probe
+    if probe is not None:
+        probe.event(type_, fields)

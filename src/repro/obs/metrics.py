@@ -65,23 +65,30 @@ class MetricsHub:
         ] = {}
         #: attached :class:`~repro.obs.timeline.TimelineRecorder`, if any
         self.timeline: Any = None
+        #: bumped by every ``register_*`` call, so a sampler that compiled
+        #: the sources into a plan knows when to recompile
+        self.version = 0
 
     # -- registration --------------------------------------------------------
     def register_registry(self, name: str, registry: StatsRegistry) -> None:
         """Expose a component's counters/ratios/histograms in the dump."""
         self.registries[name] = registry
+        self.version += 1
 
     def register_io(self, name: str, stats: Any) -> None:
         """Expose an SSD's :class:`IoStats`, including channel-busy time."""
         self.io_stats[name] = stats
+        self.version += 1
 
     def register_link(self, name: str, link: Any) -> None:
         """Expose a transport link's byte counters."""
         self.links[name] = link
+        self.version += 1
 
     def register_queue_pair(self, name: str, qp: Any) -> None:
         """Expose a queue pair's depth/in-flight/submitted/completed gauges."""
         self.queue_pairs[name] = qp
+        self.version += 1
 
     def register_faults(self, name: str, holder: Any) -> None:
         """Expose fault-injection trip counts for a device.
@@ -92,6 +99,7 @@ class MetricsHub:
         through the holder at render time rather than capturing the plan.
         """
         self.fault_sources[name] = holder
+        self.version += 1
 
     def register_gauge(
         self,
@@ -108,6 +116,7 @@ class MetricsHub:
         """
         labels = dict(labels) if labels else None
         self.gauges[series_key(name, labels)] = (name, fn, labels)
+        self.version += 1
 
     def attach_timeline(self, recorder: Any) -> None:
         """Bind a timeline recorder so op latencies feed its windows."""

@@ -19,6 +19,13 @@ properties keep it deterministic and unobtrusive:
   check ``Environment.run`` performs), so multi-phase benchmarks keep a
   continuous cadence without per-phase wiring.
 
+A tick is compiled: the hub's sources are resolved once into an ordered
+plan of ``(series, reader)`` slots (rebuilt only when a source, a counter
+or a latency window appears), alert rules are matched to slot indices when
+the plan is built, and a tick is one pass of reader calls appended to a
+flat ``array('d')``.  :class:`Series` objects are built from those rows
+when the series are read (export, ``recorder.series``) or decimated.
+
 Zero-cost contract (PR 2's): nothing here is installed by default; with no
 recorder attached the simulation schedules **zero** extra events and the
 golden-clock digests are byte-identical.  Enabling the timeline adds tick
@@ -35,13 +42,18 @@ in the Prometheus dump (``repro metrics``).
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
+from functools import partial
+from math import isnan, nan
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import SimulationError
 from repro.obs.journal import journal_event
+from repro.obs.probe import get_probe
 from repro.sim.stats import Series, nan_to_zero, series_key
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -78,7 +90,7 @@ class LatencyWindow:
     run.  Memory is bounded by the op rate times the window, not run length.
     """
 
-    __slots__ = ("op", "window", "_samples")
+    __slots__ = ("op", "window", "_samples", "_sorted", "_stale", "_quantiles")
 
     def __init__(self, op: str, window: float):
         if window <= 0:
@@ -86,51 +98,46 @@ class LatencyWindow:
         self.op = op
         self.window = window
         self._samples: deque[tuple[float, float]] = deque()
+        self._sorted: list[float] = []  # the window's latencies, ascending
+        self._stale = False  # a sample arrived or left since _quantiles was made
+        self._quantiles: Optional[tuple[float, ...]] = None
 
     def observe(self, time: float, seconds: float) -> None:
         self._samples.append((time, seconds))
-
-    def prune(self, now: float) -> None:
-        cutoff = now - self.window
-        samples = self._samples
-        while samples and samples[0][0] < cutoff:
-            samples.popleft()
+        insort(self._sorted, seconds)
+        self._stale = True
 
     def __len__(self) -> int:
         return len(self._samples)
 
-    def summary(self, now: float) -> Optional[dict[str, float]]:
-        """count/p50/p95/p99 over the trailing window; None when empty.
+    def quantiles(self, now: float) -> Optional[tuple[float, ...]]:
+        """``(count, p50, p95, p99)`` over the trailing window; None when empty.
 
-        Tiny windows are explicitly guarded: with one sample every
-        percentile is that sample, and the nearest-rank index is clamped to
-        ``n - 1`` *inside* the rank computation, so p95/p99 can never index
-        past the sample count however short the window is.
+        The latencies are kept sorted as they arrive and leave, and the
+        tuple is rebuilt only when one did since the last call.
         """
-        self.prune(now)
-        if not self._samples:
-            return None
-        values = sorted(v for _, v in self._samples)
-        n = len(values)
-        if n == 1:
-            only = values[0]
-            return {"count": 1.0, "p50": only, "p95": only, "p99": only}
+        cutoff = now - self.window
+        samples = self._samples
+        while samples and samples[0][0] < cutoff:
+            del self._sorted[bisect_left(self._sorted, samples.popleft()[1])]
+            self._stale = True
+        if self._stale:
+            self._stale = False
+            values = self._sorted
+            n = len(values)
+            # nearest-rank: ceil(p/100 * n) - 1, which lies in [0, n-1] for
+            # every n >= 1, so no percentile can index past a tiny window
+            self._quantiles = (
+                (float(n), *(values[-(-p * n // 100) - 1] for p in (50, 95, 99)))
+                if n
+                else None
+            )
+        return self._quantiles
 
-        def pct(p: float) -> float:
-            # nearest-rank: ceil(p/100 * n) - 1, clamped into [0, n-1]
-            rank = -(-int(p * n) // 100) - 1
-            if rank < 0:
-                rank = 0
-            elif rank >= n:
-                rank = n - 1
-            return values[rank]
-
-        return {
-            "count": float(n),
-            "p50": pct(50),
-            "p95": pct(95),
-            "p99": pct(99),
-        }
+    def summary(self, now: float) -> Optional[dict[str, float]]:
+        """:meth:`quantiles` as a ``count/p50/p95/p99`` dict."""
+        row = self.quantiles(now)
+        return row and dict(zip(("count", "p50", "p95", "p99"), row))
 
 
 @dataclass(frozen=True)
@@ -249,22 +256,82 @@ class TimelineConfig:
 class _RuleState:
     """Watchdog bookkeeping for one rule."""
 
-    __slots__ = ("violated_since", "firing", "worst", "fired_count", "current")
+    __slots__ = ("violated_since", "fired_count", "current")
 
     def __init__(self):
         self.violated_since: Optional[float] = None
-        self.firing = False
-        self.worst: Optional[tuple[str, float]] = None  # (series key, value)
         self.fired_count = 0
-        self.current: Optional[Alert] = None
+        self.current: Optional[Alert] = None  #: the episode firing now, if any
+
+
+#: the four series one latency window feeds, in :meth:`LatencyWindow.quantiles` order
+_WINDOW_SERIES = ("op_latency_rate", "op_latency_p50", "op_latency_p95", "op_latency_p99")
+_NO_QUANTILES = (nan,) * len(_WINDOW_SERIES)
+
+
+class _Plan:
+    """One compiled tick: ordered series slots, their readers, the alert
+    rules' slot indices — and the rows sampled while it was current."""
+
+    __slots__ = ("slots", "readers", "windows", "rule_slots", "times", "rows")
+
+    def __init__(self, recorder: "TimelineRecorder"):
+        hub = recorder.hub
+        #: (series key, name, labels), one per value of a row
+        self.slots: list[tuple[str, str, Optional[dict[str, str]]]] = []
+        #: zero-arg reads filling the leading slots of a row
+        self.readers: list[Callable[[], float]] = []
+
+        def slot(name, labels, reader=None):
+            self.slots.append((series_key(name, labels), name, labels))
+            if reader is not None:
+                self.readers.append(reader)
+
+        for _key, (name, fn, labels) in sorted(hub.gauges.items()):
+            slot(name, labels, fn)
+        for reg_name, registry in sorted(hub.registries.items()):
+            labels = {"registry": reg_name}
+            for cname, counter in sorted(registry.counters.items()):
+                slot(cname, labels, partial(getattr, counter, "value"))
+        # qp.depth is the *configured* capacity (a constant); the occupancy
+        # signals are inflight slots and unreaped completions.
+        for prefix, label, sources, fields in (
+            ("qp", "qp", hub.queue_pairs, ("inflight", "unreaped")),
+            ("io", "device", hub.io_stats, ("bytes_read", "bytes_written")),
+            ("link", "link", hub.links, ("bytes_tx", "bytes_rx")),
+        ):
+            for source_name, source in sorted(sources.items()):
+                labels = {label: source_name}
+                for field in fields:
+                    slot(f"{prefix}.{field}", labels, partial(getattr, source, field))
+        #: the trailing slots: four per latency window, NaN while it is empty
+        self.windows = [w for _op, w in sorted(recorder.windows.items())]
+        for window in self.windows:
+            for name in _WINDOW_SERIES:
+                slot(name, {"op": window.op})
+        #: per rule: the slot indices its series pattern matches, in order
+        self.rule_slots = [
+            (
+                rule,
+                recorder._rule_states[rule.name],
+                [
+                    i for i, (key, _n, _l) in enumerate(self.slots)
+                    if key == rule.series or fnmatchcase(key, rule.series)
+                ],
+            )
+            for rule in recorder.config.rules
+        ]
+        self.times = array("d")
+        self.rows = array("d")  # len(slots) values per tick, flat
 
 
 class TimelineRecorder:
     """Samples every hub metric source on a virtual-clock cadence.
 
     Construction is free (no events); :meth:`start` arms the sampler and
-    registers the recorder on the hub so ``Tracer.finish`` latencies feed
-    the sliding windows.  ``install_timeline`` is the usual entry point.
+    registers the recorder on the hub so finished command/job latencies
+    feed the sliding windows.  ``install_timeline`` is the usual entry
+    point.
     """
 
     def __init__(
@@ -276,15 +343,17 @@ class TimelineRecorder:
         self.env = env
         self.hub = hub
         self.config = config
-        self.series: dict[str, Series] = {}
         self.windows: dict[str, LatencyWindow] = {}
         self.alerts: list[Alert] = []
         self.ticks = 0  #: samples taken (survives decimation)
         self.started = False
         self._interval = config.interval  # doubles on decimation
-        self._tick_times: list[float] = []
+        self._retained = 0  # ticks since start, halved by each decimation
         self._rule_states = {rule.name: _RuleState() for rule in config.rules}
         self._pending = None  # the armed timeout, if any
+        self._series: dict[str, Series] = {}
+        self._plans: list[_Plan] = []  # rows not yet folded into _series
+        self._plan_stamp = -1  # _source_stamp() the current plan was built at
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "TimelineRecorder":
@@ -292,7 +361,7 @@ class TimelineRecorder:
         if self.started:
             return self
         self.started = True
-        self.env.timeline = self
+        get_probe(self.env).timeline = self
         self.hub.attach_timeline(self)
         self.sample()
         self._arm()
@@ -308,7 +377,7 @@ class TimelineRecorder:
                 pass
             self._pending = None
         if self.env.timeline is self:
-            self.env.timeline = None
+            self.env.probe.timeline = None
 
     def on_run(self) -> None:
         """``Environment.run`` hook: re-arm a parked sampler."""
@@ -340,92 +409,87 @@ class TimelineRecorder:
         window.observe(self.env.now, seconds)
 
     # -- sampling ------------------------------------------------------------
-    def _record(self, name: str, labels: Optional[dict[str, str]],
-                value: float, sampled: dict[str, float]) -> None:
-        key = series_key(name, labels)
-        series = self.series.get(key)
-        if series is None:
-            series = Series(name, labels)
-            self.series[key] = series
-        series.sample(self.env.now, float(value))
-        sampled[key] = float(value)
+    def _source_stamp(self) -> int:
+        """Grows whenever a source, a counter or a window appears."""
+        hub = self.hub
+        stamp = hub.version + len(self.windows)
+        for registry in hub.registries.values():
+            stamp += len(registry.counters)
+        return stamp
 
-    def sample(self) -> dict[str, float]:
-        """Take one sample of every source; evaluate the watchdog rules.
+    def sample(self) -> None:
+        """One tick: read every slot, append the row, run the watchdog.
 
-        Returns the flat ``{series key: value}`` snapshot of this tick.
         Pure state reads — no simulation events, no resource usage.
         """
-        hub = self.hub
+        stamp = self._source_stamp()
+        if stamp != self._plan_stamp:
+            self._plan_stamp = stamp
+            self._plans.append(_Plan(self))
+        plan = self._plans[-1]
         now = self.env.now
-        sampled: dict[str, float] = {}
-
-        for _key, (name, fn, labels) in sorted(hub.gauges.items()):
-            self._record(name, labels, fn(), sampled)
-        for reg_name, registry in sorted(hub.registries.items()):
-            labels = {"registry": reg_name}
-            for cname, value in sorted(registry.counter_values().items()):
-                self._record(cname, labels, value, sampled)
-        for qp_name, qp in sorted(hub.queue_pairs.items()):
-            # qp.depth is the *configured* capacity (a constant); the
-            # occupancy signals are inflight slots and unreaped completions.
-            labels = {"qp": qp_name}
-            self._record("qp.inflight", labels, float(qp.inflight), sampled)
-            self._record("qp.unreaped", labels, float(qp.unreaped), sampled)
-        for dev_name, io in sorted(hub.io_stats.items()):
-            labels = {"device": dev_name}
-            self._record("io.bytes_read", labels, float(io.bytes_read), sampled)
-            self._record(
-                "io.bytes_written", labels, float(io.bytes_written), sampled
-            )
-        for link_name, link in sorted(hub.links.items()):
-            labels = {"link": link_name}
-            self._record("link.bytes_tx", labels, float(link.bytes_tx), sampled)
-            self._record("link.bytes_rx", labels, float(link.bytes_rx), sampled)
-        for op, window in sorted(self.windows.items()):
-            summary = window.summary(now)
-            if summary is None:
-                continue
-            labels = {"op": op}
-            self._record("op_latency_rate", labels, summary["count"], sampled)
-            for q in ("p50", "p95", "p99"):
-                self._record(
-                    f"op_latency_{q}", labels, summary[q], sampled
-                )
-
+        values = [read() for read in plan.readers]
+        for window in plan.windows:
+            values += window.quantiles(now) or _NO_QUANTILES
+        row = array("d", values)
+        plan.times.append(now)
+        plan.rows.extend(row)
         self.ticks += 1
-        self._tick_times.append(now)
-        self._evaluate_rules(now, sampled)
-        if len(self._tick_times) >= self.config.max_ticks:
+        self._retained += 1
+        self._evaluate_rules(now, plan, row)
+        if self._retained >= self.config.max_ticks:
             self._decimate()
-        return sampled
+
+    @property
+    def series(self) -> dict[str, Series]:
+        """Every sampled series by flat key (rows folded in on read)."""
+        for plan in self._plans:
+            width = len(plan.slots)
+            first_window = len(plan.readers)
+            times = plan.times.tolist()
+            for i, (key, name, labels) in enumerate(plan.slots):
+                slot_times, values = times, plan.rows[i::width].tolist()
+                if i >= first_window:  # an empty window sampled nothing
+                    kept = [j for j, v in enumerate(values) if not isnan(v)]
+                    slot_times = [times[j] for j in kept]
+                    values = [values[j] for j in kept]
+                if not values:
+                    continue
+                series = self._series.get(key)
+                if series is None:
+                    series = self._series[key] = Series(name, labels)
+                series.times += slot_times
+                series.values += values
+        # the current plan keeps sampling into fresh rows
+        current = self._plans[-1:]
+        for plan in current:
+            plan.times = array("d")
+            plan.rows = array("d")
+        self._plans = current
+        return self._series
 
     def _decimate(self) -> None:
         """Halve retention and double the cadence (memory bound)."""
         for series in self.series.values():
             series.decimate()
-        self._tick_times = self._tick_times[::2]
+        self._retained = (self._retained + 1) // 2
         self._interval *= 2
 
     # -- watchdog ------------------------------------------------------------
-    def _evaluate_rules(self, now: float, sampled: dict[str, float]) -> None:
-        for rule in self.config.rules:
-            state = self._rule_states[rule.name]
+    def _evaluate_rules(self, now: float, plan: _Plan, row: array) -> None:
+        for rule, state, slots in plan.rule_slots:
+            violated = _OPS[rule.op]
             worst: Optional[tuple[str, float]] = None
-            for key, value in sampled.items():
-                if key != rule.series and not fnmatchcase(key, rule.series):
-                    continue
-                if rule.violated(value):
+            for i in slots:
+                value = row[i]
+                if violated(value, rule.threshold):
                     # "worst" follows the rule's own direction: the value
                     # furthest past the threshold (first match wins ties).
-                    if worst is None or _OPS[rule.op](value, worst[1]):
-                        worst = (key, value)
+                    if worst is None or violated(value, worst[1]):
+                        worst = (plan.slots[i][0], value)
             if worst is None:
-                if state.firing:
-                    state.firing = False
-                    alert = state.current
-                    if alert is not None:
-                        alert.cleared_at = now
+                if state.current is not None:
+                    state.current.cleared_at = now
                     state.current = None
                     journal_event(
                         self.env, "slo.alert_clear",
@@ -435,20 +499,16 @@ class TimelineRecorder:
                 continue
             if state.violated_since is None:
                 state.violated_since = now
-            state.worst = worst
-            held = now - state.violated_since
-            if not state.firing and held >= rule.for_seconds:
-                state.firing = True
+            if state.current is None and now - state.violated_since >= rule.for_seconds:
                 state.fired_count += 1
-                alert = Alert(
+                state.current = Alert(
                     rule=rule.name,
                     condition=rule.condition(),
                     series=worst[0],
                     value=worst[1],
                     fired_at=now,
                 )
-                state.current = alert
-                self.alerts.append(alert)
+                self.alerts.append(state.current)
                 journal_event(
                     self.env, "slo.alert_fire",
                     rule=rule.name, condition=rule.condition(),
@@ -460,7 +520,7 @@ class TimelineRecorder:
         """Names of rules currently in the firing state."""
         return [
             name for name, state in sorted(self._rule_states.items())
-            if state.firing
+            if state.current is not None
         ]
 
     def alert_counts(self) -> dict[str, int]:
@@ -490,7 +550,8 @@ class TimelineRecorder:
             },
             "ticks": self.ticks,
             "series": {
-                key: self.series[key].as_dict() for key in sorted(self.series)
+                key: series.as_dict()
+                for key, series in sorted(self.series.items())
             },
             "alerts": [a.as_dict() for a in self.alerts],
             "alert_counts": self.alert_counts(),
@@ -505,8 +566,7 @@ class TimelineRecorder:
         Perfetto, on the same microsecond virtual clock.
         """
         events: list[dict[str, Any]] = []
-        for key in sorted(self.series):
-            series = self.series[key]
+        for key, series in sorted(self.series.items()):
             for t, v in zip(series.times, series.values):
                 events.append(
                     {

@@ -1,29 +1,38 @@
 """Hierarchical span tracing stamped from the simulation's virtual clock.
 
 Every traced operation — an NVMe command, a CPU slice, a flash-channel
-occupancy, a background compaction shard — becomes a :class:`Span` with a
-start/end taken from ``Environment.now``.  Spans nest: because an entire
+occupancy, a background compaction shard — becomes a span with a start/end
+taken from ``Environment.now``.  Spans nest: because an entire
 client->device->SSD call chain runs inside one simulation :class:`Process`
-as a ``yield from`` chain, the tracer tracks the *current* span per process
-and new spans implicitly parent under it.  Processes spawned with
-``env.process(...)`` inherit the spawner's current span (recorded by the
-:meth:`Tracer.on_process_spawn` hook wired into ``Environment.process``), so
-fan-out work — compaction shards, striped zone appends, pipelined
-materialisation stages — stays attached to the job that started it.
+as a ``yield from`` chain, the *current* span is an attribute of the running
+process and new spans implicitly parent under it.  Processes spawned with
+``env.process(...)`` start under the spawner's current span, so fan-out work
+— compaction shards, striped zone appends, pipelined materialisation stages
+— stays attached to the job that started it.
 
-Zero cost when disabled: ``Environment.tracer`` defaults to ``None`` and
-every instrumentation site goes through :func:`trace_span` /
-:func:`trace_wait`, which reduce to a shared no-op context manager / a bare
-``yield`` when no tracer is installed.  No simulation events are created
-either way, so virtual time is bit-identical with tracing on or off.
+Recording is the probe's job (:mod:`repro.obs.probe`): sites open and close
+``SpanRecord`` objects (:mod:`repro.obs.probe`) through ``env.probe``.  This module
+is the tracing *surface*: :func:`install_tracer` switches span recording on,
+:class:`Tracer` materialises the recorded columns into :class:`Span` trees
+for exporters, ``explain`` and tests, and :func:`trace_span` /
+:func:`trace_wait` are the site helpers for code that does not hold the
+probe.
+
+Zero cost when disabled: ``Environment.probe`` defaults to ``None`` and the
+helpers reduce to a shared no-op context manager / a bare ``yield``.  No
+simulation events are created either way, so virtual time is bit-identical
+with tracing on or off.
 """
 
 from __future__ import annotations
 
+from math import isnan
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
+from repro.obs.probe import NULL_SCOPE, Probe, SpanRecord, TraceContext, get_probe
+
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.core import Environment, Event, Process
+    from repro.sim.core import Environment, Event
 
 __all__ = [
     "CAT_COMMAND",
@@ -150,181 +159,31 @@ def union_length(
     return total
 
 
-class TraceContext:
-    """A capturable handle to the current span, for explicit handoff.
-
-    The implicit per-process propagation covers ``yield from`` chains and
-    ``env.process`` spawns.  When work crosses processes through a data
-    structure instead — e.g. items flowing through a
-    :class:`~repro.sim.sync.BoundedQueue` — the producer captures a context
-    and ships it with the item, and the consumer activates it while
-    processing so its spans parent under the producer's span.
-    """
-
-    __slots__ = ("tracer", "span")
-
-    def __init__(self, tracer: "Tracer", span: Optional[Span]):
-        self.tracer = tracer
-        self.span = span
-
-    def activate(self) -> "_Activation":
-        """Context manager making :attr:`span` current for this process."""
-        return _Activation(self.tracer, self.span)
-
-
-class _Activation:
-    __slots__ = ("tracer", "span", "_proc", "_prev", "_had_prev")
-
-    def __init__(self, tracer: "Tracer", span: Optional[Span]):
-        self.tracer = tracer
-        self.span = span
-
-    def __enter__(self) -> Optional[Span]:
-        self._proc = self.tracer.env.active_process
-        self._had_prev = self._proc in self.tracer._current
-        self._prev = self.tracer._current.get(self._proc)
-        self.tracer._current[self._proc] = self.span
-        return self.span
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._had_prev:
-            self.tracer._current[self._proc] = self._prev
-        else:
-            self.tracer._current.pop(self._proc, None)
-
-
-class _SpanScope:
-    """``with tracer.span(...) as span`` helper; finishes the span on exit."""
-
-    __slots__ = ("tracer", "name", "category", "lane", "args", "span")
-
-    def __init__(self, tracer: "Tracer", name: str, category: str,
-                 lane: Optional[str], args: dict[str, Any]):
-        self.tracer = tracer
-        self.name = name
-        self.category = category
-        self.lane = lane
-        self.args = args
-
-    def __enter__(self) -> Span:
-        self.span = self.tracer.start(
-            self.name, self.category, lane=self.lane, **self.args
-        )
-        return self.span
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            self.span.args.setdefault("error", exc_type.__name__)
-        self.tracer.finish(self.span)
-
-
-class _NullScope:
-    """Shared no-op scope returned by :func:`trace_span` when disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NULL_SCOPE = _NullScope()
-
-
 class Tracer:
-    """Records spans against an :class:`Environment`'s virtual clock.
+    """The span surface of one environment's probe.
 
-    Current-span state is tracked per simulation process (keyed by the
-    ``env.active_process`` identity; ``None`` keys cover code running
-    outside any process).  ``hub``, when given, receives a latency
-    observation for every finished command/job span so per-op-type
-    histograms accumulate as the run progresses.
+    ``hub``, when given, receives a latency observation for every finished
+    command/job span so per-op-type histograms accumulate as the run
+    progresses.  With ``retain_spans=False`` nothing is kept for trace
+    export — the hub/timeline latency feed still works and long scale-bench
+    runs hold O(live spans) memory.
     """
 
-    def __init__(
-        self,
-        env: "Environment",
-        hub: Optional[Any] = None,
-        retain_spans: bool = True,
-    ):
-        self.env = env
-        self.hub = hub
-        #: with ``retain_spans=False`` finished spans are not accumulated —
-        #: the hub/timeline latency feed still works, but nothing is kept for
-        #: trace export, so long scale-bench runs hold O(live spans) memory.
-        self.retain_spans = retain_spans
-        self.spans: list[Span] = []
-        self._current: dict[Optional["Process"], Optional[Span]] = {}
-        self._inherited: dict["Process", Optional[Span]] = {}
-        self._next_id = 0
+    def __init__(self, probe: Probe):
+        self.env = probe.env
+        self.hub = probe.hub
+        self._probe = probe
+        self._spans: list[Span] = []
+        self._open: list[Span] = []  # materialised while still unfinished
 
     # -- propagation ---------------------------------------------------------
-    def current(self) -> Optional[Span]:
-        """The active process's current span (inherited at spawn if unset)."""
-        proc = self.env.active_process
-        span = self._current.get(proc)
-        if span is None and proc is not None:
-            span = self._inherited.get(proc)
-        return span
+    def current(self) -> Optional[SpanRecord]:
+        """The active process's current span."""
+        return self._probe.current()
 
     def capture(self) -> TraceContext:
         """Snapshot the current span for explicit cross-process handoff."""
-        return TraceContext(self, self.current())
-
-    def on_process_spawn(self, process: "Process") -> None:
-        """Hook called by ``Environment.process``: inherit the spawner's span."""
-        span = self.current()
-        if span is not None:
-            self._inherited[process] = span
-
-    def set_current(self, span: Optional[Span]) -> None:
-        """Explicitly set the active process's current span.
-
-        Split-phase operations need this: ``post()`` opens a command span,
-        hands it to a ticket, spawns the device-side process (which inherits
-        the span), and then restores the poster's *previous* span before
-        returning — so back-to-back posts become siblings instead of nesting
-        under each other's still-open spans.
-        """
-        self._current[self.env.active_process] = span
-
-    # -- span lifecycle ------------------------------------------------------
-    def start(
-        self,
-        name: str,
-        category: str,
-        lane: Optional[str] = None,
-        **args: Any,
-    ) -> Span:
-        """Open a span parented under the current span of this process."""
-        proc = self.env.active_process
-        parent = self._current.get(proc)
-        if parent is None and proc is not None:
-            parent = self._inherited.get(proc)
-        self._next_id += 1
-        span = Span(
-            self._next_id, name, category, self.env.now,
-            parent=parent, lane=lane, args=dict(args),
-        )
-        if self.retain_spans:
-            self.spans.append(span)
-            if parent is not None:
-                parent.children.append(span)
-        self._current[proc] = span
-        return span
-
-    def finish(self, span: Span, **args: Any) -> None:
-        """Close ``span`` at the current virtual time."""
-        span.end = self.env.now
-        if args:
-            span.args.update(args)
-        proc = self.env.active_process
-        if self._current.get(proc) is span:
-            self._current[proc] = span.parent
-        if self.hub is not None and span.category in (CAT_COMMAND, CAT_JOB):
-            self.hub.observe_op(span.name, span.end - span.start)
+        return self._probe.capture()
 
     def span(
         self,
@@ -332,11 +191,40 @@ class Tracer:
         category: str,
         lane: Optional[str] = None,
         **args: Any,
-    ) -> _SpanScope:
-        """``with``-scope that opens on entry and finishes on exit."""
-        return _SpanScope(self, name, category, lane, args)
+    ) -> SpanRecord:
+        """``with``-scope that opens now and finishes on exit."""
+        return self._probe.span_begin(name, category, lane, args)
 
     # -- queries -------------------------------------------------------------
+    @property
+    def spans(self) -> list[Span]:
+        """Every retained span in start order, as linked :class:`Span` trees.
+
+        Built from the probe's columns on first read and extended on later
+        reads, so a span keeps its identity across reads.
+        """
+        probe = self._probe
+        ends, lanes = probe.col_end, probe.col_lane
+        spans = self._spans
+        for row in range(len(spans), len(ends)):
+            parent_id = probe.col_parent[row]
+            parent = spans[parent_id - 1] if parent_id else None
+            span = Span(
+                row + 1, probe.col_name[row], probe.col_category[row],
+                probe.col_start[row], parent, lanes[row], probe.col_args[row],
+            )
+            if parent is not None:
+                parent.children.append(span)
+            spans.append(span)
+            self._open.append(span)
+        for span in self._open:  # new, or unfinished at the last read
+            row = span.span_id - 1
+            span.lane = lanes[row]
+            if not isnan(ends[row]):
+                span.end = ends[row]
+        self._open = [span for span in self._open if span.end is None]
+        return spans
+
     def roots(self) -> list[Span]:
         """All spans without a parent, in start order."""
         return [s for s in self.spans if s.parent is None]
@@ -351,10 +239,11 @@ def install_tracer(
     hub: Optional[Any] = None,
     retain_spans: bool = True,
 ) -> Tracer:
-    """Attach a fresh :class:`Tracer` to ``env`` and return it."""
-    tracer = Tracer(env, hub=hub, retain_spans=retain_spans)
-    env.tracer = tracer
-    return tracer
+    """Start span recording on ``env`` (from span id 1) and return the tracer."""
+    probe = get_probe(env)
+    probe.reset_spans(hub, retain_spans)
+    probe.tracer = Tracer(probe)
+    return probe.tracer
 
 
 def trace_span(
@@ -364,7 +253,7 @@ def trace_span(
     lane: Optional[str] = None,
     **args: Any,
 ):
-    """A span scope when ``env`` has a tracer, else a shared no-op scope.
+    """A span scope when ``env`` is being traced, else a shared no-op scope.
 
     The disabled path costs one attribute read and returns a singleton, so
     instrumented code can use a single body for both modes::
@@ -372,10 +261,10 @@ def trace_span(
         with trace_span(self.env, "dev.bulk_put", CAT_STAGE) as span:
             ...  # span is None when tracing is disabled
     """
-    tracer = env.tracer
-    if tracer is None:
-        return _NULL_SCOPE
-    return _SpanScope(tracer, name, category, lane, args)
+    probe = env.probe
+    if probe is None:
+        return NULL_SCOPE
+    return probe.span_begin(name, category, lane, args) or NULL_SCOPE
 
 
 def trace_wait(env: "Environment", event: "Event", name: str,
@@ -385,10 +274,10 @@ def trace_wait(env: "Environment", event: "Event", name: str,
     Used for slot/lock acquisitions where the wait itself is the interesting
     quantity: ``yield from trace_wait(env, slot, "dev.inflight")``.
     """
-    tracer = env.tracer
-    if tracer is None:
+    probe = env.probe
+    if probe is None:
         value = yield event
         return value
-    with tracer.span(name, category):
+    with probe.span(name, category, nests=False):
         value = yield event
     return value

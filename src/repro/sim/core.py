@@ -183,7 +183,7 @@ class Process(Event):
     generator raises, the process-event fails with that exception.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "name", "span")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -196,6 +196,9 @@ class Process(Event):
         #: the event this process is currently waiting on (None if not started
         #: or currently being resumed)
         self._target: Optional[Event] = None
+        #: current trace span of this process (kept by ``env.probe``; a
+        #: spawned process starts under its spawner's span)
+        self.span = None
         Initialize(env, self)
 
     @property
@@ -298,27 +301,32 @@ class Environment:
         #: recycled one-shot Timeout objects (see ``step()``)
         self._timeout_pool: list[Timeout] = []
         self._active_process: Optional[Process] = None
-        #: optional :class:`repro.obs.trace.Tracer`; ``None`` (the default)
-        #: means tracing is disabled and instrumentation costs one attribute
-        #: check.  Installed via ``repro.obs.install_tracer``.
-        self.tracer = None
-        #: optional :class:`repro.obs.journal.EventJournal`; same contract as
-        #: ``tracer`` — ``None`` means lifecycle-event emission sites cost one
-        #: attribute check.  Installed via ``repro.obs.install_journal``.
-        self.journal = None
-        #: optional :class:`repro.obs.timeline.TimelineRecorder`.  ``None``
-        #: (the default) costs one attribute check per ``run()`` call — NOT
-        #: per event — and creates no simulation events.  When installed,
-        #: a parked sampler re-arms at the start of each run segment so
-        #: multi-phase workloads keep a continuous sample cadence.
-        self.timeline = None
-        #: optional :class:`repro.obs.critpath.CritPathObserver`; same
-        #: contract as ``tracer`` — ``None`` (the default) means the
-        #: blocked-by/holder instrumentation sites cost one attribute check
-        #: and record nothing.  Installed via
-        #: ``repro.obs.critpath.install_critpath``; the observer is pure
-        #: bookkeeping and creates no simulation events either way.
-        self.critpath = None
+        #: the one observability hook: a :class:`repro.obs.probe.Probe` once
+        #: any observer is installed (``repro.obs.install_tracer`` /
+        #: ``install_journal`` / ``install_timeline`` / ``install_critpath``),
+        #: else ``None`` — every instrumentation site costs one attribute
+        #: read, and ``run()`` one per call (not per event).  The probe is
+        #: pure bookkeeping: it creates no simulation events; only a started
+        #: timeline sampler schedules (pure-read) ticks.
+        self.probe = None
+
+    # The installed observer surfaces, for export and queries (``None`` when
+    # not installed); instrumentation sites read :attr:`probe` only.
+    @property
+    def tracer(self):
+        return self.probe and self.probe.tracer
+
+    @property
+    def journal(self):
+        return self.probe and self.probe.journal
+
+    @property
+    def timeline(self):
+        return self.probe and self.probe.timeline
+
+    @property
+    def critpath(self):
+        return self.probe and self.probe.critpath
 
     @property
     def now(self) -> float:
@@ -329,6 +337,19 @@ class Environment:
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed, if any."""
         return self._active_process
+
+    def metric_gauges(self) -> dict[str, Callable[[], float]]:
+        """Kernel self-telemetry for MetricsHub/timeline sampling.
+
+        Free reads of state the kernel keeps anyway — nothing is counted on
+        the scheduling path for them.
+        """
+        return {
+            "sim.events_scheduled": lambda: float(self._counter),
+            "sim.heap_depth": lambda: float(len(self._queue)),
+            "sim.imm_depth": lambda: float(len(self._imm)),
+            "sim.timeout_pool": lambda: float(len(self._timeout_pool)),
+        }
 
     # -- event construction --------------------------------------------------
     def event(self) -> Event:
@@ -353,11 +374,12 @@ class Environment:
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start running ``generator`` as a simulation process."""
         proc = Process(self, generator, name=name)
-        if self.tracer is not None:
-            # Spawned processes inherit the spawner's current span so that
-            # fan-out work (compaction shards, striped appends) stays inside
-            # the span tree of the command or job that launched it.
-            self.tracer.on_process_spawn(proc)
+        probe = self.probe
+        if probe is not None:
+            # Spawned processes start under the spawner's current span so
+            # that fan-out work (compaction shards, striped appends) stays
+            # inside the span tree of the command or job that launched it.
+            proc.span = probe.current()
         return proc
 
     def all_of(self, events: list[Event]) -> Event:
@@ -469,8 +491,8 @@ class Environment:
         * an :class:`Event` — run until that event has been processed, and
           return its value (raising if it failed).
         """
-        if self.timeline is not None:
-            self.timeline.on_run()
+        if self.probe is not None:
+            self.probe.on_run()
         if isinstance(until, Event):
             stop_event = until
             while not stop_event.processed:

@@ -147,16 +147,16 @@ class CpuPool:
             raise SimulationError("cannot execute negative CPU time")
         mask = self._allowed_mask(core, cores)
         env = self.env
-        tracer = env.tracer
-        critpath = env.critpath
+        probe = env.probe
         resource = self._resource
-        if critpath is not None:
-            actor_op, actor_root = critpath.actor()
-            token = actor_op if actor_root is None else f"{actor_op}#{actor_root}"
+        span = token = None
         remaining = float(seconds)
-        span = None
-        if tracer is not None:
-            span = tracer.start(resource, "cpu", pool=self.name, run=remaining)
+        if probe is not None:
+            token = probe.token()  # the op this charge serves, not the charge
+            span = probe.span_begin(
+                resource, "cpu", None, {"pool": self.name, "run": remaining},
+                nests=False,
+            )
         wait = 0.0
         timeslice = self.timeslice
         busy_time = self.busy_time
@@ -169,9 +169,9 @@ class CpuPool:
                     idx = bit.bit_length() - 1
                 else:
                     t0 = env.now
-                    if critpath is not None:
+                    if probe is not None:
                         # the work this charge is stuck behind
-                        holders = critpath.holders(resource)
+                        holders = probe.holders(resource)
                     self._seq += 1
                     waiter = (priority, self._seq, mask, Event(env))
                     insort(self._waiting, waiter)
@@ -183,14 +183,12 @@ class CpuPool:
                     now = env.now
                     if now > t0:
                         wait += now - t0
-                        if critpath is not None:
-                            critpath.record_edge(
-                                resource, "cpu", t0, now, actor_op, actor_root, holders
-                            )
-                if critpath is not None:
-                    critpath.acquire(resource, token)
-                if span is not None and span.lane is None:
-                    span.lane = self._lanes[idx]
+                        if probe is not None:
+                            probe.wait_edge(resource, "cpu", t0, holders)
+                if probe is not None:
+                    probe.acquire(resource, token)
+                    if span is not None and span.lane is None:
+                        probe.set_lane(span, self._lanes[idx])
                 slice_len = remaining if remaining < timeslice else timeslice
                 started = env.now
                 try:
@@ -203,14 +201,16 @@ class CpuPool:
                     busy_time[idx] += slice_len
                 finally:
                     self._release(idx)
-                    if critpath is not None:
-                        critpath.release(resource, token)
+                    if probe is not None:
+                        probe.release(resource, token)
                 remaining -= slice_len
                 if remaining <= 0.0:
                     return
         finally:
             if span is not None:
-                tracer.finish(span, wait=wait, run=float(seconds) - remaining)
+                span.args["wait"] = wait
+                span.args["run"] = float(seconds) - remaining
+                probe.span_end(span)
 
     def utilization(self, up_to: Optional[float] = None) -> list[float]:
         """Per-core busy fraction of elapsed simulated time."""

@@ -306,6 +306,12 @@ class StatsRegistry:
             self._series[name] = s
         return s
 
+    @property
+    def counters(self) -> dict[str, Counter]:
+        """Unprefixed counter name -> live :class:`Counter` (read-only use:
+        samplers bind the objects once instead of copying values per tick)."""
+        return self._counters
+
     def counter_values(self) -> dict[str, float]:
         """Unprefixed counter name -> value (for reports)."""
         return {name: counter.value for name, counter in self._counters.items()}

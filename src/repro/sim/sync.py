@@ -108,23 +108,28 @@ class BoundedQueue:
     def __len__(self) -> int:
         return len(self._items)
 
+    def _observed_wait(self, probe, event: Event, span_name: str) -> Generator:
+        """Block on ``event`` as a queue-wait span plus a blocked-by edge on
+        this queue: the wait is backpressure from the other side, so it is
+        queue time on the waiter's span tree."""
+        t0 = self.env.now
+        holders = probe.holders(self.name)
+        with probe.span(
+            span_name, "queue", None, {"capacity": self.capacity}, nests=False
+        ):
+            yield event
+        probe.wait_edge(self.name, "queue", t0, holders)
+
     def put(self, item: Any) -> Generator:
         """Enqueue ``item``; waits while the queue is at capacity."""
         while len(self._items) >= self.capacity:
             slot = Event(self.env)
             self._putters.append(slot)
-            critpath = self.env.critpath
-            begun = critpath.wait_begin(self.name) if critpath is not None else None
-            tracer = self.env.tracer
-            if tracer is None:
+            probe = self.env.probe
+            if probe is None:
                 yield slot
             else:
-                # The blocked wait is backpressure from the consumer; record
-                # it as queue time on the producer's span tree.
-                with tracer.span("queue.put_wait", "queue", capacity=self.capacity):
-                    yield slot
-            if begun is not None:
-                critpath.wait_end(self.name, "queue", begun)
+                yield from self._observed_wait(probe, slot, "queue.put_wait")
         self._items.append(item)
         if self._getters:
             self._getters.popleft().succeed()
@@ -134,16 +139,11 @@ class BoundedQueue:
         while not self._items:
             ready = Event(self.env)
             self._getters.append(ready)
-            critpath = self.env.critpath
-            begun = critpath.wait_begin(self.name) if critpath is not None else None
-            tracer = self.env.tracer
-            if tracer is None:
+            probe = self.env.probe
+            if probe is None:
                 yield ready
             else:
-                with tracer.span("queue.get_wait", "queue", capacity=self.capacity):
-                    yield ready
-            if begun is not None:
-                critpath.wait_end(self.name, "queue", begun)
+                yield from self._observed_wait(probe, ready, "queue.get_wait")
         item = self._items.popleft()
         if self._putters:
             self._putters.popleft().succeed()

@@ -38,23 +38,24 @@ class DramBudget:
             raise SimulationError(
                 f"reservation of {nbytes} exceeds DRAM capacity {self.capacity}"
             )
-        critpath = self.env.critpath
-        if critpath is None:
+        probe = self.env.probe
+        if probe is None:
             yield self._container.get(nbytes)
             return
-        begun = critpath.wait_begin("soc.dram")
+        t0 = self.env.now
+        holders = probe.holders("soc.dram")
         yield self._container.get(nbytes)
-        critpath.wait_end("soc.dram", "dram", begun)
-        critpath.acquire("soc.dram", critpath.token())
+        probe.wait_edge("soc.dram", "dram", t0, holders)
+        probe.acquire("soc.dram", probe.token())
 
     def release(self, nbytes: int) -> Generator:
         """Return ``nbytes`` to the budget."""
-        critpath = self.env.critpath
-        if critpath is not None:
+        probe = self.env.probe
+        if probe is not None:
             # Tolerant of a different op releasing than reserved (e.g. bloom
             # filters freed at keyspace delete): release() drops the entry
             # only when the token matches a live hold.
-            critpath.release("soc.dram", critpath.token())
+            probe.release("soc.dram", probe.token())
         yield self._container.put(nbytes)
 
     def introspect(self) -> dict:

@@ -17,7 +17,6 @@ from collections.abc import Generator
 from repro.errors import StorageError
 from repro.obs.journal import journal_event
 from repro.ssd.faults import PowerCut
-from repro.obs.trace import trace_span
 from repro.sim.core import Environment
 from repro.sim.resources import Resource
 from repro.ssd.geometry import SsdGeometry
@@ -49,6 +48,7 @@ class ZnsSsd:
         self._channels = [
             Resource(env, capacity=1) for _ in range(self.geometry.n_channels)
         ]
+        self._lanes = [f"{name}/ch{c}" for c in range(self.geometry.n_channels)]
         self.stats = IoStats()
         #: optional fault-injection plan (see :mod:`repro.ssd.faults`)
         self.faults = None
@@ -61,11 +61,12 @@ class ZnsSsd:
         return self.zones[zone_id]
 
     def _occupy_channel(
-        self, channel: int, seconds: float, op: str = "io", nbytes: int = 0
+        self, channel: int, seconds: float, span_name: str, nbytes: int = 0
     ) -> Generator:
         res = self._channels[channel]
-        if self.env.tracer is None:
-            # Untraced fast path: no span objects, but the channel is still
+        probe = self.env.probe
+        if probe is None:
+            # Unobserved fast path: no span objects, but the channel is still
             # acquired through the queue — a synchronous take would reorder
             # same-instant completions under channel contention.
             with res.request() as queued:
@@ -73,13 +74,9 @@ class ZnsSsd:
                 yield self.env.timeout(seconds)
             self.stats.record_channel_busy(channel, seconds)
             return
-        with trace_span(
-            self.env,
-            f"nand.{op}",
-            "flash",
-            lane=f"{self.name}/ch{channel}",
-            busy=seconds,
-            bytes=nbytes,
+        with probe.span(
+            span_name, "flash", self._lanes[channel],
+            {"busy": seconds, "bytes": nbytes}, nests=False,
         ) as span:
             with res.request() as req:
                 t0 = self.env.now
@@ -124,7 +121,8 @@ class ZnsSsd:
                 )
         offset = zone.append(bytes(data))  # validates state/space, claims range
         yield from self._occupy_channel(
-            zone.channel, self.latency.write_time(len(data)), "append", len(data)
+            zone.channel, self.latency.write_time(len(data)), "nand.append",
+            len(data),
         )
         self.stats.record_write(len(data))
         return offset
@@ -143,7 +141,7 @@ class ZnsSsd:
                 raise
         data = zone.read(offset, length)  # validates the range
         yield from self._occupy_channel(
-            zone.channel, self.latency.read_time(length), "read", length
+            zone.channel, self.latency.read_time(length), "nand.read", length
         )
         self.stats.record_read(length)
         return data
@@ -152,7 +150,9 @@ class ZnsSsd:
         """Reset a zone: discard its data and rewind the write pointer."""
         self._check_powered()
         zone = self.zone(zone_id)
-        yield from self._occupy_channel(zone.channel, self.latency.erase_time(), "erase")
+        yield from self._occupy_channel(
+            zone.channel, self.latency.erase_time(), "nand.erase"
+        )
         zone.reset()
         self.stats.record_erase()
 
@@ -161,7 +161,7 @@ class ZnsSsd:
         self._check_powered()
         zone = self.zone(zone_id)
         yield from self._occupy_channel(
-            zone.channel, self.latency.command_overhead, "finish"
+            zone.channel, self.latency.command_overhead, "nand.finish"
         )
         zone.finish()
 

@@ -159,44 +159,46 @@ def test_edges_clip_to_the_op_span():
     assert [s["kind"] for s in segments] == ["wait.queue"]
 
 
-# -- the observer's holder registry and wait bracketing -----------------------
+# -- the probe's holder registry and wait edges -------------------------------
 def test_holder_registry_acquire_release_and_caps():
     env = Environment()
     observer = install_critpath(env)
     assert env.critpath is observer
-    observer.acquire("r", "a")
-    observer.acquire("r", "a")
-    observer.acquire("r", "b")
-    assert observer.holders("r") == ("a", "b")
-    observer.release("r", "a")
-    assert observer.holders("r") == ("a", "b")  # refcount 2 -> 1
-    observer.release("r", "a")
-    assert observer.holders("r") == ("b",)
+    probe = env.probe
+    probe.acquire("r", "a")
+    probe.acquire("r", "a")
+    probe.acquire("r", "b")
+    assert probe.holders("r") == ("a", "b")
+    probe.release("r", "a")
+    assert probe.holders("r") == ("a", "b")  # refcount 2 -> 1
+    probe.release("r", "a")
+    assert probe.holders("r") == ("b",)
     # Releasing a token never acquired is tolerated, not an error.
-    observer.release("r", "never-acquired")
-    observer.release("other", "x")
-    observer.acquire("r", "c")
-    assert observer.holders("r", cap=1) == ("b",)  # insertion order, capped
+    probe.release("r", "never-acquired")
+    probe.release("other", "x")
+    probe.acquire("r", "c")
+    assert probe.holders("r", cap=1) == ("b",)  # insertion order, capped
 
 
-def test_wait_bracketing_records_edges_with_start_snapshot():
+def test_wait_edges_carry_the_holder_snapshot_from_wait_start():
     env = Environment()
     tracer = install_tracer(env)
     observer = install_critpath(env, tracer=tracer)
+    probe = env.probe
     holder_done = []
 
     def holder():
         with tracer.span("cmd.holder", "command"):
-            observer.acquire("res", observer.token())
+            probe.acquire("res", probe.token())
             yield env.timeout(2.0)
-            observer.release("res", observer.token())
+            probe.release("res", probe.token())
             holder_done.append(True)
 
     def waiter():
         with tracer.span("cmd.waiter", "command"):
-            begun = observer.wait_begin("res")
+            t0, holders = env.now, probe.holders("res")
             yield env.timeout(1.5)  # stand-in for the blocked yield
-            observer.wait_end("res", "queue", begun)
+            probe.wait_edge("res", "queue", t0, holders)
 
     env.process(holder())
     env.process(waiter())
@@ -213,11 +215,37 @@ def test_wait_bracketing_records_edges_with_start_snapshot():
     assert list(by_root.values()) == [[edge]]
 
 
+def test_actor_is_the_root_span_or_the_process_name():
+    env = Environment()
+    install_critpath(env)
+    probe = env.probe
+    assert probe.actor() == ("main", None) and probe.token() == "main"
+    seen = []
+
+    def untraced():
+        seen.append(probe.actor())
+        yield env.timeout(0.0)
+
+    env.run(env.process(untraced(), name="worker"))
+    assert seen == [("proc.worker", None)]
+
+    tracer = install_tracer(env)
+
+    def traced():
+        with tracer.span("cmd.get", "command") as root:
+            with tracer.span("stage", "stage"):
+                seen.append((probe.actor(), probe.token(), root.span_id))
+                yield env.timeout(0.0)
+
+    env.run(env.process(traced()))
+    actor, token, root_id = seen[-1]
+    assert actor == ("cmd.get", root_id) and token == f"cmd.get#{root_id}"
+
+
 def test_zero_duration_waits_record_no_edge():
     env = Environment()
     observer = install_critpath(env)
-    begun = observer.wait_begin("res")
-    observer.wait_end("res", "queue", begun)  # no time passed
+    env.probe.wait_edge("res", "queue", env.now, ())  # no time passed
     assert observer.edges == []
 
 
@@ -225,8 +253,9 @@ def test_edge_cap_drops_and_counts():
     env = Environment()
     observer = install_critpath(env)
     observer.max_edges = 2
-    for i in range(4):
-        observer.record_edge("r", "queue", 0.0, float(i + 1), "op", None, ())
+    env.run(until=1.0)
+    for _ in range(4):
+        env.probe.wait_edge("r", "queue", 0.0, ())
     assert len(observer.edges) == 2
     assert observer.dropped_edges == 2
 
@@ -291,12 +320,10 @@ def test_explain_report_names_the_dominant_blocker():
     observer = install_critpath(env, tracer=tracer)
 
     def blocked_get():
-        with tracer.span("cmd.get", "command") as root:
-            observer.record_edge(
-                "soc.query_queue", "queue", env.now, env.now + 3.0,
-                "cmd.get", root.span_id, ("cmd.get#1",),
-            )
+        with tracer.span("cmd.get", "command"):
+            t0 = env.now
             yield env.timeout(3.0)
+            env.probe.wait_edge("soc.query_queue", "queue", t0, ("cmd.get#1",))
             with tracer.span("nand.read", "flash"):
                 yield env.timeout(1.0)
 

@@ -122,7 +122,8 @@ def test_counters_queue_pairs_and_gauges_all_sampled():
 
     hub.register_queue_pair("host-kv", _Qp())
     recorder = TimelineRecorder(env, hub, TimelineConfig())
-    sampled = recorder.start().sample()
+    recorder.start()  # takes the t=now sample
+    sampled = {key: series.last() for key, series in recorder.series.items()}
     assert sampled["test.gauge"] == 2.5
     assert sampled["ops{registry=dev}"] == 7.0
     assert sampled["qp.inflight{qp=host-kv}"] == 3.0
@@ -347,12 +348,11 @@ def test_counter_track_events_are_well_formed():
 
 def test_chrome_trace_merges_counter_tracks():
     from repro.obs.export import to_chrome_trace
-    from repro.obs.trace import Tracer
+    from repro.obs.trace import install_tracer
 
     env = Environment()
     hub = _hub_with_gauge(lambda: 1.0)
-    tracer = Tracer(env, hub=hub)
-    env.tracer = tracer
+    tracer = install_tracer(env, hub=hub)
     recorder = install_timeline(env, hub, TimelineConfig(interval=1e-3))
 
     def body():
