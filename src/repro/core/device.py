@@ -14,7 +14,6 @@ receiving results, which is the paper's entire point.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Callable, Generator
 from contextlib import contextmanager
 
@@ -24,6 +23,7 @@ from repro.core.block_cache import BlockCache
 from repro.core.costs import CsdCostModel
 from repro.core.keyspace import Keyspace, KeyspaceState
 from repro.core.klog import (
+    MAX_KEY_BYTES,
     TOMBSTONE_LEN,
     KlogColumns,
     column_key_bytes,
@@ -32,22 +32,16 @@ from repro.core.klog import (
 )
 from repro.core.membuf import MEMBUF_BYTES, MemBuffer
 from repro.core.meta import META_V1, META_V2, MetaCodec, MetaStream, choose_stream
-from repro.core.pidx import PidxPacker, PidxSketch, read_block_entries
+from repro.core.pidx import PidxColumns, PidxPacker, PidxSketch, block_entry_counts
 from repro.core.query import QueryEngine
 from repro.core.scheduler import QueryScheduler
-from repro.core.sidx import (
-    SidxConfig,
-    SidxSketch,
-    build_sidx_blocks,
-    encode_skey,
-    pack_sidx_pairs,
-    unpack_sidx_pairs,
-)
+from repro.core.sidx import SidxColumns, SidxConfig, SidxSketch
 from repro.core.sort import ExternalSorter, ParallelSortCoordinator
 from repro.core.vlog import gather_values, pointer_columns, stripe_groups
 from repro.core.zone_manager import ZoneCluster, ZoneManager, ZonePointer
 from repro.errors import (
     DbError,
+    KeyTooLargeError,
     KeyspaceExistsError,
     KeyspaceNotFoundError,
     KeyspaceStateError,
@@ -704,13 +698,16 @@ class KvCsdDevice:
             spent += pointer[2]
             if spent > budget:
                 return False
-        keys: list[bytes] = []
-        bounds = [0]
+        blobs = []
         for zone_id, offset, length in sketch.block_pointers:
-            blob = yield from self.ssd.read(zone_id, offset, length)
-            keys.extend(key for key, _ptr in read_block_entries(blob))
-            bounds.append(len(keys))
-        yield from self._attach_blooms(ks, sketch, keys, bounds, ctx)
+            blobs.append((yield from self.ssd.read(zone_id, offset, length)))
+        yield from self._attach_blooms(
+            ks,
+            sketch,
+            PidxColumns.from_blocks(blobs).key_bytes(),
+            np.cumsum([0] + block_entry_counts(blobs)).tolist(),
+            ctx,
+        )
         self.stats.counter("blooms_reconstructed").add(len(sketch))
         return True
 
@@ -893,6 +890,18 @@ class KvCsdDevice:
         }
 
     # ------------------------------------------------------------------ insertion
+    @staticmethod
+    def _admit_keys(keys: list[bytes]) -> None:
+        """Refuse a write command that carries a key no format can hold.
+
+        Checked before the command buffers a pair or takes a sequence
+        number: the KLOG flush and the metadata record would otherwise fail
+        on it later, on somebody else's command, with the keyspace stuck.
+        """
+        longest = max(map(len, keys), default=0)
+        if longest > MAX_KEY_BYTES:
+            raise KeyTooLargeError(longest, MAX_KEY_BYTES)
+
     def bulk_put(
         self,
         name: str,
@@ -905,6 +914,8 @@ class KvCsdDevice:
             yield from trace_wait(self.env, slot, "dev.inflight_wait")
             ks = self._keyspace(name)
             ks.require(KeyspaceState.WRITABLE)
+            keys = [key for key, _value in pairs]
+            self._admit_keys(keys)
             with self._write_locks[name].request() as lock:
                 yield from trace_wait(self.env, lock, "dev.write_lock_wait")
                 yield from self._exec(
@@ -917,7 +928,6 @@ class KvCsdDevice:
                 if pairs:
                     membuf.add_many(pairs, self._seqs[name] + 1)
                     self._seqs[name] += len(pairs)
-                    keys = [key for key, _value in pairs]
                     ks.observe_key(min(keys))
                     ks.observe_key(max(keys))
                 ks.n_pairs += len(pairs)
@@ -931,6 +941,7 @@ class KvCsdDevice:
             yield from trace_wait(self.env, slot, "dev.inflight_wait")
             ks = self._keyspace(name)
             ks.require(KeyspaceState.WRITABLE)
+            self._admit_keys(keys)
             with self._write_locks[name].request() as lock:
                 yield from trace_wait(self.env, lock, "dev.write_lock_wait")
                 yield from self._exec(
@@ -1304,19 +1315,23 @@ class KvCsdDevice:
                 ):
                     values_resident = sum(len(g) for g in groups)
                     if values_resident <= self.board.spec.sort_budget_bytes:
-                        sorted_values = b"".join(groups)
-                        ends = np.cumsum(live.vlen, dtype=np.int64).tolist()
-                        value_by_key = {
-                            key: sorted_values[start:end]
-                            for key, start, end in zip(
-                                column_key_bytes(live.keys), [0] + ends, ends
-                            )
-                        }
+                        # the sorted values as one buffer ("zone" 0), each
+                        # record pointing at its own
+                        ends = np.cumsum(live.vlen, dtype=np.int64)
+                        resident = PidxColumns(
+                            live.keys,
+                            np.zeros(len(live), dtype=np.int64),
+                            ends - live.vlen,
+                            live.vlen,
+                        )
+                        sorted_values = {0: b"".join(groups)}
                         # Each index sorts an independent pair set: build them
                         # concurrently across the SoC cores.
                         procs = [
                             self.env.process(
-                                self._build_sidx_inline(ks, config, value_by_key, ctx),
+                                self._build_sidx_inline(
+                                    ks, config, resident, sorted_values, ctx
+                                ),
                                 name=f"sidx-inline-{ks.name}-{config.name}",
                             )
                             for config in sidx_configs
@@ -1420,23 +1435,6 @@ class KvCsdDevice:
         self.stats.counter("bloom_filters_built").add(n_blocks)
         self.stats.counter("bloom_filter_bytes").add(total_bytes)
 
-    def _attach_sidx_blooms(
-        self,
-        ks: Keyspace,
-        sketch: SidxSketch,
-        sorted_pairs: list[tuple[bytes, bytes]],
-        ctx: ThreadCtx,
-    ) -> Generator:
-        """Per-SIDX-block blooms over each block's *encoded secondary keys*."""
-        if not self.bloom_bits_per_key or not len(sketch):
-            return
-        composites = [skey + pkey for skey, pkey in sorted_pairs]
-        bounds = [bisect_left(composites, pivot) for pivot in sketch.pivots]
-        bounds.append(len(composites))
-        yield from self._attach_blooms(
-            ks, sketch, [skey for skey, _pkey in sorted_pairs], bounds, ctx
-        )
-
     def _materialize_pipelined(
         self,
         ks: Keyspace,
@@ -1530,7 +1528,8 @@ class KvCsdDevice:
         self,
         ks: Keyspace,
         config: SidxConfig,
-        value_by_key: dict[bytes, bytes],
+        records: PidxColumns,
+        zone_blobs: dict[int, bytes],
         ctx: ThreadCtx,
     ) -> Generator:
         """Build one secondary index from values already resident in DRAM."""
@@ -1541,46 +1540,67 @@ class KvCsdDevice:
             mode="inline",
         )
         with trace_span(self.env, "sidx.build_inline", "stage", index=config.name):
-            yield from self._exec(
-                ctx, self.costs.extract_per_record * len(value_by_key)
+            sketch = yield from self._sidx_pipeline(ks, config, records, zone_blobs, ctx)
+        self._sidx_built(ks, config, "inline", sketch, t0)
+
+    def _sidx_pipeline(
+        self,
+        ks: Keyspace,
+        config: SidxConfig,
+        records: PidxColumns,
+        zone_blobs: dict[int, bytes],
+        ctx: ThreadCtx,
+    ) -> Generator:
+        """Build and publish one secondary index over ``records`` — primary
+        keys with value pointers into ``zone_blobs`` — as columns end to
+        end: extract and encode the secondary keys, sort the pairs under the
+        DRAM budget, cut blocks, append them, attach blooms, persist.
+        Returns the sketch."""
+        yield from self._exec(ctx, self.costs.extract_per_record * len(records))
+        pairs = SidxColumns.extract(config, records, zone_blobs)
+        sorter = ExternalSorter(
+            self.zone_manager,
+            budget_bytes=self.board.spec.sort_budget_bytes,
+            compare_cost=self.board.scale_cpu(self.costs.key_compare),
+            pack=SidxColumns.pack,
+            unpack=SidxColumns.unpack,
+        )
+        pairs = yield from sorter.sort(pairs, pairs.packed_bytes, ctx)
+        blocks, bounds = pairs.blocks(self.block_bytes)
+        yield from self._exec(
+            ctx,
+            self.costs.block_build_per_byte * sum(len(blob) for _p, blob in blocks),
+        )
+        # Registered before the appends so fault unwinding can find (and
+        # release) a partially written index.
+        clusters = ks.sidx_clusters.setdefault(config.name, [])
+        block_ptrs = yield from self._append_stream(
+            clusters, [blob for _p, blob in blocks], ctx
+        )
+        sketch = SidxSketch(skey_width=config.width)
+        for (pivot, _blob), pointer in zip(blocks, block_ptrs):
+            sketch.add_block(pivot, pointer)
+        if self.bloom_bits_per_key:
+            # per-block blooms over each block's *encoded secondary keys*
+            yield from self._attach_blooms(
+                ks, sketch, column_key_bytes(pairs.skeys), bounds, ctx
             )
-            pairs = [
-                (encode_skey(config.extract(value), config.dtype), key)
-                for key, value in value_by_key.items()
-            ]
-            pair_bytes = sum(len(s) + len(p) + 4 for s, p in pairs)
-            sorter = ExternalSorter(
-                self.zone_manager,
-                budget_bytes=self.board.spec.sort_budget_bytes,
-                compare_cost=self.board.scale_cpu(self.costs.key_compare),
-                pack=pack_sidx_pairs,
-                unpack=unpack_sidx_pairs,
-                sort_key=lambda pair: pair,
-            )
-            sorted_pairs = yield from sorter.sort(pairs, pair_bytes, ctx)
-            blocks = build_sidx_blocks(sorted_pairs, self.block_bytes)
-            yield from self._exec(
-                ctx,
-                self.costs.block_build_per_byte * sum(len(b) for _p, b in blocks),
-            )
-            # Registered before the appends so fault unwinding can find (and
-            # release) a partially written index.
-            clusters = ks.sidx_clusters.setdefault(config.name, [])
-            block_ptrs = yield from self._append_stream(
-                clusters, [blob for _p, blob in blocks], ctx
-            )
-            sketch = SidxSketch(skey_width=config.width)
-            for (pivot, _blob), pointer in zip(blocks, block_ptrs):
-                sketch.add_block(pivot, pointer)
-            yield from self._attach_sidx_blooms(ks, sketch, sorted_pairs, ctx)
-            ks.sidx[config.name] = (config, sketch)
-            yield from self._metadata_update(ctx, ks)
-        self.stats.counter("sidx_builds_inline").add()
+        ks.sidx[config.name] = (config, sketch)
+        yield from self._metadata_update(ctx, ks)
+        return sketch
+
+    def _sidx_built(
+        self, ks: Keyspace, config: SidxConfig, mode: str, sketch: SidxSketch, t0: float
+    ) -> None:
+        """Account one finished index build (``mode``: inline or scan)."""
+        self.stats.counter(
+            "sidx_builds_inline" if mode == "inline" else "sidx_builds"
+        ).add()
         self.job_durations[(ks.name, f"sidx:{config.name}")] = self.env.now - t0
         self._journal("sidx.build_end",
             keyspace=ks.name,
             index=config.name,
-            mode="inline",
+            mode=mode,
             n_blocks=len(sketch),
         )
         self._audit_boundary("sidx")
@@ -1623,65 +1643,18 @@ class KvCsdDevice:
             )
             # ---- full scan: PIDX for keys+pointers, SORTED_VALUES for values
             assert ks.pidx_sketch is not None
-            entries: list[tuple[bytes, ZonePointer]] = []
             blobs = yield from self.query_engine._read_blocks(
                 list(ks.pidx_sketch.block_pointers), ctx
             )
-            for blob in blobs:
-                entries.extend(read_block_entries(blob))
+            records = PidxColumns.from_blocks(blobs)
             zone_blobs: dict[int, bytes] = {}
             for cluster in ks.sorted_value_clusters:
                 contents = yield from cluster.read_all()
                 zone_blobs.update(contents)
-            yield from self._exec(
-                ctx, self.costs.extract_per_record * len(entries)
+            sketch = yield from self._sidx_pipeline(
+                ks, config, records, zone_blobs, ctx
             )
-            pairs: list[tuple[bytes, bytes]] = []
-            for key, (zone_id, offset, length) in entries:
-                value = zone_blobs[zone_id][offset : offset + length]
-                raw = config.extract(value)
-                pairs.append((encode_skey(raw, config.dtype), key))
-
-            # ---- sort <skey, pkey> pairs
-            pair_bytes = sum(len(s) + len(p) + 4 for s, p in pairs)
-            sorter = ExternalSorter(
-                self.zone_manager,
-                budget_bytes=self.board.spec.sort_budget_bytes,
-                compare_cost=self.board.scale_cpu(self.costs.key_compare),
-                pack=pack_sidx_pairs,
-                unpack=unpack_sidx_pairs,
-                sort_key=lambda pair: pair,  # (skey, pkey) lexicographic
-            )
-            sorted_pairs = yield from sorter.sort(pairs, pair_bytes, ctx)
-
-            # ---- write SIDX blocks + sketch
-            blocks = build_sidx_blocks(sorted_pairs, self.block_bytes)
-            yield from self._exec(
-                ctx,
-                self.costs.block_build_per_byte
-                * sum(len(blob) for _p, blob in blocks),
-            )
-            # Registered before the appends so fault unwinding can find (and
-            # release) a partially written index.
-            clusters = ks.sidx_clusters.setdefault(config.name, [])
-            block_ptrs = yield from self._append_stream(
-                clusters, [blob for _p, blob in blocks], ctx
-            )
-            sketch = SidxSketch(skey_width=config.width)
-            for (pivot, _blob), pointer in zip(blocks, block_ptrs):
-                sketch.add_block(pivot, pointer)
-            yield from self._attach_sidx_blooms(ks, sketch, sorted_pairs, ctx)
-            ks.sidx[config.name] = (config, sketch)
-            yield from self._metadata_update(ctx, ks)
-            self.stats.counter("sidx_builds").add()
-            self.job_durations[(ks.name, f"sidx:{config.name}")] = self.env.now - t0
-            self._journal("sidx.build_end",
-                keyspace=ks.name,
-                index=config.name,
-                mode="scan",
-                n_blocks=len(sketch),
-            )
-            self._audit_boundary("sidx")
+            self._sidx_built(ks, config, "scan", sketch, t0)
         except ReproError as exc:
             # Fault containment (see _compact_job): drop the partial index,
             # return its zones and bloom DRAM, park the error for the wait

@@ -20,7 +20,7 @@ pointer fields are zero and it carries no VLOG data.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from functools import cache
 from itertools import chain
@@ -29,14 +29,17 @@ from typing import Optional
 import numpy as np
 
 from repro.core.zone_manager import ZonePointer
-from repro.errors import DbError, KlogTruncatedError
+from repro.errors import DbError, KeyTooLargeError, KlogTruncatedError
 
 __all__ = [
     "KlogColumns",
     "KlogRecord",
+    "MAX_KEY_BYTES",
     "TOMBSTONE_LEN",
+    "column_bound",
     "column_key_bytes",
     "column_lists",
+    "concat_keys",
     "key_column",
     "key_seq_order",
     "pack_klog_columns",
@@ -51,6 +54,11 @@ _BODY = struct.Struct("<QIQI")  # seq, zone, offset, value_len
 
 #: value_len sentinel marking a delete.
 TOMBSTONE_LEN = 0xFFFFFFFF
+
+#: Longest key the device admits.  Key lengths travel as u16 (wire, KLOG) and
+#: the metadata record keeps 0xFFFF as the "no key" mark of ``min_key`` /
+#: ``max_key``, so the one limit every format can carry is 0xFFFE.
+MAX_KEY_BYTES = 0xFFFE
 
 #: (key, seq, value_pointer-or-None) — None pointer means tombstone.
 KlogRecord = tuple[bytes, int, Optional[ZonePointer]]
@@ -102,11 +110,41 @@ def key_column(keys: list[bytes], min_keys: int) -> np.ndarray | list[bytes]:
     width = len(keys[0]) if keys else 0
     if (
         len(keys) >= min_keys
-        and 0 < width <= 0xFFFF
+        and 0 < width <= MAX_KEY_BYTES
         and set(map(len, keys)) == {width}
     ):
         return np.frombuffer(b"".join(keys), dtype=f"S{width}")
     return keys
+
+
+def column_bound(keys: np.ndarray | list[bytes], probe: bytes) -> int:
+    """How many keys of a sorted column order before ``probe``
+    (``bisect_left``), under python ``bytes`` order.
+
+    numpy compares ``S`` values as if NUL-padded to one width, python does
+    not: ``b"k" < b"k\\x00"`` but the two are equal as ``S`` values.  A probe
+    no wider than the column pads to a key that bounds the same rows, so it
+    is compared as it is.  A wider probe orders after the key it extends and
+    before everything above that key, whatever its tail: it is cut to the
+    column width and takes the right-hand bound.
+    """
+    if isinstance(keys, list):
+        return bisect_left(keys, probe)
+    width = keys.dtype.itemsize
+    if len(probe) > width:
+        return int(keys.searchsorted(probe[:width], "right"))
+    return int(keys.searchsorted(probe))
+
+
+def concat_keys(columns: Sequence[np.ndarray | list[bytes]]) -> np.ndarray | list[bytes]:
+    """Key columns (at least one) joined in order: one array when all are
+    arrays of one width, otherwise a list of bytes."""
+    first = columns[0]
+    if isinstance(first, np.ndarray) and all(
+        isinstance(c, np.ndarray) and c.dtype == first.dtype for c in columns
+    ):
+        return first if len(columns) == 1 else np.concatenate(columns)
+    return [key for column in columns for key in column_key_bytes(column)]
 
 
 def column_lists(*columns) -> list[list[int]]:
@@ -233,15 +271,8 @@ class KlogColumns:
     @classmethod
     def concat(cls, batches: Sequence["KlogColumns"]) -> "KlogColumns":
         """The records of ``batches`` (at least one), in order."""
-        keys = [batch.keys for batch in batches]
-        if isinstance(keys[0], np.ndarray) and all(
-            isinstance(k, np.ndarray) and k.dtype == keys[0].dtype for k in keys
-        ):
-            keys = np.concatenate(keys)
-        else:
-            keys = [key for k in keys for key in column_key_bytes(k)]
         return cls(
-            keys,
+            concat_keys([batch.keys for batch in batches]),
             *(
                 np.concatenate([getattr(batch, name) for batch in batches])
                 for name in ("seq", "zone", "off", "vlen")
@@ -325,8 +356,8 @@ def pack_klog_columns(keys, seq, zone, off, vlen) -> bytes:
         return arr.tobytes()
     parts = []
     for key, *body in zip(keys, *column_lists(seq, zone, off, vlen)):
-        if len(key) > 0xFFFF:
-            raise DbError(f"key too large for KLOG: {len(key)} bytes")
+        if len(key) > MAX_KEY_BYTES:
+            raise KeyTooLargeError(len(key), MAX_KEY_BYTES)
         parts.append(_KLEN.pack(len(key)))
         parts.append(key)
         parts.append(_BODY.pack(*body))

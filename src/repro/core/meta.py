@@ -54,10 +54,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.keyspace import Keyspace, KeyspaceState
+from repro.core.klog import MAX_KEY_BYTES
 from repro.core.pidx import PidxSketch
 from repro.core.sidx import SidxConfig, SidxSketch
 from repro.core.zone_manager import ZoneCluster
-from repro.errors import DbError
+from repro.errors import DbError, KeyTooLargeError
 from repro.lsm.bloom import BloomFilter
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -112,8 +113,8 @@ def _unpack_bytes(blob: bytes, pos: int) -> tuple[bytes, int]:
 def _pack_opt_bytes(blob: Optional[bytes]) -> bytes:
     if blob is None:
         return _U16.pack(0xFFFF)
-    if len(blob) >= 0xFFFF:
-        raise DbError("key too large for metadata record")
+    if len(blob) > MAX_KEY_BYTES:
+        raise KeyTooLargeError(len(blob), MAX_KEY_BYTES)
     return _pack_bytes(blob)
 
 

@@ -10,21 +10,38 @@ the primary index's.
 Numeric secondary keys are *encoded* into order-preserving byte strings
 (big-endian with sign/IEEE-754 bias flips) so that plain lexicographic
 machinery — the same block format as PIDX — gives numeric ordering.
+
+The pairs travel as :class:`SidxColumns` — a secondary-key and a primary-key
+column — from the extraction out of the values, through the external sort
+and its spilled runs, into the blocks, and back out of the blocks when a
+query scans them.
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
+from repro.core.klog import column_key_bytes, concat_keys
+from repro.core.pidx import (
+    PidxColumns,
+    block_entry_counts,
+    packed_block,
+    trailer_offsets,
+    uniform_entries,
+)
+from repro.core.vlog import gather_values
 from repro.errors import DbError, SecondaryIndexError
 from repro.lsm.block import BlockBuilder, BlockReader
 from repro.lsm.bloom import BloomFilter
 
 __all__ = [
+    "SidxColumns",
     "SidxConfig",
     "SidxSketch",
     "encode_skey",
@@ -59,15 +76,19 @@ class SidxConfig:
                     f"dtype {self.dtype} is {expected} bytes, width says {self.width}"
                 )
 
-    def extract(self, value: bytes) -> bytes:
-        """Raw secondary-key bytes from one record value."""
+    def check_value_length(self, length: int) -> None:
+        """Raise unless a value of ``length`` bytes holds the whole key range."""
         end = self.value_offset + self.width
-        if end > len(value):
+        if end > length:
             raise SecondaryIndexError(
-                f"value of {len(value)} bytes too short for skey range "
+                f"value of {length} bytes too short for skey range "
                 f"[{self.value_offset}, {end})"
             )
-        return value[self.value_offset : end]
+
+    def extract(self, value: bytes) -> bytes:
+        """Raw secondary-key bytes from one record value."""
+        self.check_value_length(len(value))
+        return value[self.value_offset : self.value_offset + self.width]
 
 
 # ------------------------------------------------------------------ encoding
@@ -206,6 +227,188 @@ def read_sidx_block(blob: bytes, skey_width: int) -> list[tuple[bytes, bytes]]:
     return [(k[:skey_width], k[skey_width:]) for k, _ in reader.entries()]
 
 
+@cache
+def _entry_dtype(skey_width: int, pkey_width: int) -> np.dtype:
+    """The packed SIDX block entry: composite key, empty value."""
+    return np.dtype(
+        [
+            ("klen", "<u4"),
+            ("skey", f"S{skey_width}"),
+            ("pkey", f"S{pkey_width}"),
+            ("vlen", "<u4"),
+        ]
+    )
+
+
+@cache
+def _pair_dtype(skey_width: int, pkey_width: int) -> np.dtype:
+    """One pair of a spilled sort run, as :func:`pack_sidx_pairs` writes it."""
+    return np.dtype(
+        [
+            ("slen", "<u2"),
+            ("plen", "<u2"),
+            ("skey", f"S{skey_width}"),
+            ("pkey", f"S{pkey_width}"),
+        ]
+    )
+
+
+class SidxColumns:
+    """``<encoded secondary key, primary key>`` pairs as two key columns.
+
+    Both columns are fixed-width ``S`` arrays when the primary keys share one
+    width (the secondary keys always do) and lists of bytes otherwise; the
+    constructors decide that from their input, and each step below then takes
+    its array form or the per-pair reference it is pinned against
+    (:func:`pack_sidx_pairs`, :func:`build_sidx_blocks`, ``sorted``).
+
+    Indexing with a slice or a permutation returns those pairs as a batch.
+    """
+
+    __slots__ = ("skeys", "pkeys")
+
+    def __init__(self, skeys, pkeys):
+        self.skeys = skeys
+        self.pkeys = pkeys
+
+    def __len__(self) -> int:
+        return len(self.pkeys)
+
+    def __getitem__(self, index) -> "SidxColumns":
+        if isinstance(self.pkeys, list) and not isinstance(index, slice):
+            rows = index.tolist()
+            return SidxColumns(
+                [self.skeys[i] for i in rows], [self.pkeys[i] for i in rows]
+            )
+        return SidxColumns(self.skeys[index], self.pkeys[index])
+
+    @property
+    def _vector(self) -> bool:
+        return isinstance(self.pkeys, np.ndarray)
+
+    # -- construction ---------------------------------------------------------
+    @classmethod
+    def extract(
+        cls, config: SidxConfig, records: PidxColumns, zone_blobs: dict[int, bytes]
+    ) -> "SidxColumns":
+        """The pairs of one index over ``records``, whose value pointers
+        point into ``zone_blobs``.
+
+        A value that ends before the configured byte range fails the
+        extraction; gathering past it would read its neighbour.
+        """
+        vlen = records.vlen
+        for length in vlen[vlen < config.value_offset + config.width].tolist():
+            config.check_value_length(length)
+        raw = gather_values(
+            zone_blobs,
+            records.zone,
+            records.off.astype(np.int64) + config.value_offset,
+            np.full(len(records), config.width),
+        )
+        skeys = encode_skeys_array(
+            np.frombuffer(raw, dtype=np.uint8).reshape(-1, config.width), config.dtype
+        )
+        skeys = np.ascontiguousarray(skeys).view(f"S{config.width}").ravel()
+        if isinstance(records.keys, np.ndarray):
+            return cls(skeys, records.keys)
+        return cls(column_key_bytes(skeys), records.keys)
+
+    @classmethod
+    def from_blocks(cls, blobs: list[bytes], skey_width: int) -> "SidxColumns":
+        """Decode SIDX blocks (of ascending key ranges) into one batch."""
+        uniform = uniform_entries(blobs, 0)
+        if uniform is not None and uniform[0] > skey_width:
+            key_len, count, data = uniform
+            arr = np.frombuffer(
+                data, dtype=_entry_dtype(skey_width, key_len - skey_width), count=count
+            )
+            return cls(arr["skey"], arr["pkey"])
+        pairs = [pair for blob in blobs for pair in read_sidx_block(blob, skey_width)]
+        return cls([s for s, _p in pairs], [p for _s, p in pairs])
+
+    @classmethod
+    def unpack(cls, blob: bytes) -> "SidxColumns":
+        """Invert :meth:`pack` (a spilled sort run)."""
+        if len(blob) >= 4:
+            skey_width, pkey_width = struct.unpack_from("<HH", blob, 0)
+            if skey_width and pkey_width and not len(blob) % (4 + skey_width + pkey_width):
+                arr = np.frombuffer(blob, dtype=_pair_dtype(skey_width, pkey_width))
+                if bool(
+                    ((arr["slen"] == skey_width) & (arr["plen"] == pkey_width)).all()
+                ):
+                    return cls(arr["skey"], arr["pkey"])
+        pairs = unpack_sidx_pairs(blob)
+        return cls([s for s, _p in pairs], [p for _s, p in pairs])
+
+    @classmethod
+    def concat(cls, batches: Sequence["SidxColumns"]) -> "SidxColumns":
+        """The pairs of ``batches`` (at least one), in order."""
+        pkeys = concat_keys([batch.pkeys for batch in batches])
+        skeys = concat_keys([batch.skeys for batch in batches])
+        if isinstance(pkeys, list):
+            skeys = column_key_bytes(skeys)
+        return cls(skeys, pkeys)
+
+    # -- the index build ------------------------------------------------------
+    def _pairs(self) -> list[tuple[bytes, bytes]]:
+        return list(zip(column_key_bytes(self.skeys), column_key_bytes(self.pkeys)))
+
+    def sort_order(self) -> np.ndarray:
+        """The permutation into index order: secondary key, then primary."""
+        if self._vector:
+            return np.lexsort((self.pkeys, self.skeys))
+        pairs = self._pairs()
+        return np.array(sorted(range(len(pairs)), key=pairs.__getitem__), dtype=np.intp)
+
+    def pack(self) -> bytes:
+        """Serialize for an external-sort run, as :func:`pack_sidx_pairs` does."""
+        if not self._vector:
+            return pack_sidx_pairs(self._pairs())
+        skeys, pkeys = self.skeys, self.pkeys
+        arr = np.empty(len(self), dtype=_pair_dtype(skeys.dtype.itemsize, pkeys.dtype.itemsize))
+        arr["slen"] = skeys.dtype.itemsize
+        arr["plen"] = pkeys.dtype.itemsize
+        arr["skey"] = skeys
+        arr["pkey"] = pkeys
+        return arr.tobytes()
+
+    @property
+    def packed_bytes(self) -> int:
+        """``len(self.pack())``: the volume the external sort plans with."""
+        if self._vector:
+            return len(self) * (4 + self.skeys.dtype.itemsize + self.pkeys.dtype.itemsize)
+        return sum(4 + len(s) + len(p) for s, p in zip(self.skeys, self.pkeys))
+
+    def blocks(self, block_bytes: int) -> tuple[list[tuple[bytes, bytes]], list[int]]:
+        """Cut the sorted pairs into SIDX blocks, as :func:`build_sidx_blocks`
+        does; returns ``([(first_composite_key, blob), ...], bounds)`` with
+        block ``i`` holding pairs ``[bounds[i], bounds[i + 1])``.
+
+        Pairs of one size put a fixed count in every block, cut from one
+        packed entry array (the :class:`~repro.core.pidx.PidxPacker` scheme).
+        """
+        if not self._vector or block_bytes < 64:  # BlockBuilder raises on < 64
+            blocks = build_sidx_blocks(self._pairs(), block_bytes)
+            counts = block_entry_counts([blob for _p, blob in blocks])
+            return blocks, np.cumsum([0] + counts).tolist()
+        skeys, pkeys = self.skeys, self.pkeys
+        key_len = skeys.dtype.itemsize + pkeys.dtype.itemsize
+        arr = np.empty(len(self), dtype=_entry_dtype(skeys.dtype.itemsize, pkeys.dtype.itemsize))
+        arr["klen"] = key_len
+        arr["skey"] = skeys
+        arr["pkey"] = pkeys
+        arr["vlen"] = 0
+        per = -(-block_bytes // arr.dtype.itemsize)
+        offsets = trailer_offsets(per, arr.dtype.itemsize)
+        bounds = list(range(0, len(arr), per)) + [len(arr)]
+        blobs = [
+            packed_block(arr, start, stop, offsets)
+            for start, stop in zip(bounds, bounds[1:])
+        ]
+        return [(blob[4 : 4 + key_len], blob) for blob in blobs], bounds
+
+
 @dataclass
 class SidxSketch:
     """Pivot composite key + block pointer per SIDX block.
@@ -252,9 +455,11 @@ class SidxSketch:
         if not self.pivots or lo_enc >= hi_enc:
             return range(0)
         start = max(0, bisect_right(self.pivots, lo_enc) - 1)
-        stop = len(self.pivots)
-        while stop > start and self.pivots[stop - 1][: self.skey_width] >= hi_enc:
-            stop -= 1
+        # a block whose first secondary key is >= hi holds nothing below hi
+        width = self.skey_width
+        stop = bisect_left(
+            self.pivots, hi_enc, lo=start, key=lambda pivot: pivot[:width]
+        )
         return range(start, stop)
 
     def introspect(self) -> dict:

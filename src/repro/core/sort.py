@@ -45,9 +45,10 @@ MERGE_BUFFER_BYTES = 256 * KiB
 RUN_GROUP_BYTES = 256 * KiB
 
 Record = tuple[bytes, Any]
-#: what the sorters sort: a list of records, or a KLOG column batch (which
-#: carries its own order, pack format and vectorised sort)
-Batch = "list[Record] | KlogColumns"
+#: what the sorters sort: a list of records, or a column batch (KLOG records,
+#: secondary-index pairs), which carries its own order — ``sort_order()`` —
+#: and its own ``concat``; ``pack``/``unpack`` are then the batch's
+Batch = "list[Record] | KlogColumns | SidxColumns"
 
 #: Below this many records ``sorted()`` beats transposing a record list into
 #: key and seq arrays for the lexsort: at 32 records 5.8 us against 8.9 us,
@@ -147,12 +148,12 @@ class ExternalSorter:
     def _sorted(self, records: Batch) -> Batch:
         """Stable sort into key order.
 
-        A column batch sorts itself (:meth:`KlogColumns.sort_order`); a
-        record list of the declared ``key_seq_desc`` shape borrows the same
-        lexsort over its uniform-width keys.  Variable widths, oversized
-        sequence numbers, short lists and undeclared keys go to ``sorted()``.
+        A column batch sorts itself (``sort_order()``); a record list of the
+        declared ``key_seq_desc`` shape borrows the KLOG lexsort over its
+        uniform-width keys.  Variable widths, oversized sequence numbers,
+        short lists and undeclared keys go to ``sorted()``.
         """
-        if isinstance(records, KlogColumns):
+        if not isinstance(records, list):
             return records[records.sort_order()]
         if self._key_kind == "key_seq_desc":
             keys = key_column([record[0] for record in records], _VECTOR_MIN_RECORDS)
@@ -170,8 +171,8 @@ class ExternalSorter:
 
     def _merge(self, runs: list) -> Batch:
         """Merge sorted runs; ties keep run order, as ``heapq.merge`` does."""
-        if isinstance(runs[0], KlogColumns):
-            return self._sorted(KlogColumns.concat(runs))
+        if not isinstance(runs[0], list):
+            return self._sorted(type(runs[0]).concat(runs))
         return list(heapq.merge(*runs, key=self.sort_key))
 
     # -- temp storage -------------------------------------------------------------

@@ -84,6 +84,19 @@ class KeyNotFoundError(DbError):
         self.key = key
 
 
+class KeyTooLargeError(DbError):
+    """A key is longer than the on-flash formats can carry.
+
+    Raised at admission, on the command that brought the key, so nothing of
+    that command is buffered and no later flush or compaction can trip on it.
+    """
+
+    def __init__(self, key_bytes: int, limit: int):
+        super().__init__(f"key of {key_bytes} bytes exceeds the {limit}-byte limit")
+        self.key_bytes = key_bytes
+        self.limit = limit
+
+
 class KeyspaceError(DbError):
     """Base class for keyspace-lifecycle violations on the KV-CSD device."""
 

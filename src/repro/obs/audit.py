@@ -26,10 +26,11 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.core.keyspace import KeyspaceState
 from repro.core.klog import unpack_klog_records
-from repro.core.pidx import read_block_entries
+from repro.core.pidx import unpack_value_pointer
 from repro.core.sidx import encode_skey, read_sidx_block
 from repro.core.zone_manager import ZonePointer
 from repro.errors import SimulationError
+from repro.lsm.block import BlockReader
 from repro.obs.journal import journal_event
 from repro.ssd.zone import ZoneState
 
@@ -52,6 +53,19 @@ AUDIT_LEVELS = ("off", "phase")
 #: Detail lines retained per invariant per run; a badly corrupted device
 #: would otherwise flood reports with one line per record.
 MAX_DETAILS = 25
+
+
+def _pidx_entries(blob: bytes) -> list[tuple[bytes, ZonePointer]]:
+    """One PIDX block, entry by entry.
+
+    The auditor decodes index blocks through the block format's reader
+    (SIDX blocks: :func:`~repro.core.sidx.read_sidx_block`, the same), never
+    through the column views the query path and the index build read them
+    with: it must not share the code it audits.
+    """
+    return [
+        (key, unpack_value_pointer(value)) for key, value in BlockReader(blob).entries()
+    ]
 
 
 def _read_extent(device: "KvCsdDevice", pointer: ZonePointer) -> bytes:
@@ -120,7 +134,7 @@ def check_pidx_block_agreement(device: "KvCsdDevice") -> list[str]:
                 )
             prev = pivot
             try:
-                entries = read_block_entries(_read_extent(device, pointer))
+                entries = _pidx_entries(_read_extent(device, pointer))
             except Exception as exc:
                 problems.append(
                     f"{name}: PIDX block at {pointer} unreadable: {exc}"
@@ -159,7 +173,7 @@ def check_pidx_value_resolution(device: "KvCsdDevice") -> list[str]:
         total = 0
         for pointer in sketch.block_pointers:
             try:
-                entries = read_block_entries(_read_extent(device, pointer))
+                entries = _pidx_entries(_read_extent(device, pointer))
             except Exception:
                 continue  # reported by check_pidx_block_agreement
             total += len(entries)
@@ -196,7 +210,7 @@ def check_sidx_primary_resolution(device: "KvCsdDevice") -> list[str]:
             for pointer in ks.pidx_sketch.block_pointers:
                 try:
                     primary.update(
-                        read_block_entries(_read_extent(device, pointer))
+                        _pidx_entries(_read_extent(device, pointer))
                     )
                 except Exception:
                     pass  # reported by check_pidx_block_agreement

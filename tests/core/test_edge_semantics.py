@@ -3,7 +3,9 @@ zero-byte values, reversed bounds."""
 
 import pytest
 
-from repro.errors import KeyNotFoundError
+from repro.core.klog import MAX_KEY_BYTES
+from repro.errors import KeyNotFoundError, KeyTooLargeError
+from repro.nvme.kv_commands import KvBulkDeleteCmd, KvDeleteCmd, KvPutCmd
 
 from tests.core.conftest import CsdTestbed, make_pairs
 from tests.lsm.conftest import LsmTestbed, small_options
@@ -105,6 +107,79 @@ def test_delete_everything_then_compact():
 
     assert tb.run(proc()) == []
     assert tb.device.keyspaces["ks"].n_pairs == 0
+
+
+def test_oversized_key_is_refused_at_admission_and_poisons_nothing():
+    """A key no on-flash format can carry fails its own command, typed, before
+    anything is buffered: it used to be acknowledged, then fail the next
+    fsync ("too large for KLOG"), then fail compaction differently ("too
+    large for metadata record") and leave the keyspace stuck COMPACTING."""
+    tb = CsdTestbed()
+    pairs = make_pairs(300)
+    huge = b"k" * 70000
+    edge = b"e" * (MAX_KEY_BYTES + 1)  # 65 535: KLOG could, the metadata could not
+
+    def refused(gen):
+        try:
+            yield from gen
+        except KeyTooLargeError as exc:
+            assert exc.limit == MAX_KEY_BYTES == 65534
+            return True
+        return False
+
+    def proc():
+        client, ctx = tb.client, tb.ctx
+        yield from client.create_keyspace("ks", ctx)
+        yield from client.open_keyspace("ks", ctx)
+        yield from client.bulk_put("ks", pairs[:150], ctx)
+        seq0 = tb.device._seqs["ks"]
+        outcomes = [
+            (yield from refused(client.put("ks", huge, b"v", ctx))),
+            (yield from refused(client.put("ks", edge, b"v", ctx))),
+            (yield from refused(client.bulk_put("ks", pairs[150:160] + [(huge, b"v")], ctx))),
+            (yield from refused(client.bulk_delete("ks", [pairs[0][0], huge], ctx))),
+            (yield from refused(client._call(KvDeleteCmd("ks", huge), ctx, "delete"))),
+        ]
+        # a refused command spends no sequence number and buffers no pair
+        assert tb.device._seqs["ks"] == seq0
+        # ... and in a batch only the offending command fails
+        completions = yield from client.submit_many(
+            [
+                KvPutCmd("ks", b"after", b"ok"),
+                KvPutCmd("ks", huge, b"v"),
+                KvBulkDeleteCmd("ks", (edge,)),
+            ],
+            ctx,
+        )
+        yield from client.bulk_put("ks", pairs[150:], ctx)
+        yield from client.fsync("ks", ctx)
+        yield from client.compact("ks", ctx)
+        yield from client.wait_for_device("ks", ctx)
+        rows = yield from client.range_query("ks", b"", b"\xff" * 20, ctx)
+        return outcomes, [c.status for c in completions], rows
+
+    outcomes, statuses, rows = tb.run(proc())
+    assert outcomes == [True] * 5
+    assert statuses == ["OK", "KeyTooLargeError", "KeyTooLargeError"]
+    assert tb.device.keyspaces["ks"].state.name == "COMPACTED"
+    assert rows == sorted(pairs + [(b"after", b"ok")])
+
+
+def test_longest_admitted_key_survives_flush_compaction_and_metadata():
+    tb = CsdTestbed(durable_meta=True)
+    longest = b"z" * MAX_KEY_BYTES
+
+    def proc():
+        yield from tb.client.create_keyspace("ks", tb.ctx)
+        yield from tb.client.open_keyspace("ks", tb.ctx)
+        yield from tb.client.bulk_put("ks", [(b"a", b"1"), (longest, b"2")], tb.ctx)
+        yield from tb.client.fsync("ks", tb.ctx)
+        yield from tb.client.compact("ks", tb.ctx)
+        yield from tb.client.wait_for_device("ks", tb.ctx)
+        return (yield from tb.client.get("ks", longest, tb.ctx))
+
+    assert tb.run(proc()) == b"2"
+    assert tb.device.keyspaces["ks"].max_key == longest
 
 
 # ------------------------------------------------------------------ LSM

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import SidxConfig
 from repro.core.keyspace import KeyspaceState
-from repro.errors import StorageError
+from repro.errors import SecondaryIndexError, StorageError
 from repro.nvme.kv_commands import KvGetCmd, WaitCompactionCmd
 from repro.obs.audit import InvariantAuditor
 from repro.ssd.faults import FaultPlan, MediaError
@@ -151,6 +151,64 @@ def test_media_error_during_sidx_build_spares_primary():
     assert value == pairs[42][1]
     expected = {k for k, v in pairs if v[:4] == (7).to_bytes(4, "little")}
     assert {k for k, _ in rows} == expected
+
+
+def test_short_value_fails_the_index_build_and_nothing_else():
+    """One value ends before the indexed byte range.  The build fails, typed,
+    on the wait ticket; the keyspace stays COMPACTED and readable and holds no
+    zone or bloom DRAM for the index.  The short value sits between full ones:
+    a gather over the value buffer that did not check lengths first would
+    index its neighbour's bytes and succeed."""
+    tb = CsdTestbed(bloom_bits_per_key=10)
+    open_keyspace(tb)
+    pairs = [
+        (b"p%07d" % i, bytes(4) + (i % 23).to_bytes(4, "little") + bytes(4))
+        for i in range(3000)
+    ]
+    pairs[1500] = (pairs[1500][0], b"short!")
+
+    def load():
+        yield from tb.client.bulk_put("ks", pairs, tb.ctx)
+        yield from tb.client.compact("ks", tb.ctx)
+        yield from tb.client.wait_for_device("ks", tb.ctx)
+
+    tb.run(load())
+    free_zones = tb.device.zone_manager.free_zone_count
+    dram = tb.board.dram.available
+
+    def build():
+        yield from tb.client.build_secondary_index("ks", "tag", 4, 4, "u32", tb.ctx)
+        yield from tb.client.wait_for_device("ks", tb.ctx)
+
+    with pytest.raises(SecondaryIndexError, match=r"6 bytes too short .*\[4, 8\)"):
+        tb.run(build())
+    ks = tb.device.keyspaces["ks"]
+    assert ks.state == KeyspaceState.COMPACTED
+    assert "tag" not in ks.sidx and "tag" not in ks.sidx_clusters
+    assert tb.device.zone_manager.free_zone_count == free_zones
+    assert tb.board.dram.available == dram
+    assert tb.device.stats.counter("sidx_build_failures").value == 1
+    assert_device_legal(tb)
+
+    def read_back():
+        return (yield from tb.client.range_query("ks", b"", b"q", tb.ctx))
+
+    assert tb.run(read_back()) == pairs
+    # the same value fails an index built in the compaction pass the same way
+    inline = CsdTestbed(bloom_bits_per_key=10)
+    open_keyspace(inline)
+
+    def compact_with_index():
+        yield from inline.client.bulk_put("ks", pairs, inline.ctx)
+        config = SidxConfig("tag", value_offset=4, width=4, dtype="u32")
+        yield from inline.client.compact("ks", inline.ctx, secondary_indexes=[config])
+        yield from inline.client.wait_for_device("ks", inline.ctx)
+
+    with pytest.raises(SecondaryIndexError, match="too short"):
+        inline.run(compact_with_index())
+    ks = inline.device.keyspaces["ks"]
+    assert ks.state == KeyspaceState.COMPACTED and not ks.sidx and not ks.sidx_clusters
+    assert_device_legal(inline)
 
 
 def test_error_completion_touches_only_affected_ticket():

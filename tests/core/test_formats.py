@@ -1,12 +1,16 @@
 """Unit tests for KV-CSD wire, KLOG, PIDX and SIDX formats."""
 
 import struct
+from bisect import bisect_left, bisect_right
+from itertools import product
 
 import numpy as np
 import pytest
 
 from repro.core.klog import (
     KlogColumns,
+    column_bound,
+    key_column,
     klog_record_size,
     pack_klog_columns,
     pack_klog_records,
@@ -15,6 +19,7 @@ from repro.core.klog import (
 )
 from repro.core.membuf import MemBuffer
 from repro.core.pidx import (
+    PidxColumns,
     PidxSketch,
     build_pidx_blocks,
     pack_value_pointer,
@@ -22,6 +27,7 @@ from repro.core.pidx import (
     unpack_value_pointer,
 )
 from repro.core.sidx import (
+    SidxColumns,
     SidxConfig,
     SidxSketch,
     build_sidx_blocks,
@@ -46,6 +52,7 @@ from repro.core.wire import (
     unpack_pairs,
 )
 from repro.errors import DbError, KlogTruncatedError, SecondaryIndexError
+from repro.lsm.block import BlockBuilder, BlockReader
 
 
 # ------------------------------------------------------------------ wire
@@ -409,17 +416,43 @@ def test_encode_skey_bytes_passthrough():
 
 def test_encode_skeys_array_matches_scalar():
     rng = np.random.default_rng(0)
-    for dtype, np_dtype in [("u32", "<u4"), ("i64", "<i8"), ("f64", "<f8"), ("f32", "<f4")]:
+    for dtype, np_dtype in [
+        ("u32", "<u4"), ("u64", "<u8"), ("i32", "<i4"), ("i64", "<i8"),
+        ("f64", "<f8"), ("f32", "<f4"),
+    ]:
         if dtype.startswith("f"):
-            values = rng.standard_normal(100).astype(np_dtype) * 1e10
+            info = np.finfo(np_dtype)
+            edges = np.array(
+                [0.0, -0.0, np.inf, -np.inf, info.max, info.min, info.tiny,
+                 -info.tiny, info.smallest_subnormal, -info.smallest_subnormal],
+                dtype=np_dtype,
+            )
+            # NaNs as bit patterns (a float cast may quieten or canonicalise
+            # them): quiet and signalling, both signs, payload bits set
+            nans = {
+                "f32": [0x7FC00000, 0xFFC00000, 0x7F800001, 0xFF800001,
+                        0x7FFFFFFF, 0xFFC12345],
+                "f64": [0x7FF8000000000000, 0xFFF8000000000000,
+                        0x7FF0000000000001, 0xFFF0000000000001,
+                        0x7FFFFFFFFFFFFFFF, 0xFFF8000000012345],
+            }[dtype]
+            values = np.concatenate([
+                rng.standard_normal(100).astype(np_dtype) * 1e10,
+                edges,
+                np.array(nans, dtype=np_dtype.replace("f", "u")).view(np_dtype),
+            ])
         else:
             info = np.iinfo(np_dtype)
-            values = rng.integers(info.min, info.max, size=100).astype(np_dtype)
-        raw = values.view(np.uint8).reshape(100, values.itemsize)
+            values = np.concatenate([
+                rng.integers(info.min, info.max, size=100, dtype=np_dtype, endpoint=True),
+                np.array([info.min, info.max, 0, 1, info.max // 2 + 1], dtype=np_dtype),
+            ])
+        raw = values.view(np.uint8).reshape(len(values), values.itemsize)
         vectorized = encode_skeys_array(raw, dtype)
-        for i in range(100):
+        for i in range(len(values)):
             scalar = encode_skey(raw[i].tobytes(), dtype)
-            assert vectorized[i].tobytes() == scalar
+            assert vectorized[i].tobytes() == scalar, (dtype, raw[i].tobytes())
+    assert encode_skeys_array(np.empty((0, 4), dtype=np.uint8), "f32").shape == (0, 4)
 
 
 def test_sidx_config_validation():
@@ -463,6 +496,154 @@ def test_sidx_sketch_range():
     assert list(sketch.blocks_for_range(lo, hi)) == [0, 1]
     assert list(sketch.blocks_for_range(struct.pack(">I", 31), struct.pack(">I", 99))) == [2]
     assert list(sketch.blocks_for_range(hi, lo)) == []
+
+
+def _blocks_for_range_by_walking(sketch, lo_enc, hi_enc):
+    """The walk down from the last block that the bisect replaced."""
+    if not sketch.pivots or lo_enc >= hi_enc:
+        return range(0)
+    start = max(0, bisect_right(sketch.pivots, lo_enc) - 1)
+    stop = len(sketch.pivots)
+    while stop > start and sketch.pivots[stop - 1][: sketch.skey_width] >= hi_enc:
+        stop -= 1
+    return range(start, stop)
+
+
+def test_sidx_sketch_range_bisect_matches_the_linear_walk():
+    """72 blocks, three in a row opening on the same secondary key (a popular
+    value spans blocks), odd values absent, one pivot with a zero-length
+    primary key; every (lo, hi) over bounds of the key width, one byte short
+    and one byte long (``x + NUL`` is how a point query closes its range)."""
+    sketch = SidxSketch(skey_width=2)
+    for i in range(72):
+        pkey = b"" if i == 30 else b"p%03d" % i
+        sketch.add_block(struct.pack(">H", (i // 3) * 2) + pkey, (0, i, 1))
+    exact = [struct.pack(">H", v) for v in range(0, 51)]
+    bounds = (
+        [b"", b"\x00", b"\xff", b"\xff\xff\xff"]
+        + exact
+        + [x + b"\x00" for x in exact]
+        + [x + b"p015" for x in exact[::5]]
+    )
+    for lo, hi in product(bounds, bounds):
+        assert sketch.blocks_for_range(lo, hi) == _blocks_for_range_by_walking(
+            sketch, lo, hi
+        ), (lo, hi)
+    # block 30 opens on (20, b""), the least pair with that key; block 33 on
+    # (22, b"p033"), so block 32 may hold pairs of key 22 below it
+    assert sketch.blocks_for_range(exact[20], exact[20] + b"\x00") == range(30, 33)
+    assert sketch.blocks_for_range(exact[22], exact[22] + b"\x00") == range(32, 36)
+    assert SidxSketch(skey_width=2).blocks_for_range(b"", b"\xff") == range(0)
+
+
+# ------------------------------------------------------ index blocks as columns
+#: NUL, the byte after it, a letter and the last byte: trailing-NUL keys and
+#: shared prefixes everywhere
+NUL_ALPHABET = (b"\x00", b"\x01", b"a", b"\xff")
+
+
+def _keys_over_alphabet(width):
+    return [b"".join(letters) for letters in product(NUL_ALPHABET, repeat=width)]
+
+
+def test_column_bound_orders_probes_as_bytes_do_not_as_numpy_does():
+    """numpy compares ``S`` values NUL-padded: ``b"a"`` and ``b"a\\x00"`` are
+    equal there and ordered in python.  Every probe up to one byte wider than
+    the column must land where ``bisect_left`` on the list puts it."""
+    keys = _keys_over_alphabet(2)[::2] + [b"\xff\xff"]
+    column = key_column(keys, 1)
+    assert isinstance(column, np.ndarray)
+    for width in range(4):
+        for probe in _keys_over_alphabet(width):
+            assert column_bound(column, probe) == bisect_left(keys, probe), probe
+            assert column_bound(keys, probe) == bisect_left(keys, probe)
+
+
+def _pidx_blob(keys):
+    builder = BlockBuilder(1 << 20)
+    for i, key in enumerate(keys):
+        builder.add(key, pack_value_pointer((i % 3, i * 64, 60 + i)))
+    return builder.finish()
+
+
+def _entry_reader(blob):
+    """One PIDX block entry by entry, through the block format's own reader."""
+    return [(k, unpack_value_pointer(v)) for k, v in BlockReader(blob).entries()]
+
+
+@pytest.mark.parametrize(
+    "keys,as_array",
+    [
+        (_keys_over_alphabet(3), True),             # one width, NULs everywhere
+        ([b"k"], True),                              # a single entry
+        ([b"a", b"ab", b"abc\x00", b"b"], False),    # several widths
+        ([b"aaaaa", b"bbbb", b"cccccc"], False),     # widths that average to the first
+        ([b"", b"a"], False),                        # the empty key
+        ([], False),                                 # an empty block
+    ],
+)
+def test_pidx_columns_decode_what_the_entry_reader_decodes(keys, as_array):
+    """``[b"aaaaa", b"bbbb", b"cccccc"]`` fills its block exactly as three
+    5-byte keys would: only the entry headers tell, so they must be read."""
+    blob = _pidx_blob(keys)
+    block = PidxColumns.from_blocks([blob])
+    assert isinstance(block.keys, np.ndarray) == as_array
+    assert read_block_entries(blob) == _entry_reader(blob)
+    assert block.key_bytes() == keys and len(block) == len(keys)
+    for row, key in enumerate(keys):
+        assert block.find(key) == row
+        assert block.find(key + b"\x00") == (row if key + b"\x00" in keys else -1)
+        assert block.bounds(key, key + b"\x00") == (row, row + 1)
+    some = block[np.arange(0, len(keys), 2)]
+    assert some.key_bytes() == keys[::2]
+    assert some.off.tolist() == [i * 64 for i in range(0, len(keys), 2)]
+
+
+def test_pidx_columns_over_several_blocks():
+    uniform = _keys_over_alphabet(3)
+    blobs = [_pidx_blob(uniform[:20]), _pidx_blob(uniform[20:23]), _pidx_blob(uniform[23:])]
+    block = PidxColumns.from_blocks(blobs)
+    assert isinstance(block.keys, np.ndarray) and block.key_bytes() == uniform
+    wanted = [uniform[40], uniform[3], uniform[40], b"zzz"]
+    assert block.rows_of(key_column(wanted, 1)).tolist() == [3, 40]
+    # one odd block makes the batch a list batch with the same answers
+    odd = PidxColumns.from_blocks(blobs + [_pidx_blob([b"\xff\xff\xff\x00"])])
+    assert isinstance(odd.keys, list) and odd.key_bytes() == uniform + [b"\xff\xff\xff\x00"]
+    assert odd.rows_of(wanted).tolist() == [3, 40]
+    assert odd.bounds(uniform[5], b"\xff\xff\xff\x00") == (5, len(uniform))
+
+
+@pytest.mark.parametrize("pkey_widths", [(5,), (5, 4, 6), (0, 5)])
+def test_sidx_columns_are_the_per_pair_functions_in_another_shape(pkey_widths):
+    """Spill format, order, block cut and block decode against
+    ``pack_sidx_pairs`` / ``sorted`` / ``build_sidx_blocks`` /
+    ``read_sidx_block``, for one primary-key width (arrays) and several
+    (lists)."""
+    rng = np.random.default_rng(3)
+    skeys = [NUL_ALPHABET[a] + NUL_ALPHABET[b] for a, b in rng.integers(0, 4, (300, 2))]
+    pairs = [
+        (skey, (b"%06d" % i)[: pkey_widths[i % len(pkey_widths)]] if i else b"0" * pkey_widths[0])
+        for i, skey in enumerate(skeys)
+    ]
+    pairs = list(dict.fromkeys(pairs))  # a primary key appears once per index
+    batch = SidxColumns.unpack(pack_sidx_pairs(pairs))
+    assert isinstance(batch.pkeys, np.ndarray) == (len(pkey_widths) == 1)
+    assert batch.pack() == pack_sidx_pairs(pairs)
+    assert batch.packed_bytes == len(batch.pack())
+    halves = SidxColumns.concat([batch[:100], batch[100:]])
+    assert halves.pack() == batch.pack()
+    ordered = batch[batch.sort_order()]
+    assert unpack_sidx_pairs(ordered.pack()) == sorted(pairs)
+    for block_bytes in (64, 200, 4096):
+        blocks, bounds = ordered.blocks(block_bytes)
+        assert blocks == build_sidx_blocks(sorted(pairs), block_bytes)
+        assert bounds[0] == 0 and bounds[-1] == len(pairs)
+        assert [b - a for a, b in zip(bounds, bounds[1:])] == [
+            len(read_sidx_block(blob, 2)) for _pivot, blob in blocks
+        ]
+        decoded = SidxColumns.from_blocks([blob for _pivot, blob in blocks], 2)
+        assert isinstance(decoded.pkeys, np.ndarray) == (len(pkey_widths) == 1)
+        assert decoded.pack() == ordered.pack()
 
 
 # ------------------------------------------------- pidx bulk-packing fast path

@@ -1,8 +1,10 @@
 """Unit tests for the device-side query engine internals."""
 
+import numpy as np
 import pytest
 
 from repro.core import CsdCostModel
+from repro.core.pidx import PidxColumns
 from repro.core.query import QueryEngine
 from repro.sim import Environment
 from repro.ssd import SsdGeometry, ZnsSsd
@@ -15,11 +17,40 @@ def make_engine():
     return QueryEngine(ssd, CsdCostModel(), scale_cpu=lambda s: s), env, ssd
 
 
+def pointer_rows(pointers):
+    """Value pointers as the column batch the engine carries them in."""
+    zone, off, vlen = zip(*pointers)
+    return PidxColumns(
+        [b""] * len(pointers),
+        np.array(zone, dtype="<u4"),
+        np.array(off, dtype="<u8"),
+        np.array(vlen, dtype="<u4"),
+    )
+
+
+def coalesce(engine, pointers):
+    """``[(extent, [input index...]), ...]`` — from the python walk and from
+    the array form, which must agree whatever the batch size."""
+    rows = pointer_rows(pointers)
+    results = []
+    for threshold in (len(pointers) + 1, 0):  # all-loop, then all-numpy
+        engine._VECTOR_MIN_POINTERS = threshold
+        results.append(engine._coalesce(rows.zone, rows.off, rows.vlen))
+    assert results[0] == results[1]
+    extents, extent_of, start = results[0]
+    for (_zone, off, _length), at, extent in zip(pointers, start, extent_of):
+        assert extents[extent][1] + at == off
+    return [
+        (extent, [i for i, e in enumerate(extent_of) if e == idx])
+        for idx, extent in enumerate(extents)
+    ]
+
+
 # ------------------------------------------------------------------ coalescing
 def test_coalesce_adjacent_pointers_merge():
     engine, _, _ = make_engine()
     pointers = [(0, 0, 100), (0, 100, 100), (0, 200, 100)]
-    extents = engine._coalesce(pointers)
+    extents = coalesce(engine, pointers)
     assert len(extents) == 1
     (zone, off, length), members = extents[0]
     assert zone == 0 and off == 0
@@ -31,21 +62,21 @@ def test_coalesce_same_page_scattered_hits_merge():
     """Scattered records within one 4 KiB page cost a single media read."""
     engine, _, _ = make_engine()
     pointers = [(0, 10, 32), (0, 2000, 32), (0, 3900, 32)]
-    extents = engine._coalesce(pointers)
+    extents = coalesce(engine, pointers)
     assert len(extents) == 1
 
 
 def test_coalesce_distant_pages_stay_separate():
     engine, _, _ = make_engine()
     pointers = [(0, 0, 32), (0, 100 * 4096, 32)]
-    extents = engine._coalesce(pointers)
+    extents = coalesce(engine, pointers)
     assert len(extents) == 2
 
 
 def test_coalesce_across_zones_never_merges():
     engine, _, _ = make_engine()
     pointers = [(0, 0, 32), (1, 0, 32)]
-    extents = engine._coalesce(pointers)
+    extents = coalesce(engine, pointers)
     assert len(extents) == 2
     assert {e[0][0] for e in extents} == {0, 1}
 
@@ -53,7 +84,7 @@ def test_coalesce_across_zones_never_merges():
 def test_coalesce_preserves_input_index_mapping():
     engine, _, _ = make_engine()
     pointers = [(0, 5000, 32), (0, 100, 32)]  # out of order
-    extents = engine._coalesce(pointers)
+    extents = coalesce(engine, pointers)
     members = [m for _e, ms in extents for m in ms]
     assert sorted(members) == [0, 1]
 
@@ -74,11 +105,34 @@ def test_fetch_values_roundtrip_with_page_reads():
         from repro.sim import CpuPool
 
         ctx = ThreadCtx(cpu=CpuPool(env, 1))
-        got = yield from engine._fetch_values(scrambled, ctx)
+        got = yield from engine._fetch_values(pointer_rows(scrambled), ctx)
         return [got[order.index(i)] for i in range(20)]
 
     got = env.run(env.process(proc()))
     assert got == values
+
+
+def test_coalesce_array_form_matches_walk_on_random_pointers():
+    """Overlaps, duplicates, several zones, unaligned lengths: same extents,
+    same placement of every pointer, from both coalescers."""
+    engine, _, _ = make_engine()
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 64, 300):
+        pointers = [
+            (int(z), int(o), int(length))
+            for z, o, length in zip(
+                rng.integers(0, 3, n),
+                rng.integers(0, 40 * 4096, n),
+                rng.integers(1, 9000, n),
+            )
+        ]
+        extents = coalesce(engine, pointers + pointers[:1])
+        assert sorted(e for e, _m in extents) == [e for e, _m in extents]
+        for (zone, off, length), members in extents:
+            assert off % 4096 == 0 and length % 4096 == 0
+            for i in members:
+                pz, po, plen = (pointers + pointers[:1])[i]
+                assert pz == zone and off <= po and po + plen <= off + length
 
 
 def test_fetch_values_clips_partial_tail_page():
@@ -91,7 +145,7 @@ def test_fetch_values_clips_partial_tail_page():
         from repro.sim import CpuPool
 
         ctx = ThreadCtx(cpu=CpuPool(env, 1))
-        got = yield from engine._fetch_values([(0, off, 100)], ctx)
+        got = yield from engine._fetch_values(pointer_rows([(0, off, 100)]), ctx)
         return got[0]
 
     assert env.run(env.process(proc())) == b"v" * 100
@@ -110,7 +164,7 @@ def test_fetch_values_fewer_reads_than_records_when_clustered():
         from repro.sim import CpuPool
 
         ctx = ThreadCtx(cpu=CpuPool(env, 1))
-        yield from engine._fetch_values(pointers, ctx)
+        yield from engine._fetch_values(pointer_rows(pointers), ctx)
         return ssd.stats.read_ops - reads_before
 
     n_reads = env.run(env.process(proc()))
