@@ -14,7 +14,7 @@ Writes ``results/BENCH_compaction.json`` for trend tracking.
 
 from pathlib import Path
 
-from repro.bench.compaction import run_compaction_bench, write_json
+from repro.bench.registry import configure, execute, write_json
 
 from conftest import assert_checks, run_once
 
@@ -22,10 +22,11 @@ RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
 def test_compaction_pipeline(benchmark):
-    result = run_once(benchmark, run_compaction_bench)
+    run = run_once(benchmark, lambda: execute(*configure("compaction")))
+    result = run.result
     print()
     print(result.table())
     benchmark.extra_info["compaction_speedup"] = round(result.compaction_speedup, 2)
     benchmark.extra_info["cache_hit_rate"] = round(result.hit_rate, 2)
-    write_json(result, RESULTS / "BENCH_compaction.json")
-    assert_checks(result.checks())
+    write_json(run.document, RESULTS / "BENCH_compaction.json")
+    assert_checks(run.checks)

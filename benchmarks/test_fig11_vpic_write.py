@@ -1,14 +1,14 @@
 """Figure 11: VPIC write-phase breakdown and effective write time."""
 
-from repro.bench.experiments import EXPERIMENTS
+from repro.bench.registry import REGISTRY
 
 from conftest import assert_checks, full_scale, run_once
 
 
 def test_fig11_vpic_write_phase(benchmark):
-    exp = EXPERIMENTS["fig11"]
-    config = exp.default_config if full_scale() else exp.quick_config
-    result = run_once(benchmark, lambda: exp.run(config))
+    exp = REGISTRY["fig11"]
+    config = exp.config if full_scale() else exp.reduced
+    result = run_once(benchmark, lambda: exp.scenario(config))
     print()
     print(result.table())
     benchmark.extra_info["effective_speedup"] = round(result.effective_speedup, 2)

@@ -1,14 +1,14 @@
 """Figure 12: VPIC secondary-index query time versus selectivity."""
 
-from repro.bench.experiments import EXPERIMENTS
+from repro.bench.registry import REGISTRY
 
 from conftest import assert_checks, full_scale, run_once
 
 
 def test_fig12_vpic_query_selectivity(benchmark):
-    exp = EXPERIMENTS["fig12"]
-    config = exp.default_config if full_scale() else exp.quick_config
-    result = run_once(benchmark, lambda: exp.run(config))
+    exp = REGISTRY["fig12"]
+    config = exp.config if full_scale() else exp.reduced
+    result = run_once(benchmark, lambda: exp.scenario(config))
     print()
     print(result.table())
     benchmark.extra_info["speedup_most_selective"] = round(result.rows[0].speedup, 2)

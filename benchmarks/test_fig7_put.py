@@ -1,14 +1,14 @@
 """Figure 7: PUT time (7a) and device I/O statistics (7b), shared keyspace."""
 
-from repro.bench.experiments import EXPERIMENTS
+from repro.bench.registry import REGISTRY
 
 from conftest import assert_checks, full_scale, run_once
 
 
 def test_fig7_put_scaling(benchmark):
-    exp = EXPERIMENTS["fig7"]
-    config = exp.default_config if full_scale() else exp.quick_config
-    result = run_once(benchmark, lambda: exp.run(config))
+    exp = REGISTRY["fig7"]
+    config = exp.config if full_scale() else exp.reduced
+    result = run_once(benchmark, lambda: exp.scenario(config))
     print()
     print(result.table())
     print(result.io_table())

@@ -1,14 +1,14 @@
 """Figure 8: insertion time versus value size (32 B - 4 KB)."""
 
-from repro.bench.experiments import EXPERIMENTS
+from repro.bench.registry import REGISTRY
 
 from conftest import assert_checks, full_scale, run_once
 
 
 def test_fig8_value_size_sweep(benchmark):
-    exp = EXPERIMENTS["fig8"]
-    config = exp.default_config if full_scale() else exp.quick_config
-    result = run_once(benchmark, lambda: exp.run(config))
+    exp = REGISTRY["fig8"]
+    config = exp.config if full_scale() else exp.reduced
+    result = run_once(benchmark, lambda: exp.scenario(config))
     print()
     print(result.table())
     largest = result.rows[-1]

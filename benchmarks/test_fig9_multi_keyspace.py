@@ -1,15 +1,15 @@
 """Figure 9: multi-keyspace insertion; RocksDB auto/deferred/none modes."""
 
-from repro.bench.experiments import EXPERIMENTS
+from repro.bench.registry import REGISTRY
 from repro.lsm import CompactionMode
 
 from conftest import assert_checks, full_scale, run_once
 
 
 def test_fig9_multi_keyspace_scaling(benchmark):
-    exp = EXPERIMENTS["fig9"]
-    config = exp.default_config if full_scale() else exp.quick_config
-    result = run_once(benchmark, lambda: exp.run(config))
+    exp = REGISTRY["fig9"]
+    config = exp.config if full_scale() else exp.reduced
+    result = run_once(benchmark, lambda: exp.scenario(config))
     print()
     print(result.table())
     last = result.rows[-1]

@@ -14,7 +14,7 @@ Writes ``results/BENCH_qd.json`` for trend tracking.
 
 from pathlib import Path
 
-from repro.bench.qd import run_qd_bench, write_json
+from repro.bench.registry import configure, execute, write_json
 
 from conftest import assert_checks, run_once
 
@@ -22,9 +22,10 @@ RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
 def test_qd_sweep(benchmark):
-    result = run_once(benchmark, run_qd_bench)
+    run = run_once(benchmark, lambda: execute(*configure("qd")))
+    result = run.result
     print()
     print(result.table())
     benchmark.extra_info["qd16_get_speedup"] = round(result.get_speedup(16), 2)
-    write_json(result, RESULTS / "BENCH_qd.json")
-    assert_checks(result.checks())
+    write_json(run.document, RESULTS / "BENCH_qd.json")
+    assert_checks(run.checks)

@@ -14,7 +14,7 @@ Writes ``results/BENCH_query.json`` for trend tracking.
 
 from pathlib import Path
 
-from repro.bench.query import run_query_bench, write_json
+from repro.bench.registry import configure, execute, write_json
 
 from conftest import assert_checks, run_once
 
@@ -22,12 +22,13 @@ RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
 def test_query_offload(benchmark):
-    result = run_once(benchmark, run_query_bench)
+    run = run_once(benchmark, lambda: execute(*configure("query")))
+    result = run.result
     print()
     print(result.table())
     benchmark.extra_info["get_speedup"] = round(result.get_speedup, 2)
     benchmark.extra_info["block_read_elimination"] = round(
         result.block_read_elimination, 3
     )
-    write_json(result, RESULTS / "BENCH_query.json")
-    assert_checks(result.checks())
+    write_json(run.document, RESULTS / "BENCH_query.json")
+    assert_checks(run.checks)

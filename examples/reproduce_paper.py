@@ -1,62 +1,54 @@
 #!/usr/bin/env python
 """Regenerate the paper's evaluation section: every table and figure.
 
-Run:  python examples/reproduce_paper.py [--quick] [--only fig7,fig11]
-                                         [--csv results/]
+Run:  python examples/reproduce_paper.py [--smoke] [--csv results/] [ID ...]
 
-``--quick`` uses the reduced configurations (seconds per experiment);
-the default full-scale configs take a few minutes in total.  ``--csv DIR``
-additionally writes every regenerated table as a CSV series for plotting.
+Runs Table I, Figures 7-12 and the compaction ablation (or the given
+registry ids) through the same runner as ``repro run``.  ``--smoke`` uses
+the reduced configurations (seconds per experiment); the default full-scale
+configs take a few minutes in total.  ``--csv DIR`` additionally writes
+every regenerated table as a CSV series for plotting.
 """
 
 import argparse
 import os
 import sys
-import time
 
-from repro.bench.experiments import EXPERIMENTS, run_experiment
+from repro.bench.registry import configure, execute
+
+EVALUATION = ["table1", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "compaction"]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
+    parser.add_argument("ids", nargs="*", default=EVALUATION,
+                        help="registry ids (default: the evaluation section)")
+    parser.add_argument("--smoke", action="store_true",
                         help="use the reduced experiment configurations")
-    parser.add_argument("--only", default="",
-                        help="comma-separated experiment ids (default: all)")
     parser.add_argument("--csv", default="",
                         help="directory to write per-table CSV files into")
     args = parser.parse_args(argv)
+    try:
+        plans = [configure(exp_id, smoke=args.smoke) for exp_id in args.ids]
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.csv:
         os.makedirs(args.csv, exist_ok=True)
 
-    wanted = [e.strip() for e in args.only.split(",") if e.strip()] or list(EXPERIMENTS)
-    unknown = [e for e in wanted if e not in EXPERIMENTS]
-    if unknown:
-        parser.error(f"unknown experiments: {unknown}; available: {list(EXPERIMENTS)}")
-
     all_ok = True
-    for exp_id in wanted:
-        exp = EXPERIMENTS[exp_id]
-        print(f"\n{'=' * 72}\n{exp_id}: {exp.description}\n{'=' * 72}")
-        t0 = time.time()
-        result = run_experiment(exp_id, quick=args.quick)
-        wall = time.time() - t0
-        tables = [result.table()]
-        if hasattr(result, "io_table"):
-            tables.append(result.io_table())
-        for i, table in enumerate(tables):
+    for entry, config in plans:
+        print(f"\n{'=' * 72}\n{entry.id}: {entry.description}\n{'=' * 72}")
+        run = execute(entry, config)
+        for i, table in enumerate(run.tables()):
             print(table)
             if args.csv:
                 suffix = "" if i == 0 else f"_{i}"
-                path = os.path.join(args.csv, f"{exp_id}{suffix}.csv")
+                path = os.path.join(args.csv, f"{entry.id}{suffix}.csv")
                 with open(path, "w") as fh:
                     fh.write(table.to_csv())
-        checks = result.checks()
-        for check in checks:
+        for check in run.checks:
             print(check)
-        if any(not c.passed for c in checks):
-            all_ok = False
-        print(f"(ran in {wall:.1f}s wall clock)")
+        all_ok = all_ok and run.ok
     print("\nall shape criteria passed" if all_ok else "\nSOME SHAPE CRITERIA FAILED")
     return 0 if all_ok else 1
 

@@ -13,15 +13,12 @@ not that the CI runner was slow.  Wall-clock numbers are reported for
 context but never gated (runner noise).  Directionality matters: speedups
 and hit rates gate one-sided on *worse* (lower), phase seconds on *worse*
 (higher); improvements always pass — refresh the baselines when you land
-one, so the gate ratchets.
+one, so the gate ratchets.  The gate and context rows live with each bench
+in ``repro.bench.registry``; every entry with gates is checked.
 
 Regenerate baselines (only when a change is *supposed* to move them)::
 
-    PYTHONPATH=src python -m repro query-bench --smoke --out results/baselines/smoke/BENCH_query.json
-    PYTHONPATH=src python -m repro qd-bench    --smoke --out results/baselines/smoke/BENCH_qd.json
-    PYTHONPATH=src python -m repro scale-bench --smoke --out results/baselines/smoke/BENCH_scale.json
-    PYTHONPATH=src python -m repro cluster-bench --smoke --out results/baselines/smoke/BENCH_cluster.json
-    PYTHONPATH=src python -m repro crash-bench --smoke --out results/baselines/smoke/BENCH_crash.json
+    PYTHONPATH=src python -m repro run query qd scale cluster crash --smoke --out results/baselines/smoke
 
 Usage::
 
@@ -38,43 +35,14 @@ import os
 import sys
 from typing import Any, Optional
 
-#: (bench file, dotted metric path, direction, relative tolerance).
-#: direction "higher" = regression when fresh < baseline * (1 - tol);
-#: direction "lower"  = regression when fresh > baseline * (1 + tol).
-GATES: list[tuple[str, str, str, float]] = [
-    # Query offload: the headline parallel-vs-serial win and bloom efficacy.
-    ("BENCH_query.json", "get_speedup", "higher", 0.10),
-    ("BENCH_query.json", "parallel_get_seconds", "lower", 0.02),
-    ("BENCH_query.json", "block_read_elimination", "higher", 0.05),
-    # Queue-depth sweep: deep-QD single-thread GETs must keep their edge.
-    ("BENCH_qd.json", "get_speedup.16", "higher", 0.10),
-    ("BENCH_qd.json", "get_seconds.16", "lower", 0.02),
-    ("BENCH_qd.json", "put_seconds.16", "lower", 0.02),
-    # Scale run: ingest and mixed-op virtual throughput.
-    ("BENCH_scale.json", "phases.load.virtual_seconds", "lower", 0.02),
-    ("BENCH_scale.json", "phases.prepare.virtual_seconds", "lower", 0.02),
-    ("BENCH_scale.json", "phases.ycsb.virtual_seconds", "lower", 0.02),
-    # Cluster router: scale-out speedups at the largest fleet, and the
-    # rebalance tail-latency penalty while migration runs under traffic.
-    ("BENCH_cluster.json", "get_speedup_max", "higher", 0.10),
-    ("BENCH_cluster.json", "put_speedup_max", "higher", 0.10),
-    ("BENCH_cluster.json", "rebalance.p99_ratio", "lower", 0.10),
-    # Crash campaign: every sampled power cut must remount clean (no
-    # tolerance — a single lost ack is a durability bug, not a perf wobble),
-    # and staged-mount latency on the recovery curve must not creep.
-    ("BENCH_crash.json", "campaign.clean_fraction", "higher", 0.0),
-    ("BENCH_crash.json", "mount.max_seconds", "lower", 0.05),
-]
-
-#: Reported for context in the comparison artifact, never gated.
-CONTEXT: list[tuple[str, str]] = [
-    ("BENCH_scale.json", "phases.load.wall_seconds"),
-    ("BENCH_scale.json", "phases.ycsb.wall_seconds"),
-]
-
-#: Config keys that may differ between fresh and baseline without making
-#: the comparison meaningless (observability toggles don't move the clock).
-_CONFIG_IGNORE = {"timeline", "trace", "explain"}
+try:
+    from repro.bench.registry import REGISTRY
+except ImportError:
+    sys.path.insert(
+        0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    )
+    from repro.bench.registry import REGISTRY
+from repro.obs.critpath import diff_explain
 
 
 def _lookup(doc: Any, path: str) -> Optional[float]:
@@ -94,10 +62,6 @@ def _load(directory: str, name: str) -> Optional[dict]:
         return json.load(fh)
 
 
-def _strip_config(config: dict) -> dict:
-    return {k: v for k, v in config.items() if k not in _CONFIG_IGNORE}
-
-
 def _explain_hints(
     docs: dict[str, tuple[Optional[dict], Optional[dict]]]
 ) -> list[str]:
@@ -106,22 +70,9 @@ def _explain_hints(
     When both the fresh and the baseline document carry a critical-path
     ``explain`` report (``--explain`` bench runs), diff them and surface
     the largest per-op segment movements — the resource/kind whose shift
-    explains a latency delta.  Committed baselines without explain (or a
-    missing ``repro`` package) silently produce no hints; these lines
-    never gate.
+    explains a latency delta.  Committed baselines without explain silently
+    produce no hints; these lines never gate.
     """
-    try:
-        from repro.obs.critpath import diff_explain
-    except ImportError:
-        sys.path.insert(
-            0,
-            os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                         os.pardir, "src"),
-        )
-        try:
-            from repro.obs.critpath import diff_explain
-        except ImportError:
-            return []
     hints: list[str] = []
     for name in sorted(docs):
         fresh, base = docs[name]
@@ -151,7 +102,11 @@ def compare(
     rows: list[dict] = []
     failures: list[str] = []
     docs: dict[str, tuple[Optional[dict], Optional[dict]]] = {}
-    for name in sorted({g[0] for g in GATES}):
+    gated = sorted(
+        (e for e in REGISTRY.values() if e.gates), key=lambda e: e.result_file
+    )
+    for entry in gated:
+        name = entry.result_file
         fresh = _load(fresh_dir, name)
         base = _load(baseline_dir, name)
         docs[name] = (fresh, base)
@@ -161,9 +116,7 @@ def compare(
         if fresh is None:
             failures.append(f"{name}: no fresh result in {fresh_dir}")
             continue
-        if _strip_config(fresh.get("config", {})) != _strip_config(
-            base.get("config", {})
-        ):
+        if fresh.get("config") != base.get("config"):
             failures.append(
                 f"{name}: fresh and baseline configs differ — comparison is "
                 "meaningless (did the smoke config change without a baseline "
@@ -177,56 +130,50 @@ def compare(
                     + (f" ({check['observed']})" if check.get("observed") else "")
                 )
 
-    for name, path, direction, tol in GATES:
-        fresh, base = docs[name]
-        if fresh is None or base is None:
-            continue
-        fresh_v = _lookup(fresh, path)
-        base_v = _lookup(base, path)
-        row = {
-            "bench": name,
-            "metric": path,
-            "direction": direction,
-            "tolerance": tol,
-            "baseline": base_v,
-            "fresh": fresh_v,
-            "regressed": False,
-        }
-        if base_v is None:
-            failures.append(f"{name}: baseline lacks metric {path!r}")
-        elif fresh_v is None:
-            row["regressed"] = True
-            failures.append(f"{name}: fresh result lacks metric {path!r}")
-        else:
-            if direction == "higher":
-                bad = fresh_v < base_v * (1.0 - tol)
-            else:
-                bad = fresh_v > base_v * (1.0 + tol)
-            row["regressed"] = bad
-            if bad:
-                failures.append(
-                    f"{name}: {path} regressed — fresh {fresh_v:.6g} vs "
-                    f"baseline {base_v:.6g} "
-                    f"({'lower' if direction == 'higher' else 'higher'} is "
-                    f"worse, tolerance {tol:.0%})"
-                )
-        rows.append(row)
-
-    for name, path in CONTEXT:
-        fresh, base = docs.get(name, (None, None))
-        if fresh is None or base is None:
-            continue
-        rows.append(
-            {
+        for path, direction, tol in entry.gates:
+            fresh_v = _lookup(fresh, path)
+            base_v = _lookup(base, path)
+            row = {
                 "bench": name,
                 "metric": path,
-                "direction": "context",
-                "tolerance": None,
-                "baseline": _lookup(base, path),
-                "fresh": _lookup(fresh, path),
+                "direction": direction,
+                "tolerance": tol,
+                "baseline": base_v,
+                "fresh": fresh_v,
                 "regressed": False,
             }
-        )
+            if base_v is None:
+                failures.append(f"{name}: baseline lacks metric {path!r}")
+            elif fresh_v is None:
+                row["regressed"] = True
+                failures.append(f"{name}: fresh result lacks metric {path!r}")
+            else:
+                if direction == "higher":
+                    bad = fresh_v < base_v * (1.0 - tol)
+                else:
+                    bad = fresh_v > base_v * (1.0 + tol)
+                row["regressed"] = bad
+                if bad:
+                    failures.append(
+                        f"{name}: {path} regressed — fresh {fresh_v:.6g} vs "
+                        f"baseline {base_v:.6g} "
+                        f"({'lower' if direction == 'higher' else 'higher'} is "
+                        f"worse, tolerance {tol:.0%})"
+                    )
+            rows.append(row)
+
+        for path in entry.context:
+            rows.append(
+                {
+                    "bench": name,
+                    "metric": path,
+                    "direction": "context",
+                    "tolerance": None,
+                    "baseline": _lookup(base, path),
+                    "fresh": _lookup(fresh, path),
+                    "regressed": False,
+                }
+            )
     return rows, failures, _explain_hints(docs)
 
 

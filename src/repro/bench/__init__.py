@@ -1,4 +1,8 @@
-"""Benchmark harness reproducing every table and figure of the evaluation."""
+"""Benchmark harness reproducing every table and figure of the evaluation.
+
+The experiments and benches themselves are entries of
+:data:`repro.bench.registry.REGISTRY`.
+"""
 
 from repro.bench.calibration import (
     HostSpec,
@@ -11,7 +15,6 @@ from repro.bench.calibration import (
     build_kvcsd_testbed,
     build_rocksdb_testbed,
 )
-from repro.bench.experiments import EXPERIMENTS, Experiment, run_experiment
 from repro.bench.report import ResultTable, ShapeCheck, speedup
 
 __all__ = [
@@ -24,9 +27,6 @@ __all__ = [
     "RocksTestbed",
     "build_kvcsd_testbed",
     "build_rocksdb_testbed",
-    "EXPERIMENTS",
-    "Experiment",
-    "run_experiment",
     "ResultTable",
     "ShapeCheck",
     "speedup",

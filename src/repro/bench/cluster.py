@@ -17,19 +17,19 @@ Two questions, one bench:
   must stay within ``max_p99_ratio`` x the steady-state p99.
 
 Results land in ``results/BENCH_cluster.json`` with per-device utilization
-(queue-pair counters, SSD I/O, fabric bytes) for every fleet size.
+(queue-pair counters, SSD I/O, fabric bytes) for every fleet size.  The
+observer goes on the largest fleet, whose critical-path resources carry
+device labels.
 """
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.bench.calibration import bench_geometry
-from repro.bench.report import ResultTable, ShapeCheck, speedup
+from repro.bench.report import ResultTable, ShapeCheck, require_ascending, unobserved
 from repro.cluster import build_cluster_testbed, execute_ring_change
 from repro.cluster.ring import HashRing
 from repro.nvme.kv_commands import KvGetCmd
@@ -43,18 +43,14 @@ from repro.workloads import (
     run_phase,
 )
 
-__all__ = [
-    "ClusterBenchConfig",
-    "ClusterBenchResult",
-    "run_cluster_bench",
-    "write_json",
-]
+__all__ = ["ClusterBenchConfig", "ClusterBenchResult", "run_cluster_bench"]
 
 
 @dataclass(frozen=True)
 class ClusterBenchConfig:
     """Workload shape plus the fleet sizes under test."""
 
+    #: speedups are taken against the first (smallest) fleet
     devices: tuple[int, ...] = (1, 2, 4, 8)
     n_pairs: int = 4_194_304
     n_keyspaces: int = 8
@@ -97,23 +93,9 @@ class ClusterBenchConfig:
     steady_gets: int = 192
     #: migration-phase foreground p99 bound, as a multiple of steady p99
     max_p99_ratio: float = 2.0
-    #: trace the largest fleet with the blocked-by observer and attach the
-    #: critical-path explain report (device-labeled resources)
-    explain: bool = False
 
-    @classmethod
-    def smoke(cls) -> "ClusterBenchConfig":
-        """Reduced configuration for CI: two fleet sizes, 1/64 the keys."""
-        return cls(
-            devices=(1, 2),
-            n_pairs=65_536,
-            ops=4_096,
-            mixed_ops=2_048,
-            n_threads=8,
-            min_speedup=1.4,
-            steady_gets=96,
-            rebalance_pairs=32_768,
-        )
+    def __post_init__(self):
+        require_ascending("devices", self.devices)
 
 
 @dataclass
@@ -127,7 +109,6 @@ class ClusterBenchResult:
     reads_ok: bool = False
     updates_verified: bool = False
     accounting_clean: bool = False
-    explain: dict = field(default_factory=dict)
 
     def _throughput(self, n: int, phase: str) -> float:
         info = self.phases[n][phase]
@@ -236,47 +217,11 @@ class ClusterBenchResult:
                     f"{r['moved_pairs']} pairs moved",
                 ),
             ]
-        if self.explain:
-            attributed = self.explain.get("min_attributed", 0.0)
-            checks.append(
-                ShapeCheck(
-                    "explain: >= 95% of every sampled op's latency is "
-                    "attributed to typed segments",
-                    attributed >= 0.95,
-                    f"{attributed * 100:.1f}%",
-                )
-            )
         return checks
 
-    def to_json(self) -> dict:
+    def metrics(self) -> dict:
         c = self.config
         return {
-            "config": {
-                "devices": list(c.devices),
-                "n_pairs": c.n_pairs,
-                "n_keyspaces": c.n_keyspaces,
-                "key_bytes": c.key_bytes,
-                "value_bytes": c.value_bytes,
-                "seed": c.seed,
-                "ops": c.ops,
-                "mixed_ops": c.mixed_ops,
-                "read_fraction": c.read_fraction,
-                "zipf_theta": c.zipf_theta,
-                "n_threads": c.n_threads,
-                "batch": c.batch,
-                "queue_depth": c.queue_depth,
-                "vnodes": c.vnodes,
-                "bulk_message_bytes": c.bulk_message_bytes,
-                "load_batch_pairs": c.load_batch_pairs,
-                "cluster_zones": c.cluster_zones,
-                "n_zones": c.n_zones,
-                "min_speedup": c.min_speedup,
-                "rebalance": c.rebalance,
-                "rebalance_pairs": c.rebalance_pairs,
-                "steady_gets": c.steady_gets,
-                "max_p99_ratio": c.max_p99_ratio,
-                "explain": c.explain,
-            },
             "phases": {
                 str(n): phases for n, phases in self.phases.items()
             },
@@ -302,12 +247,6 @@ class ClusterBenchResult:
             "reads_ok": self.reads_ok,
             "updates_verified": self.updates_verified,
             "accounting_clean": self.accounting_clean,
-            "checks": [
-                {"description": ck.description, "passed": ck.passed,
-                 "observed": ck.observed}
-                for ck in self.checks()
-            ],
-            **({"explain": self.explain} if self.explain else {}),
         }
 
 
@@ -357,7 +296,7 @@ def _load_and_prepare(tb, config: ClusterBenchConfig, slices) -> dict:
     return load_info
 
 
-def _one_fleet(config: ClusterBenchConfig, n: int, pairs, slices, result):
+def _one_fleet(config: ClusterBenchConfig, n: int, slices, result, observe):
     """Run load / get / mixed phases against an ``n``-device fleet."""
     tb = build_cluster_testbed(
         n_devices=n,
@@ -368,11 +307,8 @@ def _one_fleet(config: ClusterBenchConfig, n: int, pairs, slices, result):
         bulk_message_bytes=config.bulk_message_bytes,
         vnodes=config.vnodes,
     )
-    if config.explain and n == max(config.devices):
-        from repro.obs.critpath import install_critpath
-
-        tb.enable_tracing()
-        install_critpath(tb.env, tracer=tb.env.tracer)
+    if n == config.devices[-1]:
+        observe(tb)
     phases: dict[str, dict] = {}
     phases["load"] = _load_and_prepare(tb, config, slices)
 
@@ -473,12 +409,6 @@ def _one_fleet(config: ClusterBenchConfig, n: int, pairs, slices, result):
     clean = all(
         not check_queue_pair_accounting(node.client.qp) for node in tb.nodes
     )
-    if tb.env.critpath is not None:
-        from repro.obs.critpath import explain_report
-
-        result.explain = explain_report(
-            tb.env.tracer, tb.env.critpath, now=tb.env.now
-        )
     return state["reads_ok"], verified["ok"], clean
 
 
@@ -571,7 +501,7 @@ def _rebalance_scenario(config: ClusterBenchConfig, slices) -> dict:
 
 
 def run_cluster_bench(
-    config: ClusterBenchConfig = ClusterBenchConfig(),
+    config: ClusterBenchConfig = ClusterBenchConfig(), observe=unobserved
 ) -> ClusterBenchResult:
     """Sweep fleet sizes over the fixed workload, then rebalance online."""
     result = ClusterBenchResult(config=config)
@@ -591,7 +521,7 @@ def run_cluster_bench(
     reads_ok = updates_ok = clean = True
     for n in config.devices:
         fleet_reads, fleet_updates, fleet_clean = _one_fleet(
-            config, n, pairs, slices, result
+            config, n, slices, result, observe
         )
         reads_ok = reads_ok and fleet_reads
         updates_ok = updates_ok and fleet_updates
@@ -602,10 +532,3 @@ def run_cluster_bench(
     if config.rebalance and max(config.devices) > 1:
         result.rebalance = _rebalance_scenario(config, slices)
     return result
-
-
-def write_json(result: ClusterBenchResult, path) -> None:
-    """Dump the machine-readable result (``results/BENCH_cluster.json``)."""
-    with open(path, "w") as fh:
-        json.dump(result.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

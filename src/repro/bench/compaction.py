@@ -14,18 +14,18 @@ Two device-side optimisations the SoC's four A53 cores make possible:
 
 The regression harness (``benchmarks/test_compaction_pipeline.py``) runs
 this and checks the speedup, core spread, output identity, and hit rate,
-then writes ``results/BENCH_compaction.json``.
+then writes ``results/BENCH_compaction.json``.  Observers go on the
+pipelined run.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.bench.calibration import build_kvcsd_testbed
-from repro.bench.report import ResultTable, ShapeCheck, speedup
+from repro.bench.report import ResultTable, ShapeCheck, speedup, unobserved
 from repro.units import MiB
 from repro.workloads import (
     SyntheticSpec,
@@ -54,14 +54,6 @@ class CompactionBenchConfig:
     n_queries: int = 1024
     query_rounds: int = 2
     zipf_theta: float = 0.99
-    #: trace the pipelined run and attach its latency attribution to the JSON
-    trace: bool = False
-    #: record a telemetry timeline on the pipelined run and attach its
-    #: series/alerts to the JSON
-    timeline: bool = False
-    #: trace the pipelined run with the blocked-by/holder observer and
-    #: attach its critical-path explain report to the JSON
-    explain: bool = False
 
 
 @dataclass
@@ -74,9 +66,6 @@ class CompactionBenchResult:
     identical_outputs: bool = False
     cache_report: dict = field(default_factory=dict)
     device_stats: dict = field(default_factory=dict)
-    attribution: dict = field(default_factory=dict)
-    timeline: dict = field(default_factory=dict)
-    explain: dict = field(default_factory=dict)
 
     @property
     def compaction_speedup(self) -> float:
@@ -115,17 +104,6 @@ class CompactionBenchResult:
         return t
 
     def checks(self) -> list[ShapeCheck]:
-        extra = []
-        if self.explain:
-            attributed = self.explain.get("min_attributed", 0.0)
-            extra.append(
-                ShapeCheck(
-                    "explain: >= 95% of every sampled op's latency is "
-                    "attributed to typed segments",
-                    attributed >= 0.95,
-                    f"{attributed * 100:.1f}%",
-                )
-            )
         return [
             ShapeCheck(
                 "pipelined compaction beats serial by >= 1.5x",
@@ -146,21 +124,10 @@ class CompactionBenchResult:
                 self.hit_rate >= 0.5,
                 f"{self.hit_rate:.2f}",
             ),
-        ] + extra
+        ]
 
-    def to_json(self) -> dict:
-        out = {
-            "config": {
-                "n_pairs": self.config.n_pairs,
-                "key_bytes": self.config.key_bytes,
-                "value_bytes": self.config.value_bytes,
-                "seed": self.config.seed,
-                "shards": self.config.shards,
-                "block_cache_bytes": self.config.block_cache_bytes,
-                "n_queries": self.config.n_queries,
-                "query_rounds": self.config.query_rounds,
-                "zipf_theta": self.config.zipf_theta,
-            },
+    def metrics(self) -> dict:
+        return {
             "serial_compaction_seconds": self.serial_seconds,
             "pipelined_compaction_seconds": self.pipelined_seconds,
             "compaction_speedup": self.compaction_speedup,
@@ -170,26 +137,11 @@ class CompactionBenchResult:
             "identical_outputs": self.identical_outputs,
             "block_cache": self.cache_report,
             "device_stats": self.device_stats,
-            "checks": [
-                {"description": c.description, "passed": c.passed, "observed": c.observed}
-                for c in self.checks()
-            ],
         }
-        # Only traced runs carry an attribution table; untraced runs omit the
-        # key entirely rather than emitting a misleading empty dict.  Same
-        # for the timeline document and the explain report.
-        if self.attribution:
-            out["attribution"] = self.attribution
-        if self.timeline:
-            out["timeline"] = self.timeline
-        if self.explain:
-            out["explain"] = self.explain
-        return out
 
 
 def _load_and_compact(
-    config: CompactionBenchConfig, pairs, shards, cache_bytes,
-    trace=False, timeline=False, explain=False,
+    config: CompactionBenchConfig, pairs, shards, cache_bytes, observe=unobserved
 ):
     """One testbed: load, wait for device compaction, return measurements."""
     kv = build_kvcsd_testbed(
@@ -197,19 +149,7 @@ def _load_and_compact(
         compaction_shards=shards,
         block_cache_bytes=cache_bytes,
     )
-    if trace:
-        kv.enable_tracing()
-    if timeline:
-        from repro.obs.journal import install_journal
-
-        install_journal(kv.env)
-        kv.enable_timeline()
-    if explain:
-        from repro.obs.critpath import install_critpath
-
-        if kv.env.tracer is None:
-            kv.enable_tracing()
-        install_critpath(kv.env, tracer=kv.env.tracer)
+    observe(kv)
     load_phase(kv.env, kv.adapter, [("ks", pairs, kv.thread_ctx(0))])
 
     def wait():
@@ -221,7 +161,7 @@ def _load_and_compact(
 
 
 def run_compaction_bench(
-    config: CompactionBenchConfig = CompactionBenchConfig(),
+    config: CompactionBenchConfig = CompactionBenchConfig(), observe=unobserved
 ) -> CompactionBenchResult:
     """Serial vs sharded compaction, then a cached Zipfian GET phase."""
     pairs = generate_pairs(
@@ -242,9 +182,7 @@ def run_compaction_bench(
         pairs,
         shards=config.shards,
         cache_bytes=config.block_cache_bytes,
-        trace=config.trace,
-        timeline=config.timeline,
-        explain=config.explain,
+        observe=observe,
     )
 
     a = serial.device.keyspaces["ks"].pidx_sketch
@@ -270,23 +208,4 @@ def run_compaction_bench(
     cache = piped.device.block_cache
     result.cache_report = cache.report() if cache is not None else {}
     result.device_stats = piped.device.stats.as_dict()
-    if piped.env.tracer is not None and piped.env.tracer.spans:
-        from repro.obs import attribution_rows
-
-        result.attribution = attribution_rows(piped.env.tracer)
-    if piped.env.timeline is not None:
-        result.timeline = piped.env.timeline.to_json()
-    if piped.env.critpath is not None:
-        from repro.obs.critpath import explain_report
-
-        result.explain = explain_report(
-            piped.env.tracer, piped.env.critpath, now=piped.env.now
-        )
     return result
-
-
-def write_json(result: CompactionBenchResult, path) -> None:
-    """Dump the machine-readable result (``results/BENCH_compaction.json``)."""
-    with open(path, "w") as fh:
-        json.dump(result.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

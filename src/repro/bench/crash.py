@@ -29,14 +29,13 @@ promise into a measured quantity:
    volume for both writable (KLOG-rescan-bound) and compacted
    (sketch-reload-bound) keyspaces.
 
-``repro crash-bench`` runs this and writes ``results/BENCH_crash.json``;
+``repro run crash`` runs this and writes ``results/BENCH_crash.json``;
 the CI regression gate pins ``campaign.clean_fraction`` and the smoke
 mount time.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,12 +54,7 @@ from repro.ssd import ZnsSsd
 from repro.ssd.faults import FaultPlan, PowerCut
 from repro.units import KiB, MiB
 
-__all__ = [
-    "CrashBenchConfig",
-    "CrashBenchResult",
-    "run_crash_bench",
-    "write_json",
-]
+__all__ = ["CrashBenchConfig", "CrashBenchResult", "run_crash_bench"]
 
 
 @dataclass(frozen=True)
@@ -85,19 +79,6 @@ class CrashBenchConfig:
     #: hard floor on distinct crash points the campaign must cover (the
     #: per-workload samples are capped by that run's journal/write counts)
     min_points: int = 200
-
-    @classmethod
-    def smoke(cls) -> "CrashBenchConfig":
-        """A reduced configuration for CI smoke runs."""
-        return cls(
-            n_pairs=400,
-            chunk_pairs=100,
-            n_event_points=4,
-            n_torn_points=2,
-            absent_probes=24,
-            curve_volumes=(300, 900),
-            min_points=20,
-        )
 
 
 @dataclass
@@ -543,6 +524,11 @@ class CrashBenchResult:
                 f"slowest mount {worst['mount_seconds']:.6f}s "
                 f"({worst['mode']}, {worst['n_pairs']} pairs)"
             )
+        for point in self.failed_points:
+            t.add_note(
+                f"FAILED {point['workload']} {point['kind']}@{point['at']}: "
+                f"{'; '.join(point['failures'])}"
+            )
         return t
 
     def checks(self) -> list[ShapeCheck]:
@@ -570,20 +556,8 @@ class CrashBenchResult:
             ),
         ]
 
-    def to_json(self) -> dict:
+    def metrics(self) -> dict:
         return {
-            "config": {
-                "seed": self.config.seed,
-                "n_pairs": self.config.n_pairs,
-                "value_bytes": self.config.value_bytes,
-                "chunk_pairs": self.config.chunk_pairs,
-                "workloads": list(self.config.workloads),
-                "n_event_points": self.config.n_event_points,
-                "n_torn_points": self.config.n_torn_points,
-                "bloom_bits_per_key": self.config.bloom_bits_per_key,
-                "absent_probes": self.config.absent_probes,
-                "curve_volumes": list(self.config.curve_volumes),
-            },
             "campaign": {
                 "points": self.points,
                 "clean_points": self.clean_points,
@@ -602,11 +576,6 @@ class CrashBenchResult:
             },
             "curve": self.curve,
             "reference_seconds": self.reference_seconds,
-            "checks": [
-                {"description": c.description, "passed": c.passed,
-                 "observed": c.observed}
-                for c in self.checks()
-            ],
         }
 
 
@@ -656,10 +625,3 @@ def run_crash_bench(config: CrashBenchConfig = CrashBenchConfig()) -> CrashBench
         for mode in ("writable", "compacted"):
             result.curve.append(_curve_point(config, n_pairs, mode))
     return result
-
-
-def write_json(result: CrashBenchResult, path) -> None:
-    """Dump the machine-readable result (``results/BENCH_crash.json``)."""
-    with open(path, "w") as fh:
-        json.dump(result.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

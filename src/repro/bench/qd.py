@@ -10,23 +10,30 @@ required one host thread per outstanding command.
 The regression harness (``benchmarks/test_qd_sweep.py``) runs this and
 checks the headline criterion — QD=16 single-thread GET throughput at
 least 2x QD=1 with four query workers — then writes
-``results/BENCH_qd.json``.
+``results/BENCH_qd.json``.  Observers go on the deepest sweep, the one
+whose in-flight window contends on slots and workers; load and prepare have
+already run there, so they see the GET and PUT sweeps.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.bench.calibration import build_kvcsd_testbed
-from repro.bench.report import ResultTable, ShapeCheck, speedup
+from repro.bench.report import (
+    ResultTable,
+    ShapeCheck,
+    require_ascending,
+    speedup,
+    unobserved,
+)
 from repro.nvme.kv_commands import KvGetCmd
 from repro.obs.audit import check_queue_pair_accounting
 from repro.workloads import SyntheticSpec, generate_pairs, load_phase
 
-__all__ = ["QdBenchConfig", "QdBenchResult", "run_qd_bench", "write_json"]
+__all__ = ["QdBenchConfig", "QdBenchResult", "run_qd_bench"]
 
 
 @dataclass(frozen=True)
@@ -37,22 +44,17 @@ class QdBenchConfig:
     key_bytes: int = 16
     value_bytes: int = 32
     seed: int = 47
+    #: speedups are taken against QD=1, so the sweep starts there
     depths: tuple[int, ...] = (1, 4, 16, 32)
     #: SoC query workers — the device parallelism QD is supposed to expose
     query_workers: int = 4
     gets_per_depth: int = 512
     puts_per_depth: int = 512
-    #: record a telemetry timeline on the deepest-QD sweep and attach its
-    #: series/alerts to the results JSON
-    timeline: bool = False
-    #: trace the deepest-QD sweep with the blocked-by/holder observer and
-    #: attach its critical-path explain report to the results JSON
-    explain: bool = False
 
-    @classmethod
-    def smoke(cls) -> "QdBenchConfig":
-        """A reduced configuration for CI smoke runs."""
-        return cls(n_pairs=2048, gets_per_depth=192, puts_per_depth=192)
+    def __post_init__(self):
+        require_ascending("depths", self.depths)
+        if self.depths[0] != 1:
+            raise ValueError(f"depths must start at 1, got {self.depths!r}")
 
 
 @dataclass
@@ -65,8 +67,6 @@ class QdBenchResult:
     queue_state: dict[int, dict] = field(default_factory=dict)
     identical_results: bool = False
     accounting_clean: bool = False
-    timeline: dict = field(default_factory=dict)
-    explain: dict = field(default_factory=dict)
 
     def get_speedup(self, depth: int) -> float:
         return speedup(self.get_seconds[1], self.get_seconds[depth])
@@ -96,17 +96,6 @@ class QdBenchResult:
 
     def checks(self) -> list[ShapeCheck]:
         qd16 = 16 if 16 in self.config.depths else max(self.config.depths)
-        extra = []
-        if self.explain:
-            attributed = self.explain.get("min_attributed", 0.0)
-            extra.append(
-                ShapeCheck(
-                    "explain: >= 95% of every sampled op's latency is "
-                    "attributed to typed segments",
-                    attributed >= 0.95,
-                    f"{attributed * 100:.1f}%",
-                )
-            )
         return [
             ShapeCheck(
                 f"QD={qd16} single-thread GETs beat QD=1 by >= 2x "
@@ -122,22 +111,10 @@ class QdBenchResult:
                 "queue-pair accounting is clean after every sweep",
                 self.accounting_clean,
             ),
-        ] + extra
+        ]
 
-    def to_json(self) -> dict:
+    def metrics(self) -> dict:
         return {
-            "config": {
-                "n_pairs": self.config.n_pairs,
-                "key_bytes": self.config.key_bytes,
-                "value_bytes": self.config.value_bytes,
-                "seed": self.config.seed,
-                "depths": list(self.config.depths),
-                "query_workers": self.config.query_workers,
-                "gets_per_depth": self.config.gets_per_depth,
-                "puts_per_depth": self.config.puts_per_depth,
-                "timeline": self.config.timeline,
-                "explain": self.config.explain,
-            },
             "get_seconds": {str(d): s for d, s in self.get_seconds.items()},
             "put_seconds": {str(d): s for d, s in self.put_seconds.items()},
             "get_speedup": {
@@ -149,15 +126,6 @@ class QdBenchResult:
             "queue_state": {str(d): q for d, q in self.queue_state.items()},
             "identical_results": self.identical_results,
             "accounting_clean": self.accounting_clean,
-            "checks": [
-                {"description": c.description, "passed": c.passed,
-                 "observed": c.observed}
-                for c in self.checks()
-            ],
-            # Only timeline-enabled runs carry the series/alert document;
-            # likewise the explain report only appears when requested.
-            **({"timeline": self.timeline} if self.timeline else {}),
-            **({"explain": self.explain} if self.explain else {}),
         }
 
 
@@ -213,7 +181,9 @@ def _put_sweep(kv, pairs) -> float:
     return kv.env.now - t0
 
 
-def run_qd_bench(config: QdBenchConfig = QdBenchConfig()) -> QdBenchResult:
+def run_qd_bench(
+    config: QdBenchConfig = QdBenchConfig(), observe=unobserved
+) -> QdBenchResult:
     """Sweep queue depth over single-thread GET and PUT phases."""
     pairs = generate_pairs(
         SyntheticSpec(
@@ -236,22 +206,8 @@ def run_qd_bench(config: QdBenchConfig = QdBenchConfig()) -> QdBenchResult:
     accounting_clean = True
     for depth in config.depths:
         kv = _build_loaded(config, pairs, depth)
-        if config.timeline and depth == max(config.depths):
-            # Record the deepest sweep — the one whose in-flight window
-            # actually exercises the queues.  Load/prepare already ran, so
-            # the curves cover the GET and PUT sweeps.
-            from repro.obs.journal import install_journal
-
-            install_journal(kv.env)
-            kv.enable_timeline()
-        if config.explain and depth == max(config.depths):
-            # Blocked-by attribution on the deepest sweep: that's where
-            # the in-flight window contends on slots/workers.
-            from repro.obs.critpath import install_critpath
-
-            if kv.env.tracer is None:
-                kv.enable_tracing()
-            install_critpath(kv.env, tracer=kv.env.tracer)
+        if depth == config.depths[-1]:
+            observe(kv)
         seconds, values = _get_sweep(kv, get_keys)
         result.get_seconds[depth] = seconds
         values_by_depth[depth] = values
@@ -260,24 +216,9 @@ def run_qd_bench(config: QdBenchConfig = QdBenchConfig()) -> QdBenchResult:
         accounting_clean = accounting_clean and not check_queue_pair_accounting(
             kv.client.qp
         )
-        if kv.env.timeline is not None:
-            result.timeline = kv.env.timeline.to_json()
-        if kv.env.critpath is not None:
-            from repro.obs.critpath import explain_report
-
-            result.explain = explain_report(
-                kv.env.tracer, kv.env.critpath, now=kv.env.now
-            )
     baseline = values_by_depth[config.depths[0]]
     result.identical_results = all(
         values_by_depth[d] == baseline for d in config.depths
     )
     result.accounting_clean = accounting_clean
     return result
-
-
-def write_json(result: QdBenchResult, path) -> None:
-    """Dump the machine-readable result (``results/BENCH_qd.json``)."""
-    with open(path, "w") as fh:
-        json.dump(result.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -17,18 +17,18 @@ Two read-side optimisations the SoC's four A53 cores make possible:
 
 The regression harness (``benchmarks/test_query_offload.py``) runs this
 and checks the speedup, block-read elimination, and output identity, then
-writes ``results/BENCH_query.json``.
+writes ``results/BENCH_query.json``.  Observers go on the parallel testbed
+and see every phase.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.bench.calibration import build_kvcsd_testbed
-from repro.bench.report import ResultTable, ShapeCheck, speedup
+from repro.bench.report import ResultTable, ShapeCheck, speedup, unobserved
 from repro.workloads import SyntheticSpec, generate_pairs, get_phase, load_phase
 
 __all__ = ["QueryBenchConfig", "QueryBenchResult", "run_query_bench"]
@@ -51,18 +51,6 @@ class QueryBenchConfig:
     queries_per_thread: int = 192
     #: all-absent keys probed in the bloom ablation phase
     absent_queries: int = 1024
-    #: record a continuous telemetry timeline on the parallel testbed and
-    #: attach its series/alerts to the results JSON
-    timeline: bool = False
-    #: trace the parallel testbed with the blocked-by/holder observer and
-    #: attach its critical-path explain report to the results JSON
-    explain: bool = False
-
-    @classmethod
-    def smoke(cls) -> "QueryBenchConfig":
-        """A reduced configuration for CI smoke runs."""
-        return cls(n_pairs=2048, n_threads=4, queries_per_thread=64,
-                   absent_queries=256)
 
 
 @dataclass
@@ -79,8 +67,6 @@ class QueryBenchResult:
     identical_results: bool = False
     scheduler_report: dict = field(default_factory=dict)
     device_stats: dict = field(default_factory=dict)
-    timeline: dict = field(default_factory=dict)
-    explain: dict = field(default_factory=dict)
 
     @property
     def get_speedup(self) -> float:
@@ -118,17 +104,6 @@ class QueryBenchResult:
         return t
 
     def checks(self) -> list[ShapeCheck]:
-        extra = []
-        if self.explain:
-            attributed = self.explain.get("min_attributed", 0.0)
-            extra.append(
-                ShapeCheck(
-                    "explain: >= 95% of every sampled op's latency is "
-                    "attributed to typed segments",
-                    attributed >= 0.95,
-                    f"{attributed * 100:.1f}%",
-                )
-            )
         return [
             ShapeCheck(
                 f"{self.config.workers} query workers beat 1 worker by >= 2x "
@@ -154,23 +129,10 @@ class QueryBenchResult:
                 f"{self.scheduler_report.get('admitted')} admitted / "
                 f"{self.scheduler_report.get('dispatched')} dispatched",
             ),
-        ] + extra
+        ]
 
-    def to_json(self) -> dict:
+    def metrics(self) -> dict:
         return {
-            "config": {
-                "n_pairs": self.config.n_pairs,
-                "key_bytes": self.config.key_bytes,
-                "value_bytes": self.config.value_bytes,
-                "seed": self.config.seed,
-                "workers": self.config.workers,
-                "bloom_bits_per_key": self.config.bloom_bits_per_key,
-                "n_threads": self.config.n_threads,
-                "queries_per_thread": self.config.queries_per_thread,
-                "absent_queries": self.config.absent_queries,
-                "timeline": self.config.timeline,
-                "explain": self.config.explain,
-            },
             "one_worker_get_seconds": self.one_worker_seconds,
             "parallel_get_seconds": self.parallel_seconds,
             "get_speedup": self.get_speedup,
@@ -184,15 +146,6 @@ class QueryBenchResult:
             "identical_results": self.identical_results,
             "scheduler": self.scheduler_report,
             "device_stats": self.device_stats,
-            "checks": [
-                {"description": c.description, "passed": c.passed,
-                 "observed": c.observed}
-                for c in self.checks()
-            ],
-            # Only timeline-enabled runs carry the series/alert document;
-            # likewise the explain report only appears when requested.
-            **({"timeline": self.timeline} if self.timeline else {}),
-            **({"explain": self.explain} if self.explain else {}),
         }
 
 
@@ -256,7 +209,9 @@ def _collect_results(kv, sample_keys, lo, hi):
     return out
 
 
-def run_query_bench(config: QueryBenchConfig = QueryBenchConfig()) -> QueryBenchResult:
+def run_query_bench(
+    config: QueryBenchConfig = QueryBenchConfig(), observe=unobserved
+) -> QueryBenchResult:
     """One-worker vs N-worker GETs, bloom ablation, determinism check."""
     pairs = generate_pairs(
         SyntheticSpec(
@@ -287,23 +242,9 @@ def run_query_bench(config: QueryBenchConfig = QueryBenchConfig()) -> QueryBench
         config, pairs, workers=config.workers,
         bloom_bits=config.bloom_bits_per_key,
     )
-    if config.timeline:
-        # Record the parallel testbed's saturation curves through every
-        # phase.  Timeline ticks are pure reads, so the timed phases and
-        # the determinism fingerprint are unchanged by recording.
-        from repro.obs.journal import install_journal
-
-        install_journal(piped.env)
-        piped.enable_timeline()
-    if config.explain:
-        # Blocked-by attribution across every phase on the parallel
-        # testbed.  The observer is pure bookkeeping: virtual time and
-        # the determinism fingerprint are identical with it installed.
-        from repro.obs.critpath import install_critpath
-
-        if piped.env.tracer is None:
-            piped.enable_tracing()
-        install_critpath(piped.env, tracer=piped.env.tracer)
+    # Timeline ticks and critical-path bookkeeping are pure reads: the timed
+    # phases and the determinism fingerprint are identical when observed.
+    observe(piped)
 
     # --- phase A: multi-threaded GET throughput, 1 worker vs N workers
     result.one_worker_seconds = _threaded_get_phase(one, config, get_keys)
@@ -329,19 +270,4 @@ def run_query_bench(config: QueryBenchConfig = QueryBenchConfig()) -> QueryBench
         **piped.device.query_scheduler.introspect(),
     }
     result.device_stats = piped.device.stats.as_dict()
-    if piped.env.timeline is not None:
-        result.timeline = piped.env.timeline.to_json()
-    if piped.env.critpath is not None:
-        from repro.obs.critpath import explain_report
-
-        result.explain = explain_report(
-            piped.env.tracer, piped.env.critpath, now=piped.env.now
-        )
     return result
-
-
-def write_json(result: QueryBenchResult, path) -> None:
-    """Dump the machine-readable result (``results/BENCH_query.json``)."""
-    with open(path, "w") as fh:
-        json.dump(result.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

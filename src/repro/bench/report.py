@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-__all__ = ["ResultTable", "ShapeCheck", "speedup"]
+__all__ = [
+    "ResultTable",
+    "ShapeCheck",
+    "require_ascending",
+    "speedup",
+    "unobserved",
+]
 
 
 def speedup(baseline_seconds: float, ours_seconds: float) -> float:
@@ -20,6 +26,22 @@ def speedup(baseline_seconds: float, ours_seconds: float) -> float:
     if ours_seconds <= 0:
         return float("inf")
     return baseline_seconds / ours_seconds
+
+
+def unobserved(testbed) -> None:
+    """A scenario's default ``observe`` hook: installs nothing."""
+
+
+def require_ascending(name: str, values: tuple) -> None:
+    """Reject a sweep axis that is empty, unsorted or repeats a value.
+
+    Sweeps take their baseline from the first value and their headline
+    from the last, so either mistake would only surface after the run.
+    """
+    if not values or any(a >= b for a, b in zip(values, values[1:])):
+        raise ValueError(
+            f"{name} must be non-empty and strictly ascending, got {values!r}"
+        )
 
 
 @dataclass

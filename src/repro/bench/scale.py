@@ -22,19 +22,21 @@ Shape (YCSB-style):
 Wall-clock seconds per phase are recorded next to the virtual-clock
 seconds: the virtual numbers validate the model, the wall numbers are the
 simulator-performance regression metric (CI runs ``--smoke`` under a
-budget).  Results land in ``results/BENCH_scale.json``.
+budget).  Results land in ``results/BENCH_scale.json``.  A timeline run
+keeps no spans (only the hub's bounded reservoirs and the sampled series),
+so memory stays flat at 1M keys; an explain run needs the span trees, so
+pair ``--explain`` with ``--smoke``.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.bench.calibration import build_kvcsd_testbed
-from repro.bench.report import ResultTable, ShapeCheck
+from repro.bench.report import ResultTable, ShapeCheck, unobserved
 from repro.errors import KeyNotFoundError
 from repro.obs.audit import check_queue_pair_accounting
 from repro.units import KiB, MiB
@@ -46,7 +48,7 @@ from repro.workloads import (
     run_phase,
 )
 
-__all__ = ["ScaleBenchConfig", "ScaleBenchResult", "run_scale_bench", "write_json"]
+__all__ = ["ScaleBenchConfig", "ScaleBenchResult", "run_scale_bench"]
 
 
 @dataclass(frozen=True)
@@ -66,19 +68,6 @@ class ScaleBenchConfig:
     #: comfortably holds 1 MiB write buffers per keyspace at this load
     membuf_bytes: int = 1 * MiB
     bulk_message_bytes: int = 256 * KiB
-    #: record a telemetry timeline (spans NOT retained — only the hub's
-    #: bounded latency reservoirs and the sampled series, so memory stays
-    #: flat at 1M-key scale) and attach it to the results JSON
-    timeline: bool = False
-    #: trace with the blocked-by/holder observer and attach a critical-path
-    #: explain report.  Forces span retention (the report needs the span
-    #: trees), so memory grows with the run — use with ``--smoke`` scale.
-    explain: bool = False
-
-    @classmethod
-    def smoke(cls) -> "ScaleBenchConfig":
-        """Reduced configuration for CI: same shape, ~1/16 the keys."""
-        return cls(n_pairs=64_000, ops=4_000, membuf_bytes=256 * KiB)
 
 
 @dataclass
@@ -92,8 +81,6 @@ class ScaleBenchResult:
     reads_missing: int = 0
     updates_verified: bool = False
     accounting_clean: bool = False
-    timeline: dict = field(default_factory=dict)
-    explain: dict = field(default_factory=dict)
 
     def _rate(self, phase: str, clock: str) -> float:
         info = self.phases[phase]
@@ -123,17 +110,6 @@ class ScaleBenchResult:
         return t
 
     def checks(self) -> list[ShapeCheck]:
-        extra = []
-        if self.explain:
-            attributed = self.explain.get("min_attributed", 0.0)
-            extra.append(
-                ShapeCheck(
-                    "explain: >= 95% of every sampled op's latency is "
-                    "attributed to typed segments",
-                    attributed >= 0.95,
-                    f"{attributed * 100:.1f}%",
-                )
-            )
         return [
             ShapeCheck(
                 "every zipfian read found its key",
@@ -148,25 +124,10 @@ class ScaleBenchResult:
                 "queue-pair accounting is clean after the run",
                 self.accounting_clean,
             ),
-        ] + extra
+        ]
 
-    def to_json(self) -> dict:
-        c = self.config
+    def metrics(self) -> dict:
         return {
-            "config": {
-                "n_pairs": c.n_pairs,
-                "n_keyspaces": c.n_keyspaces,
-                "key_bytes": c.key_bytes,
-                "value_bytes": c.value_bytes,
-                "seed": c.seed,
-                "ops": c.ops,
-                "read_fraction": c.read_fraction,
-                "zipf_theta": c.zipf_theta,
-                "membuf_bytes": c.membuf_bytes,
-                "bulk_message_bytes": c.bulk_message_bytes,
-                "timeline": c.timeline,
-                "explain": c.explain,
-            },
             "phases": self.phases,
             "device_io": self.device_io,
             "queue_state": self.queue_state,
@@ -174,15 +135,6 @@ class ScaleBenchResult:
             "reads_missing": self.reads_missing,
             "updates_verified": self.updates_verified,
             "accounting_clean": self.accounting_clean,
-            "checks": [
-                {"description": c_.description, "passed": c_.passed,
-                 "observed": c_.observed}
-                for c_ in self.checks()
-            ],
-            # Only timeline-enabled runs carry the series/alert document;
-            # likewise the explain report only appears when requested.
-            **({"timeline": self.timeline} if self.timeline else {}),
-            **({"explain": self.explain} if self.explain else {}),
         }
 
 
@@ -194,7 +146,9 @@ def _delta_name(i: int) -> str:
     return f"scale-ks{i}-delta"
 
 
-def run_scale_bench(config: ScaleBenchConfig = ScaleBenchConfig()) -> ScaleBenchResult:
+def run_scale_bench(
+    config: ScaleBenchConfig = ScaleBenchConfig(), observe=unobserved
+) -> ScaleBenchResult:
     """Load ``n_pairs`` across keyspaces, then run the YCSB-style op mix."""
     result = ScaleBenchResult(config=config)
     pairs = generate_pairs(
@@ -210,20 +164,7 @@ def run_scale_bench(config: ScaleBenchConfig = ScaleBenchConfig()) -> ScaleBench
         membuf_bytes=config.membuf_bytes,
         bulk_message_bytes=config.bulk_message_bytes,
     )
-    if config.timeline:
-        # Spans are not retained at this scale; the timeline only needs the
-        # hub's bounded reservoirs and the per-tick gauge reads.  An explain
-        # run overrides that: the report is built from the span trees.
-        from repro.obs.journal import install_journal
-
-        install_journal(kv.env)
-        kv.enable_timeline(retain_spans=config.explain)
-    if config.explain:
-        from repro.obs.critpath import install_critpath
-
-        if kv.env.tracer is None:
-            kv.enable_tracing()
-        install_critpath(kv.env, tracer=kv.env.tracer)
+    observe(kv)
     per_ks = len(pairs) // config.n_keyspaces
     slices = [
         pairs[i * per_ks : (i + 1) * per_ks if i < config.n_keyspaces - 1 else None]
@@ -336,19 +277,4 @@ def run_scale_bench(config: ScaleBenchConfig = ScaleBenchConfig()) -> ScaleBench
     result.device_io = kv.ssd.introspect()["io"]
     result.queue_state = kv.client.qp.introspect()
     result.accounting_clean = not check_queue_pair_accounting(kv.client.qp)
-    if kv.env.timeline is not None:
-        result.timeline = kv.env.timeline.to_json()
-    if kv.env.critpath is not None:
-        from repro.obs.critpath import explain_report
-
-        result.explain = explain_report(
-            kv.env.tracer, kv.env.critpath, now=kv.env.now
-        )
     return result
-
-
-def write_json(result: ScaleBenchResult, path) -> None:
-    """Dump the machine-readable result (``results/BENCH_scale.json``)."""
-    with open(path, "w") as fh:
-        json.dump(result.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -2,24 +2,14 @@
 
 Commands:
 
-* ``list``                 — show the experiment registry;
-* ``run <exp-id> [...]``   — run experiments and print their tables/checks;
+* ``list``                 — show the experiment and bench registry;
+* ``run <id>... [--smoke] [--out PATH] [--trace] [--timeline] [--explain]
+  [--set FIELD=VALUE]...`` — run registry entries (paper tables/figures and
+  the compaction/query/qd/scale/cluster/crash benches), print their tables
+  and checks, and write each JSON document to ``PATH`` (a file, or an
+  existing directory that receives each entry's result file);
 * ``table1``               — print the hardware-spec encoding;
 * ``selftest``             — a fast end-to-end sanity run of both stores;
-* ``compaction-bench``     — compaction pipeline + block cache ablation,
-  with optional JSON export (``--out results/BENCH_compaction.json``);
-* ``query-bench``          — query-scheduler fan-out + PIDX bloom ablation,
-  with optional JSON export (``--out results/BENCH_query.json``);
-* ``qd-bench``             — single-thread queue-depth sweep over the async
-  SQ/CQ path (``--out results/BENCH_qd.json``);
-* ``scale-bench``          — 1M-key multi-keyspace YCSB-style load +
-  read/update run (``--out results/BENCH_scale.json``);
-* ``cluster-bench``        — scale-out router sweep over 1..N devices plus
-  online rebalancing under load (``--out results/BENCH_cluster.json``);
-* ``crash-bench``          — randomized crash-injection campaign (power cuts
-  at arbitrary journal events plus torn metadata/log appends) with staged
-  remount verification and recovery-time-vs-data-volume curves
-  (``--out results/BENCH_crash.json``);
 * ``trace``                — run a traced workload, dump a Chrome-trace
   timeline and print the per-command latency-attribution table;
 * ``metrics``              — run a traced workload and dump a
@@ -47,16 +37,17 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
 
 def _cmd_list(_args) -> int:
-    from repro.bench.experiments import EXPERIMENTS
+    from repro.bench.registry import REGISTRY
 
-    width = max(len(e) for e in EXPERIMENTS)
-    for exp_id, exp in EXPERIMENTS.items():
-        print(f"{exp_id.ljust(width)}  {exp.description}")
+    width = max(len(e) for e in REGISTRY)
+    for entry in REGISTRY.values():
+        print(f"{entry.id.ljust(width)}  {entry.description}")
     return 0
 
 
@@ -69,25 +60,45 @@ def _cmd_table1(_args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    from repro.bench.experiments import EXPERIMENTS, run_experiment
+def _out_path(out: str | None, entry, n_entries: int) -> str | None:
+    """Where one entry's document goes: ``out`` itself, or its result file
+    inside ``out`` when that is a directory."""
+    if out is None:
+        return None
+    if os.path.isdir(out):
+        return os.path.join(out, entry.result_file or f"{entry.id}.json")
+    if n_entries > 1:
+        raise ValueError(f"--out {out} is not a directory, and {n_entries} entries run")
+    return out
 
-    unknown = [e for e in args.experiments if e not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiments: {unknown}", file=sys.stderr)
-        print(f"available: {', '.join(EXPERIMENTS)}", file=sys.stderr)
+
+def _cmd_run(args) -> int:
+    from repro.bench.registry import OBSERVERS, configure, execute, write_json
+
+    observers = [name for name in OBSERVERS if getattr(args, name)]
+    # Reject every bad input before the first (possibly long) run starts.
+    try:
+        plans = [
+            configure(entry_id, args.smoke, args.set, observers)
+            for entry_id in args.ids
+        ]
+        paths = [_out_path(args.out, entry, len(plans)) for entry, _ in plans]
+    except ValueError as exc:
+        print(f"repro run: {exc}", file=sys.stderr)
         return 2
     ok = True
-    for exp_id in args.experiments:
+    for (entry, config), path in zip(plans, paths):
         t0 = time.time()
-        result = run_experiment(exp_id, quick=args.quick)
-        print(result.table())
-        if hasattr(result, "io_table"):
-            print(result.io_table())
-        for check in result.checks():
+        run = execute(entry, config, observers)
+        for table in run.tables():
+            print(table)
+        for check in run.checks:
             print(check)
-            ok = ok and check.passed
+        if path:
+            write_json(run.document, path)
+            print(f"wrote {path}")
         print(f"({time.time() - t0:.1f}s wall clock)")
+        ok = ok and run.ok
     return 0 if ok else 1
 
 
@@ -114,178 +125,6 @@ def _cmd_selftest(_args) -> int:
     print(f"rocksdb-baseline ok ({rk.env.now:.4f} simulated seconds)")
     print("selftest passed")
     return 0
-
-
-def _cmd_compaction_bench(args) -> int:
-    from dataclasses import replace
-
-    from repro.bench.compaction import (
-        CompactionBenchConfig,
-        run_compaction_bench,
-        write_json,
-    )
-
-    config = CompactionBenchConfig()
-    if args.shards is not None:
-        config = replace(config, shards=args.shards)
-    if args.cache_bytes is not None:
-        config = replace(config, block_cache_bytes=args.cache_bytes)
-    if args.trace:
-        config = replace(config, trace=True)
-    if args.timeline:
-        config = replace(config, timeline=True)
-    if args.explain:
-        config = replace(config, explain=True)
-    result = run_compaction_bench(config)
-    print(result.table())
-    ok = True
-    for check in result.checks():
-        print(check)
-        ok = ok and check.passed
-    if args.out:
-        write_json(result, args.out)
-        print(f"wrote {args.out}")
-    return 0 if ok else 1
-
-
-def _cmd_query_bench(args) -> int:
-    from dataclasses import replace
-
-    from repro.bench.query import QueryBenchConfig, run_query_bench, write_json
-
-    config = QueryBenchConfig.smoke() if args.smoke else QueryBenchConfig()
-    if args.workers is not None:
-        config = replace(config, workers=args.workers)
-    if args.bloom_bits is not None:
-        config = replace(config, bloom_bits_per_key=args.bloom_bits)
-    if args.timeline:
-        config = replace(config, timeline=True)
-    if args.explain:
-        config = replace(config, explain=True)
-    result = run_query_bench(config)
-    print(result.table())
-    ok = True
-    for check in result.checks():
-        print(check)
-        ok = ok and check.passed
-    if args.out:
-        write_json(result, args.out)
-        print(f"wrote {args.out}")
-    return 0 if ok else 1
-
-
-def _cmd_qd_bench(args) -> int:
-    from dataclasses import replace
-
-    from repro.bench.qd import QdBenchConfig, run_qd_bench, write_json
-
-    config = QdBenchConfig.smoke() if args.smoke else QdBenchConfig()
-    if args.workers is not None:
-        config = replace(config, query_workers=args.workers)
-    if args.depths:
-        config = replace(config, depths=tuple(args.depths))
-    if args.timeline:
-        config = replace(config, timeline=True)
-    if args.explain:
-        config = replace(config, explain=True)
-    result = run_qd_bench(config)
-    print(result.table())
-    ok = True
-    for check in result.checks():
-        print(check)
-        ok = ok and check.passed
-    if args.out:
-        write_json(result, args.out)
-        print(f"wrote {args.out}")
-    return 0 if ok else 1
-
-
-def _cmd_scale_bench(args) -> int:
-    from dataclasses import replace
-
-    from repro.bench.scale import ScaleBenchConfig, run_scale_bench, write_json
-
-    config = ScaleBenchConfig.smoke() if args.smoke else ScaleBenchConfig()
-    if args.pairs is not None:
-        config = replace(config, n_pairs=args.pairs)
-    if args.ops is not None:
-        config = replace(config, ops=args.ops)
-    if args.timeline:
-        config = replace(config, timeline=True)
-    if args.explain:
-        config = replace(config, explain=True)
-    result = run_scale_bench(config)
-    print(result.table())
-    ok = True
-    for check in result.checks():
-        print(check)
-        ok = ok and check.passed
-    if args.out:
-        write_json(result, args.out)
-        print(f"wrote {args.out}")
-    return 0 if ok else 1
-
-
-def _cmd_cluster_bench(args) -> int:
-    from dataclasses import replace
-
-    from repro.bench.cluster import (
-        ClusterBenchConfig,
-        run_cluster_bench,
-        write_json,
-    )
-
-    config = ClusterBenchConfig.smoke() if args.smoke else ClusterBenchConfig()
-    if args.devices:
-        config = replace(config, devices=tuple(args.devices))
-    if args.pairs is not None:
-        config = replace(config, n_pairs=args.pairs)
-    if args.ops is not None:
-        config = replace(config, ops=args.ops)
-    if args.no_rebalance:
-        config = replace(config, rebalance=False)
-    if args.explain:
-        config = replace(config, explain=True)
-    result = run_cluster_bench(config)
-    print(result.table())
-    ok = True
-    for check in result.checks():
-        print(check)
-        ok = ok and check.passed
-    if args.out:
-        write_json(result, args.out)
-        print(f"wrote {args.out}")
-    return 0 if ok else 1
-
-
-def _cmd_crash_bench(args) -> int:
-    from dataclasses import replace
-
-    from repro.bench.crash import CrashBenchConfig, run_crash_bench, write_json
-
-    config = CrashBenchConfig.smoke() if args.smoke else CrashBenchConfig()
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.event_points is not None:
-        config = replace(config, n_event_points=args.event_points)
-    if args.torn_points is not None:
-        config = replace(config, n_torn_points=args.torn_points)
-    result = run_crash_bench(config)
-    print(result.table())
-    ok = True
-    for check in result.checks():
-        print(check)
-        ok = ok and check.passed
-    for point in result.failed_points:
-        print(
-            f"FAILED {point['workload']} {point['kind']}@{point['at']}: "
-            f"{'; '.join(point['failures'])}",
-            file=sys.stderr,
-        )
-    if args.out:
-        write_json(result, args.out)
-        print(f"wrote {args.out}")
-    return 0 if ok else 1
 
 
 def _cmd_trace(args) -> int:
@@ -643,174 +482,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table1", help="print the Table I encoding").set_defaults(
         func=_cmd_table1
     )
-    run = sub.add_parser("run", help="run experiments and print their tables")
-    run.add_argument("experiments", nargs="+", help="experiment ids (see `list`)")
-    run.add_argument("--quick", action="store_true", help="reduced configurations")
+    run = sub.add_parser(
+        "run", help="run experiments/benches, print their tables and checks"
+    )
+    run.add_argument("ids", nargs="+", help="registry ids (see `list`)")
+    run.add_argument(
+        "--smoke", action="store_true", help="the reduced configurations"
+    )
+    run.add_argument(
+        "--out", default=None,
+        help="write the JSON document to this file, or each entry's result "
+        "file into this directory",
+    )
+    run.add_argument(
+        "--trace", action="store_true",
+        help="attach the observed testbed's latency attribution",
+    )
+    run.add_argument(
+        "--timeline", action="store_true",
+        help="attach a telemetry timeline (series + SLO alerts)",
+    )
+    run.add_argument(
+        "--explain", action="store_true",
+        help="attach a critical-path explain report, checked for >= 95%% "
+        "attributed latency",
+    )
+    run.add_argument(
+        "--set", action="append", default=[], metavar="FIELD=VALUE",
+        help="override one config field (repeatable; tuples comma-separated)",
+    )
     run.set_defaults(func=_cmd_run)
     sub.add_parser("selftest", help="fast sanity run of both stores").set_defaults(
         func=_cmd_selftest
     )
-    comp = sub.add_parser(
-        "compaction-bench",
-        help="compaction pipeline + block cache ablation",
-    )
-    comp.add_argument("--shards", type=int, default=None, help="SoC sort shards")
-    comp.add_argument(
-        "--cache-bytes", type=int, default=None, help="device block cache size"
-    )
-    comp.add_argument("--out", default=None, help="write JSON results to this path")
-    comp.add_argument(
-        "--trace",
-        action="store_true",
-        help="trace the pipelined run and attach its latency attribution",
-    )
-    comp.add_argument(
-        "--timeline",
-        action="store_true",
-        help="record a telemetry timeline; attach series + SLO alerts to "
-        "the results JSON",
-    )
-    comp.add_argument(
-        "--explain",
-        action="store_true",
-        help="attach a critical-path explain report for the pipelined run",
-    )
-    comp.set_defaults(func=_cmd_compaction_bench)
-    qb = sub.add_parser(
-        "query-bench",
-        help="query-scheduler fan-out + PIDX bloom ablation",
-    )
-    qb.add_argument(
-        "--smoke", action="store_true", help="reduced configuration for CI"
-    )
-    qb.add_argument(
-        "--workers", type=int, default=None, help="SoC query workers"
-    )
-    qb.add_argument(
-        "--bloom-bits", type=int, default=None, help="bloom bits per key"
-    )
-    qb.add_argument("--out", default=None, help="write JSON results to this path")
-    qb.add_argument(
-        "--timeline",
-        action="store_true",
-        help="record a telemetry timeline on the parallel testbed; attach "
-        "series + SLO alerts to the results JSON",
-    )
-    qb.add_argument(
-        "--explain",
-        action="store_true",
-        help="attach a critical-path explain report for the parallel testbed",
-    )
-    qb.set_defaults(func=_cmd_query_bench)
-    qd = sub.add_parser(
-        "qd-bench",
-        help="single-thread queue-depth sweep over the async I/O path",
-    )
-    qd.add_argument(
-        "--smoke", action="store_true", help="reduced configuration for CI"
-    )
-    qd.add_argument(
-        "--workers", type=int, default=None, help="SoC query workers"
-    )
-    qd.add_argument(
-        "--depths", type=int, nargs="+", default=None,
-        help="queue depths to sweep (default: 1 4 16 32)",
-    )
-    qd.add_argument("--out", default=None, help="write JSON results to this path")
-    qd.add_argument(
-        "--timeline",
-        action="store_true",
-        help="record a telemetry timeline on the deepest-QD sweep; attach "
-        "series + SLO alerts to the results JSON",
-    )
-    qd.add_argument(
-        "--explain",
-        action="store_true",
-        help="attach a critical-path explain report for the deepest-QD sweep",
-    )
-    qd.set_defaults(func=_cmd_qd_bench)
-    scale = sub.add_parser(
-        "scale-bench",
-        help="1M-key multi-keyspace YCSB-style load + read/update run",
-    )
-    scale.add_argument(
-        "--smoke", action="store_true", help="reduced configuration for CI"
-    )
-    scale.add_argument(
-        "--pairs", type=int, default=None, help="total pairs to load"
-    )
-    scale.add_argument(
-        "--ops", type=int, default=None, help="total read/update operations"
-    )
-    scale.add_argument(
-        "--out", default=None, help="write JSON results to this path"
-    )
-    scale.add_argument(
-        "--timeline",
-        action="store_true",
-        help="record a telemetry timeline (spans not retained); attach "
-        "series + SLO alerts to the results JSON",
-    )
-    scale.add_argument(
-        "--explain",
-        action="store_true",
-        help="attach a critical-path explain report (forces span "
-        "retention; pair with --smoke)",
-    )
-    scale.set_defaults(func=_cmd_scale_bench)
-    cluster = sub.add_parser(
-        "cluster-bench",
-        help="scale-out router sweep over 1..N devices + online rebalance",
-    )
-    cluster.add_argument(
-        "--smoke", action="store_true", help="reduced configuration for CI"
-    )
-    cluster.add_argument(
-        "--devices", type=int, nargs="+", default=None,
-        help="fleet sizes to sweep (default: 1 2 4 8)",
-    )
-    cluster.add_argument(
-        "--pairs", type=int, default=None, help="total pairs to load"
-    )
-    cluster.add_argument(
-        "--ops", type=int, default=None, help="batched GETs per fleet size"
-    )
-    cluster.add_argument(
-        "--no-rebalance", action="store_true",
-        help="skip the online-rebalance scenario",
-    )
-    cluster.add_argument(
-        "--out", default=None, help="write JSON results to this path"
-    )
-    cluster.add_argument(
-        "--explain",
-        action="store_true",
-        help="trace the largest fleet and attach a critical-path explain "
-        "report with device-labeled resources",
-    )
-    cluster.set_defaults(func=_cmd_cluster_bench)
-    crash = sub.add_parser(
-        "crash-bench",
-        help="randomized crash-injection campaign + recovery-time curves",
-    )
-    crash.add_argument(
-        "--smoke", action="store_true", help="reduced configuration for CI"
-    )
-    crash.add_argument(
-        "--seed", type=int, default=None, help="campaign RNG seed"
-    )
-    crash.add_argument(
-        "--event-points", type=int, default=None,
-        help="power-cut points per workload (sampled journal events)",
-    )
-    crash.add_argument(
-        "--torn-points", type=int, default=None,
-        help="torn-append points per workload (sampled flash writes)",
-    )
-    crash.add_argument(
-        "--out", default=None, help="write JSON results to this path"
-    )
-    crash.set_defaults(func=_cmd_crash_bench)
     trace = sub.add_parser(
         "trace",
         help="run a traced workload, export a Chrome-trace timeline",

@@ -11,9 +11,10 @@ Two wire formats coexist:
 
       u32 record_len | payload
 
-  No magic, no checksum.  Byte-identical to the historical
-  ``repro.core.metadata`` stream, preserved so existing devices, tests and
-  golden clocks do not move.
+  No magic, no checksum.  Byte-identical to the historical keyspace-table
+  stream (the module-level ``encode_upsert`` / ``encode_delete`` /
+  ``replay_records`` entry points), preserved so existing devices, tests
+  and golden clocks do not move.
 
 * **v2** (``SocSpec.durable_meta``)::
 

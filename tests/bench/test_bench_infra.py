@@ -10,7 +10,7 @@ from repro.bench.calibration import (
     build_kvcsd_testbed,
     build_rocksdb_testbed,
 )
-from repro.bench.experiments import EXPERIMENTS, quick_config
+from repro.bench.registry import REGISTRY
 from repro.bench.report import ResultTable, ShapeCheck, speedup
 from repro.bench.table1 import table1, table1_checks
 from repro.cli import main as cli_main
@@ -90,19 +90,19 @@ def test_table1_encoding_consistent():
 
 # ------------------------------------------------------------------ experiments registry
 def test_registry_covers_every_table_and_figure():
-    assert set(EXPERIMENTS) == {
-        "table1", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "compaction"
+    assert set(REGISTRY) == {
+        "table1", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
+        "compaction", "query", "qd", "scale", "cluster", "crash",
     }
-    for exp in EXPERIMENTS.values():
-        assert exp.description
+    for entry_id, entry in REGISTRY.items():
+        assert entry.id == entry_id
+        assert entry.description
 
 
 def test_quick_configs_are_smaller():
-    assert quick_config("fig7").n_pairs < EXPERIMENTS["fig7"].default_config.n_pairs
-    assert (
-        quick_config("fig11").n_particles
-        < EXPERIMENTS["fig11"].default_config.n_particles
-    )
+    assert REGISTRY["fig7"].reduced.n_pairs < REGISTRY["fig7"].config.n_pairs
+    assert REGISTRY["fig11"].reduced.n_particles < REGISTRY["fig11"].config.n_particles
+    assert REGISTRY["scale"].reduced.n_pairs < REGISTRY["scale"].config.n_pairs
 
 
 # ------------------------------------------------------------------ CLI

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import metadata as legacy
 from repro.core.keyspace import Keyspace, KeyspaceState
 from repro.core.meta import (
     META_V1,
@@ -10,6 +9,9 @@ from repro.core.meta import (
     MAGIC,
     MetaCodec,
     choose_stream,
+    encode_delete,
+    encode_upsert,
+    replay_records,
 )
 from repro.core.pidx import PidxSketch
 from repro.core.sidx import SidxConfig, SidxSketch
@@ -77,8 +79,8 @@ def assert_keyspace_equal(a: Keyspace, b: Keyspace) -> None:
 def test_v1_framing_matches_legacy_stream(ssd):
     """MetaCodec(v1) must emit the historical byte stream exactly."""
     ks = make_keyspace(ssd, with_blooms=False)
-    assert MetaCodec(META_V1).encode_upsert(ks, 41) == legacy.encode_upsert(ks, 41)
-    assert MetaCodec(META_V1).encode_delete("ks") == legacy.encode_delete("ks")
+    assert MetaCodec(META_V1).encode_upsert(ks, 41) == encode_upsert(ks, 41)
+    assert MetaCodec(META_V1).encode_delete("ks") == encode_delete("ks")
 
 
 def test_v1_stream_parses_with_both_readers(ssd):
@@ -91,7 +93,7 @@ def test_v1_stream_parses_with_both_readers(ssd):
     recovered, last_seq = stream.table["ks"]
     assert last_seq == 41
     assert_keyspace_equal(ks, recovered)
-    assert legacy.replay_records(blob, ssd).keys() == stream.table.keys()
+    assert replay_records(blob, ssd).keys() == stream.table.keys()
 
 
 def test_v2_roundtrip_reattaches_blooms(ssd):

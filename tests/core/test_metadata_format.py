@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.keyspace import Keyspace, KeyspaceState
-from repro.core.metadata import encode_delete, encode_upsert, replay_records
+from repro.core.meta import encode_delete, encode_upsert, replay_records
 from repro.core.pidx import PidxSketch
 from repro.core.sidx import SidxConfig, SidxSketch
 from repro.core.zone_manager import ZoneCluster
