@@ -148,7 +148,6 @@ class KvcsdTestbed:
         block_cache_bytes: int | None = None,
         query_workers: int | None = None,
         bloom_bits_per_key: int | None = None,
-        durable_meta: bool | None = None,
         queue_depth: int = 32,
     ):
         overrides = {}
@@ -160,8 +159,6 @@ class KvcsdTestbed:
             overrides["query_workers"] = query_workers
         if bloom_bits_per_key is not None:
             overrides["bloom_bits_per_key"] = bloom_bits_per_key
-        if durable_meta is not None:
-            overrides["durable_meta"] = durable_meta
         if overrides:
             soc = replace(soc, **overrides)
         self.env = Environment()

@@ -6,10 +6,10 @@ power loss at *any* later instant must not lose it.  This bench turns that
 promise into a measured quantity:
 
 1. **Reference run** — each workload (ingest, compact, churn, mixed) runs
-   to completion on a durable-metadata testbed with the event journal
-   installed, learning the total journal event count ``E`` and SSD append
-   count ``W``, the final acknowledged state, and the bloom-elimination
-   behaviour of compacted keyspaces on absent-key probes.
+   to completion on a testbed with the event journal installed, learning
+   the total journal event count ``E`` and SSD append count ``W``, the
+   final acknowledged state, and the bloom-elimination behaviour of
+   compacted keyspaces on absent-key probes.
 2. **Crash campaign** — for each workload, crash points are sampled
    without replacement: power cuts at arbitrary journal sequence numbers
    in ``[1, E]`` (:class:`FaultPlan.cut_at_event`) and torn appends at
@@ -124,12 +124,11 @@ def _crash_spec(config: CrashBenchConfig) -> SocSpec:
     return SocSpec(
         sort_budget_bytes=64 * MiB,
         bloom_bits_per_key=config.bloom_bits_per_key,
-        durable_meta=True,
     )
 
 
 class _Bed:
-    """One durable-metadata device under a minimal host."""
+    """One device under a minimal host."""
 
     def __init__(self, config: CrashBenchConfig):
         self.env = Environment()

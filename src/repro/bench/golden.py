@@ -442,7 +442,7 @@ def _fp_crash_recovery() -> dict:
 
     pairs = _pairs(2048, seed=61)
     delta = [(b"d-" + k, v) for k, v in pairs[:256]]
-    kv = build_kvcsd_testbed(seed=61, durable_meta=True, bloom_bits_per_key=10)
+    kv = build_kvcsd_testbed(seed=61, bloom_bits_per_key=10)
     fp: dict = {}
     load_phase(kv.env, kv.adapter, [("ks", pairs, kv.thread_ctx(0))])
     fp["now_after_load"] = _hx(kv.env.now)

@@ -31,7 +31,7 @@ from repro.core.klog import (
     unpack_klog_records_prefix,
 )
 from repro.core.membuf import MEMBUF_BYTES, MemBuffer
-from repro.core.meta import META_V1, META_V2, MetaCodec, MetaStream, choose_stream
+from repro.core.metalog import MetadataLog
 from repro.core.pidx import PidxColumns, PidxPacker, PidxSketch, block_entry_counts
 from repro.core.query import QueryEngine
 from repro.core.scheduler import QueryScheduler
@@ -62,12 +62,6 @@ from repro.units import KiB
 
 __all__ = ["KvCsdDevice"]
 
-#: The fixed zone holding the keyspace table (Section IV's metadata zone).
-METADATA_ZONE_ID = 0
-#: The checkpoint standby zone (``durable_meta`` only): checkpoints are
-#: written here sealed, then the zones swap roles — a crash anywhere inside
-#: a checkpoint leaves the previous sealed stream intact.
-METADATA_STANDBY_ZONE_ID = 1
 #: Mount pipeline stage names, in execution order.
 MOUNT_STAGES = ("scan", "replay", "indexes", "rescan", "reclaim")
 
@@ -108,8 +102,6 @@ class KvCsdDevice:
         #: async job completion events per keyspace (compaction + sidx builds)
         self._jobs: dict[str, list[Event]] = {}
         self._inflight = Resource(self.env, capacity=max_inflight)
-        #: serializes metadata writers in durable mode (see ``_meta_locked``)
-        self._meta_lock = Resource(self.env, capacity=1)
         #: key-range shards for the compaction sort, bounded by the cores
         #: that could actually run them concurrently
         self.compaction_shards = max(
@@ -163,25 +155,20 @@ class KvCsdDevice:
         #: host-side KV queue pairs registered by clients, so the auditor's
         #: queue-accounting invariant covers the host in-flight set too
         self.host_qps: list = []
-        #: durable-metadata mode: v2 checksummed records, persisted blooms,
-        #: A/B checkpoint zones.  Off (default) keeps the legacy v1 stream
-        #: byte-identical.
-        self.durable_meta = board.spec.durable_meta
-        self.meta_codec = MetaCodec(META_V2 if self.durable_meta else META_V1)
-        #: checkpoint epoch of the active metadata stream (durable mode)
-        self._meta_epoch = 0
         #: per-stage virtual-time latency of the most recent mount
         self._mount_stages: dict[str, float] = {}
         #: errors raised by offloaded jobs, surfaced by :meth:`wait_for_jobs`
         self._job_errors: dict[str, list[Exception]] = {}
-        #: the keyspace table's backing store is a fixed, well-known zone so
-        #: a remounted device finds it after a power cycle
-        self._metadata_cluster = self.zone_manager.reserve_zone(METADATA_ZONE_ID)
-        #: the A/B partner zone for sealed checkpoints (durable mode only)
-        self._metadata_standby = (
-            self.zone_manager.reserve_zone(METADATA_STANDBY_ZONE_ID)
-            if self.durable_meta
-            else None
+        #: the keyspace table's backing store: two fixed, well-known zones,
+        #: so a remounted device finds it after a power cycle
+        self.metalog = MetadataLog(
+            board,
+            self.zone_manager,
+            self.costs,
+            self.stats,
+            self._journal,
+            self.keyspaces,
+            self._seqs,
         )
 
     # ------------------------------------------------------------------ plumbing
@@ -260,130 +247,6 @@ class KvCsdDevice:
                 )
         yield from self.zone_manager.release_cluster(cluster)
 
-    def _meta_locked(self, body: Generator) -> Generator:
-        """Run one metadata write under the device metadata lock.
-
-        The durable A/B checkpoint yields many times between encoding the
-        snapshot and retiring the old stream; an unserialized concurrent
-        append (another keyspace's compaction cleanup, say) could land on
-        the pre-swap active cluster and be erased by the post-swap reset —
-        silently losing a durably-acknowledged record.  Legacy mode takes
-        no lock, keeping its historical timeline byte-identical (its
-        reset-then-rewrite crash window is a documented legacy property).
-        """
-        if not self.durable_meta:
-            return (yield from body)
-        with self._meta_lock.request() as lock:
-            yield from trace_wait(self.env, lock, "dev.meta_lock_wait")
-            return (yield from body)
-
-    def _metadata_update(self, ctx: ThreadCtx, ks: Keyspace | None = None) -> Generator:
-        """Persist a keyspace-table change to the metadata zone.
-
-        ``ks`` appends that keyspace's upsert record; ``None`` appends a
-        delete-consistent checkpoint trigger (used by deletions, whose name
-        is already gone from the table).  A full zone triggers a checkpoint:
-        reset, then snapshot every live keyspace.
-        """
-        yield from self._meta_locked(self._metadata_update_impl(ctx, ks))
-
-    def _metadata_update_impl(self, ctx: ThreadCtx, ks: Keyspace | None) -> Generator:
-        if ks is not None:
-            record = self.meta_codec.encode_upsert(ks, self._seqs.get(ks.name, 0))
-        else:
-            record = None
-        try:
-            if record is not None:
-                if self.durable_meta:
-                    yield from self._exec(
-                        ctx, self.costs.checksum_per_byte * len(record)
-                    )
-                yield from self._metadata_cluster.append_group(record)
-            else:
-                yield from self._checkpoint_metadata(ctx)
-        except ZoneFullError:
-            yield from self._checkpoint_metadata(ctx)
-        self.stats.counter("metadata_updates").add()
-
-    def _metadata_delete(self, ctx: ThreadCtx, name: str) -> Generator:
-        """Record a keyspace deletion."""
-        yield from self._meta_locked(self._metadata_delete_impl(ctx, name))
-
-    def _metadata_delete_impl(self, ctx: ThreadCtx, name: str) -> Generator:
-        record = self.meta_codec.encode_delete(name)
-        try:
-            if self.durable_meta:
-                yield from self._exec(ctx, self.costs.checksum_per_byte * len(record))
-            yield from self._metadata_cluster.append_group(record)
-        except ZoneFullError:
-            yield from self._checkpoint_metadata(ctx)
-            if name in self.keyspaces:
-                # Durable ordering persists the delete before the keyspace
-                # leaves the table (see delete_keyspace), so the checkpoint
-                # just written still snapshots the dying keyspace: re-append
-                # the delete so the fresh stream cannot resurrect it over
-                # zones that are about to be released and reused.
-                yield from self._metadata_cluster.append_group(record)
-        self.stats.counter("metadata_updates").add()
-
-    def _checkpoint_metadata(self, ctx: ThreadCtx) -> Generator:
-        """Snapshot the whole keyspace table into a fresh metadata stream.
-
-        Legacy mode rewrites the single metadata zone in place (reset, then
-        snapshot every live keyspace) — the historical byte-identical path,
-        with a crash window between reset and rewrite.  Durable mode closes
-        that window with A/B checkpointing: the snapshot is written to the
-        *standby* zone as ``EPOCH(n+1) | upserts | COMMIT(n+1)``, the zones
-        swap roles, and only then is the old stream erased.  A crash at any
-        point leaves at least one sealed stream for mount to choose.
-
-        Durable-mode callers reach here with ``_meta_lock`` held (via
-        ``_meta_locked``), so no other metadata writer can interleave with
-        the snapshot/swap/reset sequence.
-        """
-        if not self.durable_meta:
-            for zone_id in self._metadata_cluster.zone_ids:
-                yield from self.ssd.reset_zone(zone_id)
-            for name in sorted(self.keyspaces):
-                snapshot = self.meta_codec.encode_upsert(
-                    self.keyspaces[name], self._seqs.get(name, 0)
-                )
-                yield from self._metadata_cluster.append_group(snapshot)
-            self.stats.counter("metadata_checkpoints").add()
-            self._journal("metadata.checkpoint", keyspaces=len(self.keyspaces))
-            return
-        target = self._metadata_standby
-        for zone_id in target.zone_ids:
-            if self.ssd.zone(zone_id).write_pointer:
-                yield from self.ssd.reset_zone(zone_id)
-        epoch = self._meta_epoch + 1
-        records = [self.meta_codec.encode_epoch(epoch)]
-        for name in sorted(self.keyspaces):
-            records.append(
-                self.meta_codec.encode_upsert(
-                    self.keyspaces[name], self._seqs.get(name, 0)
-                )
-            )
-        records.append(self.meta_codec.encode_commit(epoch))
-        yield from self._exec(
-            ctx, self.costs.checksum_per_byte * sum(len(r) for r in records)
-        )
-        for record in records:
-            yield from target.append_group(record)
-        # The commit landed: swap roles, then retire the old stream.
-        self._metadata_cluster, self._metadata_standby = (
-            target,
-            self._metadata_cluster,
-        )
-        for zone_id in self._metadata_standby.zone_ids:
-            yield from self.ssd.reset_zone(zone_id)
-        self._meta_epoch = epoch
-        self.stats.counter("metadata_checkpoints").add()
-        self._journal("metadata.checkpoint",
-            keyspaces=len(self.keyspaces),
-            epoch=epoch,
-        )
-
     def _append_stream(
         self,
         clusters: list[ZoneCluster],
@@ -430,7 +293,7 @@ class KvCsdDevice:
         self._write_locks[name] = Resource(self.env, capacity=1)
         self._seqs[name] = 0
         self._jobs[name] = []
-        yield from self._metadata_update(ctx, ks)
+        yield from self.metalog.upsert(ctx, ks)
         self.stats.counter("keyspaces_created").add()
         self._journal("keyspace.create", keyspace=name)
 
@@ -439,7 +302,7 @@ class KvCsdDevice:
         yield from self._exec(ctx, self.costs.request_overhead)
         ks = self._keyspace(name)
         ks.open_for_write()
-        yield from self._metadata_update(ctx, ks)
+        yield from self.metalog.upsert(ctx, ks)
         self._journal("keyspace.open", keyspace=name)
 
     def delete_keyspace(self, name: str, ctx: ThreadCtx) -> Generator:
@@ -449,13 +312,10 @@ class KvCsdDevice:
         ks.deletion_pending = True
         for job in list(self._jobs.get(name, [])):
             yield job
-        if self.durable_meta:
-            # Crash-safe ordering: persist the delete record *before*
-            # touching the data zones.  A cut before the record leaves the
-            # keyspace fully intact; a cut after it leaves orphan zones the
-            # next mount reclaims.  (The legacy path keeps its historical
-            # release-then-record order byte-identical.)
-            yield from self._metadata_delete(ctx, name)
+        # Crash-safe ordering: persist the delete record *before* touching
+        # the data zones.  A cut before the record leaves the keyspace fully
+        # intact; a cut after it leaves orphan zones the next mount reclaims.
+        yield from self.metalog.delete(ctx, name)
         for cluster in ks.all_clusters():
             yield from self._release_cluster(cluster)
         bloom_bytes = self._bloom_dram.pop(name, 0)
@@ -466,8 +326,6 @@ class KvCsdDevice:
         self._write_locks.pop(name, None)
         self._seqs.pop(name, None)
         self._jobs.pop(name, None)
-        if not self.durable_meta:
-            yield from self._metadata_delete(ctx, name)
         self.stats.counter("keyspaces_deleted").add()
         self._journal("keyspace.delete", keyspace=name)
 
@@ -502,18 +360,18 @@ class KvCsdDevice:
         its virtual-time latency in :attr:`_mount_stages`, and leaves the
         device snapshot-able via ``repro.obs.inspect.device_snapshot``:
 
-        1. **scan** — read the metadata zone(s).  Durable devices parse
-           both A/B streams and mount the sealed stream with the highest
-           epoch, so a crash inside a checkpoint falls back to the previous
-           sealed snapshot; a torn record tail is detected (v2 CRC frames)
-           and the intact prefix applied.
+        1. **scan** — :meth:`MetadataLog.scan` parses both A/B metadata
+           streams and mounts the sealed stream with the highest epoch, so
+           a crash inside a checkpoint falls back to the previous sealed
+           snapshot; a torn record tail is detected (v2 CRC frames) and the
+           intact prefix applied.
         2. **replay** — rebuild the keyspace table: states, zone-cluster
            maps, sketches, sequence numbers.  Keyspaces caught COMPACTING
            revert to WRITABLE (their logs are intact, the job re-runs).
         3. **indexes** — re-attach persisted PIDX/SIDX block blooms (v2
            annexes), charging DRAM for them; COMPACTED keyspaces whose
-           stream carried no blooms fall back to a bounded reconstruction
-           from the PIDX blocks themselves.
+           record carried no blooms (v1 records) fall back to a bounded
+           reconstruction from the PIDX blocks themselves.
         4. **rescan** — re-derive seq/pair-count/key-bounds of WRITABLE
            keyspaces from their KLOG tails (the log may postdate the last
            table write).
@@ -530,53 +388,15 @@ class KvCsdDevice:
 
         self._mount_stages = {}
 
-        # ---- stage 1: superblock / metadata-zone scan
+        # ---- stage 1: metadata-zone scan
         scan_fields: dict = {}
         with self._mount_stage("scan", scan_fields):
-            zone_ids = [METADATA_ZONE_ID]
-            if self.durable_meta:
-                zone_ids.append(METADATA_STANDBY_ZONE_ID)
-            streams: list[MetaStream] = []
-            stream_zone: dict[int, int] = {}
-            for zone_id in zone_ids:
-                wp = self.ssd.zone(zone_id).write_pointer
-                blob = b""
-                if wp:
-                    blob = yield from self.ssd.read(zone_id, 0, wp)
-                if self.durable_meta and blob:
-                    yield from self._exec(
-                        ctx, self.costs.checksum_per_byte * len(blob)
-                    )
-                stream = self.meta_codec.parse_stream(blob, self.ssd)
-                stream_zone[id(stream)] = zone_id
-                streams.append(stream)
-            chosen = choose_stream(streams)
-            active_zone = stream_zone.get(id(chosen), METADATA_ZONE_ID)
-            if self.durable_meta and active_zone != METADATA_ZONE_ID:
-                # The sealed checkpoint lives in the standby zone: the dying
-                # device crashed after a swap; adopt its role assignment.
-                self._metadata_cluster, self._metadata_standby = (
-                    self._metadata_standby,
-                    self._metadata_cluster,
-                )
-            self._meta_epoch = chosen.epoch
-            scan_fields.update(
-                zones=len(streams),
-                active_zone=active_zone,
-                epoch=chosen.epoch,
-                records=chosen.records,
-                torn=chosen.torn,
-                crc_failures=sum(s.crc_failures for s in streams),
-            )
-            if chosen.torn or chosen.crc_failures:
-                self.stats.counter("metadata_torn_tails").add()
+            chosen = yield from self.metalog.scan(ctx, scan_fields)
 
         # ---- stage 2: keyspace-table replay
         replay_fields: dict = {}
         with self._mount_stage("replay", replay_fields):
-            used_zones: set[int] = set(self._metadata_cluster.zone_ids)
-            if self._metadata_standby is not None:
-                used_zones.update(self._metadata_standby.zone_ids)
+            used_zones: set[int] = set(self.metalog.zone_ids)
             for name, (ks, last_seq) in chosen.table.items():
                 if ks.state is KeyspaceState.COMPACTING:
                     # The job died with the power; its inputs (KLOG/VLOG) are
@@ -595,7 +415,7 @@ class KvCsdDevice:
                 )
             replay_fields["keyspaces"] = len(self.keyspaces)
 
-        # ---- stage 3: sketch/bloom reload (durable annexes), with bounded
+        # ---- stage 3: sketch/bloom reload (v2 annexes), with bounded
         # reconstruction fallback for COMPACTED keyspaces that lack blooms
         indexes_fields: dict = {}
         with self._mount_stage("indexes", indexes_fields):
@@ -626,8 +446,7 @@ class KvCsdDevice:
                         bytes=annex_bytes,
                     )
                 elif (
-                    self.durable_meta
-                    and self.bloom_bits_per_key
+                    self.bloom_bits_per_key
                     and ks.state is KeyspaceState.COMPACTED
                     and ks.pidx_sketch is not None
                     and len(ks.pidx_sketch)
@@ -683,9 +502,8 @@ class KvCsdDevice:
     def _rebuild_blooms_bounded(self, ks: Keyspace, ctx: ThreadCtx) -> Generator:
         """Reconstruct per-block PIDX blooms by re-reading the index blocks.
 
-        The fallback of mount stage 3 for durable devices whose metadata
-        stream carried no bloom annex (e.g. a legacy v1 stream mounted after
-        an upgrade).  Bounded: reads at most ``sort_budget_bytes`` of PIDX
+        The fallback of mount stage 3 for a keyspace whose metadata record
+        carried no bloom annex (a v1 record written by older firmware).  Bounded: reads at most ``sort_budget_bytes`` of PIDX
         blocks; returns False (leaving the keyspace bloom-less, which is
         correct, just slower) if the index exceeds the budget.  Bloom
         hashing is deterministic, so reconstructed filters are byte-identical
@@ -815,7 +633,7 @@ class KvCsdDevice:
             "recovery.mount_seconds": lambda: float(
                 sum(self._mount_stages.values())
             ),
-            "meta.epoch": lambda: float(self._meta_epoch),
+            **self.metalog.metric_gauges(),
         }
         for stage in MOUNT_STAGES:
             gauges[f"recovery.stage_seconds.{stage}"] = (
@@ -847,18 +665,7 @@ class KvCsdDevice:
                 name: self._seqs[name] for name in sorted(self._seqs)
             },
             "zone_manager": self.zone_manager.introspect(),
-            "metadata_zone": {
-                "zone_ids": list(self._metadata_cluster.zone_ids),
-                "bytes_stored": self._metadata_cluster.bytes_stored(),
-                "durable": self.durable_meta,
-                "format_version": self.meta_codec.version,
-                "epoch": self._meta_epoch,
-                "standby_zone_ids": (
-                    list(self._metadata_standby.zone_ids)
-                    if self._metadata_standby is not None
-                    else []
-                ),
-            },
+            "metadata_zone": self.metalog.introspect(),
             "mount_stages": dict(self._mount_stages),
             "ssd": self.ssd.introspect(),
             "soc": self.board.introspect(),
@@ -962,7 +769,7 @@ class KvCsdDevice:
                 clusters_before = len(ks.klog_clusters)
                 yield from self._append_stream(ks.klog_clusters, [blob], ctx)
                 if len(ks.klog_clusters) != clusters_before:
-                    yield from self._metadata_update(ctx, ks)
+                    yield from self.metalog.upsert(ctx, ks)
                 self.stats.counter("tombstones").add(len(keys))
 
     def fsync(self, name: str, ctx: ThreadCtx) -> Generator:
@@ -1025,7 +832,7 @@ class KvCsdDevice:
             # New zone clusters joined the keyspace: persist the mapping so a
             # power cycle can find the data (the keyspace table is the only
             # pointer to these zones).
-            yield from self._metadata_update(ctx, ks)
+            yield from self.metalog.upsert(ctx, ks)
         self.stats.counter("membuf_flushes").add()
 
     # ------------------------------------------------------------------ compaction
@@ -1064,7 +871,7 @@ class KvCsdDevice:
             yield from trace_wait(self.env, lock, "dev.write_lock_wait")
             yield from self._flush_membuf(ks, ctx)
         ks.begin_compaction()
-        yield from self._metadata_update(ctx, ks)
+        yield from self.metalog.upsert(ctx, ks)
         self._journal("keyspace.compaction_begin",
             keyspace=name,
             n_pairs=ks.n_pairs,
@@ -1277,27 +1084,19 @@ class KvCsdDevice:
             with self._compact_phase(ks, "cleanup"), trace_span(
                 self.env, "compact.cleanup", "stage"
             ):
-                if self.durable_meta:
-                    # Persist the compacted table entry *before* releasing
-                    # the log zones: a crash between the two leaves orphan
-                    # zones (reclaimed at mount) instead of a table entry
-                    # pointing at erased logs.
-                    stale = ks.klog_clusters + ks.vlog_clusters
-                    ks.klog_clusters = []
-                    ks.vlog_clusters = []
-                    ks.finish_compaction()
-                    try:
-                        yield from self._metadata_update(ctx, ks)
-                    finally:
-                        for cluster in stale:
-                            yield from self._release_cluster(cluster)
-                else:
-                    for cluster in ks.klog_clusters + ks.vlog_clusters:
+                # Persist the compacted table entry *before* releasing the
+                # log zones: a crash between the two leaves orphan zones
+                # (reclaimed at mount) instead of a table entry pointing at
+                # erased logs.
+                stale = ks.klog_clusters + ks.vlog_clusters
+                ks.klog_clusters = []
+                ks.vlog_clusters = []
+                ks.finish_compaction()
+                try:
+                    yield from self.metalog.upsert(ctx, ks)
+                finally:
+                    for cluster in stale:
                         yield from self._release_cluster(cluster)
-                    ks.klog_clusters = []
-                    ks.vlog_clusters = []
-                    ks.finish_compaction()
-                    yield from self._metadata_update(ctx, ks)
             self.stats.counter("compactions").add()
             self.job_durations[(ks.name, "compaction")] = self.env.now - t0
             self._journal("keyspace.compaction_end",
@@ -1412,10 +1211,8 @@ class KvCsdDevice:
         Works for PIDX sketches (member = primary key) and SIDX sketches
         (member = encoded secondary key) alike.  The filter bytes are
         reserved against the SoC DRAM budget and tracked per keyspace so
-        deletion returns them.  Under ``durable_meta`` the blooms ride the
-        keyspace's next metadata record (the v2 bloom annex) and survive a
-        power cycle; on legacy devices they are DRAM-only and a recovered
-        device simply runs without them.
+        deletion returns them.  The blooms ride the keyspace's next metadata
+        record (the v2 bloom annex) and survive a power cycle.
         """
         bits = self.bloom_bits_per_key
         n_blocks = len(bounds) - 1
@@ -1586,7 +1383,7 @@ class KvCsdDevice:
                 ks, sketch, column_key_bytes(pairs.skeys), bounds, ctx
             )
         ks.sidx[config.name] = (config, sketch)
-        yield from self._metadata_update(ctx, ks)
+        yield from self.metalog.upsert(ctx, ks)
         return sketch
 
     def _sidx_built(

@@ -1,29 +1,23 @@
-"""Durable metadata layer: a versioned, checksummed record codec.
+"""Durable metadata layer: a checksummed record codec.
 
 All on-flash metadata flows through this module — keyspace table records,
-zone-cluster maps, PIDX sketches, SIDX summaries, and (format v2) the
-per-block bloom filters — so a recovered device starts from exactly the
-state the dying device persisted, blooms included.
+zone-cluster maps, PIDX sketches, SIDX summaries and the per-block bloom
+filters — so a recovered device starts from exactly the state the dying
+device persisted, blooms included.  :mod:`repro.core.metalog` decides
+where and when records are written; this module only frames them.
 
-Two wire formats coexist:
+Every record is written in format v2::
 
-* **v1** (legacy, the default)::
+    b"KM" | u8 version | u32 payload_len | u32 crc32(payload) | payload
 
-      u32 record_len | payload
+The magic + CRC make a torn append (mid-write power loss) *detected*
+rather than misparsed: replay applies the longest intact prefix and stops
+at the first bad frame — the crash-consistency contract.
 
-  No magic, no checksum.  Byte-identical to the historical keyspace-table
-  stream (the module-level ``encode_upsert`` / ``encode_delete`` /
-  ``replay_records`` entry points), preserved so existing devices, tests
-  and golden clocks do not move.
-
-* **v2** (``SocSpec.durable_meta``)::
-
-      b"KM" | u8 version | u32 payload_len | u32 crc32(payload) | payload
-
-  Every record is framed with a magic + CRC so a torn append (mid-write
-  power loss) is *detected* rather than misparsed: replay applies the
-  longest intact prefix and stops at the first bad frame — the
-  crash-consistency contract.
+Format v1 (``u32 record_len | payload``, no magic, no checksum, no bloom
+annex) is read-only: older firmware wrote it, so :meth:`MetaCodec.
+parse_stream` still mounts v1 streams and v1 records followed by v2 ones,
+but nothing writes v1 any more.
 
 Payloads start with a type byte:
 
@@ -31,20 +25,19 @@ Payloads start with a type byte:
   *bloom annex* after the SIDX section: the serialized per-block bloom
   filters of the PIDX sketch and of every SIDX sketch.
 * ``DELETE`` — drop a keyspace by name.
-* ``EPOCH`` / ``COMMIT`` — checkpoint stream sealing (v2 only).  A durable
-  checkpoint writes ``EPOCH(n) | snapshot upserts | COMMIT(n)`` into the
-  *standby* metadata zone, then switches; mount picks the sealed stream
-  with the highest epoch, so a crash anywhere inside a checkpoint falls
-  back to the previous, still-sealed stream.
+* ``EPOCH`` / ``COMMIT`` — checkpoint stream sealing.  A checkpoint writes
+  ``EPOCH(n) | snapshot upserts | COMMIT(n)`` into the *standby* metadata
+  zone, then switches; mount picks the sealed stream with the highest
+  epoch, so a crash anywhere inside a checkpoint falls back to the
+  previous, still-sealed stream.
 
-:func:`MetaCodec.parse_stream` auto-detects the framing per record: a
-record is treated as v2 only when the full frame validates (magic,
-version, bounds, CRC); otherwise it is retried under the v1 length-prefix
+:meth:`MetaCodec.parse_stream` detects the framing per record: a record
+is treated as v2 only when the full frame validates (magic, version,
+bounds, CRC); otherwise it is retried under the v1 length-prefix
 interpretation before the stream is declared torn.  A v1 record whose
 little-endian length happens to start with the ``KM`` bytes (length ≡
 19,787 mod 65,536 — an entirely plausible ~19 KB record) therefore still
-parses, so one reader mounts legacy streams, durable streams, and devices
-upgraded mid-life.
+parses.
 """
 
 from __future__ import annotations
@@ -66,7 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.ssd.zns import ZnsSsd
 
 __all__ = [
-    "META_V1",
     "META_V2",
     "MAGIC",
     "UPSERT",
@@ -78,7 +70,6 @@ __all__ = [
     "choose_stream",
 ]
 
-META_V1 = 1
 META_V2 = 2
 
 #: v2 frame magic.  A v1 little-endian length prefix *can* start with these
@@ -291,8 +282,8 @@ def _unpack_bloom_annex(blob: bytes, pos: int, ks: Keyspace) -> tuple[int, int]:
 
 
 # ------------------------------------------------------------------ payloads
-def _upsert_payload(ks: Keyspace, last_seq: int, with_blooms: bool) -> bytes:
-    body = [
+def _upsert_payload(ks: Keyspace, last_seq: int) -> bytes:
+    return b"".join([
         bytes([UPSERT]),
         _pack_bytes(ks.name.encode()),
         _pack_bytes(ks.state.value.encode()),
@@ -305,10 +296,8 @@ def _upsert_payload(ks: Keyspace, last_seq: int, with_blooms: bool) -> bytes:
         _pack_clusters(ks.sorted_value_clusters),
         _pack_pidx_sketch(ks.pidx_sketch),
         _pack_sidx(ks),
-    ]
-    if with_blooms:
-        body.append(_pack_bloom_annex(ks))
-    return b"".join(body)
+        _pack_bloom_annex(ks),
+    ])
 
 
 def _decode_upsert(
@@ -396,40 +385,30 @@ def choose_stream(streams: list[MetaStream]) -> MetaStream:
 
 # ------------------------------------------------------------------ codec
 class MetaCodec:
-    """Encoder/decoder for one metadata stream version.
+    """Encoder/decoder of the metadata record stream.
 
-    The version controls *encoding* only; :meth:`parse_stream` auto-detects
-    the framing of each record, so any codec instance can mount any stream.
+    Encodes v2 frames only; :meth:`parse_stream` detects the framing of
+    each record, so it also mounts v1 streams written by older firmware.
     """
 
-    def __init__(self, version: int = META_V1):
-        if version not in (META_V1, META_V2):
-            raise DbError(f"unknown metadata format version {version}")
-        self.version = version
-
     # -- encode ---------------------------------------------------------------
-    def _frame(self, payload: bytes) -> bytes:
-        if self.version == META_V1:
-            return _U32.pack(len(payload)) + payload
-        return _FRAME.pack(
-            MAGIC, META_V2, len(payload), zlib.crc32(payload)
-        ) + payload
+    @staticmethod
+    def _frame(payload: bytes) -> bytes:
+        return _FRAME.pack(MAGIC, META_V2, len(payload), zlib.crc32(payload)) + payload
 
     def encode_upsert(self, ks: Keyspace, last_seq: int) -> bytes:
-        """Serialize one keyspace's full table entry (v2: blooms included)."""
-        return self._frame(
-            _upsert_payload(ks, last_seq, with_blooms=self.version >= META_V2)
-        )
+        """Serialize one keyspace's full table entry, blooms included."""
+        return self._frame(_upsert_payload(ks, last_seq))
 
     def encode_delete(self, name: str) -> bytes:
         return self._frame(bytes([DELETE]) + _pack_bytes(name.encode()))
 
     def encode_epoch(self, epoch: int) -> bytes:
-        """Checkpoint stream header (v2 only)."""
+        """Checkpoint stream header."""
         return self._frame(bytes([EPOCH]) + _U64.pack(epoch))
 
     def encode_commit(self, epoch: int) -> bytes:
-        """Checkpoint seal (v2 only): the stream is complete through here."""
+        """Checkpoint seal: the stream is complete through here."""
         return self._frame(bytes([COMMIT]) + _U64.pack(epoch))
 
     # -- decode ---------------------------------------------------------------
@@ -517,50 +496,3 @@ class MetaCodec:
                 stream.has_commit = True
         else:
             raise DbError(f"unknown metadata record type {record_type}")
-
-
-# ---------------------------------------------------------------- legacy API
-_V1_CODEC = MetaCodec(META_V1)
-
-
-def encode_upsert(ks: Keyspace, last_seq: int) -> bytes:
-    """Serialize one keyspace's full table entry (legacy v1 framing)."""
-    return _V1_CODEC.encode_upsert(ks, last_seq)
-
-
-def encode_delete(name: str) -> bytes:
-    """Serialize a keyspace tombstone (legacy v1 framing)."""
-    return _V1_CODEC.encode_delete(name)
-
-
-def replay_records(blob: bytes, ssd: "ZnsSsd") -> dict[str, tuple[Keyspace, int]]:
-    """Parse the metadata zone back into name -> (keyspace, last_seq).
-
-    Legacy strict reader: later records supersede earlier ones; deletes
-    drop the entry; a torn tail record ends replay (all complete records
-    before it are applied); corruption *inside* a complete record raises
-    :class:`~repro.errors.DbError`.
-    """
-    table: dict[str, tuple[Keyspace, int]] = {}
-    pos = 0
-    n = len(blob)
-    while pos + _U32.size <= n:
-        (record_len,) = _U32.unpack_from(blob, pos)
-        pos += _U32.size
-        if record_len == 0 or pos + record_len > n:
-            break
-        end = pos + record_len
-        payload = blob[pos:end]
-        record_type = payload[0]
-        if record_type == DELETE:
-            name_b, used = _unpack_bytes(payload, 1)
-            table.pop(name_b.decode(), None)
-            if used != len(payload):
-                raise DbError("corrupt metadata record")
-        elif record_type == UPSERT:
-            ks, last_seq, _bloom_bytes = _decode_upsert(payload, ssd, False)
-            table[ks.name] = (ks, last_seq)
-        else:
-            raise DbError(f"unknown metadata record type {record_type}")
-        pos = end
-    return table

@@ -1,0 +1,208 @@
+"""The metadata log: where the keyspace table lives on flash.
+
+The firmware keeps the keyspace table in SoC DRAM (Section IV of the
+paper) and journals every change of it to two reserved zones.  A ZNS zone
+can only be appended to or reset, so the two zones take turns:
+
+* the *active* zone takes one framed record per table change — an
+  ``UPSERT`` of a keyspace's full entry or a ``DELETE`` (the framing is
+  :mod:`repro.core.meta`'s);
+* when it fills, a checkpoint writes ``EPOCH(n+1) | one UPSERT per live
+  keyspace | COMMIT(n+1)`` to the *standby* zone, the zones swap roles, and
+  only then is the old stream erased.  A power cut at any point leaves at
+  least one sealed stream, and mount picks it.
+
+One lock serialises every writer: a checkpoint yields many times between
+taking its snapshot and erasing the old stream, and an append landing on
+the old active zone in that window would be erased with it.
+
+Snapshot rule: once a keyspace's delete is committed to the log, no
+checkpoint snapshots it again (until an upsert recreates it), although
+the device keeps it in its table while it releases the keyspace's zones.
+A checkpoint in that window would otherwise erase the stream holding the
+``DELETE`` and resurrect the keyspace over released zones.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Generator
+
+from repro.core.costs import CsdCostModel
+from repro.core.keyspace import Keyspace
+from repro.core.meta import MetaCodec, MetaStream, choose_stream
+from repro.core.zone_manager import ZoneCluster, ZoneManager
+from repro.errors import ZoneFullError
+from repro.host.threads import ThreadCtx
+from repro.obs.trace import trace_wait
+from repro.sim.resources import Resource
+from repro.sim.stats import StatsRegistry
+from repro.soc.board import SocBoard
+
+__all__ = ["METADATA_ZONE_IDS", "MetadataLog"]
+
+#: The two reserved zones; a freshly formatted device appends to the first.
+METADATA_ZONE_IDS = (0, 1)
+
+
+class MetadataLog:
+    """The A/B metadata log of one device.
+
+    ``keyspaces`` and ``seqs`` are the device's live keyspace table and
+    per-keyspace sequence numbers; the log reads them when it encodes a
+    record or a snapshot, never writes them.
+    """
+
+    def __init__(
+        self,
+        board: SocBoard,
+        zone_manager: ZoneManager,
+        costs: CsdCostModel,
+        stats: StatsRegistry,
+        journal: Callable[..., None],
+        keyspaces: dict[str, Keyspace],
+        seqs: dict[str, int],
+    ):
+        self.env = board.env
+        self.ssd = board.ssd
+        self._board = board
+        self._costs = costs
+        self._stats = stats
+        self._journal = journal
+        self._keyspaces = keyspaces
+        self._seqs = seqs
+        self.codec = MetaCodec()
+        self._lock = Resource(self.env, capacity=1)
+        self._active: ZoneCluster = zone_manager.reserve_zone(METADATA_ZONE_IDS[0])
+        self._standby: ZoneCluster = zone_manager.reserve_zone(METADATA_ZONE_IDS[1])
+        #: checkpoint epoch of the active stream (0 = never checkpointed)
+        self.epoch = 0
+        #: keyspaces whose delete is committed; snapshots leave them out
+        self._deleted: set[str] = set()
+
+    @property
+    def zone_ids(self) -> list[int]:
+        """Both metadata zones, the active one first."""
+        return self._active.zone_ids + self._standby.zone_ids
+
+    # ------------------------------------------------------------------ writers
+    def upsert(self, ctx: ThreadCtx, ks: Keyspace) -> Generator:
+        """Persist ``ks``'s full table entry."""
+        return self._locked(self._upsert(ctx, ks))
+
+    def delete(self, ctx: ThreadCtx, name: str) -> Generator:
+        """Persist the deletion of keyspace ``name``."""
+        return self._locked(self._delete(ctx, name))
+
+    def checkpoint(self, ctx: ThreadCtx) -> Generator:
+        """Snapshot the table into the standby zone, then swap roles."""
+        return self._locked(self._checkpoint(ctx))
+
+    def _locked(self, body: Generator) -> Generator:
+        with self._lock.request() as lock:
+            yield from trace_wait(self.env, lock, "dev.meta_lock_wait")
+            return (yield from body)
+
+    def _charge(self, ctx: ThreadCtx, nbytes: int) -> Generator:
+        """CRC ``nbytes`` of metadata frames on the SoC."""
+        return ctx.execute(
+            self._board.scale_cpu(self._costs.checksum_per_byte * nbytes)
+        )
+
+    def _upsert(self, ctx: ThreadCtx, ks: Keyspace) -> Generator:
+        self._deleted.discard(ks.name)
+        yield from self._append(
+            ctx, self.codec.encode_upsert(ks, self._seqs.get(ks.name, 0))
+        )
+
+    def _delete(self, ctx: ThreadCtx, name: str) -> Generator:
+        # Marked first: if the zone is full, the checkpoint that replaces
+        # the append is what commits the delete.
+        self._deleted.add(name)
+        yield from self._append(ctx, self.codec.encode_delete(name))
+
+    def _append(self, ctx: ThreadCtx, record: bytes) -> Generator:
+        """Append one record to the active zone; a full zone checkpoints."""
+        try:
+            yield from self._charge(ctx, len(record))
+            yield from self._active.append_group(record)
+        except ZoneFullError:
+            yield from self._checkpoint(ctx)
+        self._stats.counter("metadata_updates").add()
+
+    def _checkpoint(self, ctx: ThreadCtx) -> Generator:
+        """Write ``EPOCH | live upserts | COMMIT`` to the standby zone, swap
+        roles, then erase the old stream.  Runs under the lock."""
+        target = self._standby
+        for zone_id in target.zone_ids:
+            if self.ssd.zone(zone_id).write_pointer:
+                yield from self.ssd.reset_zone(zone_id)
+        epoch = self.epoch + 1
+        self._deleted.intersection_update(self._keyspaces)
+        records = [self.codec.encode_epoch(epoch)]
+        for name in sorted(self._keyspaces):
+            if name not in self._deleted:
+                records.append(
+                    self.codec.encode_upsert(
+                        self._keyspaces[name], self._seqs.get(name, 0)
+                    )
+                )
+        records.append(self.codec.encode_commit(epoch))
+        yield from self._charge(ctx, sum(len(r) for r in records))
+        for record in records:
+            yield from target.append_group(record)
+        # The commit landed: swap roles, then retire the old stream.
+        self._active, self._standby = target, self._active
+        for zone_id in self._standby.zone_ids:
+            yield from self.ssd.reset_zone(zone_id)
+        self.epoch = epoch
+        self._stats.counter("metadata_checkpoints").add()
+        self._journal(
+            "metadata.checkpoint", keyspaces=len(self._keyspaces), epoch=epoch
+        )
+
+    # ------------------------------------------------------------------ mount
+    def scan(self, ctx: ThreadCtx, fields: dict) -> Generator:
+        """Mount stage 1: read and parse both zones, adopt the roles of the
+        chosen stream (sealed first, then highest epoch).
+
+        Returns the chosen :class:`MetaStream`; ``fields`` receives the
+        stage's journal fields.
+        """
+        streams: list[MetaStream] = []
+        for cluster in (self._active, self._standby):
+            zone_id = cluster.zone_ids[0]
+            wp = self.ssd.zone(zone_id).write_pointer
+            blob = b""
+            if wp:
+                blob = yield from self.ssd.read(zone_id, 0, wp)
+                yield from self._charge(ctx, len(blob))
+            streams.append(self.codec.parse_stream(blob, self.ssd))
+        chosen = choose_stream(streams)
+        if chosen is streams[1]:
+            # The sealed checkpoint lives in the standby zone: the dying
+            # device crashed after a swap; adopt its role assignment.
+            self._active, self._standby = self._standby, self._active
+        self.epoch = chosen.epoch
+        fields.update(
+            zones=len(streams),
+            active_zone=self._active.zone_ids[0],
+            epoch=chosen.epoch,
+            records=chosen.records,
+            torn=chosen.torn,
+            crc_failures=sum(s.crc_failures for s in streams),
+        )
+        if chosen.torn or chosen.crc_failures:
+            self._stats.counter("metadata_torn_tails").add()
+        return chosen
+
+    # ------------------------------------------------------------------ observability
+    def introspect(self) -> dict:
+        return {
+            "zone_ids": list(self._active.zone_ids),
+            "bytes_stored": self._active.bytes_stored(),
+            "epoch": self.epoch,
+            "standby_zone_ids": list(self._standby.zone_ids),
+        }
+
+    def metric_gauges(self) -> dict:
+        return {"meta.epoch": lambda: float(self.epoch)}

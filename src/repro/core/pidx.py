@@ -243,11 +243,10 @@ class PidxSketch:
 
     ``blooms`` optionally holds one per-block :class:`BloomFilter` keyed by
     block index, built during compaction when ``SocSpec.bloom_bits_per_key``
-    is set.  Under ``SocSpec.durable_meta`` the blooms are persisted with
-    the keyspace's metadata record (a v2 *bloom annex*) and re-attached by
-    mount, so a recovered device keeps its PIDX-read elimination; legacy
-    devices treat them as DRAM-only and recover without them.  An absent
-    bloom always answers "may contain" (no false negatives either way).
+    is set.  The blooms are persisted with the keyspace's metadata record
+    (a v2 *bloom annex*) and re-attached by mount, so a recovered device
+    keeps its PIDX-read elimination.  An absent bloom always answers "may
+    contain" (no false negatives either way).
     """
 
     pivots: list[bytes] = field(default_factory=list)

@@ -417,8 +417,7 @@ class SidxSketch:
     block's *encoded secondary keys*, built during the index build when
     ``SocSpec.bloom_bits_per_key`` is set; an absent bloom answers "may
     contain".  Like the PIDX blooms, these are persisted in the keyspace's
-    v2 metadata annex under ``SocSpec.durable_meta`` and DRAM-only on
-    legacy devices.
+    v2 metadata annex.
     """
 
     skey_width: int

@@ -261,12 +261,8 @@ def check_zone_ownership_disjoint(device: "KvCsdDevice") -> list[str]:
     external sort's temporary clusters) are legal."""
     problems: list[str] = []
     claims: dict[int, list[str]] = {}
-    for zone_id in device._metadata_cluster.zone_ids:
+    for zone_id in device.metalog.zone_ids:
         claims.setdefault(zone_id, []).append("metadata")
-    standby = getattr(device, "_metadata_standby", None)
-    if standby is not None:
-        for zone_id in standby.zone_ids:
-            claims.setdefault(zone_id, []).append("metadata")
     for name in sorted(device.keyspaces):
         for cluster in device.keyspaces[name].all_clusters():
             for zone_id in cluster.zone_ids:

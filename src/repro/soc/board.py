@@ -57,10 +57,9 @@ class SocSpec:
     bloom_bits_per_key: int = 0
     #: admission-queue depth of the query scheduler (backpressure bound).
     query_queue_depth: int = 64
-    #: route all on-flash metadata through the durable v2 codec (checksummed
-    #: frames, persisted blooms, A/B checkpoint zones); off keeps the legacy
-    #: v1 record stream byte-identical.
-    durable_meta: bool = False
+    #: always True (the A/B metadata log is the only mode); kept because
+    #: callers still pass ``durable_meta=True``.
+    durable_meta: bool = True
 
     def __post_init__(self) -> None:
         if self.n_cores < 1:
@@ -81,6 +80,10 @@ class SocSpec:
             raise SimulationError("bloom bits per key cannot be negative")
         if self.query_queue_depth < 1:
             raise SimulationError("query queue depth must be positive")
+        if not self.durable_meta:
+            raise SimulationError(
+                "durable_meta=False (the v1 metadata writer) no longer exists"
+            )
 
 
 class SocBoard:
@@ -117,7 +120,6 @@ class SocBoard:
             "compaction_shards": self.spec.compaction_shards,
             "query_workers": self.spec.query_workers,
             "bloom_bits_per_key": self.spec.bloom_bits_per_key,
-            "durable_meta": self.spec.durable_meta,
             "dram": self.dram.introspect(),
             "nvme_queue": self.qp.introspect(),
         }

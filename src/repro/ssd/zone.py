@@ -59,8 +59,9 @@ class Zone:
                 f"remaining {self.remaining}"
             )
         offset = len(self._data)
-        self._data.extend(data)
-        self.state = ZoneState.FULL if self.remaining == 0 else ZoneState.OPEN
+        if data:  # a zero-length append (an all-empty value group) opens nothing
+            self._data.extend(data)
+            self.state = ZoneState.FULL if self.remaining == 0 else ZoneState.OPEN
         return offset
 
     def read(self, offset: int, length: int) -> bytes:

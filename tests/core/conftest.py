@@ -28,7 +28,6 @@ class CsdTestbed:
         block_cache_bytes=0,
         query_workers=0,
         bloom_bits_per_key=0,
-        durable_meta=False,
     ):
         self.env = Environment()
         self.ssd = ZnsSsd(
@@ -46,7 +45,6 @@ class CsdTestbed:
                 block_cache_bytes=block_cache_bytes,
                 query_workers=query_workers,
                 bloom_bits_per_key=bloom_bits_per_key,
-                durable_meta=durable_meta,
             ),
         )
         self.device = KvCsdDevice(

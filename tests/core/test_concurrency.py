@@ -79,9 +79,7 @@ def test_delete_keyspace_during_compaction_is_deferred():
     assert "ks" not in tb.device.keyspaces
     # every zone came back (logs, sorted data, indexes, temp)
     total_zones = tb.device.zone_manager.free_zone_count
-    assert total_zones == tb.ssd.geometry.n_zones - len(
-        tb.device._metadata_cluster.zone_ids
-    )
+    assert total_zones == tb.ssd.geometry.n_zones - len(tb.device.metalog.zone_ids)
 
 
 def test_many_keyspaces_compact_concurrently():

@@ -1,27 +1,20 @@
-"""Durable-metadata mount pipeline: staged recovery, bloom reload, A/B
-checkpoints, torn-tail tolerance."""
+"""The metadata log and the mount pipeline: staged recovery, bloom reload,
+A/B checkpoints, torn-tail tolerance, deletes that stay dead."""
 
 import numpy as np
 
 from repro.core import KvCsdClient, KvCsdDevice
-from repro.core.device import (
-    METADATA_STANDBY_ZONE_ID,
-    METADATA_ZONE_ID,
-    MOUNT_STAGES,
-)
+from repro.core.device import MOUNT_STAGES
 from repro.core.keyspace import KeyspaceState
 from repro.errors import KeyNotFoundError
 from repro.nvme import PcieLink
+from repro.obs.audit import InvariantAuditor
 from repro.obs.journal import install_journal
 from repro.soc import SocBoard
 from repro.ssd.zone import ZoneState
+from repro.units import KiB
 
 from tests.core.conftest import CsdTestbed, make_pairs
-
-
-def durable_tb(**kwargs):
-    kwargs.setdefault("bloom_bits_per_key", 10)
-    return CsdTestbed(durable_meta=True, **kwargs)
 
 
 def power_cycle(tb):
@@ -56,7 +49,7 @@ def load_and_compact(tb, pairs, name="ks"):
 def test_blooms_survive_power_cycle():
     """A recovered durable device keeps its persisted PIDX blooms — reads of
     absent keys stay eliminated without any reconstruction I/O."""
-    tb = durable_tb()
+    tb = CsdTestbed(bloom_bits_per_key=10)
     pairs = make_pairs(3000)
     load_and_compact(tb, pairs)
     sketch = tb.device.keyspaces["ks"].pidx_sketch
@@ -90,7 +83,7 @@ def test_blooms_survive_power_cycle():
 
 
 def test_mount_stages_journaled_and_gauged():
-    tb = durable_tb()
+    tb = CsdTestbed(bloom_bits_per_key=10)
     journal = install_journal(tb.env)
     load_and_compact(tb, make_pairs(1500))
     device2, _client2 = power_cycle(tb)
@@ -111,29 +104,29 @@ def test_mount_stages_journaled_and_gauged():
 
 
 def test_ab_checkpoint_swaps_zones_and_survives_torn_target():
-    tb = durable_tb()
+    tb = CsdTestbed(bloom_bits_per_key=10)
     load_and_compact(tb, make_pairs(1000))
+    log = tb.device.metalog
+    active, standby = log.zone_ids
 
-    def checkpoint():
-        yield from tb.device._checkpoint_metadata(tb.ctx)
-
-    tb.run(checkpoint())
-    assert tb.device._meta_epoch == 1
+    tb.run(log.checkpoint(tb.ctx))
+    assert log.epoch == 1
     # the snapshot went to the standby zone; roles swapped
-    assert tb.device._metadata_cluster.zone_ids == [METADATA_STANDBY_ZONE_ID]
-    assert tb.ssd.zone(METADATA_ZONE_ID).write_pointer == 0
+    assert log.zone_ids == [standby, active]
+    assert tb.ssd.zone(active).write_pointer == 0
 
     # a crash mid-way through the *next* checkpoint: EPOCH(2) lands in the
     # new standby zone but COMMIT never does
-    torn = tb.device.meta_codec.encode_epoch(2)
+    torn = log.codec.encode_epoch(2)
 
     def tear():
-        yield from tb.ssd.append(METADATA_ZONE_ID, torn)
+        yield from tb.ssd.append(active, torn)
 
     tb.run(tear())
     device2, client2 = power_cycle(tb)
     # mount fell back to the sealed epoch-1 stream, data intact
-    assert device2._meta_epoch == 1
+    assert device2.metalog.epoch == 1
+    assert device2.metalog.zone_ids == [standby, active]
     assert device2.keyspaces["ks"].n_pairs == 1000
 
     def query():
@@ -143,15 +136,15 @@ def test_ab_checkpoint_swaps_zones_and_survives_torn_target():
 
 
 def test_torn_metadata_append_applies_intact_prefix():
-    tb = durable_tb()
+    tb = CsdTestbed(bloom_bits_per_key=10)
     pairs = make_pairs(1200)
     load_and_compact(tb, pairs)
     ks = tb.device.keyspaces["ks"]
-    record = tb.device.meta_codec.encode_upsert(ks, 9999)
+    log = tb.device.metalog
+    record = log.codec.encode_upsert(ks, 9999)
 
     def tear():
-        zone_id = tb.device._metadata_cluster.zone_ids[0]
-        yield from tb.ssd.append(zone_id, record[: len(record) // 2])
+        yield from tb.ssd.append(log.zone_ids[0], record[: len(record) // 2])
 
     tb.run(tear())
     device2, client2 = power_cycle(tb)
@@ -165,37 +158,42 @@ def test_torn_metadata_append_applies_intact_prefix():
     assert tb.run(query()) == pairs[7][1]
 
 
+def pad_metadata_zone(tb, room):
+    """Fill the active metadata zone with harmless records (deletes of
+    names nobody uses) until its free space is at most ``room.stop - 1``
+    and at least ``room.start`` bytes."""
+    log = tb.device.metalog
+    zone = tb.ssd.zone(log.zone_ids[0])
+
+    def pad(size):
+        # frame = 11 bytes, payload = type byte + u16 length + name
+        return log.codec.encode_delete("x" * (size - 14))
+
+    def fill():
+        while zone.capacity - zone.write_pointer >= room.stop:
+            free = zone.capacity - zone.write_pointer
+            size = max(14, min(free - (room.start + room.stop) // 2, 0xFF00))
+            yield from tb.ssd.append(zone.zone_id, pad(size))
+        assert zone.capacity - zone.write_pointer in room
+
+    tb.run(fill())
+    return zone
+
+
 def test_delete_surviving_zone_full_checkpoint_is_not_resurrected():
     """A delete whose record append overflows the metadata zone falls back
     to a checkpoint taken while the dying keyspace is still in the table
-    (durable ordering persists the delete *before* releasing data zones).
-    The delete record must be re-appended after that checkpoint — otherwise
-    a later mount replays the snapshot and resurrects the keyspace pointing
-    at freed, reusable zones."""
-    from repro.units import KiB
-
-    tb = durable_tb(zone_size=256 * KiB)
+    (the delete is persisted *before* the data zones are released).  That
+    checkpoint must leave the keyspace out — otherwise a later mount
+    replays the snapshot and resurrects the keyspace pointing at freed,
+    reusable zones."""
+    tb = CsdTestbed(bloom_bits_per_key=10, zone_size=256 * KiB)
     load_and_compact(tb, make_pairs(1000), name="victim")
     dev = tb.device
-    delete_len = len(dev.meta_codec.encode_delete("victim"))
-    meta_zone = tb.ssd.zone(dev._metadata_cluster.zone_ids[0])
-
-    def pad(size):
-        # a valid v2 delete record of a nonexistent name: harmless filler
-        # (frame = 11 bytes, payload = type byte + u16 length + name)
-        return dev.meta_codec.encode_delete("x" * (size - 14))
-
-    def fill():
-        # leave less free space than one "victim" delete record, so the
-        # delete's append raises ZoneFullError and checkpoints instead
-        while True:
-            room = meta_zone.capacity - meta_zone.write_pointer
-            if room < delete_len:
-                break
-            size = max(14, min(room - 14, 0xFF00))
-            yield from tb.ssd.append(meta_zone.zone_id, pad(size))
-
-    tb.run(fill())
+    delete_len = len(dev.metalog.codec.encode_delete("victim"))
+    # less free space than one "victim" delete record: the delete's append
+    # raises ZoneFullError and checkpoints instead
+    pad_metadata_zone(tb, range(0, delete_len))
 
     def drop():
         yield from tb.client.delete_keyspace("victim", tb.ctx)
@@ -205,37 +203,93 @@ def test_delete_surviving_zone_full_checkpoint_is_not_resurrected():
     assert "victim" not in dev.keyspaces
 
     device2, _client2 = power_cycle(tb)
-    assert device2._meta_epoch == 1
+    assert device2.metalog.epoch == 1
     assert device2.list_keyspaces() == []
 
 
-def test_metadata_writers_serialized_by_meta_lock():
-    """The durable A/B checkpoint yields many times between snapshot and
-    swap; a concurrent metadata append landing on the pre-swap cluster
-    would be erased by the post-swap reset.  All durable-mode metadata
-    writers therefore queue on the device metadata lock."""
-    tb = durable_tb()
-    load_and_compact(tb, make_pairs(500))
+def test_committed_delete_survives_another_writers_checkpoint():
+    """The delete record lands, then ``delete_keyspace`` yields while it
+    releases the victim's zones — the victim is still in the device table.
+    Another keyspace's upsert that overflows the zone in that window
+    checkpoints; the snapshot must leave the victim out, or the swap erases
+    the stream holding its DELETE and the victim comes back at mount over
+    released zones."""
+    tb = CsdTestbed(bloom_bits_per_key=10, zone_size=256 * KiB)
+    load_and_compact(tb, make_pairs(1000), name="victim")
+    load_and_compact(tb, make_pairs(1000, prefix="o"), name="other")
     dev = tb.device
-    zone = tb.ssd.zone(dev._metadata_cluster.zone_ids[0])
+    log = dev.metalog
+    delete_len = len(log.codec.encode_delete("victim"))
+    upsert_len = len(log.codec.encode_upsert(dev.keyspaces["other"], 0))
+    # room for the victim's delete record, not for one more upsert after it
+    zone = pad_metadata_zone(tb, range(delete_len, delete_len + upsert_len))
+    seen = {}
 
-    hold = dev._meta_lock.request()  # granted synchronously: lock is ours
+    def other_writer():
+        wp = zone.write_pointer
+        while zone.write_pointer == wp:  # the DELETE record has not landed
+            yield tb.env.timeout(1e-6)
+        seen["victim_in_table"] = "victim" in dev.keyspaces
+        yield from log.upsert(tb.ctx, dev.keyspaces["other"])
 
-    def update():
-        yield from dev._metadata_update(tb.ctx, dev.keyspaces["ks"])
+    def drop():
+        yield from tb.client.delete_keyspace("victim", tb.ctx)
 
-    proc = tb.env.process(update())
-    tb.env.run(until=tb.env.now + 1e-3)
-    assert proc.is_alive  # blocked behind the held metadata lock
-    wp_before = zone.write_pointer
+    writer = tb.env.process(other_writer())
+    tb.run(drop())
+    tb.env.run(until=writer)
+    assert seen["victim_in_table"]  # the race window was hit
+    assert dev.stats.counter("metadata_checkpoints").value == 1
+    assert dev.list_keyspaces() == ["other"]
 
-    dev._meta_lock.release(hold)
-    tb.env.run(until=proc)
-    assert zone.write_pointer > wp_before  # the queued upsert landed
+    device2, _client2 = power_cycle(tb)
+    assert device2.list_keyspaces() == ["other"]
+    report = InvariantAuditor(device2).run("mount")
+    assert report.ok, report.violations
+
+
+def test_recreated_keyspace_is_snapshotted_again():
+    """The snapshot rule ends when a keyspace of the dropped name is
+    created anew: later checkpoints must carry the new keyspace."""
+    tb = CsdTestbed(bloom_bits_per_key=10)
+    pairs = make_pairs(500)
+    load_and_compact(tb, pairs, name="ks")
+
+    def drop():
+        yield from tb.client.delete_keyspace("ks", tb.ctx)
+
+    tb.run(drop())
+    load_and_compact(tb, pairs[:100], name="ks")
+    tb.run(tb.device.metalog.checkpoint(tb.ctx))
+
+    device2, _client2 = power_cycle(tb)
+    assert device2.metalog.epoch == 1
+    assert device2.list_keyspaces() == ["ks"]
+    assert device2.keyspaces["ks"].n_pairs == 100
+
+
+def test_metadata_writers_serialized_by_meta_lock():
+    """A checkpoint yields many times between its snapshot and erasing the
+    old stream; an upsert issued meanwhile must queue on the metadata lock
+    and land on the post-swap active zone, not on the old one the swap
+    erases."""
+    tb = CsdTestbed(bloom_bits_per_key=10)
+    load_and_compact(tb, make_pairs(500))
+    log = tb.device.metalog
+    old_active, new_active = log.zone_ids
+
+    checkpoint = tb.env.process(log.checkpoint(tb.ctx))
+    upsert = tb.env.process(log.upsert(tb.ctx, tb.device.keyspaces["ks"]))
+    tb.env.run(until=checkpoint)
+    snapshot_bytes = tb.ssd.zone(new_active).write_pointer
+    tb.env.run(until=upsert)
+    assert log.zone_ids == [new_active, old_active]
+    assert tb.ssd.zone(old_active).write_pointer == 0
+    assert tb.ssd.zone(new_active).write_pointer > snapshot_bytes
 
 
 def test_torn_klog_tail_sealed_on_mount():
-    tb = durable_tb()
+    tb = CsdTestbed(bloom_bits_per_key=10)
     pairs = make_pairs(9000)  # > membuf, so KLOG zones hold flushed data
 
     def setup():
@@ -280,7 +334,7 @@ def test_torn_klog_tail_sealed_on_mount():
 
 
 def test_durable_delete_then_power_cycle_reclaims_orphans():
-    tb = durable_tb()
+    tb = CsdTestbed(bloom_bits_per_key=10)
     install_journal(tb.env)
 
     def setup():

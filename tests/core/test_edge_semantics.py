@@ -166,7 +166,7 @@ def test_oversized_key_is_refused_at_admission_and_poisons_nothing():
 
 
 def test_longest_admitted_key_survives_flush_compaction_and_metadata():
-    tb = CsdTestbed(durable_meta=True)
+    tb = CsdTestbed()
     longest = b"z" * MAX_KEY_BYTES
 
     def proc():

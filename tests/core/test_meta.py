@@ -1,25 +1,22 @@
-"""Durable metadata codec: framing, CRC detection, stream selection."""
+"""Metadata codec: v2 framing, CRC detection, v1 reads, stream selection."""
 
+import numpy as np
 import pytest
 
+from repro.core import KvCsdDevice
 from repro.core.keyspace import Keyspace, KeyspaceState
-from repro.core.meta import (
-    META_V1,
-    META_V2,
-    MAGIC,
-    MetaCodec,
-    choose_stream,
-    encode_delete,
-    encode_upsert,
-    replay_records,
-)
+from repro.core.meta import MAGIC, MetaCodec, choose_stream
 from repro.core.pidx import PidxSketch
 from repro.core.sidx import SidxConfig, SidxSketch
 from repro.core.zone_manager import ZoneCluster
 from repro.errors import DbError
+from repro.host import ThreadCtx
 from repro.lsm.bloom import BloomFilter
-from repro.sim import Environment
+from repro.sim import CpuPool, Environment
+from repro.soc import SocBoard
 from repro.ssd import ZnsSsd
+
+from tests.core import meta_v1
 
 
 @pytest.fixture
@@ -76,29 +73,31 @@ def assert_keyspace_equal(a: Keyspace, b: Keyspace) -> None:
     assert set(a.sidx) == set(b.sidx)
 
 
-def test_v1_framing_matches_legacy_stream(ssd):
-    """MetaCodec(v1) must emit the historical byte stream exactly."""
-    ks = make_keyspace(ssd, with_blooms=False)
-    assert MetaCodec(META_V1).encode_upsert(ks, 41) == encode_upsert(ks, 41)
-    assert MetaCodec(META_V1).encode_delete("ks") == encode_delete("ks")
-
-
 def test_v1_stream_parses_with_both_readers(ssd):
+    """A v1 stream written by older firmware parses with the codec and
+    mounts on a device."""
     ks = make_keyspace(ssd, with_blooms=False)
-    codec = MetaCodec(META_V1)
-    blob = codec.encode_upsert(ks, 41) + codec.encode_delete("gone")
-    stream = codec.parse_stream(blob, ssd)
+    blob = meta_v1.encode_upsert(ks, 41) + meta_v1.encode_delete("gone")
+    stream = MetaCodec().parse_stream(blob, ssd)
     assert not stream.torn
     assert stream.records == 2
     recovered, last_seq = stream.table["ks"]
     assert last_seq == 41
     assert_keyspace_equal(ks, recovered)
-    assert replay_records(blob, ssd).keys() == stream.table.keys()
+
+    env = ssd.env
+    env.run(env.process(ssd.append(0, blob)))
+    device = KvCsdDevice(SocBoard(env, ssd), rng=np.random.default_rng(0))
+    ctx = ThreadCtx(cpu=CpuPool(env, 1), core=0)
+    env.run(env.process(device.recover(ctx)))
+    assert device.list_keyspaces() == ["ks"]
+    assert_keyspace_equal(ks, device.keyspaces["ks"])
+    assert device.metalog.epoch == 0
 
 
 def test_v2_roundtrip_reattaches_blooms(ssd):
     ks = make_keyspace(ssd, with_blooms=True)
-    codec = MetaCodec(META_V2)
+    codec = MetaCodec()
     blob = codec.encode_upsert(ks, 99)
     assert blob.startswith(MAGIC)
     stream = codec.parse_stream(blob, ssd)
@@ -128,7 +127,7 @@ def test_bloom_annex_rejects_impossible_header(n_bits, k):
 
 def test_v2_torn_tail_keeps_intact_prefix(ssd):
     ks = make_keyspace(ssd)
-    codec = MetaCodec(META_V2)
+    codec = MetaCodec()
     first = codec.encode_upsert(ks, 7)
     second = codec.encode_delete("other")
     blob = first + second[: len(second) // 2]
@@ -142,14 +141,13 @@ def test_v1_length_colliding_with_magic_still_parses(ssd):
     """A v1 record whose little-endian length prefix starts with b"KM"
     (length ≡ 0x4D4B mod 2**16 — a plausible ~19 KB record) must be retried
     under the v1 interpretation, not misread as a torn v2 frame."""
-    codec = MetaCodec(META_V1)
     # delete payload = type byte + u16 name length + name
     name = "k" * (0x4D4B - 3)
-    blob = codec.encode_delete(name) + codec.encode_upsert(
+    blob = meta_v1.encode_delete(name) + meta_v1.encode_upsert(
         make_keyspace(ssd, with_blooms=False), 5
     )
     assert blob.startswith(MAGIC)  # the collision is real
-    stream = codec.parse_stream(blob, ssd)
+    stream = MetaCodec().parse_stream(blob, ssd)
     assert not stream.torn
     assert stream.crc_failures == 0
     assert stream.records == 2
@@ -158,7 +156,7 @@ def test_v1_length_colliding_with_magic_still_parses(ssd):
 
 def test_v2_crc_failure_stops_replay(ssd):
     ks = make_keyspace(ssd)
-    codec = MetaCodec(META_V2)
+    codec = MetaCodec()
     first = codec.encode_delete("gone")
     second = bytearray(codec.encode_upsert(ks, 7))
     second[-1] ^= 0xFF  # corrupt the payload; the frame length is intact
@@ -171,7 +169,7 @@ def test_v2_crc_failure_stops_replay(ssd):
 
 def test_delete_record_drops_entry(ssd):
     ks = make_keyspace(ssd)
-    codec = MetaCodec(META_V2)
+    codec = MetaCodec()
     blob = codec.encode_upsert(ks, 7) + codec.encode_delete("ks")
     stream = codec.parse_stream(blob, ssd)
     assert stream.table == {}
@@ -181,11 +179,11 @@ def test_delete_record_drops_entry(ssd):
 def test_mixed_framing_auto_detects_per_record(ssd):
     """A device upgraded mid-life appends v2 records after a v1 stream."""
     ks = make_keyspace(ssd, with_blooms=False)
-    blob = MetaCodec(META_V1).encode_upsert(ks, 3)
+    blob = meta_v1.encode_upsert(ks, 3)
     ks2 = make_keyspace(ssd, with_blooms=True)
     ks2.name = "ks2"
-    blob += MetaCodec(META_V2).encode_upsert(ks2, 9)
-    stream = MetaCodec(META_V1).parse_stream(blob, ssd)
+    blob += MetaCodec().encode_upsert(ks2, 9)
+    stream = MetaCodec().parse_stream(blob, ssd)
     assert not stream.torn
     assert sorted(stream.table) == ["ks", "ks2"]
     assert stream.table["ks2"][0].pidx_sketch.blooms  # annex applied
@@ -193,7 +191,7 @@ def test_mixed_framing_auto_detects_per_record(ssd):
 
 def test_checkpoint_sealing_and_choose_stream(ssd):
     ks = make_keyspace(ssd)
-    codec = MetaCodec(META_V2)
+    codec = MetaCodec()
     sealed = codec.parse_stream(
         codec.encode_epoch(2) + codec.encode_upsert(ks, 7) + codec.encode_commit(2),
         ssd,
@@ -214,6 +212,12 @@ def test_checkpoint_sealing_and_choose_stream(ssd):
     assert choose_stream([fresh, sealed]) is sealed
 
 
-def test_unknown_version_rejected():
-    with pytest.raises(DbError):
-        MetaCodec(3)
+def test_unknown_version_rejected(ssd):
+    """A frame whose version byte names no known format is not trusted,
+    CRC or not: replay stops before it, as at a torn tail."""
+    codec = MetaCodec()
+    unknown = bytearray(codec.encode_delete("b"))
+    unknown[len(MAGIC)] = 3
+    stream = codec.parse_stream(codec.encode_delete("a") + bytes(unknown), ssd)
+    assert stream.torn
+    assert stream.records == 1

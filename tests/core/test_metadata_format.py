@@ -1,9 +1,10 @@
-"""Unit tests for the keyspace-table serialization (metadata zone records)."""
+"""Reads of format-v1 keyspace-table records, which older firmware wrote
+to the metadata zone (built here with the reference encoder)."""
 
 import pytest
 
 from repro.core.keyspace import Keyspace, KeyspaceState
-from repro.core.meta import encode_delete, encode_upsert, replay_records
+from repro.core.meta import MetaCodec
 from repro.core.pidx import PidxSketch
 from repro.core.sidx import SidxConfig, SidxSketch
 from repro.core.zone_manager import ZoneCluster
@@ -11,11 +12,17 @@ from repro.sim import Environment
 from repro.ssd import SsdGeometry, ZnsSsd
 from repro.units import MiB
 
+from tests.core.meta_v1 import encode_delete, encode_upsert
+
 
 @pytest.fixture
 def ssd():
     env = Environment()
     return ZnsSsd(env, geometry=SsdGeometry(n_channels=2, n_zones=8, zone_size=MiB))
+
+
+def replay_records(blob, ssd):
+    return MetaCodec().parse_stream(blob, ssd).table
 
 
 def rich_keyspace(ssd):

@@ -1,5 +1,7 @@
 """Property test: a power cycle at an arbitrary point never loses
-acknowledged, log-resident data nor resurrects deleted keys."""
+acknowledged, log-resident data, nor resurrects deleted keys or dropped
+keyspaces — with two keyspaces, drops and re-creations, and zones small
+enough that the metadata log checkpoints inside a run."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -10,24 +12,42 @@ from repro.core.keyspace import KeyspaceState
 from repro.errors import KeyNotFoundError
 from repro.host import ThreadCtx
 from repro.nvme import PcieLink
+from repro.obs.audit import InvariantAuditor
 from repro.sim import CpuPool, Environment
 from repro.soc import SocBoard
 from repro.ssd import SsdGeometry, ZnsSsd
-from repro.units import KiB, MiB
+from repro.units import KiB
 
+KEYSPACES = ("a", "b")
+keyspace = st.sampled_from(KEYSPACES)
 ops_strategy = st.lists(
     st.one_of(
-        st.tuples(st.just("put"), st.binary(min_size=1, max_size=6),
+        st.tuples(st.just("put"), keyspace, st.binary(min_size=1, max_size=6),
                   st.binary(max_size=20)),
-        st.tuples(st.just("delete"), st.binary(min_size=1, max_size=6),
+        st.tuples(st.just("delete"), keyspace, st.binary(min_size=1, max_size=6),
                   st.just(b"")),
+        # drop the keyspace; a later put or delete on it re-creates it
+        st.tuples(st.just("drop"), keyspace, st.just(b""), st.just(b"")),
     ),
-    max_size=50,
+    min_size=10,
+    max_size=30,
 )
 
 
+def make_device(env, ssd, seed):
+    # 1 KiB zones of one zone per cluster: the metadata log fills and
+    # checkpoints every few table changes
+    return KvCsdDevice(
+        SocBoard(env, ssd),
+        rng=np.random.default_rng(seed),
+        cluster_zones=1,
+        membuf_bytes=1024,
+        block_bytes=512,
+    )
+
+
 @settings(
-    max_examples=15,
+    max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
@@ -35,60 +55,72 @@ ops_strategy = st.lists(
 def test_power_cycle_preserves_log_resident_state(ops, compact_before_cut):
     env = Environment()
     ssd = ZnsSsd(
-        env, geometry=SsdGeometry(n_channels=2, n_zones=16, zone_size=MiB)
+        env,
+        geometry=SsdGeometry(
+            n_channels=2, n_zones=64, zone_size=1 * KiB, logical_block_size=512
+        ),
     )
-    board = SocBoard(env, ssd)
-    # Tiny membuf: every put is flushed to the KLOG immediately, so all
-    # acknowledged state is log-resident (the property under test).
-    device = KvCsdDevice(
-        board, rng=np.random.default_rng(0), cluster_zones=2, membuf_bytes=1024
-    )
+    device = make_device(env, ssd, 0)
     client = KvCsdClient(device, PcieLink(env))
     ctx = ThreadCtx(cpu=CpuPool(env, 2), core=0)
-    model: dict[bytes, bytes] = {}
+    #: live keyspace -> its contents
+    model: dict[str, dict[bytes, bytes]] = {}
+
+    def create(name):
+        yield from client.create_keyspace(name, ctx)
+        yield from client.open_keyspace(name, ctx)
+        model[name] = {}
 
     def phase1():
-        yield from client.create_keyspace("ks", ctx)
-        yield from client.open_keyspace("ks", ctx)
-        for op, key, value in ops:
+        for name in KEYSPACES:
+            yield from create(name)
+        for op, name, key, value in ops:
+            if op == "drop":
+                if name in model:
+                    yield from client.delete_keyspace(name, ctx)
+                    del model[name]
+                continue
+            if name not in model:
+                yield from create(name)
             if op == "put":
-                yield from client.put("ks", key, value, ctx)
-                model[key] = value
+                yield from client.put(name, key, value, ctx)
+                model[name][key] = value
             else:
-                yield from client.bulk_delete("ks", [key], ctx)
-                model.pop(key, None)
-        if compact_before_cut:
-            yield from client.compact("ks", ctx)
-            yield from client.wait_for_device("ks", ctx)
-        else:
-            # make acknowledged writes durable (the paper's explicit fsync)
-            yield from client.fsync("ks", ctx)
+                yield from client.bulk_delete(name, [key], ctx)
+                model[name].pop(key, None)
+        for name in sorted(model):
+            if compact_before_cut:
+                yield from client.compact(name, ctx)
+                yield from client.wait_for_device(name, ctx)
+            else:
+                # make acknowledged writes durable (the paper's explicit fsync)
+                yield from client.fsync(name, ctx)
 
     env.run(env.process(phase1()))
 
     # --- power cycle ---------------------------------------------------------
-    board2 = SocBoard(env, ssd)
-    device2 = KvCsdDevice(
-        board2, rng=np.random.default_rng(1), cluster_zones=2, membuf_bytes=1024
-    )
+    device2 = make_device(env, ssd, 1)
     client2 = KvCsdClient(device2, PcieLink(env))
 
     def phase2():
         yield from device2.recover(ctx)
-        ks = device2.keyspaces.get("ks")
-        assert ks is not None
-        if ks.state is KeyspaceState.WRITABLE:
-            yield from client2.compact("ks", ctx)
-            yield from client2.wait_for_device("ks", ctx)
-        for key, expected in model.items():
-            got = yield from client2.get("ks", key, ctx)
-            assert got == expected, key
-        try:
-            yield from client2.get("ks", b"\xfe" * 7, ctx)
-            raise AssertionError("ghost key present")
-        except KeyNotFoundError:
-            pass
-        rows = yield from client2.range_query("ks", b"", b"\xff" * 8, ctx)
-        assert rows == sorted(model.items())
+        # dropped keyspaces stay dead, live ones all come back
+        assert device2.list_keyspaces() == sorted(model)
+        report = InvariantAuditor(device2).run("mount")
+        assert report.ok, report.violations
+        for name, contents in sorted(model.items()):
+            if device2.keyspaces[name].state is KeyspaceState.WRITABLE:
+                yield from client2.compact(name, ctx)
+                yield from client2.wait_for_device(name, ctx)
+            for key, expected in contents.items():
+                got = yield from client2.get(name, key, ctx)
+                assert got == expected, (name, key)
+            try:
+                yield from client2.get(name, b"\xfe" * 7, ctx)
+                raise AssertionError("ghost key present")
+            except KeyNotFoundError:
+                pass
+            rows = yield from client2.range_query(name, b"", b"\xff" * 8, ctx)
+            assert rows == sorted(contents.items())
 
     env.run(env.process(phase2()))

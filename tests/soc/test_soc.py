@@ -22,6 +22,10 @@ def test_spec_validation():
         SocSpec(arm_slowdown=0)
     with pytest.raises(SimulationError):
         SocSpec(sort_budget_bytes=10**18)
+    # the v1 metadata writer is gone; the field only accepts True
+    with pytest.raises(SimulationError):
+        SocSpec(durable_meta=False)
+    assert SocSpec().durable_meta
 
 
 def test_scale_cpu():

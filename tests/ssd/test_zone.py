@@ -45,6 +45,17 @@ def test_zone_initial_state():
     assert z.remaining == 64 * KiB
 
 
+def test_zero_length_append_leaves_an_empty_zone_empty():
+    # a flush whose values are all empty appends a zero-length value group;
+    # an OPEN zone with a rewound pointer breaks the zone state invariant
+    z = Zone(0, capacity=100, channel=0)
+    assert z.append(b"") == 0
+    assert z.state == ZoneState.EMPTY
+    z.append(b"x")
+    assert z.append(b"") == 1
+    assert z.state == ZoneState.OPEN
+
+
 def test_zone_append_advances_pointer_and_state():
     z = Zone(0, capacity=100, channel=0)
     off = z.append(b"hello")
