@@ -117,14 +117,14 @@ class LogicalKeyspace:
     def _locate_chain(
         self, rings: Sequence[PlacementPolicy], key: bytes
     ) -> tuple[tuple[str, ...], int]:
-        owners = rings[0].owners(self.name, key, self.replicas)
+        owners = chosen = rings[0].owners(self.name, key, self.replicas)
         epoch = 0
         for e in range(1, len(rings)):
             nxt = rings[e].owners(self.name, key, self.replicas)
             if set(nxt) != set(owners):
-                epoch = e
+                epoch, chosen = e, nxt
             owners = nxt
-        return rings[epoch].owners(self.name, key, self.replicas), epoch
+        return chosen, epoch
 
     def locate(self, key: bytes) -> tuple[tuple[str, ...], str]:
         """Authoritative ``(replica devices, physical keyspace)`` of a key."""

@@ -12,9 +12,13 @@ can only be appended to or reset, so the two zones take turns:
   only then is the old stream erased.  A power cut at any point leaves at
   least one sealed stream, and mount picks it.
 
-One lock serialises every writer: a checkpoint yields many times between
+Appends share the log (a zone append assigns offsets to concurrent
+writers); only a checkpoint is exclusive.  It yields many times between
 taking its snapshot and erasing the old stream, and an append landing on
-the old active zone in that window would be erased with it.
+the old active zone in that window would be erased with it, so it blocks
+new appends and waits for in-flight ones to drain.  A record is encoded
+from the live table in the instant it claims zone space, so the stream
+orders records the way the table changed.
 
 Snapshot rule: once a keyspace's delete is committed to the log, no
 checkpoint snapshots it again (until an upsert recreates it), although
@@ -71,7 +75,11 @@ class MetadataLog:
         self._keyspaces = keyspaces
         self._seqs = seqs
         self.codec = MetaCodec()
+        #: held by a checkpoint; appends only pass through it.  A waiting
+        #: checkpoint wakes on ``_drained`` once ``_inflight`` appends end.
         self._lock = Resource(self.env, capacity=1)
+        self._inflight = 0
+        self._drained = None
         self._active: ZoneCluster = zone_manager.reserve_zone(METADATA_ZONE_IDS[0])
         self._standby: ZoneCluster = zone_manager.reserve_zone(METADATA_ZONE_IDS[1])
         #: checkpoint epoch of the active stream (0 = never checkpointed)
@@ -86,21 +94,38 @@ class MetadataLog:
 
     # ------------------------------------------------------------------ writers
     def upsert(self, ctx: ThreadCtx, ks: Keyspace) -> Generator:
-        """Persist ``ks``'s full table entry."""
-        return self._locked(self._upsert(ctx, ks))
+        """Persist ``ks``'s table entry as it stands when its record claims
+        zone space."""
+        name = ks.name
+        self._deleted.discard(name)
+
+        def encode() -> bytes | None:
+            live = self._keyspaces.get(name)
+            if live is None or name in self._deleted:
+                return None  # a delete requested since supersedes it
+            return self.codec.encode_upsert(live, self._seqs.get(name, 0))
+
+        return self._append(ctx, encode)
 
     def delete(self, ctx: ThreadCtx, name: str) -> Generator:
         """Persist the deletion of keyspace ``name``."""
-        return self._locked(self._delete(ctx, name))
+        # Marked first: if the zone is full, the checkpoint that replaces
+        # the append is what commits the delete.
+        self._deleted.add(name)
+        record = self.codec.encode_delete(name)
+        return self._append(ctx, lambda: record)
 
-    def checkpoint(self, ctx: ThreadCtx) -> Generator:
-        """Snapshot the table into the standby zone, then swap roles."""
-        return self._locked(self._checkpoint(ctx))
-
-    def _locked(self, body: Generator) -> Generator:
+    def checkpoint(self, ctx: ThreadCtx, since: int | None = None) -> Generator:
+        """Snapshot the table into the standby zone, then swap roles —
+        exclusively: new appends queue, in-flight ones drain first.  Skipped
+        if the epoch has moved past ``since`` (when given) meanwhile."""
         with self._lock.request() as lock:
             yield from trace_wait(self.env, lock, "dev.meta_lock_wait")
-            return (yield from body)
+            if self._inflight:
+                self._drained = self.env.event()
+                yield from trace_wait(self.env, self._drained, "dev.meta_lock_wait")
+            if since is None or since == self.epoch:
+                yield from self._checkpoint(ctx)
 
     def _charge(self, ctx: ThreadCtx, nbytes: int) -> Generator:
         """CRC ``nbytes`` of metadata frames on the SoC."""
@@ -108,30 +133,38 @@ class MetadataLog:
             self._board.scale_cpu(self._costs.checksum_per_byte * nbytes)
         )
 
-    def _upsert(self, ctx: ThreadCtx, ks: Keyspace) -> Generator:
-        self._deleted.discard(ks.name)
-        yield from self._append(
-            ctx, self.codec.encode_upsert(ks, self._seqs.get(ks.name, 0))
-        )
-
-    def _delete(self, ctx: ThreadCtx, name: str) -> Generator:
-        # Marked first: if the zone is full, the checkpoint that replaces
-        # the append is what commits the delete.
-        self._deleted.add(name)
-        yield from self._append(ctx, self.codec.encode_delete(name))
-
-    def _append(self, ctx: ThreadCtx, record: bytes) -> Generator:
-        """Append one record to the active zone; a full zone checkpoints."""
+    def _append(self, ctx: ThreadCtx, encode: Callable) -> Generator:
+        """Append ``encode()`` under a shared hold (``None``: nothing to
+        append); a full zone checkpoints."""
+        if self._lock.count or self._lock.queue_len:
+            # A checkpoint runs or waits for the log: queue behind it.
+            with self._lock.request() as turn:
+                yield from trace_wait(self.env, turn, "dev.meta_lock_wait")
+        self._inflight += 1
+        full_at = None
         try:
-            yield from self._charge(ctx, len(record))
-            yield from self._active.append_group(record)
+            yield from self._charge(ctx, len(encode() or b""))
+            # Encoded as it claims zone space, with no yield in between.
+            record = encode()
+            if record is not None:
+                yield from self._active.append_group(record)
         except ZoneFullError:
-            yield from self._checkpoint(ctx)
+            full_at = self.epoch
+        finally:
+            self._inflight -= 1
+            if not self._inflight and self._drained is not None:
+                self._drained.succeed()
+                self._drained = None
+        if full_at is not None:
+            # Shared hold dropped first.  The table change preceded this
+            # append, so any checkpoint from here on snapshots it.
+            yield from self.checkpoint(ctx, since=full_at)
         self._stats.counter("metadata_updates").add()
 
     def _checkpoint(self, ctx: ThreadCtx) -> Generator:
         """Write ``EPOCH | live upserts | COMMIT`` to the standby zone, swap
-        roles, then erase the old stream.  Runs under the lock."""
+        roles, then erase the old stream.  Runs with the log held
+        exclusively."""
         target = self._standby
         for zone_id in target.zone_ids:
             if self.ssd.zone(zone_id).write_pointer:

@@ -10,6 +10,8 @@ from repro.errors import KeyNotFoundError
 from repro.nvme import PcieLink
 from repro.obs.audit import InvariantAuditor
 from repro.obs.journal import install_journal
+from repro.obs.trace import install_tracer
+from repro.sim.sync import AllOf
 from repro.soc import SocBoard
 from repro.ssd.zone import ZoneState
 from repro.units import KiB
@@ -286,6 +288,137 @@ def test_metadata_writers_serialized_by_meta_lock():
     assert log.zone_ids == [new_active, old_active]
     assert tb.ssd.zone(old_active).write_pointer == 0
     assert tb.ssd.zone(new_active).write_pointer > snapshot_bytes
+
+
+def run_all(tb, *gens):
+    """Run generators as concurrent processes until every one has ended."""
+
+    def all_of():
+        yield AllOf(tb.env, [tb.env.process(gen) for gen in gens])
+
+    tb.run(all_of())
+
+
+def test_concurrent_upserts_share_the_log():
+    """Appends do not wait for each other: two keyspaces' upserts from
+    different contexts overlap in virtual time and neither records a
+    metadata-lock wait."""
+    tb = CsdTestbed(bloom_bits_per_key=10)
+    load_and_compact(tb, make_pairs(500), name="a")
+    load_and_compact(tb, make_pairs(500, prefix="b"), name="b")
+    dev, log = tb.device, tb.device.metalog
+    tracer = install_tracer(tb.env)
+    spans = {}
+
+    def upsert(name, core):
+        t0 = tb.env.now
+        yield from log.upsert(tb.ctx.pinned(core), dev.keyspaces[name])
+        spans[name] = (t0, tb.env.now)
+
+    run_all(tb, upsert("a", 0), upsert("b", 1))
+    (a0, a1), (b0, b1) = spans["a"], spans["b"]
+    assert max(a0, b0) < min(a1, b1)
+    assert not [s for s in tracer.spans if s.name == "dev.meta_lock_wait"]
+
+
+def test_checkpoint_waits_for_an_append_in_flight():
+    """A checkpoint requested while an append is charging its CRC blocks
+    until that append has landed, and only then writes its snapshot."""
+    tb = CsdTestbed(bloom_bits_per_key=10)
+    load_and_compact(tb, make_pairs(500))
+    log = tb.device.metalog
+    standby = log.zone_ids[1]
+    tracer = install_tracer(tb.env)
+    seen = {}
+
+    def upsert():
+        yield from log.upsert(tb.ctx.pinned(0), tb.device.keyspaces["ks"])
+        seen["landed"] = tb.env.now
+        seen["standby_bytes"] = tb.ssd.zone(standby).write_pointer
+
+    run_all(tb, upsert(), log.checkpoint(tb.ctx.pinned(1)))
+    waits = [s for s in tracer.spans if s.name == "dev.meta_lock_wait"]
+    assert waits[-1].end == seen["landed"] > waits[-1].start
+    assert seen["standby_bytes"] == 0
+    assert log.epoch == 1
+
+
+def test_concurrent_appends_overflowing_the_zone_checkpoint_once():
+    """N appends that all find the metadata zone full drop their shared
+    hold and queue for the exclusive one: the first checkpoints, the rest
+    see the epoch moved (its snapshot already holds their table change)."""
+    tb = CsdTestbed(bloom_bits_per_key=10, zone_size=256 * KiB)
+    names = [f"ks{i}" for i in range(4)]
+    for i, name in enumerate(names):
+        load_and_compact(tb, make_pairs(300, prefix=f"p{i}"), name=name)
+    dev, log = tb.device, tb.device.metalog
+    shortest = min(
+        len(log.codec.encode_upsert(dev.keyspaces[name], 0)) for name in names
+    )
+    pad_metadata_zone(tb, range(0, shortest))
+    checkpoints = dev.stats.counter("metadata_checkpoints").value
+
+    run_all(tb, *(
+        log.upsert(tb.ctx.pinned(core), dev.keyspaces[name])
+        for core, name in enumerate(names)
+    ))
+    assert log.epoch == 1
+    assert dev.stats.counter("metadata_checkpoints").value == checkpoints + 1
+
+    device2, _client2 = power_cycle(tb)
+    assert device2.list_keyspaces() == names
+    for name in names:
+        assert log.codec.encode_upsert(device2.keyspaces[name], 0) == (
+            log.codec.encode_upsert(dev.keyspaces[name], 0)
+        )
+    report = InvariantAuditor(device2).run("mount")
+    assert report.ok, report.violations
+
+
+def test_racing_upserts_of_one_keyspace_remount_to_the_later_state():
+    """An upsert whose CRC charge waits on a busy core claims zone space
+    after a later upsert of the same keyspace; it must carry the table as
+    it stands at its claim, or the stream ends on the older state."""
+    tb = CsdTestbed(bloom_bits_per_key=10)
+    tb.run(tb.client.create_keyspace("ks", tb.ctx))
+    ks, log = tb.device.keyspaces["ks"], tb.device.metalog
+    slow, fast = tb.ctx.pinned(0), tb.ctx.pinned(1)
+
+    def race():
+        hog = tb.env.process(slow.execute(1e-3))  # core 0 is busy
+        first = tb.env.process(log.upsert(slow, ks))  # persists EMPTY...
+        yield tb.env.timeout(1e-7)  # ...and now queues for core 0
+        ks.open_for_write()
+        second = tb.env.process(log.upsert(fast, ks))  # ...then WRITABLE
+        yield AllOf(tb.env, [hog, first, second])
+
+    tb.run(race())
+    device2, _client2 = power_cycle(tb)
+    assert device2.keyspaces["ks"].state == KeyspaceState.WRITABLE
+
+
+def test_upsert_claiming_after_a_delete_of_its_keyspace_is_dropped():
+    """The same race against a delete: the keyspace is still in the table
+    (its zones are not released yet), but the committed DELETE supersedes
+    the late upsert, so mount finds the keyspace gone."""
+    tb = CsdTestbed(bloom_bits_per_key=10)
+    load_and_compact(tb, make_pairs(500), name="victim")
+    dev, log = tb.device, tb.device.metalog
+    slow, fast = tb.ctx.pinned(0), tb.ctx.pinned(1)
+
+    def race():
+        hog = tb.env.process(slow.execute(1e-3))
+        upsert = tb.env.process(log.upsert(slow, dev.keyspaces["victim"]))
+        yield tb.env.timeout(1e-7)
+        yield from log.delete(fast, "victim")
+        yield AllOf(tb.env, [hog, upsert])
+
+    tb.run(race())
+    assert "victim" in dev.keyspaces
+    device2, _client2 = power_cycle(tb)
+    assert device2.list_keyspaces() == []
+    report = InvariantAuditor(device2).run("mount")
+    assert report.ok, report.violations
 
 
 def test_torn_klog_tail_sealed_on_mount():
