@@ -35,13 +35,27 @@ end, with segment widths summing to the span duration.  Gaps, overlaps,
 or a mismatched sum mean the attribution engine double-counted or lost
 time.
 
-Usage: ``python scripts/validate_trace.py trace.json``
+Prometheus text dumps (``repro metrics --out metrics.prom``) are detected by
+the ``.prom`` suffix and validated against the exposition format: one
+``# TYPE`` line per family, each family's samples contiguous under it,
+every sample line parses (``name{label="value",...} value``), and no
+``(metric, labels)`` pair repeats.
+
+Usage: ``python scripts/validate_trace.py trace.json|explain.json|metrics.prom``
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
+
+_SAMPLE_RE = re.compile(r"([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})? (\S+)")
+_LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
+#: sample-name suffixes a family of each kind may carry
+_SUFFIXES = {"counter": ("",), "gauge": ("",), "untyped": ("",),
+             "summary": ("", "_sum", "_count"),
+             "histogram": ("_bucket", "_sum", "_count")}
 
 
 def _reject_constant(name: str):
@@ -49,6 +63,8 @@ def _reject_constant(name: str):
 
 
 def validate(path: str) -> list[str]:
+    if path.endswith(".prom"):
+        return _check_exposition(path)
     errors: list[str] = []
     with open(path) as fh:
         doc = json.load(fh, parse_constant=_reject_constant)
@@ -89,6 +105,60 @@ def validate(path: str) -> list[str]:
     errors.extend(_check_sq_cq_pairing(path, complete))
     errors.extend(_check_cluster_fanout_parenting(path, complete))
     errors.extend(_check_counter_tracks(path, counters, complete))
+    return errors
+
+
+def _check_exposition(path: str) -> list[str]:
+    """One TYPE line per family, contiguous families, parsable samples,
+    no repeated ``(metric, labels)`` pair."""
+    errors: list[str] = []
+    kinds: dict[str, str] = {}  # family -> kind, in TYPE-line order
+    family = None
+    seen: set[tuple[str, str]] = set()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    for number, line in enumerate(lines, 1):
+        where = f"{path}:{number}"
+        if not line:
+            continue
+        if line.startswith("#"):
+            parts = line.split()
+            if parts[1:2] != ["TYPE"]:
+                continue
+            if len(parts) != 4 or parts[3] not in _SUFFIXES:
+                errors.append(f"{where}: malformed TYPE line {line!r}")
+            elif parts[2] in kinds:
+                errors.append(f"{where}: second TYPE line for family {parts[2]!r}")
+            else:
+                family = parts[2]
+                kinds[family] = parts[3]
+            continue
+        match = _SAMPLE_RE.fullmatch(line)
+        if match is None:
+            errors.append(f"{where}: unparsable sample {line!r}")
+            continue
+        name, labels, value = match.groups()
+        labels = labels or ""
+        pairs = _LABEL_RE.findall(labels)
+        if ",".join(f'{k}="{v}"' for k, v in pairs) != labels:
+            errors.append(f"{where}: malformed labels {{{labels}}}")
+        try:
+            float(value)
+        except ValueError:
+            errors.append(f"{where}: value {value!r} is not a number")
+        if family is None or name not in {
+            family + suffix for suffix in _SUFFIXES[kinds[family]]
+        }:
+            errors.append(
+                f"{where}: sample {name!r} is outside its family's block "
+                f"(the TYPE line above is for {family!r})"
+            )
+        key = (name, ",".join(sorted(f"{k}={v}" for k, v in pairs)))
+        if key in seen:
+            errors.append(f"{where}: repeated sample {name}{{{labels}}}")
+        seen.add(key)
+    if not kinds:
+        errors.append(f"{path}: no metric families")
     return errors
 
 
@@ -276,7 +346,9 @@ def main(argv: list[str]) -> int:
     errors = validate(argv[1])
     for error in errors:
         print(f"FAIL: {error}", file=sys.stderr)
-    if not errors:
+    if not errors and argv[1].endswith(".prom"):
+        print(f"{argv[1]}: valid Prometheus exposition")
+    elif not errors:
         with open(argv[1]) as fh:
             doc = json.load(fh)
         if isinstance(doc, dict) and "ops" in doc and "min_attributed" in doc:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bench.calibration import build_kvcsd_testbed
-from repro.bench.report import ResultTable, ShapeCheck, speedup, unobserved
+from repro.bench.report import ResultTable, ShapeCheck, device_stats, speedup, unobserved
 from repro.units import MiB
 from repro.workloads import (
     SyntheticSpec,
@@ -207,5 +207,5 @@ def run_compaction_bench(
     get_phase(piped.env, piped.adapter, [("ks", keys, piped.thread_ctx(0))])
     cache = piped.device.block_cache
     result.cache_report = cache.report() if cache is not None else {}
-    result.device_stats = piped.device.stats.as_dict()
+    result.device_stats = device_stats(piped.device)
     return result

@@ -34,6 +34,7 @@ from typing import Any
 import numpy as np
 
 from repro.bench.calibration import build_kvcsd_testbed, build_rocksdb_testbed
+from repro.bench.report import device_stats
 from repro.nvme.kv_commands import KvGetCmd
 from repro.units import MiB
 from repro.workloads import (
@@ -167,7 +168,7 @@ def _fp_compaction(shards: int) -> dict:
     fp["soc_busy"] = [_hx(b) for b in kv.board.cpu.busy_time]
     fp["io"] = _io_fp(kv)
     fp["link"] = _link_fp(kv)
-    fp["device_stats"] = _jsonable(kv.device.stats.as_dict())
+    fp["device_stats"] = _jsonable(device_stats(kv.device))
     return fp
 
 
@@ -227,7 +228,7 @@ def _fp_query_offload() -> dict:
     fp["range"] = _digest(out["range"])
     fp["io"] = _io_fp(kv)
     fp["link"] = _link_fp(kv)
-    fp["device_stats"] = _jsonable(kv.device.stats.as_dict())
+    fp["device_stats"] = _jsonable(device_stats(kv.device))
     return fp
 
 
@@ -342,7 +343,7 @@ def _fp_mixed_contention() -> dict:
         fp[f"values_t{t}"] = _digest(values[t])
     fp["io"] = _io_fp(kv)
     fp["link"] = _link_fp(kv)
-    fp["device_stats"] = _jsonable(kv.device.stats.as_dict())
+    fp["device_stats"] = _jsonable(device_stats(kv.device))
     return fp
 
 
@@ -502,7 +503,7 @@ def _fp_crash_recovery() -> dict:
     fp["get_values"] = _digest(out)
     fp["io"] = _io_fp(kv)
     fp["link"] = _link_fp(kv)
-    fp["device_stats"] = _jsonable(kv.device.stats.as_dict())
+    fp["device_stats"] = _jsonable(device_stats(kv.device))
     return fp
 
 

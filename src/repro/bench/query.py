@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bench.calibration import build_kvcsd_testbed
-from repro.bench.report import ResultTable, ShapeCheck, speedup, unobserved
+from repro.bench.report import ResultTable, ShapeCheck, device_stats, speedup, unobserved
 from repro.workloads import SyntheticSpec, generate_pairs, get_phase, load_phase
 
 __all__ = ["QueryBenchConfig", "QueryBenchResult", "run_query_bench"]
@@ -260,14 +260,14 @@ def run_query_bench(
         serial, sample, lo, hi
     ) == _collect_results(piped, sample, lo, hi)
 
-    stats = piped.device.stats.snapshot()
-    result.bloom_probes = int(stats.get("kvcsd.bloom_probes", 0))
-    result.bloom_skips = int(stats.get("kvcsd.bloom_skips", 0))
+    result.device_stats = device_stats(piped.device)
+    stats = result.device_stats["counters"]
+    result.bloom_probes = int(stats.get("bloom_probes", 0))
+    result.bloom_skips = int(stats.get("bloom_skips", 0))
     result.bloom_dram_bytes = sum(piped.device._bloom_dram.values())
     result.scheduler_report = {
-        "admitted": int(stats.get("kvcsd.query_admitted", 0)),
-        "dispatched": int(stats.get("kvcsd.query_dispatched", 0)),
+        "admitted": int(stats.get("query_admitted", 0)),
+        "dispatched": int(stats.get("query_dispatched", 0)),
         **piped.device.query_scheduler.introspect(),
     }
-    result.device_stats = piped.device.stats.as_dict()
     return result

@@ -15,6 +15,7 @@ from typing import Any, Sequence
 __all__ = [
     "ResultTable",
     "ShapeCheck",
+    "device_stats",
     "require_ascending",
     "speedup",
     "unobserved",
@@ -30,6 +31,19 @@ def speedup(baseline_seconds: float, ours_seconds: float) -> float:
 
 def unobserved(testbed) -> None:
     """A scenario's default ``observe`` hook: installs nothing."""
+
+
+def device_stats(device) -> dict:
+    """A KV-CSD's counters and, once a query was admitted, the summary of
+    the queue depth each admitted query found — for results documents."""
+    scheduler = device.query_scheduler
+    depth = scheduler.admit_depth if scheduler is not None else None
+    return {
+        "counters": device.stats.counter_values(),
+        "histograms": (
+            {"query_queue_depth": depth.summary()} if depth and depth.count else {}
+        ),
+    }
 
 
 def require_ascending(name: str, values: tuple) -> None:

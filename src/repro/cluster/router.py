@@ -59,7 +59,6 @@ from repro.nvme.kv_commands import (
     KvMultiGetCmd,
     ListKeyspacesCmd,
     OpenKeyspaceCmd,
-    PointQueryCmd,
     RangeQueryCmd,
     SidxPointQueryCmd,
     SidxRangeQueryCmd,
@@ -71,10 +70,9 @@ __all__ = ["ClusterRouter", "LogicalKeyspace", "RouterTicket"]
 
 #: command types routed by a single key, with the op name their command
 #: span gets (matching the single-device client's vocabulary)
-_SINGLE_KEY_CMDS = (KvGetCmd, PointQueryCmd, KvExistCmd, KvDeleteCmd)
+_SINGLE_KEY_CMDS = (KvGetCmd, KvExistCmd, KvDeleteCmd)
 _BATCH_OPS = {
     KvGetCmd: "get",
-    PointQueryCmd: "point_query",
     KvExistCmd: "exist",
     KvDeleteCmd: "delete",
     KvBulkPutCmd: "bulk_put",
@@ -811,9 +809,7 @@ class ClusterRouter:
             seen: dict[tuple, int] = {}
             for command in commands:
                 read_key = None
-                if isinstance(
-                    command, (KvGetCmd, PointQueryCmd, KvExistCmd)
-                ):
+                if isinstance(command, (KvGetCmd, KvExistCmd)):
                     read_key = (
                         type(command), command.keyspace, command.key
                     )

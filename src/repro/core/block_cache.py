@@ -39,13 +39,14 @@ class BlockCache:
         self._by_zone: dict[int, set[ZonePointer]] = {}
         self.used_bytes = 0
         self.stats = StatsRegistry("block_cache")
-        self.lookups = self.stats.hit_ratio("lookups")
-        # Pre-create the event counters so a metrics scrape sees explicit
-        # zeros (Prometheus consumers need the series to exist before the
-        # first eviction/invalidation to rate() over it).
-        self.stats.counter("insertions")
-        self.stats.counter("evictions")
-        self.stats.counter("invalidations")
+        # Pre-create every counter so a metrics scrape sees explicit zeros
+        # (Prometheus consumers need the series to exist before the first
+        # lookup/eviction/invalidation to rate() over it).
+        self._hits = self.stats.counter("hits")
+        self._misses = self.stats.counter("misses")
+        self._insertions = self.stats.counter("insertions")
+        self._evictions = self.stats.counter("evictions")
+        self._invalidations = self.stats.counter("invalidations")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -55,10 +56,10 @@ class BlockCache:
         """The cached blob for ``pointer``, refreshed to most-recently-used."""
         blob = self._entries.get(pointer)
         if blob is None:
-            self.lookups.miss()
+            self._misses.add()
             return None
         self._entries.move_to_end(pointer)
-        self.lookups.hit()
+        self._hits.add()
         return blob
 
     def put(self, pointer: ZonePointer, blob: bytes) -> None:
@@ -74,8 +75,8 @@ class BlockCache:
         while self.used_bytes > self.capacity_bytes:
             victim, victim_blob = self._entries.popitem(last=False)
             self._forget(victim, victim_blob)
-            self.stats.counter("evictions").add()
-        self.stats.counter("insertions").add()
+            self._evictions.add()
+        self._insertions.add()
 
     # -- invalidation -------------------------------------------------------
     def invalidate_zone(self, zone_id: int) -> None:
@@ -87,7 +88,7 @@ class BlockCache:
             blob = self._entries.pop(pointer, None)
             if blob is not None:
                 self.used_bytes -= len(blob)
-                self.stats.counter("invalidations").add()
+                self._invalidations.add()
 
     def clear(self) -> None:
         """Drop everything (device reset/recovery)."""
@@ -106,20 +107,21 @@ class BlockCache:
     # -- reporting ----------------------------------------------------------
     @property
     def hit_rate(self) -> float:
-        return self.lookups.ratio_or_zero
+        """Hit fraction of all lookups; 0.0 before the first one."""
+        lookups = self._hits.value + self._misses.value
+        return self._hits.value / lookups if lookups else 0.0
 
     def report(self) -> dict:
         """Observability snapshot for the device report / benchmarks."""
-        counters = self.stats.counter_values()
         return {
             "capacity_bytes": self.capacity_bytes,
             "used_bytes": self.used_bytes,
             "entries": len(self._entries),
-            "hits": self.lookups.hits.value,
-            "misses": self.lookups.misses.value,
-            "hit_rate": self.lookups.ratio_or_zero,
-            "evictions": counters.get("evictions", 0.0),
-            "invalidations": counters.get("invalidations", 0.0),
+            "hits": self._hits.value,
+            "misses": self._misses.value,
+            "hit_rate": self.hit_rate,
+            "evictions": self._evictions.value,
+            "invalidations": self._invalidations.value,
         }
 
     def introspect(self) -> dict:

@@ -49,11 +49,8 @@ from repro.nvme.kv_commands import (
     KvFsyncCmd,
     KvGetCmd,
     KvMultiGetCmd,
-    KvPutCmd,
     ListKeyspacesCmd,
-    MultiPointQueryCmd,
     OpenKeyspaceCmd,
-    PointQueryCmd,
     RangeQueryCmd,
     SidxPointQueryCmd,
     SidxRangeQueryCmd,
@@ -86,8 +83,6 @@ def command_payload_bytes(command: KvCommand) -> int:
         return command.message_bytes or (
             4 + sum(pair_wire_size(k, v) for k, v in zip(command.keys, command.values))
         )
-    if isinstance(command, KvPutCmd):
-        return 4 + pair_wire_size(command.key, command.value)
     if isinstance(command, KvBulkDeleteCmd):
         return sum(len(k) + 2 for k in command.keys)
     if isinstance(command, KvDeleteCmd):
@@ -100,9 +95,9 @@ def command_payload_bytes(command: KvCommand) -> int:
         return len(command.keyspace) + len(command.index_name) + 16
     if isinstance(command, WaitCompactionCmd):
         return len(command.keyspace)
-    if isinstance(command, (KvGetCmd, PointQueryCmd, KvExistCmd)):
+    if isinstance(command, (KvGetCmd, KvExistCmd)):
         return len(command.key)
-    if isinstance(command, (KvMultiGetCmd, MultiPointQueryCmd)):
+    if isinstance(command, KvMultiGetCmd):
         return sum(len(k) + 2 for k in command.keys)
     if isinstance(command, RangeQueryCmd):
         return len(command.lo) + len(command.hi)
@@ -121,11 +116,11 @@ def command_result_bytes(command: KvCommand, value: object) -> int:
     range results carry keys+values plus the frame; everything else returns
     a bare CQE-sized acknowledgement.
     """
-    if isinstance(command, (KvGetCmd, PointQueryCmd)):
+    if isinstance(command, KvGetCmd):
         return len(value)
     if isinstance(command, ListKeyspacesCmd):
         return sum(len(n) for n in value) + 16
-    if isinstance(command, (KvMultiGetCmd, MultiPointQueryCmd)):
+    if isinstance(command, KvMultiGetCmd):
         return sum(len(k) + len(v) for k, v in value.items()) + COMMAND_WIRE_BYTES
     if isinstance(command, (RangeQueryCmd, SidxRangeQueryCmd, SidxPointQueryCmd)):
         return sum(len(k) + len(v) for k, v in value) + COMMAND_WIRE_BYTES

@@ -604,37 +604,23 @@ class KvCsdDevice:
         }
 
     def metric_gauges(self) -> dict:
-        """Instantaneous recovery/durability gauges for MetricsHub sampling.
+        """Every instantaneous gauge of the firmware, for MetricsHub sampling.
 
-        Covers mount outcomes — recovery count, orphan zones reclaimed,
-        persisted-bloom reload counters, and per-stage mount latency — so
-        the timeline sampler and ``repro metrics`` see recovery health
-        without reaching into private fields.
+        DRAM pressure, zone-pool occupancy, the metadata epoch, the query
+        scheduler's queue (when there is one) and per-stage mount latency.
+        Recovery outcomes (``recoveries``, ``orphan_zones_reclaimed``,
+        ``blooms_reloaded``, ...) are counters on :attr:`stats`, not gauges.
         """
-        counters = self.stats.counters
-
-        def counter_gauge(name: str):
-            def read() -> float:
-                counter = counters.get(name)  # created on first increment
-                return counter.value if counter is not None else 0.0
-
-            return read
-
         gauges = {
-            "recovery.count": counter_gauge("recoveries"),
-            "recovery.orphan_zones_reclaimed": counter_gauge(
-                "orphan_zones_reclaimed"
-            ),
-            "recovery.blooms_reloaded": counter_gauge("blooms_reloaded"),
-            "recovery.bloom_reload_bytes": counter_gauge("bloom_reload_bytes"),
-            "recovery.blooms_reconstructed": counter_gauge(
-                "blooms_reconstructed"
-            ),
+            **self.board.dram.metric_gauges(),
+            **self.zone_manager.metric_gauges(),
+            **self.metalog.metric_gauges(),
             "recovery.mount_seconds": lambda: float(
                 sum(self._mount_stages.values())
             ),
-            **self.metalog.metric_gauges(),
         }
+        if self.query_scheduler is not None:
+            gauges.update(self.query_scheduler.metric_gauges())
         for stage in MOUNT_STAGES:
             gauges[f"recovery.stage_seconds.{stage}"] = (
                 lambda s=stage: float(self._mount_stages.get(s, 0.0))

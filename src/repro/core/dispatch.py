@@ -34,11 +34,8 @@ from repro.nvme.kv_commands import (
     KvFsyncCmd,
     KvGetCmd,
     KvMultiGetCmd,
-    KvPutCmd,
     ListKeyspacesCmd,
-    MultiPointQueryCmd,
     OpenKeyspaceCmd,
-    PointQueryCmd,
     RangeQueryCmd,
     SidxPointQueryCmd,
     SidxRangeQueryCmd,
@@ -82,15 +79,6 @@ class KvCommandDispatcher:
             if False:  # pragma: no cover - keep generator shape
                 yield None
             return device.keyspace_stat(command.name)
-        if isinstance(command, KvPutCmd):
-            return (
-                yield from device.bulk_put(
-                    command.keyspace,
-                    [(command.key, command.value)],
-                    len(command.key) + len(command.value) + 10,
-                    ctx,
-                )
-            )
         if isinstance(command, KvBulkPutCmd):
             pairs = list(zip(command.keys, command.values))
             message_bytes = command.message_bytes or sum(
@@ -127,9 +115,9 @@ class KvCommandDispatcher:
                 dtype=command.dtype,
             )
             return (yield from device.build_sidx(command.keyspace, config, ctx))
-        if isinstance(command, (KvGetCmd, PointQueryCmd)):
+        if isinstance(command, KvGetCmd):
             return (yield from device.point_query(command.keyspace, command.key, ctx))
-        if isinstance(command, (KvMultiGetCmd, MultiPointQueryCmd)):
+        if isinstance(command, KvMultiGetCmd):
             return (
                 yield from device.multi_point_query(
                     command.keyspace, list(command.keys), ctx

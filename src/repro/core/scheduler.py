@@ -17,9 +17,10 @@ never *what it computes* — a query's result is byte-identical whether it
 runs inline (``query_workers=0``), on one worker, or on four.
 
 Observability: admission and dispatch emit ``query.admit`` /
-``query.dispatch`` journal events, admitted/dispatched counters and a
-queue-depth histogram accumulate on the device's stats registry (exported
-through :class:`~repro.obs.metrics.MetricsHub`), and a captured
+``query.dispatch`` journal events, admitted/dispatched counters accumulate
+on the device's stats registry, a bounded histogram records the queue depth
+each query found at admission (both exported through
+:class:`~repro.obs.metrics.MetricsHub`), and a captured
 :class:`~repro.obs.probe.TraceContext` travels with each queued command so
 worker-side spans parent under the submitting command's span tree.
 """
@@ -32,7 +33,7 @@ from typing import Any, Optional
 from repro.errors import SimulationError
 from repro.obs.probe import TraceContext
 from repro.sim.core import Environment, Event
-from repro.sim.stats import StatsRegistry
+from repro.sim.stats import Histogram, StatsRegistry
 from repro.sim.sync import BoundedQueue
 from repro.soc.board import SocBoard
 
@@ -92,6 +93,8 @@ class QueryScheduler:
         self.n_workers = n_workers
         self.queue = BoundedQueue(env, queue_depth, name="soc.query_queue")
         self.stats = stats
+        #: queue depth each query found at admission
+        self.admit_depth = Histogram("query_queue_depth")
         self._admitted = 0
         self._busy = 0
         self._workers = [
@@ -126,9 +129,9 @@ class QueryScheduler:
             item.actor = probe.actor()
             item.token = probe.token()
             item.admit_holders = probe.holders("soc.query_queue")
+        self.admit_depth.record(float(len(self.queue)))
         if self.stats is not None:
             self.stats.counter("query_admitted").add()
-            self.stats.histogram("query_queue_depth").record(float(len(self.queue)))
         yield from self.queue.put(item)
         result = yield item.done
         return result

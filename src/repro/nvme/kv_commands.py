@@ -19,7 +19,6 @@ __all__ = [
     "CreateKeyspaceCmd",
     "DeleteKeyspaceCmd",
     "OpenKeyspaceCmd",
-    "KvPutCmd",
     "KvBulkPutCmd",
     "KvGetCmd",
     "KvMultiGetCmd",
@@ -30,8 +29,6 @@ __all__ = [
     "CompactCmd",
     "WaitCompactionCmd",
     "BuildSidxCmd",
-    "PointQueryCmd",
-    "MultiPointQueryCmd",
     "RangeQueryCmd",
     "SidxPointQueryCmd",
     "SidxRangeQueryCmd",
@@ -80,15 +77,6 @@ class KeyspaceStatCmd(KvCommand):
 
 # -- data path -------------------------------------------------------------------
 @dataclass(frozen=True)
-class KvPutCmd(KvCommand):
-    """Store one key-value pair."""
-
-    keyspace: str
-    key: bytes
-    value: bytes
-
-
-@dataclass(frozen=True)
 class KvBulkPutCmd(KvCommand):
     """Store many pairs in one message (the paper's 128 KB bulk PUT)."""
 
@@ -101,6 +89,8 @@ class KvBulkPutCmd(KvCommand):
 
 @dataclass(frozen=True)
 class KvGetCmd(KvCommand):
+    """Primary-index point query (COMPACTED keyspaces only)."""
+
     keyspace: str
     key: bytes
 
@@ -174,22 +164,6 @@ class BuildSidxCmd(KvCommand):
     value_offset: int
     width: int
     dtype: str = "bytes"
-
-
-@dataclass(frozen=True)
-class PointQueryCmd(KvCommand):
-    """Primary-index point query (COMPACTED keyspaces only)."""
-
-    keyspace: str
-    key: bytes
-
-
-@dataclass(frozen=True)
-class MultiPointQueryCmd(KvCommand):
-    """Batched primary-index point queries (COMPACTED keyspaces only)."""
-
-    keyspace: str
-    keys: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)

@@ -238,13 +238,6 @@ class QueuePair:
             "errors": self.errors,
         }
 
-    def metric_gauges(self) -> dict:
-        """Instantaneous gauges for MetricsHub/timeline sampling."""
-        return {
-            "qp.inflight": lambda: float(self.inflight),
-            "qp.unreaped": lambda: float(self.unreaped),
-        }
-
 
 class KvQueuePair:
     """The host client's KV submission/completion queue pair.
@@ -606,11 +599,4 @@ class KvQueuePair:
             "reaped": self.reaped,
             "unreaped": self.unreaped,
             "errors": self.errors,
-        }
-
-    def metric_gauges(self) -> dict:
-        """Instantaneous gauges for MetricsHub/timeline sampling."""
-        return {
-            "qp.inflight": lambda: float(self.inflight),
-            "qp.unreaped": lambda: float(self.unreaped),
         }

@@ -2,8 +2,9 @@
 
 Spans are stamped from the simulation's virtual clock and organised into
 per-command / per-job trees (:mod:`repro.obs.trace`); a :class:`MetricsHub`
-aggregates component stats, SSD I/O stats, link counters and per-op latency
-histograms (:mod:`repro.obs.metrics`); exporters render a Chrome-trace
+is the one registry of component counters, SSD I/O stats, link and queue
+counters, gauges and per-op latency summaries (:mod:`repro.obs.metrics`);
+exporters render a Chrome-trace
 timeline, a Prometheus text dump and a latency-attribution table
 (:mod:`repro.obs.export`).  The structured event journal records typed
 lifecycle events correlated to spans (:mod:`repro.obs.journal`); versioned
@@ -45,7 +46,7 @@ from repro.obs.journal import (
     install_journal,
     journal_event,
 )
-from repro.obs.metrics import MetricsHub
+from repro.obs.metrics import SUMMARY, MetricsHub
 from repro.obs.timeline import (
     DEFAULT_RULES,
     Alert,
@@ -147,52 +148,34 @@ def register_device_metrics(
     link: Optional[Any] = None,
     prefix: str = "",
 ) -> None:
-    """Register one device's stats/gauges on ``hub`` under ``prefix``.
+    """Register one device's rows on ``hub`` under ``prefix``.
 
     ``prefix`` scopes every registration name (``dev0.`` gives
     ``dev0.kvcsd``, ``dev0.host-kv``, ``dev0.soc.query_queue_depth``, ...)
-    so N-device cluster runs never collide on the hub's series keys — a
-    collision silently overwrites the earlier gauge.  The default empty
-    prefix keeps single-device names byte-identical to what they always
-    were.  SSD and link registrations use the component's own ``name``
-    (cluster testbeds already name those per device), not the prefix.
+    so N-device cluster runs never collide on the hub's keys — a collision
+    silently replaces the earlier row.  The default empty prefix keeps
+    single-device names what they always were.  SSD and link rows are
+    labelled with the component's own ``name`` (cluster testbeds already
+    name those per device), not the prefix.
     """
     if device is not None:
         hub.register_registry(f"{prefix}kvcsd", device.stats)
-        cache = getattr(device, "block_cache", None)
-        if cache is not None:
-            hub.register_registry(f"{prefix}block_cache", cache.stats)
-        board = getattr(device, "board", None)
-        if board is not None:
-            hub.register_queue_pair(f"{prefix}soc-ssd", board.qp)
-            dram = getattr(board, "dram", None)
-            if dram is not None:
-                for name, fn in dram.metric_gauges().items():
-                    hub.register_gauge(f"{prefix}{name}", fn)
-        for i, qp in enumerate(getattr(device, "host_qps", [])):
+        if device.block_cache is not None:
+            hub.register_registry(f"{prefix}block_cache", device.block_cache.stats)
+        hub.register_queue_pair(f"{prefix}soc-ssd", device.board.qp)
+        for i, qp in enumerate(device.host_qps):
             hub.register_queue_pair(
                 f"{prefix}host-kv" if i == 0 else f"{prefix}host-kv-{i}", qp
             )
-        scheduler = getattr(device, "query_scheduler", None)
-        if scheduler is not None:
-            for name, fn in scheduler.metric_gauges().items():
-                hub.register_gauge(f"{prefix}{name}", fn)
-        zones = getattr(device, "zone_manager", None)
-        if zones is not None:
-            for name, fn in zones.metric_gauges().items():
-                hub.register_gauge(f"{prefix}{name}", fn)
-        device_gauges = getattr(device, "metric_gauges", None)
-        if device_gauges is not None:
-            # recovery/durability health: mount latency per stage, orphan
-            # reclamation, persisted-bloom reload counters
-            for name, fn in device_gauges().items():
-                hub.register_gauge(f"{prefix}{name}", fn)
+        for name, fn in device.metric_gauges().items():
+            hub.register_gauge(f"{prefix}{name}", fn)
+        if device.query_scheduler is not None:
+            hub.add(f"{prefix}soc.query_admit_depth", SUMMARY,
+                    device.query_scheduler.admit_depth.summary)
     if ssd is not None:
-        ssd_name = getattr(ssd, "name", "ssd")
-        hub.register_io(ssd_name, ssd.stats)
-        hub.register_faults(ssd_name, ssd)
+        hub.register_ssd(ssd)
     if link is not None:
-        hub.register_link(getattr(link, "name", "link"), link)
+        hub.register_link(link.name, link)
 
 
 def _install(env: Any, hub: MetricsHub, retain_spans: bool) -> tuple[Tracer, MetricsHub]:
@@ -212,16 +195,16 @@ def install_observability(
 ) -> tuple[Tracer, MetricsHub]:
     """Wire a tracer + hub onto one testbed's components.
 
-    Registers the device's stats registry (and its block cache's, when
-    present), the SSD's :class:`IoStats` and fault-trip counters, the host
-    link's byte counters, the NVMe queue pairs (the SoC's block queue
-    and any host KV queue pairs registered on the device) for in-flight
-    depth gauges, the instantaneous gauges (scheduler queue depth, DRAM
-    budget pressure, zone-pool occupancy) the timeline samples and the
-    kernel's self-telemetry (``sim.*``: events scheduled, heap and
-    immediate-queue depth, timeout pool), then installs a tracer feeding
-    per-op latency histograms into the hub.  ``prefix`` scopes the
-    registration names (see :func:`register_device_metrics`).
+    Registers the device's counters (and its block cache's, when present),
+    the SSD's I/O, channel-busy and fault-trip counters, the host link's
+    byte counters, the NVMe queue pairs (the SoC's block queue and any host
+    KV queue pairs registered on the device), the device's gauges
+    (scheduler queue depth, DRAM budget pressure, zone-pool occupancy,
+    mount stages), the admission queue-depth summary and the kernel's
+    self-telemetry (``sim.*``: events scheduled, heap and immediate-queue
+    depth, timeout pool), then installs a tracer feeding per-op latency
+    summaries into the hub.  ``prefix`` scopes the registration names (see
+    :func:`register_device_metrics`).
     """
     hub = MetricsHub()
     register_device_metrics(hub, device=device, ssd=ssd, link=link, prefix=prefix)

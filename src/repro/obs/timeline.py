@@ -19,12 +19,12 @@ properties keep it deterministic and unobtrusive:
   check ``Environment.run`` performs), so multi-phase benchmarks keep a
   continuous cadence without per-phase wiring.
 
-A tick is compiled: the hub's sources are resolved once into an ordered
-plan of ``(series, reader)`` slots (rebuilt only when a source, a counter
-or a latency window appears), alert rules are matched to slot indices when
-the plan is built, and a tick is one pass of reader calls appended to a
-flat ``array('d')``.  :class:`Series` objects are built from those rows
-when the series are read (export, ``recorder.series``) or decimated.
+A tick is compiled: the hub's counter and gauge rows are resolved once into
+an ordered plan of ``(series, reader)`` slots (rebuilt only when a row or a
+latency window appears), alert rules are matched to slot indices when the
+plan is built, and a tick is one pass of reader calls appended to a flat
+``array('d')``.  :class:`Series` objects are built from those rows when the
+series are read (export, ``recorder.series``) or decimated.
 
 Zero-cost contract (PR 2's): nothing here is installed by default; with no
 recorder attached the simulation schedules **zero** extra events and the
@@ -36,8 +36,11 @@ The **SLO watchdog** evaluates declarative :class:`AlertRule`\\ s against
 each tick's sampled values.  A rule holds a comparison (``series > 12``)
 and an optional duration (``for_seconds``): the condition must hold
 continuously that long before the alert fires.  Fire/clear transitions
-emit ``slo.alert_fire`` / ``slo.alert_clear`` journal events and surface
-in the Prometheus dump (``repro metrics``).
+emit ``slo.alert_fire`` / ``slo.alert_clear`` journal events; each rule's
+fire count and firing state are hub rows (``slo.alerts_fired{rule=...}``,
+``slo.alert_firing{rule=...}``), so they reach ``repro metrics`` and are
+sampled like any other row — a tick reads them before it evaluates the
+rules, so their series trail the watchdog by one tick.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import SimulationError
 from repro.obs.journal import journal_event
+from repro.obs.metrics import COUNTER, GAUGE, SUMMARY
 from repro.obs.probe import get_probe
 from repro.sim.stats import Series, nan_to_zero, series_key
 
@@ -263,6 +267,9 @@ class _RuleState:
         self.fired_count = 0
         self.current: Optional[Alert] = None  #: the episode firing now, if any
 
+    def firing(self) -> float:
+        return float(self.current is not None)
+
 
 #: the four series one latency window feeds, in :meth:`LatencyWindow.quantiles` order
 _WINDOW_SERIES = ("op_latency_rate", "op_latency_p50", "op_latency_p95", "op_latency_p99")
@@ -276,39 +283,21 @@ class _Plan:
     __slots__ = ("slots", "readers", "windows", "rule_slots", "times", "rows")
 
     def __init__(self, recorder: "TimelineRecorder"):
-        hub = recorder.hub
         #: (series key, name, labels), one per value of a row
         self.slots: list[tuple[str, str, Optional[dict[str, str]]]] = []
-        #: zero-arg reads filling the leading slots of a row
+        #: zero-arg reads filling the leading slots of a row: every counter
+        #: and gauge row of the hub (summaries are the windows' business)
         self.readers: list[Callable[[], float]] = []
-
-        def slot(name, labels, reader=None):
-            self.slots.append((series_key(name, labels), name, labels))
-            if reader is not None:
-                self.readers.append(reader)
-
-        for _key, (name, fn, labels) in sorted(hub.gauges.items()):
-            slot(name, labels, fn)
-        for reg_name, registry in sorted(hub.registries.items()):
-            labels = {"registry": reg_name}
-            for cname, counter in sorted(registry.counters.items()):
-                slot(cname, labels, partial(getattr, counter, "value"))
-        # qp.depth is the *configured* capacity (a constant); the occupancy
-        # signals are inflight slots and unreaped completions.
-        for prefix, label, sources, fields in (
-            ("qp", "qp", hub.queue_pairs, ("inflight", "unreaped")),
-            ("io", "device", hub.io_stats, ("bytes_read", "bytes_written")),
-            ("link", "link", hub.links, ("bytes_tx", "bytes_rx")),
-        ):
-            for source_name, source in sorted(sources.items()):
-                labels = {label: source_name}
-                for field in fields:
-                    slot(f"{prefix}.{field}", labels, partial(getattr, source, field))
+        for row in recorder.hub.rows():
+            if row.kind != SUMMARY:
+                self.slots.append((row.key, row.name, row.labels))
+                self.readers.append(row.read)
         #: the trailing slots: four per latency window, NaN while it is empty
         self.windows = [w for _op, w in sorted(recorder.windows.items())]
         for window in self.windows:
+            labels = {"op": window.op}
             for name in _WINDOW_SERIES:
-                slot(name, {"op": window.op})
+                self.slots.append((series_key(name, labels), name, labels))
         #: per rule: the slot indices its series pattern matches, in order
         self.rule_slots = [
             (
@@ -353,7 +342,7 @@ class TimelineRecorder:
         self._pending = None  # the armed timeout, if any
         self._series: dict[str, Series] = {}
         self._plans: list[_Plan] = []  # rows not yet folded into _series
-        self._plan_stamp = -1  # _source_stamp() the current plan was built at
+        self._plan_stamp = -1  # hub rows + windows the current plan was built at
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "TimelineRecorder":
@@ -363,6 +352,11 @@ class TimelineRecorder:
         self.started = True
         get_probe(self.env).timeline = self
         self.hub.attach_timeline(self)
+        for name, state in self._rule_states.items():
+            labels = {"rule": name}
+            self.hub.add("slo.alerts_fired", COUNTER,
+                         partial(getattr, state, "fired_count"), labels)
+            self.hub.add("slo.alert_firing", GAUGE, state.firing, labels)
         self.sample()
         self._arm()
         return self
@@ -409,20 +403,12 @@ class TimelineRecorder:
         window.observe(self.env.now, seconds)
 
     # -- sampling ------------------------------------------------------------
-    def _source_stamp(self) -> int:
-        """Grows whenever a source, a counter or a window appears."""
-        hub = self.hub
-        stamp = hub.version + len(self.windows)
-        for registry in hub.registries.values():
-            stamp += len(registry.counters)
-        return stamp
-
     def sample(self) -> None:
         """One tick: read every slot, append the row, run the watchdog.
 
         Pure state reads — no simulation events, no resource usage.
         """
-        stamp = self._source_stamp()
+        stamp = self.hub.version + len(self.windows)  # grows as rows appear
         if stamp != self._plan_stamp:
             self._plan_stamp = stamp
             self._plans.append(_Plan(self))

@@ -9,7 +9,7 @@ from repro.sim.core import Environment, Event, Process, Timeout
 from repro.sim.cpu import CpuPool
 from repro.sim.resources import Container, PriorityResource, Request, Resource, Store
 from repro.sim.rng import RngRegistry, derive_seed
-from repro.sim.stats import Counter, Histogram, StatsRegistry, TimeSeries
+from repro.sim.stats import Counter, Histogram, StatsRegistry
 from repro.sim.sync import AllOf, AnyOf
 
 __all__ = [
@@ -29,6 +29,5 @@ __all__ = [
     "derive_seed",
     "Counter",
     "Histogram",
-    "TimeSeries",
     "StatsRegistry",
 ]

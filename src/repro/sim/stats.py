@@ -1,29 +1,32 @@
-"""Lightweight measurement primitives: counters, timers, histograms, series.
+"""Lightweight measurement primitives: counters, histograms, labeled series.
 
 These deliberately avoid any third-party dependency so they can be embedded
-in every subsystem without import cycles; the benchmark harness formats them
-for reporting.
+in every subsystem without import cycles.  Components only increment;
+:class:`~repro.obs.metrics.MetricsHub` is the one registry that exports
+them.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 import zlib
-from dataclasses import dataclass, field
 from typing import Optional
 
 __all__ = [
     "Counter",
-    "HitRatio",
     "Histogram",
+    "MAX_SAMPLES",
     "Series",
-    "TimeSeries",
     "StatsRegistry",
     "nan_to_zero",
     "series_key",
 ]
+
+#: Reservoir bound of every :class:`Histogram`: count/sum/min/max stay
+#: exact, percentiles come from a uniform sample of this many values, so a
+#: 1M-key scale-bench run holds ~8k floats per histogram, not one per op.
+MAX_SAMPLES = 8192
 
 
 def nan_to_zero(value: float) -> float:
@@ -49,81 +52,29 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
-class HitRatio:
-    """Paired hit/miss counters with a derived ratio (caches, filters)."""
-
-    __slots__ = ("name", "hits", "misses")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.hits = Counter(f"{name}.hits")
-        self.misses = Counter(f"{name}.misses")
-
-    def hit(self, amount: float = 1.0) -> None:
-        self.hits.add(amount)
-
-    def miss(self, amount: float = 1.0) -> None:
-        self.misses.add(amount)
-
-    @property
-    def total(self) -> float:
-        return self.hits.value + self.misses.value
-
-    @property
-    def ratio(self) -> float:
-        """Hit fraction in [0, 1]; NaN before the first lookup."""
-        total = self.total
-        return self.hits.value / total if total else math.nan
-
-    @property
-    def ratio_or_zero(self) -> float:
-        """Like :attr:`ratio` but 0.0 before the first lookup.
-
-        Use this anywhere the value lands in JSON or formatted reports:
-        NaN is not valid JSON and reads as garbage in tables, while "no
-        lookups yet" rendering as a 0% hit rate is the expected shape.
-        """
-        total = self.total
-        return self.hits.value / total if total else 0.0
-
-    def summary(self) -> dict[str, float]:
-        return {
-            "hits": self.hits.value,
-            "misses": self.misses.value,
-            "hit_ratio": self.ratio_or_zero,
-        }
-
-    def __repr__(self) -> str:
-        return f"HitRatio({self.name}: {self.hits.value}/{self.total})"
-
-
 class Histogram:
-    """Streaming histogram with exact or reservoir-bounded percentiles.
+    """Streaming histogram with reservoir-bounded percentiles.
 
-    The default mode stores every sample sorted: exact percentiles, one
-    float of memory per sample — fine up to a few million samples per run.
-    Passing ``max_samples`` switches to Vitter's Algorithm R once that many
-    samples have arrived: count/sum/min/max stay exact, percentiles come
-    from a uniform reservoir of ``max_samples`` values, and memory stays
-    bounded no matter how long the run is (per-op latency at 1M-key scale
-    is the consumer).  The reservoir RNG is seeded from the histogram name,
-    so two runs recording the same sequence agree bit-for-bit.
+    The first ``max_samples`` values are all kept, so percentiles are exact
+    up to that many samples.  Past it, Vitter's Algorithm R keeps a uniform
+    reservoir of ``max_samples`` values: count/sum/min/max stay exact and
+    memory stays bounded no matter how long the run is.  The reservoir RNG
+    is seeded from the histogram name, so two runs recording the same
+    sequence agree bit-for-bit.
     """
 
-    def __init__(self, name: str, max_samples: Optional[int] = None):
-        if max_samples is not None and max_samples < 1:
+    def __init__(self, name: str, max_samples: int = MAX_SAMPLES):
+        if max_samples < 1:
             raise ValueError("max_samples must be >= 1")
         self.name = name
         self.max_samples = max_samples
         self._sorted: list[float] = []
-        self._dirty = False  # reservoir mode appends unsorted
+        self._dirty = False  # appends land unsorted; sorted on read
         self._sum = 0.0
         self._count = 0
         self._min = math.inf
         self._max = -math.inf
-        self._rng = (
-            random.Random(zlib.crc32(name.encode())) if max_samples else None
-        )
+        self._rng = random.Random(zlib.crc32(name.encode()))
 
     def record(self, value: float) -> None:
         self._sum += value
@@ -132,9 +83,7 @@ class Histogram:
             self._min = value
         if value > self._max:
             self._max = value
-        if self.max_samples is None:
-            bisect.insort(self._sorted, value)
-        elif len(self._sorted) < self.max_samples:
+        if len(self._sorted) < self.max_samples:
             self._sorted.append(value)
             self._dirty = True
         else:
@@ -161,11 +110,7 @@ class Histogram:
         return self._max if self._count else math.nan
 
     def percentile(self, p: float) -> float:
-        """Percentile by nearest-rank; ``p`` in [0, 100].
-
-        Exact in the default mode; in reservoir mode, the nearest rank of
-        the retained uniform sample.
-        """
+        """Nearest-rank percentile of the retained samples; ``p`` in [0, 100]."""
         if self._dirty:
             self._sorted.sort()
             self._dirty = False
@@ -188,34 +133,12 @@ class Histogram:
         }
 
 
-@dataclass
-class TimeSeries:
-    """(time, value) samples, e.g. queue depth or cumulative bytes over time."""
-
-    name: str
-    times: list[float] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
-
-    def sample(self, time: float, value: float) -> None:
-        if self.times and time < self.times[-1]:
-            raise ValueError("time series samples must be non-decreasing in time")
-        self.times.append(time)
-        self.values.append(value)
-
-    def last(self) -> Optional[float]:
-        return self.values[-1] if self.values else None
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
 class Series:
     """A labeled (time, value) series — one telemetry timeline track.
 
-    Unlike :class:`TimeSeries` (an unlabeled per-component scratch series),
-    a :class:`Series` carries a label set (``{"qp": "host-kv"}``) so many
-    instances of one metric stay distinguishable in exports, and a canonical
-    flat ``key`` (``qp.depth{qp=host-kv}``) that alert rules match against.
+    It carries a label set (``{"qp": "host-kv"}``) so many instances of one
+    metric stay distinguishable in exports, and a canonical flat ``key``
+    (``qp.depth{qp=host-kv}``) that alert rules match against.
     """
 
     __slots__ = ("name", "labels", "times", "values")
@@ -230,12 +153,6 @@ class Series:
     def key(self) -> str:
         """Canonical flat identity: ``name{label=value,...}`` (sorted)."""
         return series_key(self.name, self.labels)
-
-    def sample(self, time: float, value: float) -> None:
-        if self.times and time < self.times[-1]:
-            raise ValueError("series samples must be non-decreasing in time")
-        self.times.append(time)
-        self.values.append(value)
 
     def last(self) -> Optional[float]:
         return self.values[-1] if self.values else None
@@ -258,7 +175,7 @@ class Series:
 
 
 def series_key(name: str, labels: Optional[dict[str, str]] = None) -> str:
-    """The flat series identity alert rules and exports use."""
+    """The flat metric identity alert rules and exports use."""
     if not labels:
         return name
     inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
@@ -266,90 +183,25 @@ def series_key(name: str, labels: Optional[dict[str, str]] = None) -> str:
 
 
 class StatsRegistry:
-    """Namespace of counters/histograms/series owned by one component."""
+    """The named counters one component increments.
+
+    Counters appear on first use; a :class:`~repro.obs.metrics.MetricsHub`
+    the registry is registered on exports each one as it appears.
+    """
 
     def __init__(self, prefix: str = ""):
         self.prefix = prefix
-        self._counters: dict[str, Counter] = {}
-        self._hit_ratios: dict[str, HitRatio] = {}
-        self._histograms: dict[str, Histogram] = {}
-        self._series: dict[str, TimeSeries] = {}
-
-    def _full(self, name: str) -> str:
-        return f"{self.prefix}.{name}" if self.prefix else name
+        #: counter name -> live :class:`Counter` (the hub binds the objects
+        #: once instead of copying values per read)
+        self.counters: dict[str, Counter] = {}
 
     def counter(self, name: str) -> Counter:
-        c = self._counters.get(name)
+        c = self.counters.get(name)
         if c is None:
-            c = Counter(self._full(name))
-            self._counters[name] = c
+            c = Counter(f"{self.prefix}.{name}" if self.prefix else name)
+            self.counters[name] = c
         return c
 
-    def hit_ratio(self, name: str) -> HitRatio:
-        r = self._hit_ratios.get(name)
-        if r is None:
-            r = HitRatio(self._full(name))
-            self._hit_ratios[name] = r
-        return r
-
-    def histogram(self, name: str) -> Histogram:
-        h = self._histograms.get(name)
-        if h is None:
-            h = Histogram(self._full(name))
-            self._histograms[name] = h
-        return h
-
-    def series(self, name: str) -> TimeSeries:
-        s = self._series.get(name)
-        if s is None:
-            s = TimeSeries(self._full(name))
-            self._series[name] = s
-        return s
-
-    @property
-    def counters(self) -> dict[str, Counter]:
-        """Unprefixed counter name -> live :class:`Counter` (read-only use:
-        samplers bind the objects once instead of copying values per tick)."""
-        return self._counters
-
     def counter_values(self) -> dict[str, float]:
-        """Unprefixed counter name -> value (for reports)."""
-        return {name: counter.value for name, counter in self._counters.items()}
-
-    def snapshot(self) -> dict[str, float]:
-        """Flat dict of all counter values and histogram means."""
-        out: dict[str, float] = {}
-        for name, c in self._counters.items():
-            out[self._full(name)] = c.value
-        for name, h in self._histograms.items():
-            out[self._full(name) + ".mean"] = h.mean
-            out[self._full(name) + ".count"] = float(h.count)
-        return out
-
-    def as_dict(self) -> dict[str, dict]:
-        """Structured, JSON-safe view for results files and metrics export.
-
-        Unlike :meth:`snapshot`, histograms carry their full percentile
-        summary (p50/p95/p99, not just the mean) and hit ratios appear as
-        hit/miss pairs with a NaN-free ratio.  Histogram means of empty
-        histograms are reported as 0.0 so the output is always valid JSON.
-        """
-        histograms = {}
-        for name, h in self._histograms.items():
-            summary = h.summary()
-            histograms[name] = {
-                key: nan_to_zero(value) for key, value in summary.items()
-            }
-        return {
-            "counters": {
-                name: c.value for name, c in self._counters.items()
-            },
-            "hit_ratios": {
-                name: r.summary() for name, r in self._hit_ratios.items()
-            },
-            "histograms": histograms,
-            "series": {
-                name: {"samples": float(len(s)), "last": s.last()}
-                for name, s in self._series.items()
-            },
-        }
+        """Counter name -> value (for reports)."""
+        return {name: counter.value for name, counter in self.counters.items()}

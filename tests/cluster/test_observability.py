@@ -44,19 +44,21 @@ def traced():
 class TestHubScoping:
     def test_every_device_owns_prefixed_series(self, traced):
         _tb, _tracer, hub = traced
-        snapshot = hub.as_dict()
-        for section in ("registries", "queues"):
-            names = set(snapshot[section])
-            for dev in ("dev0", "dev1"):
-                assert any(n.startswith(f"{dev}.") for n in names), (
-                    section, sorted(names),
-                )
+        counters = hub.as_dict()["counters"]
+        for dev in ("dev0", "dev1"):
+            for key in (
+                f"pairs_inserted{{registry={dev}.kvcsd}}",
+                f"qp.submitted{{qp={dev}.host-kv}}",
+                f"io.bytes_written{{device={dev}.zns}}",
+                f"link.bytes_tx{{link={dev}.fabric}}",
+            ):
+                assert counters[key] > 0, key
 
     def test_host_queue_pairs_scoped_by_device(self, traced):
         _tb, _tracer, hub = traced
-        queues = hub.as_dict()["queues"]
-        assert "dev0.host-kv" in queues
-        assert "dev1.host-kv" in queues
+        gauges = hub.as_dict()["gauges"]
+        assert "qp.inflight{qp=dev0.host-kv}" in gauges
+        assert "qp.inflight{qp=dev1.host-kv}" in gauges
 
     def test_router_gauges_ride_unprefixed(self, traced):
         _tb, _tracer, hub = traced

@@ -272,8 +272,8 @@ def test_command_path_equivalent_to_legacy_direct_path():
     assert tb_new.ssd.stats.bytes_read == tb_old.ssd.stats.bytes_read
     assert tb_new.ssd.stats.bytes_written == tb_old.ssd.stats.bytes_written
     assert (
-        tb_new.device.stats.as_dict()["counters"]
-        == tb_old.device.stats.as_dict()["counters"]
+        tb_new.device.stats.counter_values()
+        == tb_old.device.stats.counter_values()
     )
 
 

@@ -29,8 +29,8 @@ def test_hit_miss_and_counts():
     assert cache.get(p) is None
     cache.put(p, b"x" * 64)
     assert cache.get(p) == b"x" * 64
-    assert cache.lookups.hits.value == 1
-    assert cache.lookups.misses.value == 1
+    report = cache.report()
+    assert (report["hits"], report["misses"]) == (1, 1)
     assert cache.hit_rate == 0.5
 
 
@@ -108,10 +108,10 @@ def test_repeated_gets_hit_the_cache_and_read_less():
 
     tb.run(one_get())
     cold_reads = tb.ssd.stats.bytes_read
-    misses = tb.device.block_cache.lookups.misses.value
+    misses = tb.device.block_cache.report()["misses"]
     tb.run(one_get())
-    assert tb.device.block_cache.lookups.hits.value > 0
-    assert tb.device.block_cache.lookups.misses.value == misses
+    assert tb.device.block_cache.report()["hits"] > 0
+    assert tb.device.block_cache.report()["misses"] == misses
     assert tb.ssd.stats.bytes_read == cold_reads  # second GET fully cached
 
 

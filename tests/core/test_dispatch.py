@@ -14,9 +14,7 @@ from repro.nvme.kv_commands import (
     KvExistCmd,
     KvGetCmd,
     KvMultiGetCmd,
-    KvPutCmd,
     ListKeyspacesCmd,
-    MultiPointQueryCmd,
     OpenKeyspaceCmd,
     RangeQueryCmd,
     SidxRangeQueryCmd,
@@ -74,7 +72,7 @@ def test_single_put_and_exist(dispatch_tb):
     tb, dispatcher = dispatch_tb
     submit(tb, dispatcher, CreateKeyspaceCmd(name="ks"))
     submit(tb, dispatcher, OpenKeyspaceCmd(name="ks"))
-    assert submit(tb, dispatcher, KvPutCmd(keyspace="ks", key=b"a", value=b"1")).ok
+    assert submit(tb, dispatcher, KvBulkPutCmd(keyspace="ks", keys=(b"a",), values=(b"1",))).ok
     submit(tb, dispatcher, CompactCmd(keyspace="ks"))
     submit(tb, dispatcher, WaitCompactionCmd(keyspace="ks"))
     assert submit(tb, dispatcher, KvExistCmd(keyspace="ks", key=b"a")).value is True
@@ -99,16 +97,13 @@ def test_multi_get_commands(dispatch_tb):
     expected = {b"m0003": pairs[3][1], b"m0150": pairs[150][1]}
     got = submit(tb, dispatcher, KvMultiGetCmd(keyspace="ks", keys=wanted))
     assert got.ok and got.value == expected
-    # the vendor-extension spelling routes to the same batched device op
-    got = submit(tb, dispatcher, MultiPointQueryCmd(keyspace="ks", keys=wanted))
-    assert got.ok and got.value == expected
 
 
 def test_delete_command_masks_key(dispatch_tb):
     tb, dispatcher = dispatch_tb
     submit(tb, dispatcher, CreateKeyspaceCmd(name="ks"))
     submit(tb, dispatcher, OpenKeyspaceCmd(name="ks"))
-    submit(tb, dispatcher, KvPutCmd(keyspace="ks", key=b"doomed", value=b"x"))
+    submit(tb, dispatcher, KvBulkPutCmd(keyspace="ks", keys=(b"doomed",), values=(b"x",)))
     submit(tb, dispatcher, KvDeleteCmd(keyspace="ks", key=b"doomed"))
     submit(tb, dispatcher, CompactCmd(keyspace="ks"))
     submit(tb, dispatcher, WaitCompactionCmd(keyspace="ks"))

@@ -96,8 +96,8 @@ def test_mount_stages_journaled_and_gauged():
     assert [e.fields["stage"] for e in begins] == list(MOUNT_STAGES)
     assert [e.fields["stage"] for e in ends] == list(MOUNT_STAGES)
 
+    assert device2.stats.counter("recoveries").value == 1.0
     gauges = device2.metric_gauges()
-    assert gauges["recovery.count"]() == 1.0
     assert gauges["recovery.mount_seconds"]() == sum(
         device2._mount_stages.values()
     )

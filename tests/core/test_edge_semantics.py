@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.klog import MAX_KEY_BYTES
 from repro.errors import KeyNotFoundError, KeyTooLargeError
-from repro.nvme.kv_commands import KvBulkDeleteCmd, KvDeleteCmd, KvPutCmd
+from repro.nvme.kv_commands import KvBulkDeleteCmd, KvBulkPutCmd, KvDeleteCmd
 
 from tests.core.conftest import CsdTestbed, make_pairs
 from tests.lsm.conftest import LsmTestbed, small_options
@@ -145,8 +145,8 @@ def test_oversized_key_is_refused_at_admission_and_poisons_nothing():
         # ... and in a batch only the offending command fails
         completions = yield from client.submit_many(
             [
-                KvPutCmd("ks", b"after", b"ok"),
-                KvPutCmd("ks", huge, b"v"),
+                KvBulkPutCmd("ks", (b"after",), (b"ok",)),
+                KvBulkPutCmd("ks", (huge,), (b"v",)),
                 KvBulkDeleteCmd("ks", (edge,)),
             ],
             ctx,

@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import KeyNotFoundError, KeyspaceStateError, SimulationError
 from repro.obs.journal import install_journal
+from repro.sim.stats import MAX_SAMPLES
 
 from tests.core.conftest import CsdTestbed, make_pairs
 
@@ -110,8 +111,10 @@ def test_scheduler_drains_and_journals(loaded_parallel):
             yield from tb.client.get("ks", pairs[i][0], tb.ctx)
 
     tb.run(proc())
-    stats = tb.device.stats.snapshot()
-    assert stats["kvcsd.query_admitted"] == stats["kvcsd.query_dispatched"]
+    stats = tb.device.stats.counter_values()
+    assert stats["query_admitted"] == stats["query_dispatched"]
+    assert tb.device.query_scheduler.admit_depth.count == stats["query_admitted"]
+    assert tb.device.query_scheduler.admit_depth.max_samples == MAX_SAMPLES
     types = {e.type for e in journal.events}
     assert {"query.admit", "query.dispatch"} <= types
     assert tb.device.query_scheduler.depth == 0

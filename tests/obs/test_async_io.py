@@ -86,12 +86,13 @@ def test_metrics_hub_exports_queue_pair_gauges():
     kv = build_kvcsd_testbed(seed=0)
     _tracer, hub = kv.enable_tracing()
     _run_commands(kv)
-    queues = hub.as_dict()["queues"]
-    assert set(queues) >= {"host-kv", "soc-ssd"}
-    host = queues["host-kv"]
-    assert host["submitted"] == host["completed"] > 0
-    assert host["inflight"] == 0
-    assert host["reaped"] == host["completed"]
+    data = hub.as_dict()
+    counters, gauges = data["counters"], data["gauges"]
+    assert {"qp.depth{qp=host-kv}", "qp.depth{qp=soc-ssd}"} <= set(gauges)
+    submitted = counters["qp.submitted{qp=host-kv}"]
+    assert submitted == counters["qp.completed{qp=host-kv}"] > 0
+    assert gauges["qp.inflight{qp=host-kv}"] == 0
+    assert counters["qp.reaped{qp=host-kv}"] == submitted
     text = hub.to_prometheus()
     assert 'repro_qp_submitted_total{qp="host-kv"}' in text
     assert 'repro_qp_inflight{qp="host-kv"}' in text

@@ -1,39 +1,29 @@
-"""Tests for stats JSON export and the Prometheus-style metrics hub."""
+"""Tests for the metrics hub: its rows, JSON view and Prometheus export."""
 
 import json
-import math
+from types import SimpleNamespace
 
-from repro.obs.metrics import MetricsHub, sanitize_metric_name
-from repro.sim.stats import HitRatio, StatsRegistry
-
-
-def test_hit_ratio_or_zero():
-    r = HitRatio("cache")
-    assert math.isnan(r.ratio)
-    assert r.ratio_or_zero == 0.0
-    r.hit(3)
-    r.miss(1)
-    assert r.ratio == 0.75
-    assert r.ratio_or_zero == 0.75
-    assert r.summary() == {"hits": 3.0, "misses": 1.0, "hit_ratio": 0.75}
+from repro.obs.metrics import SUMMARY, MetricsHub, sanitize_metric_name
+from repro.sim.stats import Histogram, StatsRegistry
+from repro.ssd.metrics import IoStats
 
 
 def test_registry_as_dict_is_json_safe():
+    hub = MetricsHub()
     reg = StatsRegistry("kvcsd")
     reg.counter("puts").add(5)
-    reg.hit_ratio("cache")  # no lookups yet: ratio must export as 0.0
-    reg.histogram("lat")  # empty histogram: stats must export as 0.0
-    reg.histogram("lat2").record(2.0)
-    reg.series("depth").sample(0.0, 1.0)
+    hub.register_registry("kvcsd", reg)
+    hub.add("lat", SUMMARY, Histogram("lat").summary)  # empty: exports 0.0
+    hist = Histogram("lat2")
+    hist.record(2.0)
+    hub.add("lat2", SUMMARY, hist.summary)
 
-    data = reg.as_dict()
+    data = hub.as_dict()
     json.dumps(data, allow_nan=False)  # raises if any NaN leaked
-    assert data["counters"] == {"puts": 5.0}
-    assert data["hit_ratios"]["cache"]["hit_ratio"] == 0.0
-    assert data["histograms"]["lat"]["mean"] == 0.0
-    h = data["histograms"]["lat2"]
+    assert data["counters"] == {"puts{registry=kvcsd}": 5.0}
+    assert data["summaries"]["lat"]["mean"] == 0.0
+    h = data["summaries"]["lat2"]
     assert (h["p50"], h["p95"], h["p99"]) == (2.0, 2.0, 2.0)
-    assert data["series"]["depth"] == {"samples": 1.0, "last": 1.0}
 
 
 def test_sanitize_metric_name():
@@ -42,29 +32,24 @@ def test_sanitize_metric_name():
     assert sanitize_metric_name("///") == "unnamed"
 
 
-class _FakeIo:
-    bytes_read = 100
-    bytes_written = 200
-    read_ops = 3
-    write_ops = 4
-    erase_ops = 1
-    gc_bytes_copied = 50
-    channel_busy = {0: 0.5, 1: 0.25}
-
-
-class _FakeLink:
-    bytes_tx = 1000
-    bytes_rx = 2000
+_FAKE_SSD = SimpleNamespace(
+    name="zns0",
+    faults=None,
+    geometry=SimpleNamespace(n_channels=3),
+    stats=IoStats(
+        bytes_read=100, bytes_written=200, read_ops=3, write_ops=4,
+        erase_ops=1, gc_bytes_copied=50, channel_busy={0: 0.5, 1: 0.25},
+    ),
+)
 
 
 def _sample_hub() -> MetricsHub:
     hub = MetricsHub()
     reg = StatsRegistry("kvcsd")
     reg.counter("pairs_inserted").add(7)
-    reg.hit_ratio("membuf").hit(2)
     hub.register_registry("kvcsd", reg)
-    hub.register_io("zns0", _FakeIo())
-    hub.register_link("pcie", _FakeLink())
+    hub.register_ssd(_FAKE_SSD)
+    hub.register_link("pcie", SimpleNamespace(bytes_tx=1000, bytes_rx=2000))
     hub.observe_op("cmd.get", 0.002)
     hub.observe_op("cmd.get", 0.004)
     return hub
@@ -73,24 +58,40 @@ def _sample_hub() -> MetricsHub:
 def test_hub_as_dict():
     data = _sample_hub().as_dict()
     json.dumps(data, allow_nan=False)
-    assert data["registries"]["kvcsd"]["counters"]["pairs_inserted"] == 7.0
-    assert data["io"]["zns0"]["erase_ops"] == 1
-    assert data["io"]["zns0"]["channel_busy_seconds"] == {0: 0.5, 1: 0.25}
-    assert data["links"]["pcie"]["bytes_tx"] == 1000
-    assert data["op_latency"]["cmd.get"]["count"] == 2.0
+    counters = data["counters"]
+    assert counters["pairs_inserted{registry=kvcsd}"] == 7.0
+    assert counters["io.erase_ops{device=zns0}"] == 1.0
+    # every channel has a row, busy or not
+    assert counters["io.channel_busy_seconds{channel=0,device=zns0}"] == 0.5
+    assert counters["io.channel_busy_seconds{channel=2,device=zns0}"] == 0.0
+    assert counters["fault.trips{device=zns0,op=read}"] == 0.0
+    assert counters["link.bytes_tx{link=pcie}"] == 1000.0
+    assert data["gauges"] == {"fault.plan_armed{device=zns0}": 0.0}
+    assert data["summaries"]["op_latency_seconds{op=cmd.get}"]["count"] == 2.0
+
+
+def test_counters_appear_as_components_create_them():
+    hub = MetricsHub()
+    reg = StatsRegistry("kvcsd")
+    hub.register_registry("kvcsd", reg)
+    version = hub.version
+    assert hub.rows() == []
+    reg.counter("compactions").add()
+    assert hub.version > version
+    assert [row.key for row in hub.rows()] == ["compactions{registry=kvcsd}"]
 
 
 def test_prometheus_exposition():
     text = _sample_hub().to_prometheus()
-    assert "# TYPE repro_kvcsd_pairs_inserted_total counter" in text
-    assert "repro_kvcsd_pairs_inserted_total 7.0" in text
-    assert "repro_kvcsd_membuf_hit_ratio 1.0" in text
-    assert 'repro_ssd_bytes_read_total{device="zns0"} 100.0' in text
-    assert 'repro_ssd_erase_ops_total{device="zns0"} 1.0' in text
+    assert "# TYPE repro_pairs_inserted_total counter" in text
+    assert 'repro_pairs_inserted_total{registry="kvcsd"} 7.0' in text
+    assert 'repro_io_bytes_read_total{device="zns0"} 100.0' in text
+    assert 'repro_io_erase_ops_total{device="zns0"} 1.0' in text
     assert (
-        'repro_ssd_channel_busy_seconds_total{device="zns0",channel="0"} 0.5'
+        'repro_io_channel_busy_seconds_total{channel="0",device="zns0"} 0.5'
         in text
     )
+    assert 'repro_fault_trips_total{device="zns0",op="write"} 0.0' in text
     assert 'repro_link_bytes_rx_total{link="pcie"} 2000.0' in text
     assert 'repro_op_latency_seconds{op="cmd.get",quantile="0.5"} 0.002' in text
     assert 'repro_op_latency_seconds_count{op="cmd.get"} 2.0' in text

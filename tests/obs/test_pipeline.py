@@ -95,7 +95,7 @@ def test_chrome_export_of_a_real_run_is_valid(traced_testbed):
 def test_hub_sees_ssd_and_link_traffic(traced_testbed):
     _kv, _tracer, hub = traced_testbed
     text = hub.to_prometheus()
-    assert "repro_kvcsd_pairs_inserted_total" in text
-    assert 'repro_ssd_channel_busy_seconds_total{device="zns0"' in text
+    assert 'repro_pairs_inserted_total{registry="kvcsd"}' in text
+    assert 'repro_io_channel_busy_seconds_total{channel="0",device="zns0"}' in text
     assert 'repro_link_bytes_tx_total{link="pcie"}' in text
     assert 'repro_op_latency_seconds{op="cmd.bulk_put"' in text

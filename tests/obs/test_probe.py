@@ -197,7 +197,7 @@ def test_unretained_leaf_spans_leave_no_trace_but_their_id():
             (e.resource, e.kind, e.start, e.end, e.waiter_op, e.waiter_root, e.holders)
             for e in observer.edges
         ]
-        return (kv.env.journal.to_jsonl(), edges, hub.op_summaries(),
+        return (kv.env.journal.to_jsonl(), edges, hub.as_dict()["summaries"],
                 kv.env.probe.spans_started, len(tracer.spans))
 
     kept, dropped = run(True), run(False)

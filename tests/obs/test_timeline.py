@@ -117,8 +117,8 @@ def test_counters_queue_pairs_and_gauges_all_sampled():
     hub.register_registry("dev", reg)
 
     class _Qp:
-        inflight = 3
-        unreaped = 1
+        depth, inflight, unreaped = 32, 3, 1
+        submitted, completed, reaped, errors = 9, 6, 5, 0
 
     hub.register_queue_pair("host-kv", _Qp())
     recorder = TimelineRecorder(env, hub, TimelineConfig())
@@ -128,6 +128,9 @@ def test_counters_queue_pairs_and_gauges_all_sampled():
     assert sampled["ops{registry=dev}"] == 7.0
     assert sampled["qp.inflight{qp=host-kv}"] == 3.0
     assert sampled["qp.unreaped{qp=host-kv}"] == 1.0
+    assert sampled["qp.submitted{qp=host-kv}"] == 9.0
+    # the watchdog's own state is a row too
+    assert sampled["slo.alert_firing{rule=dram-pressure}"] == 0.0
 
 
 # -- latency windows ----------------------------------------------------------
@@ -322,8 +325,9 @@ def test_csv_export_matches_series():
     lines = timeline_to_csv(recorder).strip().splitlines()
     assert lines[0] == "time,series,value"
     rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == recorder.ticks  # one series
-    assert all(r[1] == "test.gauge" for r in rows)
+    assert {r[1] for r in rows} == set(recorder.series)
+    rows = [r for r in rows if r[1] == "test.gauge"]
+    assert len(rows) == recorder.ticks
     times = [float(r[0]) for r in rows]
     assert times == sorted(times)
     # The doc form exports identically.

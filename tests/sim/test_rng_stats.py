@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from repro.sim import Counter, Histogram, RngRegistry, StatsRegistry, TimeSeries
+from repro.sim import Counter, Histogram, RngRegistry, StatsRegistry
 from repro.sim.rng import derive_seed
+from repro.sim.stats import MAX_SAMPLES
 
 
 def test_derive_seed_deterministic_and_distinct():
@@ -75,22 +76,24 @@ def test_histogram_empty():
     assert summary["count"] == 0
 
 
-def test_time_series_monotonic():
-    ts = TimeSeries("depth")
-    ts.sample(0.0, 1)
-    ts.sample(1.0, 2)
-    assert ts.last() == 2
-    assert len(ts) == 2
-    with pytest.raises(ValueError):
-        ts.sample(0.5, 3)
+def test_histogram_past_the_bound_keeps_aggregates_exact():
+    # Every histogram is reservoir-bounded: past MAX_SAMPLES it keeps that
+    # many values, while count, sum, min and max still see every sample.
+    h = Histogram("query_queue_depth")
+    n = MAX_SAMPLES + 5000
+    for i in range(n):
+        h.record(float(i % 97))
+    assert len(h._sorted) == MAX_SAMPLES
+    assert h.count == n
+    assert h.mean * h.count == pytest.approx(sum(float(i % 97) for i in range(n)))
+    assert (h.min, h.max) == (0.0, 96.0)
+    assert 0.0 <= h.percentile(50) <= 96.0
 
 
 def test_stats_registry_namespacing():
     reg = StatsRegistry("ssd0")
     reg.counter("reads").add(3)
-    reg.histogram("lat").record(1.0)
-    snap = reg.snapshot()
-    assert snap["ssd0.reads"] == 3
-    assert snap["ssd0.lat.mean"] == 1.0
     assert reg.counter("reads") is reg.counter("reads")
-    assert reg.series("q") is reg.series("q")
+    assert reg.counter("reads").name == "ssd0.reads"
+    assert reg.counter_values() == {"reads": 3}
+    assert list(reg.counters) == ["reads"]
