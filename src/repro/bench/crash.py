@@ -472,7 +472,7 @@ def _curve_point(config: CrashBenchConfig, n_pairs: int, mode: str) -> dict:
         "n_pairs": n_pairs,
         "flash_bytes": int(bed.ssd.stats.bytes_written),
         "mount_seconds": mount_seconds,
-        "stages": dict(mounted.device._mount_stages),
+        "stages": dict(mounted.device.mount_stages),
     }
 
 

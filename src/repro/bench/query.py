@@ -264,7 +264,7 @@ def run_query_bench(
     stats = result.device_stats["counters"]
     result.bloom_probes = int(stats.get("bloom_probes", 0))
     result.bloom_skips = int(stats.get("bloom_skips", 0))
-    result.bloom_dram_bytes = sum(piped.device._bloom_dram.values())
+    result.bloom_dram_bytes = sum(ks.bloom_dram for ks in piped.device.keyspaces.values())
     result.scheduler_report = {
         "admitted": int(stats.get("query_admitted", 0)),
         "dispatched": int(stats.get("query_dispatched", 0)),

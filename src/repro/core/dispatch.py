@@ -72,12 +72,8 @@ class KvCommandDispatcher:
         if isinstance(command, DeleteKeyspaceCmd):
             return (yield from device.delete_keyspace(command.name, ctx))
         if isinstance(command, ListKeyspacesCmd):
-            if False:  # pragma: no cover - keep generator shape
-                yield None
             return device.list_keyspaces()
         if isinstance(command, KeyspaceStatCmd):
-            if False:  # pragma: no cover - keep generator shape
-                yield None
             return device.keyspace_stat(command.name)
         if isinstance(command, KvBulkPutCmd):
             pairs = list(zip(command.keys, command.values))

@@ -12,14 +12,17 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.errors import KeyspaceStateError
+from repro.core.membuf import MemBuffer
+from repro.errors import KeyspaceNotFoundError, KeyspaceStateError
+from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.sidx import SidxConfig, SidxSketch
     from repro.core.pidx import PidxSketch
     from repro.core.zone_manager import ZoneCluster
+    from repro.sim.core import Environment, Event
 
-__all__ = ["Keyspace", "KeyspaceState"]
+__all__ = ["Keyspace", "KeyspaceState", "lookup"]
 
 
 class KeyspaceState(enum.Enum):
@@ -36,7 +39,10 @@ class Keyspace:
     """One keyspace's metadata as tracked by the keyspace manager.
 
     The in-memory keyspace table entry: state, pair count, key bounds, zone
-    mappings, and the index sketches used as query starting points.
+    mappings, and the index sketches used as query starting points — what
+    the metadata log persists — plus the keyspace's volatile firmware state
+    (membuf, write lock, sequence number, jobs, bloom DRAM), which lives
+    and dies with the entry.
     """
 
     name: str
@@ -54,8 +60,31 @@ class Keyspace:
     #: query starting points, kept in the keyspace manager's table
     pidx_sketch: Optional["PidxSketch"] = None
     sidx: dict[str, tuple["SidxConfig", "SidxSketch"]] = field(default_factory=dict)
-    #: device write buffer contents (the 192 KB membuf is per keyspace)
+    #: a delete of this keyspace is in flight
     deletion_pending: bool = False
+
+    # -- volatile firmware state: SoC DRAM only, set by create and mount --------
+    #: the device write buffer (the 192 KB membuf is per keyspace)
+    membuf: Optional[MemBuffer] = field(default=None, compare=False, repr=False)
+    #: ingestion mutex: the firmware serialises writes into one keyspace's
+    #: membuf/logs (concurrent host threads sharing a keyspace queue here —
+    #: why Figure 7a's KV-CSD saturates at ~2 host cores while Figure 9's
+    #: multi-keyspace runs scale further)
+    write_lock: Optional[Resource] = field(default=None, compare=False, repr=False)
+    #: last sequence number handed to a write
+    seq: int = field(default=0, compare=False)
+    #: completion events of the running offloaded jobs (compaction, index
+    #: builds), and the errors failed ones parked for the next wait
+    jobs: list["Event"] = field(default_factory=list, compare=False, repr=False)
+    job_errors: list[Exception] = field(default_factory=list, compare=False, repr=False)
+    #: SoC DRAM reserved for the keyspace's index-block blooms
+    bloom_dram: int = field(default=0, compare=False)
+
+    def attach_runtime(self, env: "Environment", membuf_bytes: int, seq: int) -> None:
+        """Give the entry its membuf and write lock (keyspace create, mount)."""
+        self.membuf = MemBuffer(membuf_bytes)
+        self.write_lock = Resource(env, capacity=1)
+        self.seq = seq
 
     # -- state machine ---------------------------------------------------------
     def require(self, *states: KeyspaceState) -> None:
@@ -143,3 +172,11 @@ class Keyspace:
         for clusters in self.sidx_clusters.values():
             out.extend(clusters)
         return out
+
+
+def lookup(table: dict[str, Keyspace], name: str) -> Keyspace:
+    """``table[name]``, or :class:`KeyspaceNotFoundError`."""
+    ks = table.get(name)
+    if ks is None:
+        raise KeyspaceNotFoundError(name)
+    return ks

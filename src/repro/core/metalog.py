@@ -51,20 +51,14 @@ METADATA_ZONE_IDS = (0, 1)
 class MetadataLog:
     """The A/B metadata log of one device.
 
-    ``keyspaces`` and ``seqs`` are the device's live keyspace table and
-    per-keyspace sequence numbers; the log reads them when it encodes a
-    record or a snapshot, never writes them.
+    ``keyspaces`` is the device's live keyspace table; the log reads it
+    (entries and their sequence numbers) when it encodes a record or a
+    snapshot, never writes it.
     """
 
     def __init__(
-        self,
-        board: SocBoard,
-        zone_manager: ZoneManager,
-        costs: CsdCostModel,
-        stats: StatsRegistry,
-        journal: Callable[..., None],
-        keyspaces: dict[str, Keyspace],
-        seqs: dict[str, int],
+        self, board: SocBoard, zone_manager: ZoneManager, costs: CsdCostModel,
+        stats: StatsRegistry, journal: Callable[..., None], keyspaces: dict[str, Keyspace],
     ):
         self.env = board.env
         self.ssd = board.ssd
@@ -73,7 +67,6 @@ class MetadataLog:
         self._stats = stats
         self._journal = journal
         self._keyspaces = keyspaces
-        self._seqs = seqs
         self.codec = MetaCodec()
         #: held by a checkpoint; appends only pass through it.  A waiting
         #: checkpoint wakes on ``_drained`` once ``_inflight`` appends end.
@@ -103,7 +96,7 @@ class MetadataLog:
             live = self._keyspaces.get(name)
             if live is None or name in self._deleted:
                 return None  # a delete requested since supersedes it
-            return self.codec.encode_upsert(live, self._seqs.get(name, 0))
+            return self.codec.encode_upsert(live, live.seq)
 
         return self._append(ctx, encode)
 
@@ -129,9 +122,7 @@ class MetadataLog:
 
     def _charge(self, ctx: ThreadCtx, nbytes: int) -> Generator:
         """CRC ``nbytes`` of metadata frames on the SoC."""
-        return ctx.execute(
-            self._board.scale_cpu(self._costs.checksum_per_byte * nbytes)
-        )
+        return self._board.charge(ctx, self._costs.checksum_per_byte * nbytes)
 
     def _append(self, ctx: ThreadCtx, encode: Callable) -> Generator:
         """Append ``encode()`` under a shared hold (``None``: nothing to
@@ -172,13 +163,9 @@ class MetadataLog:
         epoch = self.epoch + 1
         self._deleted.intersection_update(self._keyspaces)
         records = [self.codec.encode_epoch(epoch)]
-        for name in sorted(self._keyspaces):
+        for name, ks in sorted(self._keyspaces.items()):
             if name not in self._deleted:
-                records.append(
-                    self.codec.encode_upsert(
-                        self._keyspaces[name], self._seqs.get(name, 0)
-                    )
-                )
+                records.append(self.codec.encode_upsert(ks, ks.seq))
         records.append(self.codec.encode_commit(epoch))
         yield from self._charge(ctx, sum(len(r) for r in records))
         for record in records:

@@ -282,6 +282,32 @@ class ZoneManager:
         self._record_grant(len(chosen))
         return ZoneCluster(self.ssd, chosen, rotation)
 
+    def append_stream(self, clusters: list[ZoneCluster], groups: list[bytes]) -> Generator:
+        """Append groups across a cluster chain, growing it on demand.
+
+        Returns one :data:`ZonePointer` per group, in order.
+        """
+        pointers: list[ZonePointer] = []
+        if not clusters:
+            clusters.append(self.allocate_cluster())
+        remaining = list(groups)
+        while remaining:
+            try:
+                pointers.extend((yield from clusters[-1].append_groups(remaining)))
+                break
+            except ZoneFullError:
+                # Fill what still fits, one group at a time, then grow the chain.
+                while remaining:
+                    try:
+                        ptr = yield from clusters[-1].append_group(remaining[0])
+                    except ZoneFullError:
+                        break
+                    pointers.append(ptr)
+                    remaining.pop(0)
+                if remaining:
+                    clusters.append(self.allocate_cluster())
+        return pointers
+
     def release_cluster(self, cluster: ZoneCluster) -> Generator:
         """Reset a cluster's zones and return them to the free pool."""
         for zone_id in cluster.zone_ids:

@@ -11,7 +11,7 @@ zone they claim to mirror.
 
 :class:`InvariantAuditor` runs the registered checks on demand
 (``repro audit``), or continuously at flush/compaction-phase boundaries via
-:meth:`KvCsdDevice._audit_boundary` when attached with
+the device's audit boundary hook when attached with
 ``level="phase"``.  Audits are **pure state reads**: every check goes
 through :meth:`repro.ssd.zone.Zone.read` (a plain function) rather than the
 timed SSD operations, so an audited run's virtual timeline is byte-identical
@@ -367,17 +367,15 @@ def check_keyspace_job_legality(device: "KvCsdDevice") -> list[str]:
     """In-flight jobs only exist for keyspaces in a state that can host
     them, and EMPTY/COMPACTED keyspaces carry no stale log state."""
     problems: list[str] = []
-    for name in sorted(device.keyspaces):
-        ks = device.keyspaces[name]
-        jobs = device._jobs.get(name, [])
-        if jobs and not ks.deletion_pending and ks.state in (
+    for name, ks in sorted(device.keyspaces.items()):
+        if ks.jobs and not ks.deletion_pending and ks.state in (
             KeyspaceState.EMPTY,
             KeyspaceState.WRITABLE,
         ):
             problems.append(
-                f"{name}: {len(jobs)} in-flight job(s) while {ks.state.value}"
+                f"{name}: {len(ks.jobs)} in-flight job(s) while {ks.state.value}"
             )
-        membuf = device._membufs.get(name)
+        membuf = ks.membuf
         if membuf is None:
             problems.append(f"{name}: keyspace has no membuf")
         if ks.state is KeyspaceState.EMPTY:
@@ -423,9 +421,7 @@ def check_nvme_queue_sanity(device: "KvCsdDevice") -> list[str]:
     """
     problems: list[str] = []
     pairs = [("soc-ssd", device.board.qp)]
-    pairs += [
-        (f"host-kv-{i}", qp) for i, qp in enumerate(getattr(device, "host_qps", []))
-    ]
+    pairs += [(f"host-kv-{i}", qp) for i, qp in enumerate(device.host_qps)]
     for label, qp in pairs:
         problems += [f"{label}: {p}" for p in check_queue_pair_accounting(qp)]
     return problems

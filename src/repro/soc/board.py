@@ -9,6 +9,7 @@ and close to the data.
 
 from __future__ import annotations
 
+from collections.abc import Generator
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
@@ -108,6 +109,11 @@ class SocBoard:
     def scale_cpu(self, host_seconds: float) -> float:
         """Convert host-core CPU seconds into SoC-core seconds."""
         return host_seconds * self.spec.arm_slowdown
+
+    def charge(self, ctx: ThreadCtx, host_seconds: float) -> Generator:
+        """Run ``host_seconds`` of host-core work on ``ctx``'s SoC core
+        (plain function returning the execute generator: no extra frame)."""
+        return ctx.execute(host_seconds * self.spec.arm_slowdown)
 
     def introspect(self) -> dict:
         """Core/DRAM/queue state for device snapshots (no simulation events)."""

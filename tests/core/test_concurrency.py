@@ -2,9 +2,21 @@
 
 import pytest
 
+from repro.core import SidxConfig
 from repro.core.keyspace import KeyspaceState
+from repro.nvme.kv_commands import DeleteKeyspaceCmd
+from repro.obs.audit import InvariantAuditor
+from repro.ssd.faults import FaultPlan
+from repro.units import KiB
 
 from tests.core.conftest import CsdTestbed, make_pairs
+
+
+def assert_all_zones_free_and_audit_clean(tb):
+    free = tb.device.zone_manager.free_zone_count
+    assert free == tb.ssd.geometry.n_zones - len(tb.device.metalog.zone_ids)
+    report = InvariantAuditor(tb.device).run("test")
+    assert report.ok, report.violations
 
 
 def test_queries_on_one_keyspace_while_another_compacts():
@@ -80,6 +92,88 @@ def test_delete_keyspace_during_compaction_is_deferred():
     # every zone came back (logs, sorted data, indexes, temp)
     total_zones = tb.device.zone_manager.free_zone_count
     assert total_zones == tb.ssd.geometry.n_zones - len(tb.device.metalog.zone_ids)
+
+
+def test_second_delete_in_flight_fails_typed_and_frees_nothing():
+    """Two deletes of one compacting keyspace: the first waits for the job
+    and frees the zones, the second finds the delete in flight and fails
+    without releasing anything (freeing the zones twice would put duplicate
+    ids in the free pool)."""
+    tb = CsdTestbed()
+    pairs = make_pairs(20_000)
+
+    def proc():
+        yield from tb.client.create_keyspace("ks", tb.ctx)
+        yield from tb.client.open_keyspace("ks", tb.ctx)
+        yield from tb.client.bulk_put("ks", pairs, tb.ctx)
+        yield from tb.client.compact("ks", tb.ctx)
+        return (
+            yield from tb.client.submit_many(
+                [DeleteKeyspaceCmd(name="ks"), DeleteKeyspaceCmd(name="ks")], tb.ctx
+            )
+        )
+
+    first, second = tb.run(proc())
+    assert first.ok
+    assert second.status == "KeyspaceStateError"
+    assert "ks" not in tb.device.keyspaces
+    assert_all_zones_free_and_audit_clean(tb)
+
+
+def test_delete_waits_for_the_jobs_a_job_spawns():
+    """Values over the sort budget make the compaction spawn a separate
+    index-scan job after the delete has started waiting; the delete waits
+    for that one too, so no job writes zones of a deleted keyspace."""
+    tb = CsdTestbed(sort_budget=64 * KiB)
+    pairs = [(b"k%07d" % i, (i % 97).to_bytes(4, "little") + bytes(60)) for i in range(4000)]
+    config = SidxConfig("tag", value_offset=0, width=4, dtype="u32")
+
+    def proc():
+        yield from tb.client.create_keyspace("ks", tb.ctx)
+        yield from tb.client.open_keyspace("ks", tb.ctx)
+        yield from tb.client.bulk_put("ks", pairs, tb.ctx)
+        yield from tb.client.compact("ks", tb.ctx, secondary_indexes=[config])
+        yield from tb.client.delete_keyspace("ks", tb.ctx)
+
+    tb.run(proc())
+    tb.env.run()  # anything still running in the background finishes
+    assert tb.device.stats.counter("sidx_builds").value == 1
+    assert "ks" not in tb.device.keyspaces
+    assert_all_zones_free_and_audit_clean(tb)
+
+
+def test_deleted_keyspace_job_error_does_not_reach_its_successor():
+    """A compaction fails and its keyspace is deleted before anyone waits on
+    it; a new keyspace of the same name does not inherit the error."""
+    tb = CsdTestbed()
+    pairs = make_pairs(5000)
+
+    def load(name):
+        yield from tb.client.create_keyspace(name, tb.ctx)
+        yield from tb.client.open_keyspace(name, tb.ctx)
+        yield from tb.client.bulk_put(name, pairs, tb.ctx)
+        yield from tb.client.fsync(name, tb.ctx)
+
+    tb.run(load("ks"))
+    # the fault skips the compact command's metadata append and lands on
+    # the job's first write
+    tb.ssd.faults = FaultPlan(fail_writes=1, after_writes=1)
+
+    def fail_then_delete():
+        yield from tb.client.compact("ks", tb.ctx)
+        yield from tb.client.delete_keyspace("ks", tb.ctx)
+
+    tb.run(fail_then_delete())
+    assert tb.device.stats.counter("compaction_failures").value == 1
+    tb.ssd.faults = None
+
+    def successor():
+        yield from load("ks")
+        yield from tb.client.compact("ks", tb.ctx)
+        yield from tb.client.wait_for_device("ks", tb.ctx)
+        return (yield from tb.client.get("ks", pairs[77][0], tb.ctx))
+
+    assert tb.run(successor()) == pairs[77][1]
 
 
 def test_many_keyspaces_compact_concurrently():

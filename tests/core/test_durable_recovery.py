@@ -4,7 +4,7 @@ A/B checkpoints, torn-tail tolerance, deletes that stay dead."""
 import numpy as np
 
 from repro.core import KvCsdClient, KvCsdDevice
-from repro.core.device import MOUNT_STAGES
+from repro.core.mount import MOUNT_STAGES
 from repro.core.keyspace import KeyspaceState
 from repro.errors import KeyNotFoundError
 from repro.nvme import PcieLink
@@ -90,7 +90,7 @@ def test_mount_stages_journaled_and_gauged():
     load_and_compact(tb, make_pairs(1500))
     device2, _client2 = power_cycle(tb)
 
-    assert set(device2._mount_stages) == set(MOUNT_STAGES)
+    assert set(device2.mount_stages) == set(MOUNT_STAGES)
     begins = [e for e in journal.events if e.type == "mount.stage_begin"]
     ends = [e for e in journal.events if e.type == "mount.stage_end"]
     assert [e.fields["stage"] for e in begins] == list(MOUNT_STAGES)
@@ -99,7 +99,7 @@ def test_mount_stages_journaled_and_gauged():
     assert device2.stats.counter("recoveries").value == 1.0
     gauges = device2.metric_gauges()
     assert gauges["recovery.mount_seconds"]() == sum(
-        device2._mount_stages.values()
+        device2.mount_stages.values()
     )
     for stage in MOUNT_STAGES:
         assert gauges[f"recovery.stage_seconds.{stage}"]() >= 0.0

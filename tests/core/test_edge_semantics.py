@@ -132,7 +132,7 @@ def test_oversized_key_is_refused_at_admission_and_poisons_nothing():
         yield from client.create_keyspace("ks", ctx)
         yield from client.open_keyspace("ks", ctx)
         yield from client.bulk_put("ks", pairs[:150], ctx)
-        seq0 = tb.device._seqs["ks"]
+        seq0 = tb.device.keyspaces["ks"].seq
         outcomes = [
             (yield from refused(client.put("ks", huge, b"v", ctx))),
             (yield from refused(client.put("ks", edge, b"v", ctx))),
@@ -141,7 +141,7 @@ def test_oversized_key_is_refused_at_admission_and_poisons_nothing():
             (yield from refused(client._call(KvDeleteCmd("ks", huge), ctx, "delete"))),
         ]
         # a refused command spends no sequence number and buffers no pair
-        assert tb.device._seqs["ks"] == seq0
+        assert tb.device.keyspaces["ks"].seq == seq0
         # ... and in a batch only the offending command fails
         completions = yield from client.submit_many(
             [

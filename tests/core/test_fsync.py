@@ -23,7 +23,7 @@ def test_fsync_flushes_membuf_to_zones():
     user_bytes = sum(len(k) + len(v) for k, v in pairs)
     assert flushed >= user_bytes  # values + klog records reached the zones
     assert tb.device.stats.counter("fsyncs").value == 1
-    assert len(tb.device._membufs["ks"]) == 0
+    assert len(tb.device.keyspaces["ks"].membuf) == 0
 
 
 def test_fsync_idempotent_when_buffer_empty():

@@ -168,7 +168,7 @@ def test_bloom_dram_reserved_and_released():
     tb = CsdTestbed(query_workers=0, bloom_bits_per_key=10)
     pairs = make_pairs(N_PAIRS)
     load_and_compact(tb, pairs)
-    reserved = tb.device._bloom_dram["ks"]
+    reserved = tb.device.keyspaces["ks"].bloom_dram
     assert reserved > 0
     assert tb.board.dram.capacity - tb.board.dram.available >= reserved
     sketch = tb.device.keyspaces["ks"].pidx_sketch
@@ -180,7 +180,7 @@ def test_bloom_dram_reserved_and_released():
 
     available_before = tb.board.dram.available
     tb.run(drop())
-    assert tb.device._bloom_dram == {}
+    assert tb.device.introspect()["bloom_dram_bytes"] == {}
     assert tb.board.dram.available >= available_before + reserved
 
 

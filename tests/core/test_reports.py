@@ -16,16 +16,16 @@ def test_device_report_structure():
         yield from tb.client.wait_for_device("ks", tb.ctx)
 
     tb.run(proc())
-    report = tb.device.report()
+    report = tb.device.introspect()
     assert report["keyspaces"]["ks"]["state"] == "compacted"
     assert report["keyspaces"]["ks"]["n_pairs"] == 2000
     assert report["counters"]["pairs_inserted"] == 2000
     assert report["counters"]["compactions"] == 1
-    assert report["ssd"]["bytes_written"] > 0
-    assert report["soc_busy_seconds"] > 0
-    assert report["pending_jobs"] == {}
-    assert ("ks", "compaction") in report["job_durations"]
-    assert report["free_zones"] < tb.ssd.geometry.n_zones
+    assert report["ssd"]["io"]["bytes_written"] > 0
+    assert sum(report["soc"]["core_busy_seconds"]) > 0
+    assert report["jobs"]["pending"] == {}
+    assert "ks/compaction" in report["jobs"]["durations"]
+    assert report["zone_manager"]["free_zone_count"] < tb.ssd.geometry.n_zones
 
 
 def test_device_report_pending_jobs_visible():
@@ -38,10 +38,10 @@ def test_device_report_pending_jobs_visible():
         yield from tb.client.bulk_put("ks", pairs, tb.ctx)
         yield from tb.client.compact("ks", tb.ctx)
         # report taken while the job is live
-        return tb.device.report()
+        return tb.device.introspect()
 
     report = tb.run(proc())
-    assert report["pending_jobs"].get("ks") == 1
+    assert report["jobs"]["pending"].get("ks") == 1
     assert report["keyspaces"]["ks"]["state"] == "compacting"
 
 

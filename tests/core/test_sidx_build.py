@@ -11,7 +11,7 @@ import struct
 
 import pytest
 
-import repro.core.device as device_module
+import repro.core.index_build as index_build
 from repro.core import SidxConfig
 from repro.core.klog import KlogColumns
 from repro.core.sidx import (
@@ -82,7 +82,7 @@ def test_index_build_is_byte_identical_to_the_per_pair_reference(
     mode, budget, key_widths, monkeypatch
 ):
     index_runs = []
-    monkeypatch.setattr(device_module, "ExternalSorter", recording(index_runs))
+    monkeypatch.setattr(index_build, "ExternalSorter", recording(index_runs))
     tb = CsdTestbed(sort_budget=budget, bloom_bits_per_key=10)
     pairs = dataset(key_widths)
 

@@ -1,7 +1,9 @@
 """Property test: a power cycle at an arbitrary point never loses
 acknowledged, log-resident data, nor resurrects deleted keys or dropped
-keyspaces — with two keyspaces, drops and re-creations, and zones small
-enough that the metadata log checkpoints inside a run."""
+keyspaces — with two keyspaces, drops and re-creations (also while a
+compaction runs, and issued twice at once), and zones small enough that the
+metadata log checkpoints inside a run.  The device stays auditor-clean after
+every step."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -12,6 +14,7 @@ from repro.core.keyspace import KeyspaceState
 from repro.errors import KeyNotFoundError
 from repro.host import ThreadCtx
 from repro.nvme import PcieLink
+from repro.nvme.kv_commands import DeleteKeyspaceCmd
 from repro.obs.audit import InvariantAuditor
 from repro.sim import CpuPool, Environment
 from repro.soc import SocBoard
@@ -26,8 +29,15 @@ ops_strategy = st.lists(
                   st.binary(max_size=20)),
         st.tuples(st.just("delete"), keyspace, st.binary(min_size=1, max_size=6),
                   st.just(b"")),
-        # drop the keyspace; a later put or delete on it re-creates it
-        st.tuples(st.just("drop"), keyspace, st.just(b""), st.just(b"")),
+        # drop the keyspace; a later put or delete on it re-creates it.
+        # drop_compacting kicks off a compaction and drops without waiting
+        # for it; drop_twice posts two deletes at once.
+        st.tuples(
+            st.sampled_from(["drop", "drop_compacting", "drop_twice"]),
+            keyspace,
+            st.just(b""),
+            st.just(b""),
+        ),
     ),
     min_size=10,
     max_size=30,
@@ -63,6 +73,7 @@ def test_power_cycle_preserves_log_resident_state(ops, compact_before_cut):
     device = make_device(env, ssd, 0)
     client = KvCsdClient(device, PcieLink(env))
     ctx = ThreadCtx(cpu=CpuPool(env, 2), core=0)
+    auditor = InvariantAuditor(device)
     #: live keyspace -> its contents
     model: dict[str, dict[bytes, bytes]] = {}
 
@@ -71,23 +82,38 @@ def test_power_cycle_preserves_log_resident_state(ops, compact_before_cut):
         yield from client.open_keyspace(name, ctx)
         model[name] = {}
 
+    def drop(op, name):
+        if op == "drop":
+            yield from client.delete_keyspace(name, ctx)
+            return
+        if op == "drop_compacting":
+            # the device defers the delete until the job ends; the host
+            # does not wait for it
+            yield from client.compact(name, ctx)
+        deletes = [DeleteKeyspaceCmd(name=name)] * (2 if op == "drop_twice" else 1)
+        first, *others = yield from client.submit_many(deletes, ctx)
+        assert first.ok, first.status
+        assert [c.status for c in others] == ["KeyspaceStateError"] * len(others)
+
     def phase1():
         for name in KEYSPACES:
             yield from create(name)
         for op, name, key, value in ops:
-            if op == "drop":
+            if op.startswith("drop"):
                 if name in model:
-                    yield from client.delete_keyspace(name, ctx)
+                    yield from drop(op, name)
                     del model[name]
-                continue
-            if name not in model:
-                yield from create(name)
-            if op == "put":
-                yield from client.put(name, key, value, ctx)
-                model[name][key] = value
             else:
-                yield from client.bulk_delete(name, [key], ctx)
-                model[name].pop(key, None)
+                if name not in model:
+                    yield from create(name)
+                if op == "put":
+                    yield from client.put(name, key, value, ctx)
+                    model[name][key] = value
+                else:
+                    yield from client.bulk_delete(name, [key], ctx)
+                    model[name].pop(key, None)
+            report = auditor.run(op)
+            assert report.ok, (op, report.violations)
         for name in sorted(model):
             if compact_before_cut:
                 yield from client.compact(name, ctx)
