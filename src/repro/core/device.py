@@ -25,13 +25,14 @@ from repro.core.costs import CsdCostModel
 from repro.core.index_build import IndexBuilder
 from repro.core.ingest import Ingest
 from repro.core.keyspace import Keyspace, lookup
+from repro.core.klog import MAX_KEY_BYTES
 from repro.core.membuf import MEMBUF_BYTES
 from repro.core.metalog import MetadataLog
 from repro.core.mount import MOUNT_STAGES, Mount
 from repro.core.query import QueryEngine
 from repro.core.scheduler import QueryScheduler
 from repro.core.zone_manager import ZoneCluster, ZoneManager
-from repro.errors import KeyspaceExistsError, KeyspaceStateError
+from repro.errors import KeyspaceError, KeyspaceExistsError, KeyspaceStateError
 from repro.host.threads import ThreadCtx
 from repro.obs.journal import journal_event
 from repro.obs.trace import trace_wait
@@ -139,7 +140,7 @@ class KvCsdDevice:
         )
         self.mount = Mount(
             board, zones, costs, self.stats, self.metalog, self.keyspaces,
-            self.indexes, membuf_bytes, self.mount_stages, journal, audit,
+            membuf_bytes, self.mount_stages, journal, audit,
         )
         self.compaction_shards = self.compactor.shards
         # The commands the modules serve, as their bound methods.
@@ -198,6 +199,11 @@ class KvCsdDevice:
     def create_keyspace(self, name: str, ctx: ThreadCtx) -> Generator:
         """Create an EMPTY keyspace (unique name)."""
         yield from self.board.charge(ctx, self.costs.request_overhead)
+        if len(name.encode()) > MAX_KEY_BYTES:
+            raise KeyspaceError(
+                f"keyspace name of {len(name.encode())} bytes exceeds the "
+                f"{MAX_KEY_BYTES}-byte limit"
+            )
         if name in self.keyspaces:
             raise KeyspaceExistsError(name)
         ks = Keyspace(name=name)

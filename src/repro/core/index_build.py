@@ -74,7 +74,7 @@ class IndexBuilder:
         (member = encoded secondary key) alike.  The filter bytes are
         reserved against the SoC DRAM budget and tracked per keyspace so
         deletion returns them.  The blooms ride the keyspace's next metadata
-        record (the v2 bloom annex) and survive a power cycle.
+        record (its bloom annex) and survive a power cycle.
         """
         bits = self.bloom_bits_per_key
         n_blocks = len(bounds) - 1

@@ -6,38 +6,26 @@ filters — so a recovered device starts from exactly the state the dying
 device persisted, blooms included.  :mod:`repro.core.metalog` decides
 where and when records are written; this module only frames them.
 
-Every record is written in format v2::
+Every record is one frame::
 
-    b"KM" | u8 version | u32 payload_len | u32 crc32(payload) | payload
+    b"KM" | u8 version (2) | u32 payload_len | u32 crc32(payload) | payload
 
-The magic + CRC make a torn append (mid-write power loss) *detected*
-rather than misparsed: replay applies the longest intact prefix and stops
-at the first bad frame — the crash-consistency contract.
-
-Format v1 (``u32 record_len | payload``, no magic, no checksum, no bloom
-annex) is read-only: older firmware wrote it, so :meth:`MetaCodec.
-parse_stream` still mounts v1 streams and v1 records followed by v2 ones,
-but nothing writes v1 any more.
+A frame either validates — magic, version, a non-zero in-bounds length,
+CRC — or replay stops there: the stream is ``torn`` and the longest intact
+prefix applies (the crash-consistency contract).  A complete frame whose
+CRC fails also counts one ``crc_failures``.
 
 Payloads start with a type byte:
 
-* ``UPSERT`` — a keyspace's full table entry.  Under v2 the body carries a
-  *bloom annex* after the SIDX section: the serialized per-block bloom
-  filters of the PIDX sketch and of every SIDX sketch.
+* ``UPSERT`` — a keyspace's full table entry.  The body ends with a *bloom
+  annex* after the SIDX section: the serialized per-block bloom filters of
+  the PIDX sketch and of every SIDX sketch.
 * ``DELETE`` — drop a keyspace by name.
 * ``EPOCH`` / ``COMMIT`` — checkpoint stream sealing.  A checkpoint writes
   ``EPOCH(n) | snapshot upserts | COMMIT(n)`` into the *standby* metadata
   zone, then switches; mount picks the sealed stream with the highest
   epoch, so a crash anywhere inside a checkpoint falls back to the
   previous, still-sealed stream.
-
-:meth:`MetaCodec.parse_stream` detects the framing per record: a record
-is treated as v2 only when the full frame validates (magic, version,
-bounds, CRC); otherwise it is retried under the v1 length-prefix
-interpretation before the stream is declared torn.  A v1 record whose
-little-endian length happens to start with the ``KM`` bytes (length ≡
-19,787 mod 65,536 — an entirely plausible ~19 KB record) therefore still
-parses.
 """
 
 from __future__ import annotations
@@ -71,12 +59,6 @@ __all__ = [
 ]
 
 META_V2 = 2
-
-#: v2 frame magic.  A v1 little-endian length prefix *can* start with these
-#: two bytes (any length ≡ 0x4D4B mod 2**16, e.g. a ~19 KB record), so the
-#: magic alone never decides the framing: ``parse_stream`` requires the full
-#: v2 frame to validate (version, bounds, CRC) and otherwise retries the
-#: record under the v1 interpretation.
 MAGIC = b"KM"
 
 _U32 = struct.Struct("<I")
@@ -84,6 +66,7 @@ _U16 = struct.Struct("<H")
 _U64 = struct.Struct("<Q")
 _PTR = struct.Struct("<IQI")
 _FRAME = struct.Struct("<2sBII")  # magic, version, payload_len, crc32
+_NO_SKETCH = 0xFFFFFFFF  # block count of a keyspace without a PIDX sketch
 
 UPSERT = 1
 DELETE = 2
@@ -159,9 +142,8 @@ def _unpack_clusters(blob: bytes, pos: int, ssd) -> tuple[list[ZoneCluster], int
     return out, pos
 
 
-def _pack_pidx_sketch(sketch: Optional[PidxSketch]) -> bytes:
-    if sketch is None:
-        return _U32.pack(0xFFFFFFFF)
+def _pack_blocks(sketch: PidxSketch | SidxSketch) -> bytes:
+    """A sketch's block list: ``u32 n | (pivot, pointer) * n``."""
     parts = [_U32.pack(len(sketch))]
     for pivot, pointer in zip(sketch.pivots, sketch.block_pointers):
         parts.append(_pack_bytes(pivot))
@@ -169,18 +151,26 @@ def _pack_pidx_sketch(sketch: Optional[PidxSketch]) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_pidx_sketch(blob: bytes, pos: int) -> tuple[Optional[PidxSketch], int]:
+def _unpack_blocks(blob: bytes, pos: int, sketch: PidxSketch | SidxSketch):
+    """Add a packed block list to the empty ``sketch``; returns (sketch, pos)."""
     (n,) = _U32.unpack_from(blob, pos)
     pos += _U32.size
-    if n == 0xFFFFFFFF:
-        return None, pos
-    sketch = PidxSketch()
     for _ in range(n):
         pivot, pos = _unpack_bytes(blob, pos)
         pointer = _PTR.unpack_from(blob, pos)
         pos += _PTR.size
         sketch.add_block(pivot, tuple(pointer))
     return sketch, pos
+
+
+def _pack_pidx_sketch(sketch: Optional[PidxSketch]) -> bytes:
+    return _U32.pack(_NO_SKETCH) if sketch is None else _pack_blocks(sketch)
+
+
+def _unpack_pidx_sketch(blob: bytes, pos: int) -> tuple[Optional[PidxSketch], int]:
+    if _U32.unpack_from(blob, pos)[0] == _NO_SKETCH:
+        return None, pos + _U32.size
+    return _unpack_blocks(blob, pos, PidxSketch())
 
 
 def _pack_sidx(ks: Keyspace) -> bytes:
@@ -191,10 +181,7 @@ def _pack_sidx(ks: Keyspace) -> bytes:
             struct.pack("<IHH", config.value_offset, config.width, len(config.dtype))
         )
         parts.append(config.dtype.encode())
-        parts.append(_U32.pack(len(sketch)))
-        for pivot, pointer in zip(sketch.pivots, sketch.block_pointers):
-            parts.append(_pack_bytes(pivot))
-            parts.append(_PTR.pack(*pointer))
+        parts.append(_pack_blocks(sketch))
         parts.append(_pack_clusters(ks.sidx_clusters.get(name, [])))
     return b"".join(parts)
 
@@ -211,14 +198,7 @@ def _unpack_sidx(blob: bytes, pos: int, ks: Keyspace, ssd) -> int:
         config = SidxConfig(
             name=name_b.decode(), value_offset=value_offset, width=width, dtype=dtype
         )
-        (n_blocks,) = _U32.unpack_from(blob, pos)
-        pos += _U32.size
-        sketch = SidxSketch(skey_width=width)
-        for _ in range(n_blocks):
-            pivot, pos = _unpack_bytes(blob, pos)
-            pointer = _PTR.unpack_from(blob, pos)
-            pos += _PTR.size
-            sketch.add_block(pivot, tuple(pointer))
+        sketch, pos = _unpack_blocks(blob, pos, SidxSketch(skey_width=width))
         clusters, pos = _unpack_clusters(blob, pos, ssd)
         ks.sidx[config.name] = (config, sketch)
         ks.sidx_clusters[config.name] = clusters
@@ -236,13 +216,10 @@ def _pack_bloom_set(blooms: dict[int, BloomFilter]) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_bloom_set(
-    blob: bytes, pos: int, sketch
-) -> tuple[int, int]:
-    """Attach a serialized bloom set to ``sketch``; returns (bytes, pos)."""
+def _unpack_bloom_set(blob: bytes, pos: int, sketch) -> int:
+    """Attach a serialized bloom set to ``sketch``; returns the new pos."""
     (n,) = _U32.unpack_from(blob, pos)
     pos += _U32.size
-    total = 0
     for _ in range(n):
         (idx,) = _U32.unpack_from(blob, pos)
         pos += _U32.size
@@ -252,12 +229,11 @@ def _unpack_bloom_set(
         pos += length
         if sketch is not None:
             sketch.attach_bloom(idx, bloom)
-            total += bloom.size_bytes
-    return total, pos
+    return pos
 
 
 def _pack_bloom_annex(ks: Keyspace) -> bytes:
-    """The v2 upsert tail: every persisted per-block bloom filter."""
+    """The upsert tail: every persisted per-block bloom filter."""
     pidx_blooms = ks.pidx_sketch.blooms if ks.pidx_sketch is not None else {}
     parts = [_pack_bloom_set(pidx_blooms)]
     parts.append(_U16.pack(len(ks.sidx)))
@@ -267,18 +243,17 @@ def _pack_bloom_annex(ks: Keyspace) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_bloom_annex(blob: bytes, pos: int, ks: Keyspace) -> tuple[int, int]:
-    """Attach annex blooms to the keyspace's sketches; returns (bytes, pos)."""
-    total, pos = _unpack_bloom_set(blob, pos, ks.pidx_sketch)
+def _unpack_bloom_annex(blob: bytes, pos: int, ks: Keyspace) -> int:
+    """Attach annex blooms to the keyspace's sketches; returns the new pos."""
+    pos = _unpack_bloom_set(blob, pos, ks.pidx_sketch)
     (n,) = _U16.unpack_from(blob, pos)
     pos += _U16.size
     for _ in range(n):
         name_b, pos = _unpack_bytes(blob, pos)
         entry = ks.sidx.get(name_b.decode())
         sketch = entry[1] if entry is not None else None
-        nbytes, pos = _unpack_bloom_set(blob, pos, sketch)
-        total += nbytes
-    return total, pos
+        pos = _unpack_bloom_set(blob, pos, sketch)
+    return pos
 
 
 # ------------------------------------------------------------------ payloads
@@ -300,10 +275,8 @@ def _upsert_payload(ks: Keyspace, last_seq: int) -> bytes:
     ])
 
 
-def _decode_upsert(
-    payload: bytes, ssd: "ZnsSsd", annexed: bool
-) -> tuple[Keyspace, int, int]:
-    """Decode an upsert payload (past the type byte) -> (ks, last_seq, bloom_bytes)."""
+def _decode_upsert(payload: bytes, ssd: "ZnsSsd") -> tuple[Keyspace, int]:
+    """Decode an upsert payload (past the type byte) -> (ks, last_seq)."""
     pos = 1
     name_b, pos = _unpack_bytes(payload, pos)
     state_b, pos = _unpack_bytes(payload, pos)
@@ -324,12 +297,10 @@ def _decode_upsert(
     ks.sorted_value_clusters, pos = _unpack_clusters(payload, pos, ssd)
     ks.pidx_sketch, pos = _unpack_pidx_sketch(payload, pos)
     pos = _unpack_sidx(payload, pos, ks, ssd)
-    bloom_bytes = 0
-    if annexed:
-        bloom_bytes, pos = _unpack_bloom_annex(payload, pos, ks)
+    pos = _unpack_bloom_annex(payload, pos, ks)
     if pos != len(payload):
         raise DbError("corrupt metadata record")
-    return ks, last_seq, bloom_bytes
+    return ks, last_seq
 
 
 # ------------------------------------------------------------------ streams
@@ -340,8 +311,7 @@ class MetaStream:
     ``table`` maps keyspace name to ``(Keyspace, last_seq)`` after applying
     every intact record in order; ``torn`` means replay stopped early at a
     damaged or half-written frame (the crash-consistent outcome, not an
-    error).  ``bloom_bytes`` carries the per-keyspace DRAM footprint of
-    blooms attached from v2 annexes, for the mount pipeline to account.
+    error).  Upserted keyspaces carry their annex blooms on their sketches.
     """
 
     table: dict[str, tuple[Keyspace, int]] = field(default_factory=dict)
@@ -350,7 +320,6 @@ class MetaStream:
     records: int = 0
     torn: bool = False
     crc_failures: int = 0
-    bloom_bytes: dict[str, int] = field(default_factory=dict)
     blob_len: int = 0
 
     @property
@@ -385,11 +354,7 @@ def choose_stream(streams: list[MetaStream]) -> MetaStream:
 
 # ------------------------------------------------------------------ codec
 class MetaCodec:
-    """Encoder/decoder of the metadata record stream.
-
-    Encodes v2 frames only; :meth:`parse_stream` detects the framing of
-    each record, so it also mounts v1 streams written by older firmware.
-    """
+    """Encoder/decoder of the metadata record stream."""
 
     # -- encode ---------------------------------------------------------------
     @staticmethod
@@ -415,79 +380,48 @@ class MetaCodec:
     def parse_stream(self, blob: bytes, ssd: "ZnsSsd") -> MetaStream:
         """Replay one metadata zone's bytes into a :class:`MetaStream`.
 
-        Applies the longest intact prefix of records; any short, garbled or
-        checksum-failing frame marks the stream ``torn`` and ends replay —
-        exactly the torn-tail semantics a power cut demands.  Later records
-        supersede earlier ones; deletes drop the entry.
+        Applies the longest intact prefix of frames; the first short,
+        garbled or checksum-failing frame marks the stream ``torn`` and ends
+        replay — exactly the torn-tail semantics a power cut demands.  Later
+        records supersede earlier ones; deletes drop the entry.
         """
         stream = MetaStream(blob_len=len(blob))
         pos = 0
-        n = len(blob)
-        while pos < n:
-            annexed = False
-            payload = None
-            next_pos = pos
-            crc_mismatch = False
-            if blob[pos : pos + len(MAGIC)] == MAGIC and pos + _FRAME.size <= n:
-                _magic, version, length, crc = _FRAME.unpack_from(blob, pos)
-                start = pos + _FRAME.size
-                if version == META_V2 and length != 0 and start + length <= n:
-                    candidate = blob[start : start + length]
-                    if zlib.crc32(candidate) == crc:
-                        payload = candidate
-                        next_pos = start + length
-                        annexed = True
-                    else:
-                        crc_mismatch = True
-            if payload is None:
-                # Either no v2 frame starts here, or one failed validation.
-                # The magic bytes can be the low bytes of a v1 little-endian
-                # length prefix (length ≡ 0x4D4B mod 2**16, a ~19 KB record),
-                # so retry under the v1 interpretation before declaring a
-                # tear.  A genuinely torn v2 frame reads as a v1 length of
-                # ≥ 0x024D4B (~147 KB) and fails the bounds check below —
-                # or, in a stream that large, yields a garbage payload that
-                # fails to decode — so real tears are still detected.
-                if pos + _U32.size > n:
-                    stream.torn = True
-                    break
-                (length,) = _U32.unpack_from(blob, pos)
-                start = pos + _U32.size
-                if length == 0 or start + length > n:
-                    if crc_mismatch:
-                        stream.crc_failures += 1
-                    stream.torn = True
-                    break
-                payload = blob[start : start + length]
-                next_pos = start + length
-            try:
-                self._apply(payload, stream, ssd, annexed)
-            except Exception:
-                # A frame that passed its length (and CRC, for v2) check but
-                # fails to decode is a torn v1 tail or corruption; replay
-                # keeps the intact prefix.
-                if crc_mismatch:
-                    stream.crc_failures += 1
+        while pos < len(blob):
+            if pos + _FRAME.size > len(blob):
                 stream.torn = True
                 break
-            pos = next_pos
+            magic, version, length, crc = _FRAME.unpack_from(blob, pos)
+            start = pos + _FRAME.size
+            end = start + length
+            if magic != MAGIC or version != META_V2 or not length or end > len(blob):
+                stream.torn = True
+                break
+            payload = blob[start:end]
+            if zlib.crc32(payload) != crc:
+                stream.crc_failures += 1
+                stream.torn = True
+                break
+            try:
+                self._apply(payload, stream, ssd)
+            except Exception:
+                # Intact but undecodable: corruption the CRC cannot see.
+                stream.torn = True
+                break
+            pos = end
             stream.records += 1
         return stream
 
-    def _apply(
-        self, payload: bytes, stream: MetaStream, ssd: "ZnsSsd", annexed: bool
-    ) -> None:
+    def _apply(self, payload: bytes, stream: MetaStream, ssd: "ZnsSsd") -> None:
         record_type = payload[0]
         if record_type == UPSERT:
-            ks, last_seq, bloom_bytes = _decode_upsert(payload, ssd, annexed)
+            ks, last_seq = _decode_upsert(payload, ssd)
             stream.table[ks.name] = (ks, last_seq)
-            stream.bloom_bytes[ks.name] = bloom_bytes
         elif record_type == DELETE:
             name_b, end = _unpack_bytes(payload, 1)
             if end != len(payload):
                 raise DbError("corrupt metadata record")
             stream.table.pop(name_b.decode(), None)
-            stream.bloom_bytes.pop(name_b.decode(), None)
         elif record_type == EPOCH:
             (stream.epoch,) = _U64.unpack_from(payload, 1)
         elif record_type == COMMIT:

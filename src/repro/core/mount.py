@@ -8,14 +8,14 @@ device's ``mount_stages``, and leaves the device snapshot-able via
 1. **scan** — :meth:`MetadataLog.scan` parses both A/B metadata streams and
    mounts the sealed stream with the highest epoch, so a crash inside a
    checkpoint falls back to the previous sealed snapshot; a torn record
-   tail is detected (v2 CRC frames) and the intact prefix applied.
+   tail is detected (CRC frames) and the intact prefix applied.
 2. **replay** — rebuild the keyspace table: states, zone-cluster maps,
    sketches, sequence numbers.  Keyspaces caught COMPACTING revert to
    WRITABLE (their logs are intact, the job re-runs).
-3. **indexes** — re-attach persisted PIDX/SIDX block blooms (v2 annexes),
-   charging DRAM for them; COMPACTED keyspaces whose record carried no
-   blooms (v1 records) fall back to a bounded reconstruction from the PIDX
-   blocks themselves.
+3. **indexes** — account the PIDX/SIDX block blooms the records' annexes
+   carried, charging their reload and DRAM.  A record without blooms (its
+   device ran without them) mounts without them: queries stay correct, they
+   just read the blocks a bloom would have skipped.
 4. **rescan** — re-derive seq/pair-count/key-bounds of WRITABLE keyspaces
    from their KLOG tails (the log may postdate the last table write).
 5. **reclaim** — reset orphan zones (partial job outputs nobody references)
@@ -31,14 +31,10 @@ from __future__ import annotations
 from collections.abc import Callable, Generator
 from contextlib import contextmanager
 
-import numpy as np
-
 from repro.core.costs import CsdCostModel
-from repro.core.index_build import IndexBuilder
 from repro.core.keyspace import Keyspace, KeyspaceState
 from repro.core.klog import unpack_klog_records_prefix
 from repro.core.metalog import MetadataLog
-from repro.core.pidx import PidxColumns, block_entry_counts
 from repro.core.zone_manager import ZoneManager
 from repro.errors import DbError
 from repro.host.threads import ThreadCtx
@@ -62,7 +58,7 @@ class Mount:
     def __init__(
         self, board: SocBoard, zone_manager: ZoneManager, costs: CsdCostModel,
         stats: StatsRegistry, metalog: MetadataLog, keyspaces: dict[str, Keyspace],
-        indexes: IndexBuilder, membuf_bytes: int, stages: dict[str, float],
+        membuf_bytes: int, stages: dict[str, float],
         journal: Callable[..., None], audit: Callable[[str], None],
     ):
         self.env = board.env
@@ -73,7 +69,6 @@ class Mount:
         self.stats = stats
         self.metalog = metalog
         self.keyspaces = keyspaces
-        self.indexes = indexes
         self.membuf_bytes = membuf_bytes
         self.stages = stages
         self._journal = journal
@@ -125,21 +120,18 @@ class Mount:
                 )
             fields["keyspaces"] = len(self.keyspaces)
 
-        # ---- stage 3: sketch/bloom reload (v2 annexes), with bounded
-        # reconstruction fallback for COMPACTED keyspaces that lack blooms
+        # ---- stage 3: bloom reload from the records' annexes
         with self._stage("indexes") as fields:
             reloaded = 0
             reloaded_bytes = 0
-            rebuilt = 0
             for name in sorted(self.keyspaces):
                 ks = self.keyspaces[name]
-                annex_bytes = chosen.bloom_bytes.get(name, 0)
+                sketches = [sketch for _config, sketch in ks.sidx.values()]
+                if ks.pidx_sketch is not None:
+                    sketches.append(ks.pidx_sketch)
+                annex_bytes = sum(sketch.bloom_bytes for sketch in sketches)
                 if annex_bytes:
-                    n_blooms = (
-                        len(ks.pidx_sketch.blooms)
-                        if ks.pidx_sketch is not None
-                        else 0
-                    ) + sum(len(sk.blooms) for _cfg, sk in ks.sidx.values())
+                    n_blooms = sum(len(sketch.blooms) for sketch in sketches)
                     yield from self.board.charge(
                         ctx, self.costs.bloom_reload_per_byte * annex_bytes
                     )
@@ -151,24 +143,10 @@ class Mount:
                         "sketch.reload", keyspace=name, blooms=n_blooms,
                         bytes=annex_bytes,
                     )
-                elif (
-                    self.indexes.bloom_bits_per_key
-                    and ks.state is KeyspaceState.COMPACTED
-                    and ks.pidx_sketch is not None
-                    and len(ks.pidx_sketch)
-                    and not ks.pidx_sketch.blooms
-                ):
-                    ok = yield from self._rebuild_blooms_bounded(ks, ctx)
-                    if ok:
-                        rebuilt += len(ks.pidx_sketch.blooms)
             if reloaded:
                 self.stats.counter("blooms_reloaded").add(reloaded)
                 self.stats.counter("bloom_reload_bytes").add(reloaded_bytes)
-            fields.update(
-                blooms_reloaded=reloaded,
-                bloom_bytes=reloaded_bytes,
-                blooms_reconstructed=rebuilt,
-            )
+            fields.update(blooms_reloaded=reloaded, bloom_bytes=reloaded_bytes)
 
         # ---- stage 4: KLOG tail rescan
         with self._stage("rescan") as fields:
@@ -202,33 +180,6 @@ class Mount:
         # Invariants only fully hold once every stage has run (the free list
         # is reconciled last), so the audit boundary sits at mount exit.
         self._audit("mount")
-
-    def _rebuild_blooms_bounded(self, ks: Keyspace, ctx: ThreadCtx) -> Generator:
-        """Reconstruct per-block PIDX blooms by re-reading the index blocks.
-
-        The fallback of stage 3 for a keyspace whose metadata record carried
-        no bloom annex (a v1 record written by older firmware).  Bounded:
-        reads at most ``sort_budget_bytes`` of PIDX blocks; returns False
-        (leaving the keyspace bloom-less, which is correct, just slower) if
-        the index exceeds the budget.  Bloom hashing is deterministic, so
-        reconstructed filters are byte-identical to the lost originals.
-        """
-        sketch = ks.pidx_sketch
-        index_bytes = sum(length for _zone, _off, length in sketch.block_pointers)
-        if index_bytes > self.board.spec.sort_budget_bytes:
-            return False
-        blobs = []
-        for zone_id, offset, length in sketch.block_pointers:
-            blobs.append((yield from self.ssd.read(zone_id, offset, length)))
-        yield from self.indexes.attach_blooms(
-            ks,
-            sketch,
-            PidxColumns.from_blocks(blobs).key_bytes(),
-            np.cumsum([0] + block_entry_counts(blobs)).tolist(),
-            ctx,
-        )
-        self.stats.counter("blooms_reconstructed").add(len(sketch))
-        return True
 
     def _rescan_klog(self, ks: Keyspace, ctx: ThreadCtx) -> Generator:
         """Re-derive seq/pair-count/key-bounds from a WRITABLE keyspace's log."""

@@ -244,7 +244,7 @@ class PidxSketch:
     ``blooms`` optionally holds one per-block :class:`BloomFilter` keyed by
     block index, built during compaction when ``SocSpec.bloom_bits_per_key``
     is set.  The blooms are persisted with the keyspace's metadata record
-    (a v2 *bloom annex*) and re-attached by mount, so a recovered device
+    (its *bloom annex*) and re-attached by mount, so a recovered device
     keeps its PIDX-read elimination.  An absent bloom always answers "may
     contain" (no false negatives either way).
     """

@@ -27,7 +27,7 @@ from functools import cache
 
 import numpy as np
 
-from repro.core.klog import column_key_bytes, concat_keys
+from repro.core.klog import MAX_KEY_BYTES, column_key_bytes, concat_keys
 from repro.core.pidx import (
     PidxColumns,
     block_entry_counts,
@@ -65,6 +65,11 @@ class SidxConfig:
     def __post_init__(self) -> None:
         if not self.name:
             raise SecondaryIndexError("secondary index needs a name")
+        if len(self.name.encode()) > MAX_KEY_BYTES:
+            raise SecondaryIndexError(
+                f"index name of {len(self.name.encode())} bytes exceeds the "
+                f"{MAX_KEY_BYTES}-byte limit"
+            )
         if self.value_offset < 0 or self.width <= 0:
             raise SecondaryIndexError("invalid secondary key byte range")
         if self.dtype != "bytes":
@@ -417,7 +422,7 @@ class SidxSketch:
     block's *encoded secondary keys*, built during the index build when
     ``SocSpec.bloom_bits_per_key`` is set; an absent bloom answers "may
     contain".  Like the PIDX blooms, these are persisted in the keyspace's
-    v2 metadata annex.
+    metadata bloom annex.
     """
 
     skey_width: int

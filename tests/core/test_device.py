@@ -5,13 +5,18 @@ import struct
 import pytest
 
 from repro.core.keyspace import KeyspaceState
+from repro.core.klog import MAX_KEY_BYTES
+from repro.core.sidx import SidxConfig
 from repro.errors import (
     KeyNotFoundError,
+    KeyspaceError,
     KeyspaceExistsError,
     KeyspaceNotFoundError,
     KeyspaceStateError,
     SecondaryIndexError,
 )
+from repro.nvme.kv_commands import CompactCmd
+from repro.obs.audit import InvariantAuditor
 
 from tests.core.conftest import CsdTestbed, make_pairs
 
@@ -63,6 +68,26 @@ def test_duplicate_keyspace_rejected(tb):
 
     with pytest.raises(KeyspaceExistsError):
         tb.run(proc())
+
+
+#: a name the metadata record's u16 length field cannot carry
+OVERSIZED_NAME = "x" * 70000
+
+
+def test_oversized_keyspace_name_rejected(tb):
+    """Rejected with a typed error before the table or the log changes."""
+    log_zone = tb.ssd.zone(tb.device.metalog.zone_ids[0])
+
+    def proc():
+        yield from tb.client.create_keyspace(OVERSIZED_NAME, tb.ctx)
+
+    with pytest.raises(KeyspaceError):
+        tb.run(proc())
+    assert tb.device.list_keyspaces() == []
+    assert log_zone.write_pointer == 0
+    # the longest name that fits is taken
+    setup_keyspace(tb, name="k" * MAX_KEY_BYTES)
+    assert tb.device.list_keyspaces() == ["k" * MAX_KEY_BYTES]
 
 
 def test_unknown_keyspace_rejected(tb):
@@ -373,6 +398,51 @@ def test_sidx_duplicate_name_rejected(tb):
     tb.run(build())
     with pytest.raises(SecondaryIndexError):
         tb.run(build())
+
+
+def test_oversized_index_name_rejected_at_build(tb):
+    setup_keyspace(tb, pairs=_pairs_with_energy(50))
+    compact_and_wait(tb)
+
+    def build(name):
+        yield from tb.client.build_secondary_index(
+            "ks", name, value_offset=8, width=8, dtype="f64", ctx=tb.ctx
+        )
+        yield from tb.client.wait_for_device("ks", tb.ctx)
+
+    with pytest.raises(SecondaryIndexError):
+        tb.run(build(OVERSIZED_NAME))
+    assert tb.device.keyspaces["ks"].sidx == {}
+    report = InvariantAuditor(tb.device).run("build")
+    assert report.ok, report.violations
+    tb.run(build("energy"))
+    assert sorted(tb.device.keyspaces["ks"].sidx) == ["energy"]
+
+
+def test_oversized_index_name_rejected_at_compaction(tb):
+    """Rejected on the host by the client API and on the device by the
+    command's decode; the keyspace stays WRITABLE and compacts afterwards."""
+    setup_keyspace(tb, pairs=_pairs_with_energy(50))
+
+    def compact():
+        config = SidxConfig(OVERSIZED_NAME, value_offset=8, width=8, dtype="f64")
+        yield from tb.client.compact("ks", tb.ctx, secondary_indexes=[config])
+        yield from tb.client.wait_for_device("ks", tb.ctx)
+
+    def post_raw():
+        command = CompactCmd(keyspace="ks", sidx=((OVERSIZED_NAME, 8, 8, "f64"),))
+        return (yield from tb.client.submit_many([command], tb.ctx))
+
+    with pytest.raises(SecondaryIndexError):
+        tb.run(compact())
+    [completion] = tb.run(post_raw())
+    assert completion.status == "SecondaryIndexError"
+    ks = tb.device.keyspaces["ks"]
+    assert ks.state is KeyspaceState.WRITABLE and ks.sidx == {}
+    report = InvariantAuditor(tb.device).run("compact")
+    assert report.ok, report.violations
+    compact_and_wait(tb)
+    assert ks.state is KeyspaceState.COMPACTED
 
 
 def test_sidx_unknown_index_query_rejected(tb):

@@ -1,6 +1,8 @@
 """The metadata log and the mount pipeline: staged recovery, bloom reload,
 A/B checkpoints, torn-tail tolerance, deletes that stay dead."""
 
+import dataclasses
+
 import numpy as np
 
 from repro.core import KvCsdClient, KvCsdDevice
@@ -19,9 +21,9 @@ from repro.units import KiB
 from tests.core.conftest import CsdTestbed, make_pairs
 
 
-def power_cycle(tb):
+def power_cycle(tb, spec=None):
     """A fresh board + device over the same SSD (DRAM state is lost)."""
-    board2 = SocBoard(tb.env, tb.ssd, spec=tb.board.spec)
+    board2 = SocBoard(tb.env, tb.ssd, spec=spec or tb.board.spec)
     device2 = KvCsdDevice(
         board2,
         rng=np.random.default_rng(43),
@@ -61,7 +63,11 @@ def test_blooms_survive_power_cycle():
     recovered = device2.keyspaces["ks"].pidx_sketch
     assert len(recovered.blooms) == len(recovered) == len(sketch)
     assert device2.stats.counter("blooms_reloaded").value == len(sketch)
-    assert device2.stats.counter("blooms_reconstructed").value == 0
+    built = tb.device.stats.counter("bloom_filters_built").value
+    assert device2.stats.counter("blooms_reloaded").value == built
+    assert device2.stats.counter("bloom_reload_bytes").value == (
+        tb.device.keyspaces["ks"].bloom_dram
+    )
 
     absent = [f"zz-{i:012d}".encode().ljust(16, b"0") for i in range(20)]
     before = device2.stats.counter("pidx_block_reads").value
@@ -82,6 +88,36 @@ def test_blooms_survive_power_cycle():
     # reloaded blooms eliminate (nearly) every absent-key block read
     eliminated_misses = before + 1  # +1 block read for the present key
     assert device2.stats.counter("pidx_block_reads").value <= eliminated_misses + 2
+
+
+def test_bloomless_record_mounts_without_blooms():
+    """Blooms come only from a record's annex.  A keyspace compacted without
+    blooms mounts without them on a board that builds them, reads no more
+    at mount than a bloom-less board, and answers every GET."""
+    tb = CsdTestbed(bloom_bits_per_key=0)
+    pairs = make_pairs(1000)
+    load_and_compact(tb, pairs)
+
+    def mount(bits):
+        before = tb.ssd.stats.bytes_read
+        spec = dataclasses.replace(tb.board.spec, bloom_bits_per_key=bits)
+        device2, client2 = power_cycle(tb, spec)
+        return device2, client2, tb.ssd.stats.bytes_read - before
+
+    _device, _client, plain_bytes = mount(0)
+    device2, client2, bytes_read = mount(10)
+    assert device2.indexes.bloom_bits_per_key == 10
+    assert not device2.keyspaces["ks"].pidx_sketch.blooms
+    assert bytes_read <= plain_bytes
+    assert device2.stats.counter("blooms_reloaded").value == 0
+
+    def read_all():
+        for key, value in pairs:
+            assert (yield from client2.get("ks", key, tb.ctx)) == value
+
+    tb.run(read_all())
+    report = InvariantAuditor(device2).run("mount")
+    assert report.ok, report.violations
 
 
 def test_mount_stages_journaled_and_gauged():

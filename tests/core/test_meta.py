@@ -1,4 +1,4 @@
-"""Metadata codec: v2 framing, CRC detection, v1 reads, stream selection."""
+"""Metadata codec: record round trips, framing, CRC detection, stream selection."""
 
 import numpy as np
 import pytest
@@ -16,15 +16,13 @@ from repro.sim import CpuPool, Environment
 from repro.soc import SocBoard
 from repro.ssd import ZnsSsd
 
-from tests.core import meta_v1
-
 
 @pytest.fixture
 def ssd():
     return ZnsSsd(Environment())
 
 
-def make_keyspace(ssd, with_blooms=True) -> Keyspace:
+def make_keyspace(ssd) -> Keyspace:
     """A COMPACTED keyspace exercising every record section."""
     ks = Keyspace(
         name="ks",
@@ -40,14 +38,13 @@ def make_keyspace(ssd, with_blooms=True) -> Keyspace:
     sketch.add_block(b"c", (5, 0, 96))
     sidx_sketch = SidxSketch(skey_width=4)
     sidx_sketch.add_block(b"\x00" * 4, (7, 0, 64))
-    if with_blooms:
-        for idx, keys in enumerate([[b"a", b"b"], [b"c", b"d"]]):
-            bloom = BloomFilter(len(keys), bits_per_key=10)
-            bloom.add_many(keys)
-            sketch.attach_bloom(idx, bloom)
-        sbloom = BloomFilter(2, bits_per_key=10)
-        sbloom.add_many([b"\x00\x00\x00\x01", b"\x00\x00\x00\x02"])
-        sidx_sketch.attach_bloom(0, sbloom)
+    for idx, keys in enumerate([[b"a", b"b"], [b"c", b"d"]]):
+        bloom = BloomFilter(len(keys), bits_per_key=10)
+        bloom.add_many(keys)
+        sketch.attach_bloom(idx, bloom)
+    sbloom = BloomFilter(2, bits_per_key=10)
+    sbloom.add_many([b"\x00\x00\x00\x01", b"\x00\x00\x00\x02"])
+    sidx_sketch.attach_bloom(0, sbloom)
     ks.pidx_sketch = sketch
     config = SidxConfig("tag", value_offset=0, width=4)
     ks.sidx["tag"] = (config, sidx_sketch)
@@ -73,12 +70,13 @@ def assert_keyspace_equal(a: Keyspace, b: Keyspace) -> None:
     assert set(a.sidx) == set(b.sidx)
 
 
-def test_v1_stream_parses_with_both_readers(ssd):
-    """A v1 stream written by older firmware parses with the codec and
-    mounts on a device."""
-    ks = make_keyspace(ssd, with_blooms=False)
-    blob = meta_v1.encode_upsert(ks, 41) + meta_v1.encode_delete("gone")
-    stream = MetaCodec().parse_stream(blob, ssd)
+def test_stream_parses_with_both_readers(ssd):
+    """A stream parses with the codec and mounts on a device from zone 0
+    into the same table."""
+    ks = make_keyspace(ssd)
+    codec = MetaCodec()
+    blob = codec.encode_upsert(ks, 41) + codec.encode_delete("gone")
+    stream = codec.parse_stream(blob, ssd)
     assert not stream.torn
     assert stream.records == 2
     recovered, last_seq = stream.table["ks"]
@@ -92,11 +90,92 @@ def test_v1_stream_parses_with_both_readers(ssd):
     env.run(env.process(device.recover(ctx)))
     assert device.list_keyspaces() == ["ks"]
     assert_keyspace_equal(ks, device.keyspaces["ks"])
+    assert device.keyspaces["ks"].seq == 41
     assert device.metalog.epoch == 0
 
 
+def rich_keyspace(ssd):
+    ks = Keyspace(name="vpic-3", state=KeyspaceState.COMPACTED)
+    ks.n_pairs = 12345
+    ks.min_key = b"\x00aaa"
+    ks.max_key = b"zzz\xff"
+    ks.pidx_clusters = [ZoneCluster(ssd, [2, 3], rotation=1)]
+    ks.sorted_value_clusters = [ZoneCluster(ssd, [4, 5], rotation=0)]
+    sketch = PidxSketch()
+    sketch.add_block(b"aaa", (2, 0, 4096))
+    sketch.add_block(b"mmm", (3, 4096, 4096))
+    ks.pidx_sketch = sketch
+    config = SidxConfig("energy", value_offset=8, width=4, dtype="f32")
+    sidx_sketch = SidxSketch(skey_width=4)
+    sidx_sketch.add_block(b"\x80\x00\x00\x00pkey", (6, 0, 4096))
+    ks.sidx["energy"] = (config, sidx_sketch)
+    ks.sidx_clusters["energy"] = [ZoneCluster(ssd, [6], rotation=0)]
+    return ks
+
+
+def replay_records(blob, ssd):
+    return MetaCodec().parse_stream(blob, ssd).table
+
+
+def test_upsert_roundtrip(ssd):
+    ks = rich_keyspace(ssd)
+    blob = MetaCodec().encode_upsert(ks, last_seq=999)
+    table = replay_records(blob, ssd)
+    assert set(table) == {"vpic-3"}
+    recovered, last_seq = table["vpic-3"]
+    assert last_seq == 999
+    assert recovered.state == KeyspaceState.COMPACTED
+    assert recovered.n_pairs == 12345
+    assert recovered.min_key == b"\x00aaa"
+    assert recovered.max_key == b"zzz\xff"
+    assert [c.zone_ids for c in recovered.pidx_clusters] == [[2, 3]]
+    assert recovered.pidx_clusters[0].rotation == 1
+    assert recovered.pidx_sketch.pivots == [b"aaa", b"mmm"]
+    assert recovered.pidx_sketch.block_pointers == [(2, 0, 4096), (3, 4096, 4096)]
+    config, sketch = recovered.sidx["energy"]
+    assert config.dtype == "f32" and config.value_offset == 8
+    assert sketch.skey_width == 4
+    assert sketch.pivots == [b"\x80\x00\x00\x00pkey"]
+    assert [c.zone_ids for c in recovered.sidx_clusters["energy"]] == [[6]]
+
+
+def test_writable_keyspace_roundtrip(ssd):
+    ks = Keyspace(name="w", state=KeyspaceState.WRITABLE)
+    ks.klog_clusters = [ZoneCluster(ssd, [1], rotation=0)]
+    ks.vlog_clusters = [ZoneCluster(ssd, [2, 3], rotation=1)]
+    blob = MetaCodec().encode_upsert(ks, last_seq=7)
+    recovered, last_seq = replay_records(blob, ssd)["w"]
+    assert recovered.state == KeyspaceState.WRITABLE
+    assert recovered.min_key is None and recovered.max_key is None
+    assert recovered.pidx_sketch is None
+    assert [c.zone_ids for c in recovered.vlog_clusters] == [[2, 3]]
+    assert last_seq == 7
+
+
+def test_later_records_supersede(ssd):
+    codec = MetaCodec()
+    ks1 = Keyspace(name="ks", state=KeyspaceState.WRITABLE)
+    ks2 = Keyspace(name="ks", state=KeyspaceState.COMPACTED)
+    ks2.n_pairs = 42
+    blob = codec.encode_upsert(ks1, 1) + codec.encode_upsert(ks2, 2)
+    recovered, last_seq = replay_records(blob, ssd)["ks"]
+    assert recovered.state == KeyspaceState.COMPACTED
+    assert recovered.n_pairs == 42
+    assert last_seq == 2
+
+
+def test_multiple_keyspaces(ssd):
+    codec = MetaCodec()
+    records = b"".join(
+        codec.encode_upsert(Keyspace(name=f"ks-{i}", state=KeyspaceState.EMPTY), i)
+        for i in range(5)
+    )
+    table = replay_records(records, ssd)
+    assert sorted(table) == [f"ks-{i}" for i in range(5)]
+
+
 def test_v2_roundtrip_reattaches_blooms(ssd):
-    ks = make_keyspace(ssd, with_blooms=True)
+    ks = make_keyspace(ssd)
     codec = MetaCodec()
     blob = codec.encode_upsert(ks, 99)
     assert blob.startswith(MAGIC)
@@ -109,7 +188,7 @@ def test_v2_roundtrip_reattaches_blooms(ssd):
     assert recovered.pidx_sketch.may_contain(0, b"a")
     assert recovered.pidx_sketch.may_contain(1, b"c")
     assert recovered.sidx["tag"][1].may_contain(0, b"\x00\x00\x00\x01")
-    assert stream.bloom_bytes["ks"] > 0
+    assert recovered.pidx_sketch.bloom_bytes == ks.pidx_sketch.bloom_bytes > 0
 
 
 @pytest.mark.parametrize(
@@ -137,21 +216,14 @@ def test_v2_torn_tail_keeps_intact_prefix(ssd):
     assert "ks" in stream.table
 
 
-def test_v1_length_colliding_with_magic_still_parses(ssd):
-    """A v1 record whose little-endian length prefix starts with b"KM"
-    (length ≡ 0x4D4B mod 2**16 — a plausible ~19 KB record) must be retried
-    under the v1 interpretation, not misread as a torn v2 frame."""
-    # delete payload = type byte + u16 name length + name
-    name = "k" * (0x4D4B - 3)
-    blob = meta_v1.encode_delete(name) + meta_v1.encode_upsert(
-        make_keyspace(ssd, with_blooms=False), 5
-    )
-    assert blob.startswith(MAGIC)  # the collision is real
-    stream = MetaCodec().parse_stream(blob, ssd)
-    assert not stream.torn
-    assert stream.crc_failures == 0
-    assert stream.records == 2
-    assert "ks" in stream.table
+def test_torn_tail_record_stops_replay(ssd):
+    codec = MetaCodec()
+    ks1 = Keyspace(name="a", state=KeyspaceState.WRITABLE)
+    ks2 = Keyspace(name="b", state=KeyspaceState.WRITABLE)
+    blob = codec.encode_upsert(ks1, 1) + codec.encode_upsert(ks2, 2)
+    torn = blob[:-5]  # power failed mid-append of the second record
+    table = replay_records(torn, ssd)
+    assert set(table) == {"a"}
 
 
 def test_v2_crc_failure_stops_replay(ssd):
@@ -167,26 +239,43 @@ def test_v2_crc_failure_stops_replay(ssd):
     assert "ks" not in stream.table
 
 
+def test_crc_failure_is_not_reread_as_another_record(ssd):
+    """A complete frame whose CRC fails ends replay: it is never reread
+    under another framing.  Read as a bare length prefix, this frame's
+    header (a 0x300-byte payload) names an EPOCH record the ~160 KB behind
+    it could hold; an absurd epoch there unsealed the stream, and mount
+    preferred an empty standby zone over it."""
+    codec = MetaCodec()
+    bad = bytearray(codec.encode_delete("x" * 765))
+    bad[-1] ^= 0xFF
+    blob = codec.encode_delete("a") + bytes(bad) + b"".join(
+        codec.encode_delete("y" * 1000) for _ in range(160)
+    )
+    stream = codec.parse_stream(blob, ssd)
+    assert stream.torn
+    assert stream.crc_failures == 1
+    assert stream.records == 1
+    assert stream.epoch == 0
+    assert stream.sealed
+    empty = codec.parse_stream(b"", ssd)
+    assert choose_stream([stream, empty]) is stream
+
+
 def test_delete_record_drops_entry(ssd):
     ks = make_keyspace(ssd)
     codec = MetaCodec()
     blob = codec.encode_upsert(ks, 7) + codec.encode_delete("ks")
     stream = codec.parse_stream(blob, ssd)
     assert stream.table == {}
-    assert stream.bloom_bytes == {}
 
 
-def test_mixed_framing_auto_detects_per_record(ssd):
-    """A device upgraded mid-life appends v2 records after a v1 stream."""
-    ks = make_keyspace(ssd, with_blooms=False)
-    blob = meta_v1.encode_upsert(ks, 3)
-    ks2 = make_keyspace(ssd, with_blooms=True)
-    ks2.name = "ks2"
-    blob += MetaCodec().encode_upsert(ks2, 9)
-    stream = MetaCodec().parse_stream(blob, ssd)
-    assert not stream.torn
-    assert sorted(stream.table) == ["ks", "ks2"]
-    assert stream.table["ks2"][0].pidx_sketch.blooms  # annex applied
+def test_delete_record_drops_writable_entry(ssd):
+    codec = MetaCodec()
+    ks = Keyspace(name="doomed", state=KeyspaceState.WRITABLE)
+    blob = codec.encode_upsert(ks, 1) + codec.encode_delete("doomed")
+    assert replay_records(blob, ssd) == {}
+    # delete of an unknown name is harmless
+    assert replay_records(codec.encode_delete("ghost"), ssd) == {}
 
 
 def test_checkpoint_sealing_and_choose_stream(ssd):
