@@ -69,7 +69,6 @@ TABLE1_CSD = SocSpec(
     n_cores=4,
     dram_bytes=1 * GiB,  # scaled 8 GB
     arm_slowdown=3.0,  # A53 vs EPYC per-core throughput on sort/merge work
-    nvme_queue_depth=64,
     sort_budget_bytes=256 * MiB,  # scaled 4 GiB working space
 )
 

@@ -35,7 +35,7 @@ migration in flight.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Generator, Sequence
+from collections.abc import Generator
 from dataclasses import dataclass, field
 
 from repro.cluster.ring import PlacementPolicy
@@ -45,6 +45,7 @@ from repro.errors import SimulationError
 from repro.nvme.kv_commands import (
     CompactCmd,
     CreateKeyspaceCmd,
+    KvBulkPutCmd,
     KvFsyncCmd,
     KvMultiGetCmd,
     OpenKeyspaceCmd,
@@ -214,22 +215,19 @@ def _migrate_keyspace(
     lk.migration = mig
 
     # -- scan every slice, keep authoritative rows whose owners change
-    scan_parts = []
-    sources = []
-    for dev, phys in lk.physical_locations():
-        client = router.clients[dev]
-        ticket = yield from client.qp.post(
-            RangeQueryCmd(keyspace=phys, lo=b"", hi=_KEY_MAX), ctx,
-            op="range_query", span_args={"dev": dev, "migrate": lk.name},
-        )
-        scan_parts.append((client, ticket))
-        sources.append((dev, phys))
+    sources = lk.physical_locations()
+    scans = yield from router._fan_out(
+        (
+            (dev, RangeQueryCmd(keyspace=phys, lo=b"", hi=_KEY_MAX))
+            for dev, phys in sources
+        ),
+        ctx, "range_query", migrate=lk.name,
+    )
     scanned = 0
     moved: list[tuple[bytes, bytes]] = []
     move_dests: dict[bytes, tuple[str, ...]] = {}
     seen: set[bytes] = set()
-    for (dev, phys), (client, ticket) in zip(sources, scan_parts):
-        completion = yield from client.qp.wait(ticket, ctx)
+    for (dev, phys), completion in zip(sources, scans):
         scanned += len(completion.value)
         for key, value in completion.value:
             loc_devs, loc_phys = lk.locate(key)
@@ -252,13 +250,13 @@ def _migrate_keyspace(
     )
 
     # -- create the fragment on every destination
-    yield from _fanout(
-        router, [(d, CreateKeyspaceCmd(name=fragment)) for d in dests],
-        ctx, "create_keyspace", lk.name,
+    yield from router._fan_out(
+        [(d, CreateKeyspaceCmd(name=fragment)) for d in dests],
+        ctx, "create_keyspace", migrate=lk.name,
     )
-    yield from _fanout(
-        router, [(d, OpenKeyspaceCmd(name=fragment)) for d in dests],
-        ctx, "open_keyspace", lk.name,
+    yield from router._fan_out(
+        [(d, OpenKeyspaceCmd(name=fragment)) for d in dests],
+        ctx, "open_keyspace", migrate=lk.name,
     )
 
     # -- bounded bulk-put pipeline, messages round-robined across dests
@@ -287,7 +285,7 @@ def _migrate_keyspace(
             message = q.popleft()
             client = router.clients[dev]
             ticket = yield from client.qp.post(
-                router._bulk_put_cmd(fragment, message), ctx, op="bulk_put",
+                KvBulkPutCmd.of(fragment, message), ctx, op="bulk_put",
                 span_args={"dev": dev, "migrate": lk.name},
             )
             outstanding.append((client, ticket, len(message)))
@@ -297,21 +295,21 @@ def _migrate_keyspace(
         mig.copied_pairs += npairs
 
     # -- seal the fragment: fsync, compact with the keyspace's indexes, wait
-    yield from _fanout(
-        router, [(d, KvFsyncCmd(keyspace=fragment)) for d in dests],
-        ctx, "fsync", lk.name,
+    yield from router._fan_out(
+        [(d, KvFsyncCmd(keyspace=fragment)) for d in dests],
+        ctx, "fsync", migrate=lk.name,
     )
     sidx_wire = tuple(
         (c.name, c.value_offset, c.width, c.dtype)
         for c in router.sidx_configs.get(lk.name, ())
     )
-    yield from _fanout(
-        router, [(d, CompactCmd(keyspace=fragment, sidx=sidx_wire)) for d in dests],
-        ctx, "compact", lk.name,
+    yield from router._fan_out(
+        [(d, CompactCmd(keyspace=fragment, sidx=sidx_wire)) for d in dests],
+        ctx, "compact", migrate=lk.name,
     )
-    yield from _fanout(
-        router, [(d, WaitCompactionCmd(keyspace=fragment)) for d in dests],
-        ctx, "wait_for_device", lk.name,
+    yield from router._fan_out(
+        [(d, WaitCompactionCmd(keyspace=fragment)) for d in dests],
+        ctx, "wait_for_device", migrate=lk.name,
     )
 
     # -- both copies queryable: foreground GETs start dual-reading
@@ -330,30 +328,25 @@ def _migrate_keyspace(
                 (router._pick(loc_devs), loc_phys), []
             ).append(key)
             new_groups.setdefault(router._pick(move_dests[key]), []).append(key)
-        parts = []
-        for (dev, phys), group in sorted(
-            old_groups.items(), key=lambda kv: (router._order[kv[0][0]], kv[0][1])
-        ):
-            client = router.clients[dev]
-            ticket = yield from client.qp.post(
-                KvMultiGetCmd(keyspace=phys, keys=tuple(group)), ctx,
-                op="multi_get", span_args={"dev": dev, "migrate": lk.name},
+        targets = [
+            (dev, KvMultiGetCmd(keyspace=phys, keys=tuple(group)))
+            for (dev, phys), group in sorted(
+                old_groups.items(),
+                key=lambda kv: (router._order[kv[0][0]], kv[0][1]),
             )
-            parts.append((client, ticket))
-        for dev, group in sorted(
-            new_groups.items(), key=lambda kv: router._order[kv[0]]
-        ):
-            client = router.clients[dev]
-            ticket = yield from client.qp.post(
-                KvMultiGetCmd(keyspace=fragment, keys=tuple(group)), ctx,
-                op="multi_get", span_args={"dev": dev, "migrate": lk.name},
+        ] + [
+            (dev, KvMultiGetCmd(keyspace=fragment, keys=tuple(group)))
+            for dev, group in sorted(
+                new_groups.items(), key=lambda kv: router._order[kv[0]]
             )
-            parts.append((client, ticket))
+        ]
+        completions = yield from router._fan_out(
+            targets, ctx, "multi_get", migrate=lk.name
+        )
         old_vals: dict[bytes, bytes] = {}
         new_vals: dict[bytes, bytes] = {}
         n_old = len(old_groups)
-        for j, (client, ticket) in enumerate(parts):
-            completion = yield from client.qp.wait(ticket, ctx)
+        for j, completion in enumerate(completions):
             (old_vals if j < n_old else new_vals).update(completion.value)
         for key in batch:
             verified += 1
@@ -389,22 +382,3 @@ def _migrate_keyspace(
         verified_pairs=verified,
         mismatches=mismatches,
     )
-
-
-def _fanout(
-    router: ClusterRouter,
-    assignments: Sequence[tuple[str, object]],
-    ctx,
-    op: str,
-    keyspace: str,
-) -> Generator:
-    """Post one command per device concurrently and reap them all."""
-    parts = []
-    for dev, command in assignments:
-        client = router.clients[dev]
-        ticket = yield from client.qp.post(
-            command, ctx, op=op, span_args={"dev": dev, "migrate": keyspace},
-        )
-        parts.append((client, ticket))
-    for client, ticket in parts:
-        yield from client.qp.wait(ticket, ctx)

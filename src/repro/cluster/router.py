@@ -35,6 +35,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Generator, Iterable, Sequence
 from dataclasses import replace as dc_replace
+from itertools import zip_longest
 from typing import Any, Optional
 
 from repro.cluster.ring import HashRing, PlacementPolicy
@@ -223,11 +224,32 @@ class ClusterRouter:
     def _post(
         self, dev: str, command: KvCommand, ctx, op: str, **span_args
     ) -> Generator:
+        """Post one command to ``dev``; its span is stamped with the device
+        (and a bulk PUT's with its pair count)."""
         client = self.clients[dev]
+        if isinstance(command, KvBulkPutCmd):
+            span_args["pairs"] = len(command.keys)
         ticket = yield from client.qp.post(
             command, ctx, op=op, span_args={"dev": dev, **span_args}
         )
         return client, ticket
+
+    def _fan_out(
+        self, targets: Iterable[tuple[str, KvCommand]], ctx, op: str,
+        reap: bool = True, **span_args,
+    ) -> Generator:
+        """Post one command per ``(device, command)`` target, in order.
+
+        With ``reap`` every ticket is then reaped and the completions come
+        back in target order (see :meth:`_wait_all`); without, the posted
+        tickets come back as one :class:`RouterTicket`.
+        """
+        parts = []
+        for dev, command in targets:
+            parts.append((yield from self._post(dev, command, ctx, op, **span_args)))
+        if not reap:
+            return RouterTicket(parts)
+        return (yield from self._wait_all(parts, ctx))
 
     def _wait_all(
         self, parts: Sequence[tuple[KvCsdClient, Any]], ctx
@@ -250,16 +272,14 @@ class ClusterRouter:
         return completions
 
     def _broadcast(
-        self, make_cmd, devices: Sequence[str], ctx, op: str
+        self, command: KvCommand, devices: Sequence[str], ctx, op: str
     ) -> Generator:
-        """Post one command per device concurrently; returns {dev: value}."""
-        parts = []
-        for dev in devices:
-            parts.append((dev, (yield from self._post(dev, make_cmd(dev), ctx, op))))
-        completions = yield from self._wait_all([p for _, p in parts], ctx)
+        """Post ``command`` to every device concurrently; returns {dev: value}."""
+        completions = yield from self._fan_out(
+            ((dev, command) for dev in devices), ctx, op
+        )
         return {
-            dev: completion.value
-            for (dev, _), completion in zip(parts, completions)
+            dev: completion.value for dev, completion in zip(devices, completions)
         }
 
     def metric_gauges(self) -> dict:
@@ -311,8 +331,8 @@ class ClusterRouter:
         lk = LogicalKeyspace(name, self.ring, self.replicas)
         with self._span("create_keyspace", keyspace=name):
             yield from self._broadcast(
-                lambda dev: CreateKeyspaceCmd(name=name),
-                lk.rings[0].devices, ctx, "create_keyspace",
+                CreateKeyspaceCmd(name=name), lk.rings[0].devices, ctx,
+                "create_keyspace",
             )
         self.keyspaces[name] = lk
 
@@ -320,8 +340,8 @@ class ClusterRouter:
         lk = self._lk(name)
         with self._span("open_keyspace", keyspace=name):
             yield from self._broadcast(
-                lambda dev: OpenKeyspaceCmd(name=name),
-                lk.rings[0].devices, ctx, "open_keyspace",
+                OpenKeyspaceCmd(name=name), lk.rings[0].devices, ctx,
+                "open_keyspace",
             )
 
     def delete_keyspace(self, name: str, ctx) -> Generator:
@@ -329,18 +349,16 @@ class ClusterRouter:
         lk = self._lk(name)
         with self._span("delete_keyspace", keyspace=name):
             for dev, phys in lk.physical_locations():
-                client, ticket = yield from self._post(
-                    dev, DeleteKeyspaceCmd(name=phys), ctx, "delete_keyspace"
+                yield from self._fan_out(
+                    [(dev, DeleteKeyspaceCmd(name=phys))], ctx, "delete_keyspace"
                 )
-                yield from self._wait_all([(client, ticket)], ctx)
         del self.keyspaces[name]
 
     def list_keyspaces(self, ctx) -> Generator:
         """Union of device listings, minus internal migration fragments."""
         with self._span("list_keyspaces"):
             per_dev = yield from self._broadcast(
-                lambda dev: ListKeyspacesCmd(), self.devices, ctx,
-                "list_keyspaces",
+                ListKeyspacesCmd(), self.devices, ctx, "list_keyspaces"
             )
         names: set[str] = set()
         for listed in per_dev.values():
@@ -357,23 +375,12 @@ class ClusterRouter:
         lk = self._lk(name)
         with self._span("keyspace_stat", keyspace=name):
             stats = yield from self._broadcast(
-                lambda dev: KeyspaceStatCmd(name=name),
-                lk.rings[0].devices, ctx, "keyspace_stat",
+                KeyspaceStatCmd(name=name), lk.rings[0].devices, ctx,
+                "keyspace_stat",
             )
         return stats
 
     # ------------------------------------------------------------------ writes
-    def _bulk_put_cmd(
-        self, keyspace: str, message: Sequence[tuple[bytes, bytes]]
-    ) -> KvBulkPutCmd:
-        return KvBulkPutCmd(
-            keyspace=keyspace,
-            keys=tuple(k for k, _ in message),
-            values=tuple(v for _, v in message),
-            message_bytes=4 + 6 * len(message)
-            + sum(len(k) + len(v) for k, v in message),
-        )
-
     def put(self, keyspace: str, key: bytes, value: bytes, ctx) -> Generator:
         yield from self.bulk_put(keyspace, [(key, value)], ctx)
 
@@ -381,17 +388,12 @@ class ClusterRouter:
         """Post one PUT to every owner; returns a :class:`RouterTicket`."""
         lk = self._lk(keyspace)
         devs, phys = lk.locate(key)
-        parts = []
-        for dev in devs:
-            parts.append(
-                (
-                    yield from self._post(
-                        dev, self._bulk_put_cmd(phys, [(key, value)]),
-                        ctx, "bulk_put", keyspace=keyspace, pairs=1,
-                    )
-                )
+        return (
+            yield from self._fan_out(
+                ((dev, KvBulkPutCmd.of(phys, [(key, value)])) for dev in devs),
+                ctx, "bulk_put", reap=False, keyspace=keyspace,
             )
-        return RouterTicket(parts)
+        )
 
     def wait(self, ticket, ctx) -> Generator:
         """Reap a router or plain ticket; returns the (primary) Completion."""
@@ -418,34 +420,24 @@ class ClusterRouter:
             devs, phys = lk.locate(key)
             for dev in devs:
                 groups.setdefault((dev, phys), []).append((key, value))
-        queues = []
-        for (dev, phys), group in sorted(
-            groups.items(), key=lambda kv: (self._order[kv[0][0]], kv[0][1])
-        ):
-            client = self.clients[dev]
-            messages = split_into_messages(group, client.bulk_message_bytes)
-            queues.append((dev, phys, list(messages)))
+        per_owner = [
+            [
+                (dev, KvBulkPutCmd.of(phys, message))
+                for message in split_into_messages(
+                    group, self.clients[dev].bulk_message_bytes
+                )
+            ]
+            for (dev, phys), group in sorted(
+                groups.items(), key=lambda kv: (self._order[kv[0][0]], kv[0][1])
+            )
+        ]
+        # one message per owner per round
+        targets = [
+            target for round_ in zip_longest(*per_owner)
+            for target in round_ if target is not None
+        ]
         with self._span("bulk_put", keyspace=keyspace, pairs=len(pairs)):
-            parts = []
-            remaining = True
-            while remaining:
-                remaining = False
-                for dev, phys, messages in queues:
-                    if not messages:
-                        continue
-                    message = messages.pop(0)
-                    parts.append(
-                        (
-                            yield from self._post(
-                                dev, self._bulk_put_cmd(phys, message), ctx,
-                                "bulk_put", keyspace=keyspace,
-                                pairs=len(message),
-                            )
-                        )
-                    )
-                    if messages:
-                        remaining = True
-            yield from self._wait_all(parts, ctx)
+            yield from self._fan_out(targets, ctx, "bulk_put", keyspace=keyspace)
 
     def bulk_delete(self, keyspace: str, keys: Sequence[bytes], ctx) -> Generator:
         lk = self._lk(keyspace)
@@ -455,35 +447,27 @@ class ClusterRouter:
             for dev in devs:
                 groups.setdefault((dev, phys), []).append(key)
         with self._span("bulk_delete", keyspace=keyspace, keys=len(keys)):
-            parts = []
-            for (dev, phys), group in sorted(
-                groups.items(), key=lambda kv: (self._order[kv[0][0]], kv[0][1])
-            ):
-                parts.append(
-                    (
-                        yield from self._post(
-                            dev,
-                            KvBulkDeleteCmd(keyspace=phys, keys=tuple(group)),
-                            ctx, "bulk_delete", keyspace=keyspace,
-                        )
+            yield from self._fan_out(
+                (
+                    (dev, KvBulkDeleteCmd(keyspace=phys, keys=tuple(group)))
+                    for (dev, phys), group in sorted(
+                        groups.items(),
+                        key=lambda kv: (self._order[kv[0][0]], kv[0][1]),
                     )
-                )
-            yield from self._wait_all(parts, ctx)
+                ),
+                ctx, "bulk_delete", keyspace=keyspace,
+            )
 
     def fsync(self, keyspace: str, ctx) -> Generator:
         lk = self._lk(keyspace)
         with self._span("fsync", keyspace=keyspace):
-            parts = []
-            for dev, phys in lk.physical_locations():
-                parts.append(
-                    (
-                        yield from self._post(
-                            dev, KvFsyncCmd(keyspace=phys), ctx, "fsync",
-                            keyspace=keyspace,
-                        )
-                    )
-                )
-            yield from self._wait_all(parts, ctx)
+            yield from self._fan_out(
+                (
+                    (dev, KvFsyncCmd(keyspace=phys))
+                    for dev, phys in lk.physical_locations()
+                ),
+                ctx, "fsync", keyspace=keyspace,
+            )
 
     # ------------------------------------------------------------------ offloaded
     def compact(
@@ -503,7 +487,7 @@ class ClusterRouter:
         )
         with self._span("compact", keyspace=keyspace):
             yield from self._broadcast(
-                lambda dev: CompactCmd(keyspace=keyspace, sidx=sidx_wire),
+                CompactCmd(keyspace=keyspace, sidx=sidx_wire),
                 lk.rings[0].devices, ctx, "compact",
             )
         lk.sealed = True
@@ -526,7 +510,7 @@ class ClusterRouter:
         )
         with self._span("build_sidx", keyspace=keyspace, index=index_name):
             yield from self._broadcast(
-                lambda dev: BuildSidxCmd(
+                BuildSidxCmd(
                     keyspace=keyspace, index_name=index_name,
                     value_offset=value_offset, width=width, dtype=dtype,
                 ),
@@ -537,17 +521,13 @@ class ClusterRouter:
         """Wait for offloaded jobs on every shard-holding device."""
         lk = self._lk(keyspace)
         with self._span("wait_for_device", keyspace=keyspace):
-            parts = []
-            for dev, phys in lk.physical_locations():
-                parts.append(
-                    (
-                        yield from self._post(
-                            dev, WaitCompactionCmd(keyspace=phys), ctx,
-                            "wait_for_device", keyspace=keyspace,
-                        )
-                    )
-                )
-            yield from self._wait_all(parts, ctx)
+            yield from self._fan_out(
+                (
+                    (dev, WaitCompactionCmd(keyspace=phys))
+                    for dev, phys in lk.physical_locations()
+                ),
+                ctx, "wait_for_device", keyspace=keyspace,
+            )
 
     # ------------------------------------------------------------------ queries
     def get(self, keyspace: str, key: bytes, ctx) -> Generator:
@@ -572,12 +552,10 @@ class ClusterRouter:
                             key, devs, phys, new_devs, new_phys, ctx
                         )
                     )
-            dev = self._pick(devs)
-            client, ticket = yield from self._post(
-                dev, KvGetCmd(keyspace=phys, key=key), ctx, "get",
-                keyspace=keyspace,
+            (completion,) = yield from self._fan_out(
+                [(self._pick(devs), KvGetCmd(keyspace=phys, key=key))], ctx,
+                "get", keyspace=keyspace,
             )
-            completion = yield from client.qp.wait(ticket, ctx)
             return completion.value
 
     def _dual_get(self, key, devs, phys, new_devs, new_phys, ctx) -> Generator:
@@ -607,12 +585,12 @@ class ClusterRouter:
     def get_async(self, keyspace: str, key: bytes, ctx) -> Generator:
         lk = self._lk(keyspace)
         devs, phys = lk.locate(key)
-        dev = self._pick(devs)
-        part = yield from self._post(
-            dev, KvGetCmd(keyspace=phys, key=key), ctx, "get",
-            keyspace=keyspace,
+        return (
+            yield from self._fan_out(
+                [(self._pick(devs), KvGetCmd(keyspace=phys, key=key))],
+                ctx, "get", reap=False, keyspace=keyspace,
+            )
         )
-        return RouterTicket([part])
 
     def multi_get(self, keyspace: str, keys: Sequence[bytes], ctx) -> Generator:
         """Batched GETs: one MultiGet per owning device, merged on the host."""
@@ -630,25 +608,21 @@ class ClusterRouter:
                     pending_groups.setdefault(
                         (self._pick(new_devs), new_phys), []
                     ).append(key)
+        targets = []
+        order = []
+        for bucket, primary in ((groups, True), (pending_groups, False)):
+            for (dev, phys), group in sorted(
+                bucket.items(),
+                key=lambda kv: (self._order[kv[0][0]], kv[0][1]),
+            ):
+                targets.append(
+                    (dev, KvMultiGetCmd(keyspace=phys, keys=tuple(group)))
+                )
+                order.append(primary)
         with self._span("multi_get", keyspace=keyspace, keys=len(keys)):
-            parts = []
-            order = []
-            for bucket, primary in ((groups, True), (pending_groups, False)):
-                for (dev, phys), group in sorted(
-                    bucket.items(),
-                    key=lambda kv: (self._order[kv[0][0]], kv[0][1]),
-                ):
-                    parts.append(
-                        (
-                            yield from self._post(
-                                dev,
-                                KvMultiGetCmd(keyspace=phys, keys=tuple(group)),
-                                ctx, "multi_get", keyspace=keyspace,
-                            )
-                        )
-                    )
-                    order.append(primary)
-            completions = yield from self._wait_all(parts, ctx)
+            completions = yield from self._fan_out(
+                targets, ctx, "multi_get", keyspace=keyspace
+            )
             merged: dict[bytes, bytes] = {}
             shadow: dict[bytes, bytes] = {}
             for primary, completion in zip(order, completions):
@@ -678,14 +652,10 @@ class ClusterRouter:
         both the pre-migration copies left behind in source shards and
         (adjacent-duplicate elimination) the extra replica copies.
         """
-        parts = []
-        sources = []
-        for dev, phys in lk.physical_locations():
-            parts.append(
-                (yield from self._post(dev, make_cmd(phys), ctx, op))
-            )
-            sources.append((dev, phys))
-        completions = yield from self._wait_all(parts, ctx)
+        sources = lk.physical_locations()
+        completions = yield from self._fan_out(
+            ((dev, make_cmd(phys)) for dev, phys in sources), ctx, op
+        )
         runs = []
         total = 0
         for (dev, phys), completion in zip(sources, completions):
@@ -804,7 +774,7 @@ class ClusterRouter:
         pacing the whole fleet.
         """
         with self._span("submit_many"):
-            posted: list[list[tuple[KvCsdClient, Any]]] = []
+            posted: list[RouterTicket] = []
             slot_of: list[int] = []
             seen: dict[tuple, int] = {}
             for command in commands:
@@ -818,26 +788,20 @@ class ClusterRouter:
                         self.counters["coalesced_reads"] += 1
                         slot_of.append(slot)
                         continue
-                parts = []
-                for dev, routed in self._route_command(command):
-                    parts.append(
-                        (
-                            yield from self._post(
-                                dev, routed, ctx,
-                                _BATCH_OPS[type(routed)],
-                            )
-                        )
-                    )
+                targets = self._route_command(command)
+                ticket = yield from self._fan_out(
+                    targets, ctx, _BATCH_OPS[type(command)], reap=False
+                )
                 if read_key is not None:
                     seen[read_key] = len(posted)
                 slot_of.append(len(posted))
-                posted.append(parts)
+                posted.append(ticket)
             unique: list[Completion] = []
-            for parts in posted:
+            for ticket in posted:
                 first: Optional[Completion] = None
-                for client, ticket in parts:
+                for client, part in ticket.parts:
                     completion = yield from client.qp.wait(
-                        ticket, ctx, raise_on_error=False
+                        part, ctx, raise_on_error=False
                     )
                     if first is None:
                         first = completion
@@ -845,14 +809,10 @@ class ClusterRouter:
             return [unique[slot] for slot in slot_of]
 
     def submit_async(self, command: KvCommand, ctx, op=None, **span_args) -> Generator:
-        parts = []
-        for dev, routed in self._route_command(command):
-            parts.append(
-                (
-                    yield from self._post(
-                        dev, routed, ctx, op or _BATCH_OPS[type(routed)],
-                        **span_args,
-                    )
-                )
+        targets = self._route_command(command)
+        return (
+            yield from self._fan_out(
+                targets, ctx, op or _BATCH_OPS[type(command)], reap=False,
+                **span_args,
             )
-        return RouterTicket(parts)
+        )

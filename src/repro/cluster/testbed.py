@@ -24,6 +24,7 @@ from repro.core import KvCsdClient, KvCsdDevice
 from repro.errors import SimulationError
 from repro.host import ThreadCtx
 from repro.nvme.fabric import NvmeOfLink
+from repro.nvme.transport import Link
 from repro.sim import CpuPool, Environment
 from repro.sim.rng import RngRegistry
 from repro.soc import SocBoard, SocSpec
@@ -42,7 +43,7 @@ class DeviceNode:
     ssd: ZnsSsd
     board: SocBoard
     device: KvCsdDevice
-    link: NvmeOfLink
+    link: Link
     client: KvCsdClient
 
 

@@ -31,11 +31,10 @@ from repro.core.costs import ClientCostModel
 from repro.core.device import KvCsdDevice
 from repro.core.dispatch import KvCommandDispatcher
 from repro.core.sidx import SidxConfig
-from repro.core.wire import BULK_MESSAGE_BYTES, pair_wire_size, split_into_messages
+from repro.core.wire import BULK_MESSAGE_BYTES, split_into_messages
 from repro.host.threads import ThreadCtx
 from repro.nvme.commands import Completion
 from repro.nvme.kv_commands import (
-    COMMAND_WIRE_BYTES,
     BuildSidxCmd,
     CompactCmd,
     CreateKeyspaceCmd,
@@ -44,8 +43,6 @@ from repro.nvme.kv_commands import (
     KvBulkDeleteCmd,
     KvBulkPutCmd,
     KvCommand,
-    KvDeleteCmd,
-    KvExistCmd,
     KvFsyncCmd,
     KvGetCmd,
     KvMultiGetCmd,
@@ -57,74 +54,9 @@ from repro.nvme.kv_commands import (
     WaitCompactionCmd,
 )
 from repro.nvme.queues import CommandTicket, KvQueuePair
-from repro.nvme.transport import PcieLink
+from repro.nvme.transport import Link
 
-__all__ = [
-    "KvCsdClient",
-    "COMMAND_WIRE_BYTES",
-    "command_payload_bytes",
-    "command_result_bytes",
-]
-
-
-def command_payload_bytes(command: KvCommand) -> int:
-    """Wire payload of one command capsule, beyond the fixed 64-byte frame.
-
-    This is the host->device half of the wire-accounting contract: command
-    capsules carry names/keys/framing, never values (values only travel in
-    bulk-PUT messages).
-    """
-    if isinstance(command, (CreateKeyspaceCmd, OpenKeyspaceCmd, DeleteKeyspaceCmd,
-                            KeyspaceStatCmd)):
-        return len(command.name)
-    if isinstance(command, ListKeyspacesCmd):
-        return 0
-    if isinstance(command, KvBulkPutCmd):
-        return command.message_bytes or (
-            4 + sum(pair_wire_size(k, v) for k, v in zip(command.keys, command.values))
-        )
-    if isinstance(command, KvBulkDeleteCmd):
-        return sum(len(k) + 2 for k in command.keys)
-    if isinstance(command, KvDeleteCmd):
-        return len(command.key) + 2
-    if isinstance(command, KvFsyncCmd):
-        return len(command.keyspace)
-    if isinstance(command, CompactCmd):
-        return len(command.keyspace) + 24 * len(command.sidx)
-    if isinstance(command, BuildSidxCmd):
-        return len(command.keyspace) + len(command.index_name) + 16
-    if isinstance(command, WaitCompactionCmd):
-        return len(command.keyspace)
-    if isinstance(command, (KvGetCmd, KvExistCmd)):
-        return len(command.key)
-    if isinstance(command, KvMultiGetCmd):
-        return sum(len(k) + 2 for k in command.keys)
-    if isinstance(command, RangeQueryCmd):
-        return len(command.lo) + len(command.hi)
-    if isinstance(command, SidxRangeQueryCmd):
-        return len(command.lo) + len(command.hi) + len(command.index_name)
-    if isinstance(command, SidxPointQueryCmd):
-        return len(command.skey) + len(command.index_name)
-    return 0
-
-
-def command_result_bytes(command: KvCommand, value: object) -> int:
-    """Wire size of one command's result, the device->host half.
-
-    GET results are the bare value (the 64-byte CQE frame is not modelled
-    for the value path, matching the pre-refactor accounting); batched and
-    range results carry keys+values plus the frame; everything else returns
-    a bare CQE-sized acknowledgement.
-    """
-    if isinstance(command, KvGetCmd):
-        return len(value)
-    if isinstance(command, ListKeyspacesCmd):
-        return sum(len(n) for n in value) + 16
-    if isinstance(command, KvMultiGetCmd):
-        return sum(len(k) + len(v) for k, v in value.items()) + COMMAND_WIRE_BYTES
-    if isinstance(command, (RangeQueryCmd, SidxRangeQueryCmd, SidxPointQueryCmd)):
-        return sum(len(k) + len(v) for k, v in value) + COMMAND_WIRE_BYTES
-    return COMMAND_WIRE_BYTES
+__all__ = ["KvCsdClient"]
 
 
 class KvCsdClient:
@@ -133,7 +65,7 @@ class KvCsdClient:
     def __init__(
         self,
         device: KvCsdDevice,
-        link: PcieLink,
+        link: Link,
         costs: ClientCostModel | None = None,
         bulk_message_bytes: int = BULK_MESSAGE_BYTES,
         queue_depth: int = 32,
@@ -149,8 +81,6 @@ class KvCsdClient:
             self.dispatcher,
             link,
             costs=self.costs,
-            capsule_bytes=command_payload_bytes,
-            result_bytes=command_result_bytes,
             depth=queue_depth,
         )
         device.register_host_qp(self.qp)
@@ -238,18 +168,6 @@ class KvCsdClient:
         )
 
     # ------------------------------------------------------------------ writes
-    def _bulk_put_cmd(
-        self, keyspace: str, message: Sequence[tuple[bytes, bytes]]
-    ) -> KvBulkPutCmd:
-        return KvBulkPutCmd(
-            keyspace=keyspace,
-            keys=tuple(k for k, _ in message),
-            values=tuple(v for _, v in message),
-            # == 4 + sum(pair_wire_size(k, v)): 6 framing bytes per pair
-            message_bytes=4 + 6 * len(message)
-            + sum(len(k) + len(v) for k, v in message),
-        )
-
     def put(self, keyspace: str, key: bytes, value: bytes, ctx: ThreadCtx) -> Generator:
         """Store one pair (a degenerate one-pair bulk message)."""
         yield from self.bulk_put(keyspace, [(key, value)], ctx)
@@ -260,7 +178,7 @@ class KvCsdClient:
         """Post one PUT; returns a ticket to :meth:`wait` on."""
         return (
             yield from self.submit_async(
-                self._bulk_put_cmd(keyspace, [(key, value)]),
+                KvBulkPutCmd.of(keyspace, [(key, value)]),
                 ctx,
                 op="bulk_put",
                 keyspace=keyspace,
@@ -281,7 +199,7 @@ class KvCsdClient:
         """
         for message in split_into_messages(list(pairs), self.bulk_message_bytes):
             yield from self._call(
-                self._bulk_put_cmd(keyspace, message),
+                KvBulkPutCmd.of(keyspace, message),
                 ctx,
                 "bulk_put",
                 keyspace=keyspace,
@@ -298,7 +216,7 @@ class KvCsdClient:
         tickets = []
         for message in split_into_messages(list(pairs), self.bulk_message_bytes):
             ticket = yield from self.submit_async(
-                self._bulk_put_cmd(keyspace, message),
+                KvBulkPutCmd.of(keyspace, message),
                 ctx,
                 op="bulk_put",
                 keyspace=keyspace,

@@ -105,6 +105,8 @@ class Ingest:
                     self.costs.request_overhead
                     + self.costs.membuf_insert_per_pair * len(keys),
                 )
+                if not keys:
+                    return  # charged like any request; nothing to record
                 first_seq = ks.seq + 1
                 ks.seq += len(keys)
                 no_pointer = np.zeros(len(keys), dtype=np.int64)

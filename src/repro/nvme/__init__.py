@@ -1,4 +1,4 @@
-"""NVMe substrate: command sets, queue pairs, controllers, PCIe transport."""
+"""NVMe substrate: command sets, queue pairs, controllers, the host link."""
 
 from repro.nvme.commands import (
     Completion,
@@ -13,7 +13,7 @@ from repro.nvme.commands import (
 )
 from repro.nvme.controller import NvmeController
 from repro.nvme.queues import CommandTicket, KvQueuePair, QueuePair
-from repro.nvme.transport import PcieLink
+from repro.nvme.transport import Link, PcieLink
 
 __all__ = [
     "CommandTicket",
@@ -29,5 +29,6 @@ __all__ = [
     "ZoneFinishCmd",
     "NvmeController",
     "QueuePair",
+    "Link",
     "PcieLink",
 ]

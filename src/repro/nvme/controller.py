@@ -54,11 +54,13 @@ class NvmeController:
         self.inflight = 0
         self.max_inflight = 0
 
-    def execute(self, command: NvmeCommand) -> Generator:
+    def execute(self, command: NvmeCommand, ctx: object = None) -> Generator:
         """Run one command to completion; returns a :class:`Completion`.
 
         Re-entrant: an async queue pair spawns one execution process per
         posted command, so up to queue-depth invocations overlap here.
+        ``ctx`` (the queue pair's execution context) is unused: controller
+        firmware time is not billed to a host or SoC core.
         """
         self.inflight += 1
         self.max_inflight = max(self.max_inflight, self.inflight)

@@ -5,10 +5,18 @@ command set between client and device, extended with commands "not currently
 in the standard such as compaction and secondary index operations".  These
 dataclasses are that wire vocabulary; the KV-CSD device firmware
 (:mod:`repro.core.device`) implements their semantics.
+
+Each command sizes itself on the wire: :meth:`KvCommand.payload_bytes` is
+the capsule payload beyond the fixed 64-byte frame (names, keys, framing —
+values travel only in bulk-PUT messages) and :meth:`KvCommand.result_bytes`
+the result sent back.  GET results are the bare value; batched and range
+results carry keys + values plus the frame; everything else returns a bare
+CQE-sized acknowledgement.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.nvme.commands import NvmeCommand
@@ -44,35 +52,55 @@ COMMAND_WIRE_BYTES = 64
 class KvCommand(NvmeCommand):
     """Base class for key-value commands; all carry a target keyspace."""
 
+    def payload_bytes(self) -> int:
+        """Wire payload of the command capsule, beyond the fixed frame."""
+        return 0
+
+    def result_bytes(self, value: object) -> int:
+        """Wire size of the command's result (``value``, from the device)."""
+        return COMMAND_WIRE_BYTES
+
+
+def _rows_bytes(rows) -> int:
+    """A (key, value) row result plus the frame."""
+    return sum(len(k) + len(v) for k, v in rows) + COMMAND_WIRE_BYTES
+
 
 # -- keyspace lifecycle --------------------------------------------------------
 @dataclass(frozen=True)
-class CreateKeyspaceCmd(KvCommand):
+class _NamedCmd(KvCommand):
+    """A lifecycle command addressed by keyspace name (its whole payload)."""
+
     name: str
+
+    def payload_bytes(self) -> int:
+        return len(self.name)
 
 
 @dataclass(frozen=True)
-class DeleteKeyspaceCmd(KvCommand):
-    name: str
+class CreateKeyspaceCmd(_NamedCmd):
+    """Create an EMPTY keyspace."""
 
 
 @dataclass(frozen=True)
-class OpenKeyspaceCmd(KvCommand):
+class DeleteKeyspaceCmd(_NamedCmd):
+    """Delete a keyspace and reclaim its zones."""
+
+
+@dataclass(frozen=True)
+class OpenKeyspaceCmd(_NamedCmd):
     """Open for writing; transitions EMPTY -> WRITABLE on first open."""
-
-    name: str
 
 
 @dataclass(frozen=True)
 class ListKeyspacesCmd(KvCommand):
-    pass
+    def result_bytes(self, value: object) -> int:
+        return sum(len(n) for n in value) + 16
 
 
 @dataclass(frozen=True)
-class KeyspaceStatCmd(KvCommand):
+class KeyspaceStatCmd(_NamedCmd):
     """Fetch keyspace state and metadata (pair count, key bounds)."""
-
-    name: str
 
 
 # -- data path -------------------------------------------------------------------
@@ -83,8 +111,27 @@ class KvBulkPutCmd(KvCommand):
     keyspace: str
     keys: tuple[bytes, ...]
     values: tuple[bytes, ...]
-    #: serialized message size on the wire, set by the client packer
+    #: serialized message size on the wire, set by :meth:`of`
     message_bytes: int = 0
+
+    @classmethod
+    def of(
+        cls, keyspace: str, pairs: Sequence[tuple[bytes, bytes]]
+    ) -> "KvBulkPutCmd":
+        """One bulk-PUT message carrying ``pairs``, its wire size set."""
+        return cls(
+            keyspace=keyspace,
+            keys=tuple(k for k, _ in pairs),
+            values=tuple(v for _, v in pairs),
+            # == 4 + sum(pair_wire_size(k, v)): 6 framing bytes per pair
+            message_bytes=4 + 6 * len(pairs)
+            + sum(len(k) + len(v) for k, v in pairs),
+        )
+
+    def payload_bytes(self) -> int:
+        return self.message_bytes or (
+            4 + sum(6 + len(k) + len(v) for k, v in zip(self.keys, self.values))
+        )
 
 
 @dataclass(frozen=True)
@@ -94,6 +141,12 @@ class KvGetCmd(KvCommand):
     keyspace: str
     key: bytes
 
+    def payload_bytes(self) -> int:
+        return len(self.key)
+
+    def result_bytes(self, value: object) -> int:
+        return len(value)
+
 
 @dataclass(frozen=True)
 class KvMultiGetCmd(KvCommand):
@@ -102,11 +155,20 @@ class KvMultiGetCmd(KvCommand):
     keyspace: str
     keys: tuple[bytes, ...]
 
+    def payload_bytes(self) -> int:
+        return sum(len(k) + 2 for k in self.keys)
+
+    def result_bytes(self, value: object) -> int:
+        return _rows_bytes(value.items())
+
 
 @dataclass(frozen=True)
 class KvDeleteCmd(KvCommand):
     keyspace: str
     key: bytes
+
+    def payload_bytes(self) -> int:
+        return len(self.key) + 2
 
 
 @dataclass(frozen=True)
@@ -116,11 +178,17 @@ class KvBulkDeleteCmd(KvCommand):
     keyspace: str
     keys: tuple[bytes, ...]
 
+    def payload_bytes(self) -> int:
+        return sum(len(k) + 2 for k in self.keys)
+
 
 @dataclass(frozen=True)
 class KvExistCmd(KvCommand):
     keyspace: str
     key: bytes
+
+    def payload_bytes(self) -> int:
+        return len(self.key)
 
 
 @dataclass(frozen=True)
@@ -128,6 +196,9 @@ class KvFsyncCmd(KvCommand):
     """Force a keyspace's buffered writes to its zones (durability point)."""
 
     keyspace: str
+
+    def payload_bytes(self) -> int:
+        return len(self.keyspace)
 
 
 # -- offloaded operations (KV-CSD extensions) --------------------------------------
@@ -143,12 +214,18 @@ class CompactCmd(KvCommand):
     keyspace: str
     sidx: tuple[tuple[str, int, int, str], ...] = ()
 
+    def payload_bytes(self) -> int:
+        return len(self.keyspace) + 24 * len(self.sidx)
+
 
 @dataclass(frozen=True)
 class WaitCompactionCmd(KvCommand):
     """Block until a keyspace's compaction (and index builds) finish."""
 
     keyspace: str
+
+    def payload_bytes(self) -> int:
+        return len(self.keyspace)
 
 
 @dataclass(frozen=True)
@@ -165,6 +242,9 @@ class BuildSidxCmd(KvCommand):
     width: int
     dtype: str = "bytes"
 
+    def payload_bytes(self) -> int:
+        return len(self.keyspace) + len(self.index_name) + 16
+
 
 @dataclass(frozen=True)
 class RangeQueryCmd(KvCommand):
@@ -173,6 +253,12 @@ class RangeQueryCmd(KvCommand):
     keyspace: str
     lo: bytes
     hi: bytes
+
+    def payload_bytes(self) -> int:
+        return len(self.lo) + len(self.hi)
+
+    def result_bytes(self, value: object) -> int:
+        return _rows_bytes(value)
 
 
 @dataclass(frozen=True)
@@ -183,6 +269,12 @@ class SidxPointQueryCmd(KvCommand):
     index_name: str
     skey: bytes
 
+    def payload_bytes(self) -> int:
+        return len(self.skey) + len(self.index_name)
+
+    def result_bytes(self, value: object) -> int:
+        return _rows_bytes(value)
+
 
 @dataclass(frozen=True)
 class SidxRangeQueryCmd(KvCommand):
@@ -192,3 +284,9 @@ class SidxRangeQueryCmd(KvCommand):
     index_name: str
     lo: bytes
     hi: bytes
+
+    def payload_bytes(self) -> int:
+        return len(self.lo) + len(self.hi) + len(self.index_name)
+
+    def result_bytes(self, value: object) -> int:
+        return _rows_bytes(value)

@@ -1,10 +1,12 @@
-"""PCIe link and DMA-engine model.
+"""The host<->device link: PCIe lanes or an NVMe-over-Fabrics path.
 
 The client library talks to the KV-CSD device over PCIe (16 lanes of Gen3 in
-the paper's testbed, Table I); the SoC talks to its backing SSD over 4
-lanes.  A link is full-duplex: independent TX and RX directions, each a
-capacity-1 resource with ``latency + bytes/bandwidth`` occupancy per
-transfer.  Per-message DMA setup cost is part of the latency term.
+the paper's testbed, Table I); :mod:`repro.nvme.fabric` builds the same
+:class:`Link` over an RDMA fabric, so the client works over either
+unchanged.  A link is full-duplex: independent TX and RX directions, each a
+capacity-1 resource occupied ``latency + overhead + bytes/bandwidth`` per
+transfer.  ``overhead`` is the per-message capsule processing an NVMe-oF
+target adds; it is 0.0 on PCIe, where DMA setup is part of the latency term.
 """
 
 from __future__ import annotations
@@ -16,30 +18,29 @@ from repro.sim.core import Environment
 from repro.sim.resources import Resource
 from repro.units import GB, usec
 
-__all__ = ["PcieLink"]
+__all__ = ["Link", "PcieLink"]
 
 #: Usable bandwidth of one PCIe Gen3 lane after encoding/protocol overhead.
 GEN3_LANE_BW = 0.985 * GB
 
 
-class PcieLink:
-    """A full-duplex PCIe connection between two endpoints."""
+class Link:
+    """A full-duplex connection between a host and one device."""
 
     def __init__(
         self,
         env: Environment,
-        lanes: int = 16,
-        lane_bandwidth: float = GEN3_LANE_BW,
-        latency: float = usec(0.9),
-        name: str = "pcie",
+        bandwidth: float,
+        latency: float,
+        overhead: float = 0.0,
+        name: str = "link",
     ):
-        if lanes < 1:
-            raise SimulationError("a PCIe link needs at least one lane")
-        if lane_bandwidth <= 0 or latency < 0:
-            raise SimulationError("invalid PCIe parameters")
+        if bandwidth <= 0 or latency < 0 or overhead < 0:
+            raise SimulationError("invalid link parameters")
         self.env = env
-        self.bandwidth = lanes * lane_bandwidth
+        self.bandwidth = bandwidth
         self.latency = latency
+        self.overhead = overhead
         self.name = name
         self._tx = Resource(env, capacity=1)
         self._rx = Resource(env, capacity=1)
@@ -55,7 +56,7 @@ class PcieLink:
         self.ops_rx = 0
 
     def _move(self, direction: Resource, nbytes: int, op: str) -> Generator:
-        seconds = self.latency + nbytes / self.bandwidth
+        seconds = self.latency + self.overhead + nbytes / self.bandwidth
         probe = self.env.probe
         if probe is None:
             # Untraced fast path: no span objects, but acquisition still
@@ -97,3 +98,16 @@ class PcieLink:
     def total_bytes(self) -> int:
         """All bytes that crossed the link in either direction."""
         return self.bytes_tx + self.bytes_rx
+
+
+def PcieLink(
+    env: Environment,
+    lanes: int = 16,
+    lane_bandwidth: float = GEN3_LANE_BW,
+    latency: float = usec(0.9),
+    name: str = "pcie",
+) -> Link:
+    """A local PCIe connection of ``lanes`` lanes."""
+    if lanes < 1:
+        raise SimulationError("a PCIe link needs at least one lane")
+    return Link(env, lanes * lane_bandwidth, latency, name=name)

@@ -162,7 +162,6 @@ def register_device_metrics(
         hub.register_registry(f"{prefix}kvcsd", device.stats)
         if device.block_cache is not None:
             hub.register_registry(f"{prefix}block_cache", device.block_cache.stats)
-        hub.register_queue_pair(f"{prefix}soc-ssd", device.board.qp)
         for i, qp in enumerate(device.host_qps):
             hub.register_queue_pair(
                 f"{prefix}host-kv" if i == 0 else f"{prefix}host-kv-{i}", qp
@@ -197,10 +196,9 @@ def install_observability(
 
     Registers the device's counters (and its block cache's, when present),
     the SSD's I/O, channel-busy and fault-trip counters, the host link's
-    byte counters, the NVMe queue pairs (the SoC's block queue and any host
-    KV queue pairs registered on the device), the device's gauges
-    (scheduler queue depth, DRAM budget pressure, zone-pool occupancy,
-    mount stages), the admission queue-depth summary and the kernel's
+    byte counters, the host KV queue pairs registered on the device, the
+    device's gauges (scheduler queue depth, DRAM budget pressure, zone-pool
+    occupancy, mount stages), the admission queue-depth summary and the kernel's
     self-telemetry (``sim.*``: events scheduled, heap and immediate-queue
     depth, timeout pool), then installs a tracer feeding per-op latency
     summaries into the hub.  ``prefix`` scopes the registration names (see

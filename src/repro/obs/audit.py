@@ -412,18 +412,15 @@ def check_dram_budget_accounting(device: "KvCsdDevice") -> list[str]:
 def check_nvme_queue_sanity(device: "KvCsdDevice") -> list[str]:
     """Queue-pair accounting is consistent with the queue depth.
 
-    Covers the SoC's block queue pair and every host KV queue pair
-    registered on the device.  With async post/reap the in-flight set is
-    first-class state, so beyond the counter ordering this checks the
-    identity ``submitted - completed == inflight`` (slots are acquired and
-    released atomically with the counters) and that unreaped completions
-    reconcile with the reap counters.
+    Covers every host KV queue pair registered on the device.  With async
+    post/reap the in-flight set is first-class state, so beyond the counter
+    ordering this checks the identity ``submitted - completed == inflight``
+    (slots are acquired and released atomically with the counters) and
+    that unreaped completions reconcile with the reap counters.
     """
     problems: list[str] = []
-    pairs = [("soc-ssd", device.board.qp)]
-    pairs += [(f"host-kv-{i}", qp) for i, qp in enumerate(device.host_qps)]
-    for label, qp in pairs:
-        problems += [f"{label}: {p}" for p in check_queue_pair_accounting(qp)]
+    for i, qp in enumerate(device.host_qps):
+        problems += [f"host-kv-{i}: {p}" for p in check_queue_pair_accounting(qp)]
     return problems
 
 

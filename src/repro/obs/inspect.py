@@ -1,8 +1,8 @@
 """Device introspection: versioned full-state snapshots.
 
 Every stateful component exposes an ``introspect()`` dict (keyspaces,
-sketches, membufs, zone manager, ZNS zone table, NVMe queue pair, SoC DRAM
-budget, block cache, fault plan);  :func:`device_snapshot` aggregates them
+sketches, membufs, zone manager, ZNS zone table, SoC DRAM budget, block
+cache, fault plan);  :func:`device_snapshot` aggregates them
 into one JSON-ready document stamped with :data:`SNAPSHOT_SCHEMA_VERSION`
 and the virtual clock.  :func:`format_snapshot` renders the same document
 as a human-readable tree for ``repro inspect``.
@@ -28,7 +28,7 @@ __all__ = [
 
 #: Bump when a key is renamed/removed or its meaning changes; adding new
 #: keys is backward-compatible and does not require a bump.
-SNAPSHOT_SCHEMA_VERSION = 2
+SNAPSHOT_SCHEMA_VERSION = 3
 
 
 def device_snapshot(device: "KvCsdDevice") -> dict[str, Any]:

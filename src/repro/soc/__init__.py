@@ -1,7 +1,6 @@
-"""Device-controller substrate: the SoC board, its DRAM budget and SPDK path."""
+"""Device-controller substrate: the SoC board and its DRAM budget."""
 
 from repro.soc.board import SocBoard, SocSpec
 from repro.soc.dram import DramBudget
-from repro.soc.spdk import SpdkDriver
 
-__all__ = ["SocBoard", "SocSpec", "DramBudget", "SpdkDriver"]
+__all__ = ["SocBoard", "SocSpec", "DramBudget"]

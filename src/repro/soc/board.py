@@ -1,10 +1,14 @@
-"""The KV-CSD SoC board: ARM cores, DRAM, and the SPDK path to the SSD.
+"""The KV-CSD SoC board: ARM cores, DRAM, and the ZNS SSD behind them.
 
 Mirrors the paper's Fidus Sidewinder-100 setup (Table I): a quad-core ARM
 Cortex-A53 with 8 GB DDR4 running the device firmware, connected to an NVMe
 ZNS SSD.  The board is deliberately *weaker* than the host — the point the
 evaluation makes is that even slow device cores win by being asynchronous
 and close to the data.
+
+Firmware flash I/O goes straight to the :class:`~repro.ssd.zns.ZnsSsd`
+model: the paper's SPDK driver path is not modelled as a queue, and no
+per-command SoC CPU is charged for it.
 """
 
 from __future__ import annotations
@@ -14,12 +18,9 @@ from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.host.threads import ThreadCtx
-from repro.nvme.controller import NvmeController
-from repro.nvme.queues import QueuePair
 from repro.sim.core import Environment
 from repro.sim.cpu import CpuPool
 from repro.soc.dram import DramBudget
-from repro.soc.spdk import SpdkDriver
 from repro.ssd.zns import ZnsSsd
 from repro.units import GiB
 
@@ -40,7 +41,6 @@ class SocSpec:
     dram_bytes: int = 8 * GiB
     arm_slowdown: float = 3.0
     timeslice: float = 10e-3
-    nvme_queue_depth: int = 64
     #: DRAM the firmware may use for one sort run (leaves room for buffers);
     #: scaled down together with workloads in benchmarks.
     sort_budget_bytes: int = 4 * GiB
@@ -98,9 +98,6 @@ class SocBoard:
             env, self.spec.n_cores, timeslice=self.spec.timeslice, name="soc"
         )
         self.dram = DramBudget(env, self.spec.dram_bytes)
-        controller = NvmeController(env, ssd)
-        self.qp = QueuePair(env, controller, depth=self.spec.nvme_queue_depth)
-        self.spdk = SpdkDriver(self.qp)
 
     def firmware_ctx(self, priority: int = 0) -> ThreadCtx:
         """A context for firmware work floating over all SoC cores."""
@@ -116,7 +113,7 @@ class SocBoard:
         return ctx.execute(host_seconds * self.spec.arm_slowdown)
 
     def introspect(self) -> dict:
-        """Core/DRAM/queue state for device snapshots (no simulation events)."""
+        """Core/DRAM state for device snapshots (no simulation events)."""
         return {
             "n_cores": self.spec.n_cores,
             "arm_slowdown": self.spec.arm_slowdown,
@@ -127,5 +124,4 @@ class SocBoard:
             "query_workers": self.spec.query_workers,
             "bloom_bits_per_key": self.spec.bloom_bits_per_key,
             "dram": self.dram.introspect(),
-            "nvme_queue": self.qp.introspect(),
         }

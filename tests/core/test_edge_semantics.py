@@ -182,6 +182,28 @@ def test_longest_admitted_key_survives_flush_compaction_and_metadata():
     assert tb.device.keyspaces["ks"].max_key == longest
 
 
+def test_zero_key_bulk_delete_charges_the_request_and_writes_nothing():
+    tb = CsdTestbed()
+
+    def setup():
+        yield from tb.client.create_keyspace("ks", tb.ctx)
+        yield from tb.client.open_keyspace("ks", tb.ctx)
+
+    tb.run(setup())
+    ks = tb.device.keyspaces["ks"]
+    free_zones = tb.device.zone_manager.free_zone_count
+    metalog = tb.device.metalog.introspect()
+    writes = tb.ssd.stats.write_ops
+    t0 = tb.env.now
+    tb.run(tb.client.bulk_delete("ks", [], tb.ctx))
+    assert tb.env.now > t0  # the command still costs its round trip
+    assert tb.device.zone_manager.free_zone_count == free_zones
+    assert ks.klog_clusters == []
+    assert tb.device.metalog.introspect() == metalog
+    assert tb.ssd.stats.write_ops == writes
+    assert ks.seq == 0
+
+
 # ------------------------------------------------------------------ LSM
 def test_lsm_empty_scan_and_reversed_bounds():
     tb = LsmTestbed(options=small_options())

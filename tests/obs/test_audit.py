@@ -162,7 +162,7 @@ def test_dram_budget_accounting_fail(compacted_kv):
 
 def test_nvme_queue_sanity_fail(compacted_kv):
     kv, auditor, _report = compacted_kv
-    qp = kv.device.board.qp
+    qp = kv.client.qp
     qp.completed = qp.submitted + 1
     assert "nvme_queue_sanity" in violated(kv, auditor)
 

@@ -33,9 +33,11 @@ DEVICE_KEYS = {
 def test_snapshot_schema_version_and_top_level(compacted_kv):
     kv, _auditor, _report = compacted_kv
     snapshot = device_snapshot(kv.device)
-    assert snapshot["schema_version"] == SNAPSHOT_SCHEMA_VERSION == 2
+    assert snapshot["schema_version"] == SNAPSHOT_SCHEMA_VERSION == 3
     assert set(snapshot) == TOP_LEVEL_KEYS
     assert snapshot["time"] == kv.env.now
+    # v3: the SoC carries no NVMe queue of its own
+    assert "nvme_queue" not in snapshot["device"]["soc"]
 
 
 def test_snapshot_device_section_keys_stable(compacted_kv):

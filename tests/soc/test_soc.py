@@ -1,9 +1,8 @@
-"""Unit tests for the SoC board, DRAM budget and SPDK driver."""
+"""Unit tests for the SoC board and its DRAM budget."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.nvme.commands import ZoneAppendCmd, ZoneReadCmd
 from repro.sim import Environment
 from repro.soc import DramBudget, SocBoard, SocSpec
 from repro.ssd import SsdGeometry, ZnsSsd
@@ -68,22 +67,6 @@ def test_dram_over_reserve_rejected():
     env.process(proc())
     with pytest.raises(SimulationError):
         env.run()
-
-
-def test_spdk_path_executes_commands():
-    env = Environment()
-    board = make_board(env)
-    ctx = board.firmware_ctx()
-
-    def proc():
-        c = yield from board.spdk.submit(ZoneAppendCmd(zone_id=0, data=b"soc!"), ctx)
-        r = yield from board.spdk.submit(
-            ZoneReadCmd(zone_id=0, offset=c.value, length=4), ctx
-        )
-        return r.value
-
-    assert env.run(env.process(proc())) == b"soc!"
-    assert env.now > 0
 
 
 def test_firmware_ctx_uses_soc_pool():
