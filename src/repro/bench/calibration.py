@@ -29,9 +29,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core import ClientCostModel, CsdCostModel, KvCsdClient, KvCsdDevice
+from repro.errors import SimulationError
 from repro.host import Filesystem, FsCostModel, PageCache, ThreadCtx
 from repro.lsm import CompactionMode, DbOptions
-from repro.nvme import NvmeController, PcieLink, QueuePair
+from repro.nvme import Link, NvmeController, PcieLink, QueuePair
 from repro.sim import CpuPool, Environment
 from repro.soc import SocBoard, SocSpec
 from repro.ssd import ConventionalSsd, NandLatencyModel, SsdGeometry, ZnsSsd
@@ -44,6 +45,7 @@ __all__ = [
     "TABLE1_CSD",
     "bench_geometry",
     "bench_db_options",
+    "device_stack",
     "KvcsdTestbed",
     "RocksTestbed",
     "build_kvcsd_testbed",
@@ -128,6 +130,26 @@ def bench_db_options(
 
 
 # ---------------------------------------------------------------------- testbeds
+def device_stack(
+    ssd: ZnsSsd, link: Link, spec: SocSpec, rng: np.random.Generator, *,
+    cluster_zones: int, membuf_bytes: int, bulk_message_bytes: int, queue_depth: int,
+    csd_costs: CsdCostModel | None = None, client_costs: ClientCostModel | None = None,
+    name: str = "kvcsd",
+) -> tuple[SocBoard, KvCsdDevice, KvCsdClient]:
+    """One device's SoC board, firmware and host client over ``ssd`` and
+    ``link``: the only place a :class:`KvCsdDevice` is assembled."""
+    board = SocBoard(ssd.env, ssd, spec=spec)
+    device = KvCsdDevice(
+        board, rng=rng, costs=csd_costs, cluster_zones=cluster_zones,
+        membuf_bytes=membuf_bytes, name=name,
+    )
+    client = KvCsdClient(
+        device, link, costs=client_costs,
+        bulk_message_bytes=bulk_message_bytes, queue_depth=queue_depth,
+    )
+    return board, device, client
+
+
 class KvcsdTestbed:
     """A host driving one KV-CSD device."""
 
@@ -149,38 +171,56 @@ class KvcsdTestbed:
         bloom_bits_per_key: int | None = None,
         queue_depth: int = 32,
     ):
-        overrides = {}
-        if compaction_shards is not None:
-            overrides["compaction_shards"] = compaction_shards
-        if block_cache_bytes is not None:
-            overrides["block_cache_bytes"] = block_cache_bytes
-        if query_workers is not None:
-            overrides["query_workers"] = query_workers
-        if bloom_bits_per_key is not None:
-            overrides["bloom_bits_per_key"] = bloom_bits_per_key
-        if overrides:
-            soc = replace(soc, **overrides)
+        overrides = dict(
+            compaction_shards=compaction_shards, block_cache_bytes=block_cache_bytes,
+            query_workers=query_workers, bloom_bits_per_key=bloom_bits_per_key,
+        )
+        soc = replace(soc, **{k: v for k, v in overrides.items() if v is not None})
         self.env = Environment()
         self.host = host
+        self.seed = seed
         self.ssd = ZnsSsd(self.env, geometry=geometry or bench_geometry(), latency=nand)
-        self.board = SocBoard(self.env, self.ssd, spec=soc)
-        self.device = KvCsdDevice(
-            self.board,
-            rng=np.random.default_rng(seed),
-            costs=csd_costs,
-            cluster_zones=cluster_zones,
-            membuf_bytes=membuf_bytes,
-        )
         self.link = PcieLink(self.env, lanes=host.pcie_lanes_to_csd)
-        self.client = KvCsdClient(
-            self.device,
-            self.link,
-            costs=client_costs,
-            bulk_message_bytes=bulk_message_bytes,
-            queue_depth=queue_depth,
+        #: what :meth:`power_cycle` rebuilds the stack with
+        self._stack = dict(
+            spec=soc, csd_costs=csd_costs, client_costs=client_costs,
+            cluster_zones=cluster_zones, membuf_bytes=membuf_bytes,
+            bulk_message_bytes=bulk_message_bytes, queue_depth=queue_depth,
+        )
+        self.board, self.device, self.client = device_stack(
+            self.ssd, self.link, rng=np.random.default_rng(seed), **self._stack
         )
         self.cpu = CpuPool(self.env, host.n_cores, timeslice=host.timeslice, name="host")
         self.adapter = KvCsdAdapter(self.client)
+
+    def run(self, gen):
+        """Run one simulation process to completion; returns its value."""
+        return self.env.run(self.env.process(gen))
+
+    def power_cycle(self) -> float:
+        """Cut power and remount; returns the mount's virtual seconds.
+
+        DRAM is lost, NAND persists: a fresh board, device and client (same
+        configuration, device RNG seeded ``seed + 1``) mount the SSD over
+        the same link, and ``adapter`` follows the new client.  Refused
+        while the old device has work in flight — a powered-off device
+        cannot keep writing to the flash the new one mounts; cut power
+        *during* work with a :class:`~repro.ssd.faults.FaultPlan` and cycle
+        a fresh testbed over the flash image instead.
+        """
+        busy = sorted(name for name, ks in self.device.keyspaces.items() if ks.jobs)
+        if busy:
+            raise SimulationError(f"power cycle with jobs in flight on {busy}")
+        if any(qp.inflight or qp.unreaped for qp in self.device.host_qps):
+            raise SimulationError("power cycle with a host command in flight")
+        self.board, self.device, self.client = device_stack(
+            self.ssd, self.link, rng=np.random.default_rng(self.seed + 1),
+            **self._stack,
+        )
+        self.adapter.client = self.client
+        t0 = self.env.now
+        self.run(self.device.recover(self.thread_ctx(0)))
+        return self.env.now - t0
 
     def thread_ctx(self, core: int) -> ThreadCtx:
         """A test thread pinned to one host core (the paper pins every one)."""

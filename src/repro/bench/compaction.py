@@ -152,10 +152,7 @@ def _load_and_compact(
     observe(kv)
     load_phase(kv.env, kv.adapter, [("ks", pairs, kv.thread_ctx(0))])
 
-    def wait():
-        yield from kv.client.wait_for_device("ks", kv.thread_ctx(0))
-
-    kv.env.run(kv.env.process(wait()))
+    kv.run(kv.client.wait_for_device("ks", kv.thread_ctx(0)))
     seconds = kv.device.job_durations[("ks", "compaction")]
     return kv, seconds, list(kv.board.cpu.busy_time)
 
@@ -200,10 +197,7 @@ def run_compaction_bench(
     ranks = sampler.sample(config.n_queries)
     keys = [pairs[r][0] for r in ranks] * config.query_rounds
 
-    def ready():
-        yield from piped.adapter.prepare_queries("ks", piped.thread_ctx(0))
-
-    piped.env.run(piped.env.process(ready()))
+    piped.run(piped.adapter.prepare_queries("ks", piped.thread_ctx(0)))
     get_phase(piped.env, piped.adapter, [("ks", keys, piped.thread_ctx(0))])
     cache = piped.device.block_cache
     result.cache_report = cache.report() if cache is not None else {}

@@ -15,8 +15,9 @@ promise into a measured quantity:
    in ``[1, E]`` (:class:`FaultPlan.cut_at_event`) and torn appends at
    arbitrary SSD writes in ``[1, W]`` (``torn_after_writes`` leaves only a
    prefix of the append on flash).  The dead device's flash image is
-   lifted with ``ZnsSsd.flash_state`` and remounted into a *fresh*
-   environment/SoC/device via the staged ``recover()`` pipeline.
+   lifted with ``ZnsSsd.flash_state``, loaded into a fresh testbed, and
+   mounted by its :meth:`~repro.bench.calibration.KvcsdTestbed.power_cycle`
+   (the staged ``recover()`` pipeline).
 3. **Proof obligations per remount** — the full invariant auditor passes
    at the ``mount`` boundary; every pair whose durability barrier
    completed before the cut reads back byte-identical; durably deleted
@@ -40,17 +41,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bench.calibration import bench_geometry
+from repro.bench.calibration import HostSpec, KvcsdTestbed, bench_geometry
 from repro.bench.report import ResultTable, ShapeCheck
-from repro.core import KvCsdClient, KvCsdDevice, SidxConfig
+from repro.core import SidxConfig
 from repro.core.keyspace import KeyspaceState
-from repro.host import ThreadCtx
-from repro.nvme import PcieLink
 from repro.obs.audit import InvariantAuditor
 from repro.obs.journal import install_journal
-from repro.sim import CpuPool, Environment
-from repro.soc import SocBoard, SocSpec
-from repro.ssd import ZnsSsd
+from repro.soc import SocSpec
 from repro.ssd.faults import FaultPlan, PowerCut
 from repro.units import KiB, MiB
 
@@ -116,64 +113,18 @@ class _Reference:
 
 
 # ------------------------------------------------------------------ testbeds
-def _crash_geometry():
-    return bench_geometry(n_channels=4, n_zones=96, zone_size=1 * MiB)
-
-
-def _crash_spec(config: CrashBenchConfig) -> SocSpec:
-    return SocSpec(
-        sort_budget_bytes=64 * MiB,
-        bloom_bits_per_key=config.bloom_bits_per_key,
-    )
-
-
-class _Bed:
+def _testbed(config: CrashBenchConfig) -> KvcsdTestbed:
     """One device under a minimal host."""
-
-    def __init__(self, config: CrashBenchConfig):
-        self.env = Environment()
-        self.ssd = ZnsSsd(self.env, geometry=_crash_geometry())
-        self.board = SocBoard(self.env, self.ssd, spec=_crash_spec(config))
-        self.device = KvCsdDevice(
-            self.board,
-            rng=np.random.default_rng(config.seed),
-            membuf_bytes=48 * KiB,
-            cluster_zones=2,
-        )
-        self.link = PcieLink(self.env, lanes=16)
-        self.client = KvCsdClient(self.device, self.link)
-        self.cpu = CpuPool(self.env, n_cores=4)
-        self.ctx = ThreadCtx(cpu=self.cpu, core=0)
-
-    def run(self, gen):
-        return self.env.run(self.env.process(gen))
-
-
-def _remount(config: CrashBenchConfig, snapshot):
-    """Fresh environment + device over the crashed flash image; mounts it.
-
-    Returns ``(bed, mount_seconds)`` — the SoC's DRAM state is gone, only
-    what :meth:`ZnsSsd.flash_state` captured survives (NAND is
-    non-volatile; a torn append's prefix is faithfully present).
-    """
-    bed = _Bed.__new__(_Bed)
-    bed.env = Environment()
-    bed.ssd = ZnsSsd(bed.env, geometry=_crash_geometry())
-    bed.ssd.load_flash_state(snapshot)
-    bed.board = SocBoard(bed.env, bed.ssd, spec=_crash_spec(config))
-    bed.device = KvCsdDevice(
-        bed.board,
-        rng=np.random.default_rng(config.seed + 1),
+    return KvcsdTestbed(
+        seed=config.seed,
+        host=HostSpec(n_cores=4, timeslice=10e-3, pcie_lanes_to_csd=16),
+        soc=SocSpec(
+            sort_budget_bytes=64 * MiB, bloom_bits_per_key=config.bloom_bits_per_key
+        ),
+        geometry=bench_geometry(n_channels=4, n_zones=96, zone_size=1 * MiB),
         membuf_bytes=48 * KiB,
         cluster_zones=2,
     )
-    bed.link = PcieLink(bed.env, lanes=16)
-    bed.client = KvCsdClient(bed.device, bed.link)
-    bed.cpu = CpuPool(bed.env, n_cores=4)
-    bed.ctx = ThreadCtx(cpu=bed.cpu, core=0)
-    t0 = bed.env.now
-    bed.run(bed.device.recover(bed.ctx))
-    return bed, bed.env.now - t0
 
 
 # ------------------------------------------------------------------ workloads
@@ -218,22 +169,26 @@ def _put_fsync(client, ctx, name, expect, batch):
         e.uncertain.pop(key, None)
 
 
-def _drive_ingest(bed: _Bed, pairs, expect, config: CrashBenchConfig):
-    client, ctx = bed.client, bed.ctx
-    expect.setdefault("ing", _KsExpect())
-    yield from client.create_keyspace("ing", ctx)
-    yield from client.open_keyspace("ing", ctx)
-    expect["ing"].created = True
+def _create(client, ctx, name, expect):
+    """Create and open one keyspace, which counts as created once both ack;
+    returns its expectation."""
+    e = expect.setdefault(name, _KsExpect())
+    yield from client.create_keyspace(name, ctx)
+    yield from client.open_keyspace(name, ctx)
+    e.created = True
+    return e
+
+
+def _drive_ingest(bed: KvcsdTestbed, pairs, expect, config: CrashBenchConfig):
+    client, ctx = bed.client, bed.thread_ctx(0)
+    yield from _create(client, ctx, "ing", expect)
     for batch in _chunks(pairs, config.chunk_pairs):
         yield from _put_fsync(client, ctx, "ing", expect, batch)
 
 
-def _drive_compact(bed: _Bed, pairs, expect, config: CrashBenchConfig):
-    client, ctx = bed.client, bed.ctx
-    expect.setdefault("cmp", _KsExpect())
-    yield from client.create_keyspace("cmp", ctx)
-    yield from client.open_keyspace("cmp", ctx)
-    expect["cmp"].created = True
+def _drive_compact(bed: KvcsdTestbed, pairs, expect, config: CrashBenchConfig):
+    client, ctx = bed.client, bed.thread_ctx(0)
+    e = yield from _create(client, ctx, "cmp", expect)
     for batch in _chunks(pairs, config.chunk_pairs):
         yield from _put_fsync(client, ctx, "cmp", expect, batch)
     yield from client.compact(
@@ -241,15 +196,12 @@ def _drive_compact(bed: _Bed, pairs, expect, config: CrashBenchConfig):
         secondary_indexes=[SidxConfig("tag", value_offset=0, width=4)],
     )
     yield from client.wait_for_device("cmp", ctx)
-    expect["cmp"].compacted = True
+    e.compacted = True
 
 
-def _drive_churn(bed: _Bed, pairs, expect, config: CrashBenchConfig):
-    client, ctx = bed.client, bed.ctx
-    e = expect.setdefault("chn", _KsExpect())
-    yield from client.create_keyspace("chn", ctx)
-    yield from client.open_keyspace("chn", ctx)
-    e.created = True
+def _drive_churn(bed: KvcsdTestbed, pairs, expect, config: CrashBenchConfig):
+    client, ctx = bed.client, bed.thread_ctx(0)
+    e = yield from _create(client, ctx, "chn", expect)
     for batch in _chunks(pairs, config.chunk_pairs):
         yield from _put_fsync(client, ctx, "chn", expect, batch)
     # Tombstones append straight to the KLOG: durable once acknowledged;
@@ -274,16 +226,12 @@ def _drive_churn(bed: _Bed, pairs, expect, config: CrashBenchConfig):
     e.compacted = True
 
 
-def _drive_mixed(bed: _Bed, pairs, expect, config: CrashBenchConfig):
+def _drive_mixed(bed: KvcsdTestbed, pairs, expect, config: CrashBenchConfig):
     """Compact early, then keep the journal moving: later crash points land
     *after* the durable compaction, exercising bloom-annex reloads; a
     scratch keyspace is created, filled, and durably dropped."""
-    client, ctx = bed.client, bed.ctx
-    e_main = expect.setdefault("mx", _KsExpect())
-    e_scr = expect.setdefault("scratch", _KsExpect())
-    yield from client.create_keyspace("mx", ctx)
-    yield from client.open_keyspace("mx", ctx)
-    e_main.created = True
+    client, ctx = bed.client, bed.thread_ctx(0)
+    e_main = yield from _create(client, ctx, "mx", expect)
     main = pairs[: max(config.chunk_pairs, len(pairs) // 2)]
     scratch = pairs[len(main):]
     for batch in _chunks(main, config.chunk_pairs):
@@ -291,9 +239,7 @@ def _drive_mixed(bed: _Bed, pairs, expect, config: CrashBenchConfig):
     yield from client.compact("mx", ctx)
     yield from client.wait_for_device("mx", ctx)
     e_main.compacted = True
-    yield from client.create_keyspace("scratch", ctx)
-    yield from client.open_keyspace("scratch", ctx)
-    e_scr.created = True
+    e_scr = yield from _create(client, ctx, "scratch", expect)
     for batch in _chunks(scratch, config.chunk_pairs):
         yield from _put_fsync(client, ctx, "scratch", expect, batch)
     e_scr.drop_pending = True
@@ -311,20 +257,16 @@ _WORKLOADS = {
 
 
 # ------------------------------------------------------------------ campaign
-def _probe_delta(bed: _Bed, name: str, absent: list[bytes]) -> int:
+def _probe_delta(bed: KvcsdTestbed, name: str, absent: list[bytes]) -> int:
     """PIDX block reads consumed by probing keys that do not exist."""
     before = bed.device.stats.counter("pidx_block_reads").value
-
-    def probe():
-        return (yield from bed.client.multi_get(name, absent, bed.ctx))
-
-    found = bed.run(probe())
+    found = bed.run(bed.client.multi_get(name, absent, bed.thread_ctx(0)))
     assert not found, "absent probe keys unexpectedly exist"
     return bed.device.stats.counter("pidx_block_reads").value - before
 
 
 def _reference_run(workload: str, pairs, config: CrashBenchConfig) -> _Reference:
-    bed = _Bed(config)
+    bed = _testbed(config)
     journal = install_journal(bed.env)
     expect: dict[str, _KsExpect] = {}
     t0 = bed.env.now
@@ -345,7 +287,7 @@ def _reference_run(workload: str, pairs, config: CrashBenchConfig) -> _Reference
 
 
 def _verify_remount(
-    bed: _Bed,
+    bed: KvcsdTestbed,
     expect: dict[str, _KsExpect],
     ref: _Reference,
     workload: str,
@@ -359,7 +301,7 @@ def _verify_remount(
     report = InvariantAuditor(bed.device, level="phase").run("mount")
     if not report.ok:
         failures.append("audit:" + report.violations[0].invariant)
-    client, ctx, env = bed.client, bed.ctx, bed.env
+    client, ctx = bed.client, bed.thread_ctx(0)
     for name in sorted(expect):
         e = expect[name]
         if not e.created:
@@ -385,16 +327,12 @@ def _verify_remount(
                 yield from client.compact(name, ctx)
                 yield from client.wait_for_device(name, ctx)
 
-            env.run(env.process(make_queryable()))
+            bed.run(make_queryable())
         if have_promises:
             keys = sorted(set(e.pairs) | e.deleted | set(e.uncertain))
             got: dict[bytes, bytes] = {}
             for batch in _chunks(keys, 256):
-
-                def query(batch=batch):
-                    return (yield from client.multi_get(name, batch, ctx))
-
-                got.update(env.run(env.process(query())))
+                got.update(bed.run(client.multi_get(name, batch, ctx)))
             for key in keys:
                 if key in e.uncertain:
                     allowed = set(e.uncertain[key])
@@ -426,7 +364,7 @@ def _run_crash_point(
     ref: _Reference,
     plan: FaultPlan,
 ) -> dict:
-    bed = _Bed(config)
+    bed = _testbed(config)
     journal = install_journal(bed.env)
     bed.ssd.faults = plan
     journal.on_record = plan.observe_event
@@ -438,8 +376,11 @@ def _run_crash_point(
         cut_fired = True
     if not cut_fired:
         return {"workload": workload, "ok": False, "failures": ["cut-never-fired"]}
-    snapshot = bed.ssd.flash_state()
-    mounted, mount_seconds = _remount(config, snapshot)
+    # only what flash_state() captured survives the cut (NAND is
+    # non-volatile; a torn append's prefix is faithfully present)
+    mounted = _testbed(config)
+    mounted.ssd.load_flash_state(bed.ssd.flash_state())
+    mount_seconds = mounted.power_cycle()
     failures = _verify_remount(mounted, expect, ref, workload, config)
     return {
         "workload": workload,
@@ -451,22 +392,24 @@ def _run_crash_point(
 
 # ------------------------------------------------------------------ curves
 def _curve_point(config: CrashBenchConfig, n_pairs: int, mode: str) -> dict:
-    bed = _Bed(config)
+    bed = _testbed(config)
     pairs = _workload_pairs("cv", config, n=n_pairs)
 
     def drive():
-        yield from bed.client.create_keyspace("cv", bed.ctx)
-        yield from bed.client.open_keyspace("cv", bed.ctx)
+        client, ctx = bed.client, bed.thread_ctx(0)
+        yield from client.create_keyspace("cv", ctx)
+        yield from client.open_keyspace("cv", ctx)
         for batch in _chunks(pairs, config.chunk_pairs):
-            yield from bed.client.bulk_put("cv", batch, bed.ctx)
-        yield from bed.client.fsync("cv", bed.ctx)
+            yield from client.bulk_put("cv", batch, ctx)
+        yield from client.fsync("cv", ctx)
         if mode == "compacted":
-            yield from bed.client.compact("cv", bed.ctx)
-            yield from bed.client.wait_for_device("cv", bed.ctx)
+            yield from client.compact("cv", ctx)
+            yield from client.wait_for_device("cv", ctx)
 
     bed.run(drive())
-    snapshot = bed.ssd.flash_state()
-    mounted, mount_seconds = _remount(config, snapshot)
+    mounted = _testbed(config)
+    mounted.ssd.load_flash_state(bed.ssd.flash_state())
+    mount_seconds = mounted.power_cycle()
     return {
         "mode": mode,
         "n_pairs": n_pairs,

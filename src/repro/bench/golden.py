@@ -146,10 +146,7 @@ def _fp_compaction(shards: int) -> dict:
     load_phase(kv.env, kv.adapter, [("ks", pairs, kv.thread_ctx(0))])
     fp["now_after_load"] = _hx(kv.env.now)
 
-    def ready():
-        yield from kv.adapter.prepare_queries("ks", kv.thread_ctx(0))
-
-    kv.env.run(kv.env.process(ready()))
+    kv.run(kv.adapter.prepare_queries("ks", kv.thread_ctx(0)))
     fp["now_after_compaction"] = _hx(kv.env.now)
     fp["compaction_seconds"] = _hx(kv.device.job_durations[("ks", "compaction")])
     fp["pidx"] = _pidx_fp(kv.device, "ks")
@@ -179,10 +176,7 @@ def _fp_query_offload() -> dict:
     fp: dict = {}
     load_phase(kv.env, kv.adapter, [("ks", pairs, kv.thread_ctx(0))])
 
-    def ready():
-        yield from kv.adapter.prepare_queries("ks", kv.thread_ctx(0))
-
-    kv.env.run(kv.env.process(ready()))
+    kv.run(kv.adapter.prepare_queries("ks", kv.thread_ctx(0)))
     fp["now_after_prepare"] = _hx(kv.env.now)
 
     rng = np.random.default_rng(41)
@@ -239,10 +233,7 @@ def _fp_async_qd() -> dict:
     fp: dict = {}
     load_phase(kv.env, kv.adapter, [("ks", pairs, kv.thread_ctx(0))])
 
-    def ready():
-        yield from kv.adapter.prepare_queries("ks", kv.thread_ctx(0))
-
-    kv.env.run(kv.env.process(ready()))
+    kv.run(kv.adapter.prepare_queries("ks", kv.thread_ctx(0)))
     fp["now_after_prepare"] = _hx(kv.env.now)
 
     rng = np.random.default_rng(47)
@@ -433,13 +424,11 @@ def _fp_crash_recovery() -> dict:
     stream, the bloom annex, and the five-stage ``recover()`` pipeline must
     replay to the same virtual-clock checkpoints and the same bytes every
     run.  A compacted keyspace and a writable delta keyspace are built, the
-    SoC is replaced (DRAM gone, NAND intact — the same remount recipe the
-    crash campaign uses), and the mounted device serves GETs whose values
-    are digest-pinned along with per-stage mount timings.
+    testbed power-cycles (DRAM gone, NAND intact — the same remount recipe
+    the crash campaign uses), and the mounted device serves GETs whose
+    values are digest-pinned along with per-stage mount timings.
     """
-    from repro.core import KvCsdClient, KvCsdDevice
     from repro.errors import KeyNotFoundError
-    from repro.soc import SocBoard
 
     pairs = _pairs(2048, seed=61)
     delta = [(b"d-" + k, v) for k, v in pairs[:256]]
@@ -467,12 +456,7 @@ def _fp_crash_recovery() -> dict:
     fp["meta_epoch_before"] = kv.device.introspect()["metadata_zone"]["epoch"]
 
     # Power cycle: a fresh SoC + device mount the same (non-volatile) flash.
-    kv.board = SocBoard(kv.env, kv.ssd, spec=kv.board.spec)
-    kv.device = KvCsdDevice(kv.board, rng=np.random.default_rng(62))
-    kv.client = KvCsdClient(kv.device, kv.link)
-    t0 = kv.env.now
-    kv.env.run(kv.env.process(kv.device.recover(kv.thread_ctx(0))))
-    fp["mount_seconds"] = _hx(kv.env.now - t0)
+    fp["mount_seconds"] = _hx(kv.power_cycle())
     snap = kv.device.introspect()
     fp["mount_stages"] = _jsonable(snap["mount_stages"])
     fp["meta_epoch_after"] = snap["metadata_zone"]["epoch"]

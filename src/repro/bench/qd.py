@@ -138,10 +138,7 @@ def _build_loaded(config: QdBenchConfig, pairs, depth):
     )
     load_phase(kv.env, kv.adapter, [("ks", pairs, kv.thread_ctx(0))])
 
-    def ready():
-        yield from kv.adapter.prepare_queries("ks", kv.thread_ctx(0))
-
-    kv.env.run(kv.env.process(ready()))
+    kv.run(kv.adapter.prepare_queries("ks", kv.thread_ctx(0)))
     return kv
 
 

@@ -112,10 +112,7 @@ def _cmd_selftest(_args) -> int:
     kv = build_kvcsd_testbed(seed=0)
     load_phase(kv.env, kv.adapter, [("ks", pairs, kv.thread_ctx(0))])
 
-    def ready():
-        yield from kv.adapter.prepare_queries("ks", kv.thread_ctx(0))
-
-    kv.env.run(kv.env.process(ready()))
+    kv.run(kv.adapter.prepare_queries("ks", kv.thread_ctx(0)))
     get_phase(kv.env, kv.adapter, [("ks", keys, kv.thread_ctx(0))])
     print(f"kv-csd ok ({kv.env.now:.4f} simulated seconds)")
 

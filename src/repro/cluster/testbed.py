@@ -17,7 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.calibration import TABLE1_CSD, TABLE1_HOST, HostSpec, bench_geometry
+from repro.bench.calibration import (
+    TABLE1_CSD,
+    TABLE1_HOST,
+    HostSpec,
+    bench_geometry,
+    device_stack,
+)
 from repro.cluster.ring import HashRing, PlacementPolicy
 from repro.cluster.router import ClusterRouter
 from repro.core import KvCsdClient, KvCsdDevice
@@ -83,19 +89,14 @@ class ClusterTestbed:
                 latency=nand,
                 name=f"{name}.zns",
             )
-            board = SocBoard(self.env, ssd, spec=soc)
-            device = KvCsdDevice(
-                board,
-                rng=self.rngs.stream(f"{name}.zones"),
-                cluster_zones=cluster_zones,
-                membuf_bytes=membuf_bytes,
-                name=name,
-            )
             # each device sits behind its own NVMe-oF fabric path (the
             # scale-out topology: devices in an enclosure, not on one bus)
             link = NvmeOfLink(self.env, name=f"{name}.fabric")
-            client = KvCsdClient(
-                device, link,
+            board, device, client = device_stack(
+                ssd, link, soc, self.rngs.stream(f"{name}.zones"),
+                name=name,
+                cluster_zones=cluster_zones,
+                membuf_bytes=membuf_bytes,
                 bulk_message_bytes=bulk_message_bytes,
                 queue_depth=queue_depth,
             )

@@ -32,6 +32,7 @@ from repro.core.device import KvCsdDevice
 from repro.core.dispatch import KvCommandDispatcher
 from repro.core.sidx import SidxConfig
 from repro.core.wire import BULK_MESSAGE_BYTES, split_into_messages
+from repro.errors import DbError
 from repro.host.threads import ThreadCtx
 from repro.nvme.commands import Completion
 from repro.nvme.kv_commands import (
@@ -70,6 +71,8 @@ class KvCsdClient:
         bulk_message_bytes: int = BULK_MESSAGE_BYTES,
         queue_depth: int = 32,
     ):
+        if bulk_message_bytes <= 0:
+            raise DbError("message size must be positive")
         self.device = device
         self.link = link
         self.costs = costs or ClientCostModel()

@@ -26,14 +26,15 @@ from repro.core.index_build import IndexBuilder
 from repro.core.ingest import Ingest
 from repro.core.keyspace import Keyspace, lookup
 from repro.core.klog import MAX_KEY_BYTES
-from repro.core.membuf import MEMBUF_BYTES
+from repro.core.membuf import MEMBUF_BYTES, MIN_MEMBUF_BYTES
 from repro.core.metalog import MetadataLog
 from repro.core.mount import MOUNT_STAGES, Mount
 from repro.core.query import QueryEngine
 from repro.core.scheduler import QueryScheduler
 from repro.core.zone_manager import ZoneCluster, ZoneManager
-from repro.errors import KeyspaceError, KeyspaceExistsError, KeyspaceStateError
+from repro.errors import DbError, KeyspaceError, KeyspaceExistsError, KeyspaceStateError
 from repro.host.threads import ThreadCtx
+from repro.lsm.block import MIN_BLOCK_BYTES
 from repro.obs.journal import journal_event
 from repro.obs.trace import trace_wait
 from repro.sim.core import Environment
@@ -59,6 +60,11 @@ class KvCsdDevice:
         max_inflight: int = 64,
         name: str = "kvcsd",
     ):
+        # refused here, not by the first flush or compaction that uses them
+        if membuf_bytes < MIN_MEMBUF_BYTES:
+            raise DbError("membuf too small")
+        if block_bytes < MIN_BLOCK_BYTES:
+            raise DbError("block target too small")
         self.board = board
         self.env: Environment = board.env
         self.ssd = board.ssd

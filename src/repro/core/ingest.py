@@ -9,6 +9,7 @@ the KLOG directly.  Writes into one keyspace serialise on its write lock.
 from __future__ import annotations
 
 from collections.abc import Callable, Generator
+from operator import itemgetter
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from repro.core.klog import MAX_KEY_BYTES, TOMBSTONE_LEN, pack_klog_columns
 from repro.core.metalog import MetadataLog
 from repro.core.vlog import pointer_columns, stripe_groups
 from repro.core.zone_manager import ZoneManager
-from repro.errors import KeyTooLargeError
+from repro.errors import KeyTooLargeError, ValueTooLargeError
 from repro.host.threads import ThreadCtx
 from repro.obs.trace import trace_span, trace_wait
 from repro.sim.resources import Resource
@@ -73,6 +74,11 @@ class Ingest:
             ks.require(KeyspaceState.WRITABLE)
             keys = [key for key, _value in pairs]
             admit_keys(keys)
+            # a value is one VLOG group and a group lives in one zone: a
+            # longer value would have the flush drain the zone pool
+            longest = max(map(len, map(itemgetter(1), pairs)), default=0)
+            if longest > self.board.ssd.geometry.zone_size:
+                raise ValueTooLargeError(longest, self.board.ssd.geometry.zone_size)
             with ks.write_lock.request() as lock:
                 yield from trace_wait(self.env, lock, "dev.write_lock_wait")
                 yield from self.board.charge(

@@ -10,17 +10,19 @@ from __future__ import annotations
 from repro.errors import DbError
 from repro.units import KiB
 
-__all__ = ["MemBuffer", "MEMBUF_BYTES"]
+__all__ = ["MemBuffer", "MEMBUF_BYTES", "MIN_MEMBUF_BYTES"]
 
 #: The prototype's per-keyspace DRAM buffer size.
 MEMBUF_BYTES = 192 * KiB
+#: Smallest buffer a keyspace may be given.
+MIN_MEMBUF_BYTES = 1 * KiB
 
 
 class MemBuffer:
     """Accumulates pairs until the flush threshold."""
 
     def __init__(self, capacity: int = MEMBUF_BYTES):
-        if capacity < 1024:
+        if capacity < MIN_MEMBUF_BYTES:
             raise DbError("membuf too small")
         self.capacity = capacity
         #: (key, value, seq) — seq is the keyspace-wide insertion sequence,

@@ -34,7 +34,7 @@ from repro.core.klog import (
     key_column,
 )
 from repro.core.zone_manager import ZonePointer
-from repro.lsm.block import BlockBuilder, BlockReader
+from repro.lsm.block import MIN_BLOCK_BYTES, BlockBuilder, BlockReader
 from repro.lsm.bloom import BloomFilter
 
 __all__ = [
@@ -165,7 +165,7 @@ class PidxPacker:
             keys = key_column(keys, _VECTOR_MIN_ENTRIES)
         if (
             isinstance(keys, np.ndarray)
-            and block_bytes >= 64  # BlockBuilder rejects smaller; let it raise
+            and block_bytes >= MIN_BLOCK_BYTES  # BlockBuilder raises on smaller
             and not (n > 1 and bool((keys[1:] < keys[:-1]).any()))
         ):
             width = keys.dtype.itemsize

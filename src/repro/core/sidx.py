@@ -37,7 +37,7 @@ from repro.core.pidx import (
 )
 from repro.core.vlog import gather_values
 from repro.errors import DbError, SecondaryIndexError
-from repro.lsm.block import BlockBuilder, BlockReader
+from repro.lsm.block import MIN_BLOCK_BYTES, BlockBuilder, BlockReader
 from repro.lsm.bloom import BloomFilter
 
 __all__ = [
@@ -393,7 +393,7 @@ class SidxColumns:
         Pairs of one size put a fixed count in every block, cut from one
         packed entry array (the :class:`~repro.core.pidx.PidxPacker` scheme).
         """
-        if not self._vector or block_bytes < 64:  # BlockBuilder raises on < 64
+        if not self._vector or block_bytes < MIN_BLOCK_BYTES:  # BlockBuilder raises
             blocks = build_sidx_blocks(self._pairs(), block_bytes)
             counts = block_entry_counts([blob for _p, blob in blocks])
             return blocks, np.cumsum([0] + counts).tolist()

@@ -285,8 +285,11 @@ class ZoneManager:
     def append_stream(self, clusters: list[ZoneCluster], groups: list[bytes]) -> Generator:
         """Append groups across a cluster chain, growing it on demand.
 
-        Returns one :data:`ZonePointer` per group, in order.
+        Returns one :data:`ZonePointer` per group, in order.  A group larger
+        than a zone raises before anything is allocated.
         """
+        if max(map(len, groups), default=0) > self.ssd.geometry.zone_size:
+            raise ZoneFullError("a group larger than a zone fits no cluster")
         pointers: list[ZonePointer] = []
         if not clusters:
             clusters.append(self.allocate_cluster())

@@ -97,6 +97,16 @@ class KeyTooLargeError(DbError):
         self.limit = limit
 
 
+class ValueTooLargeError(DbError):
+    """A value is larger than one zone, the most a value-log group can span
+    (refused at admission, like :class:`KeyTooLargeError`)."""
+
+    def __init__(self, value_bytes: int, limit: int):
+        super().__init__(f"value of {value_bytes} bytes exceeds the {limit}-byte limit")
+        self.value_bytes = value_bytes
+        self.limit = limit
+
+
 class KeyspaceError(DbError):
     """Base class for keyspace-lifecycle violations on the KV-CSD device."""
 

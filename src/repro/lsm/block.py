@@ -21,7 +21,10 @@ import numpy as np
 
 from repro.errors import DbError
 
-__all__ = ["BlockBuilder", "BlockReader"]
+__all__ = ["BlockBuilder", "BlockReader", "MIN_BLOCK_BYTES"]
+
+#: Smallest block target a builder accepts.
+MIN_BLOCK_BYTES = 64
 
 _U32 = struct.Struct("<I")
 
@@ -36,7 +39,7 @@ class BlockBuilder:
     """Accumulates sorted entries until the block reaches its target size."""
 
     def __init__(self, target_bytes: int):
-        if target_bytes < 64:
+        if target_bytes < MIN_BLOCK_BYTES:
             raise DbError("block target too small")
         self.target_bytes = target_bytes
         self._chunks: list[bytes] = []

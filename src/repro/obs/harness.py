@@ -51,10 +51,7 @@ def _load_and_compact(kv, seed: int, n_pairs: int) -> list:
     pairs = generate_pairs(SyntheticSpec(n_pairs=n_pairs, seed=seed))
     load_phase(kv.env, kv.adapter, [("ks", pairs, kv.thread_ctx(0))])
 
-    def ready():
-        yield from kv.adapter.prepare_queries("ks", kv.thread_ctx(0))
-
-    kv.env.run(kv.env.process(ready()))
+    kv.run(kv.adapter.prepare_queries("ks", kv.thread_ctx(0)))
     return pairs
 
 

@@ -67,6 +67,8 @@ class SocSpec:
             raise SimulationError("SoC needs at least one core")
         if self.arm_slowdown <= 0:
             raise SimulationError("arm_slowdown must be positive")
+        if self.timeslice <= 0:
+            raise SimulationError("timeslice must be positive")
         if not 0 < self.sort_budget_bytes <= self.dram_bytes:
             raise SimulationError("sort budget must fit in DRAM")
         if self.compaction_shards < 1:

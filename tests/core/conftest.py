@@ -1,19 +1,17 @@
 """Shared fixtures for KV-CSD device tests."""
 
-import numpy as np
 import pytest
 
-from repro.core import KvCsdClient, KvCsdDevice
-from repro.host import ThreadCtx
-from repro.nvme import PcieLink
-from repro.sim import CpuPool, Environment
-from repro.soc import SocBoard, SocSpec
-from repro.ssd import SsdGeometry, ZnsSsd
+from repro.bench.calibration import HostSpec, KvcsdTestbed
+from repro.sim.cpu import DEFAULT_TIMESLICE
+from repro.soc import SocSpec
+from repro.ssd import SsdGeometry
 from repro.units import KiB, MiB
 
 
-class CsdTestbed:
-    """A host + KV-CSD device pair for integration tests."""
+class CsdTestbed(KvcsdTestbed):
+    """A host + KV-CSD device pair for integration tests; ``ctx`` is the
+    test thread on host core 0."""
 
     def __init__(
         self,
@@ -29,37 +27,25 @@ class CsdTestbed:
         query_workers=0,
         bloom_bits_per_key=0,
     ):
-        self.env = Environment()
-        self.ssd = ZnsSsd(
-            self.env,
-            geometry=SsdGeometry(
-                n_channels=n_channels, n_zones=n_zones, zone_size=zone_size
+        super().__init__(
+            seed=42,
+            host=HostSpec(
+                n_cores=host_cores, timeslice=DEFAULT_TIMESLICE, pcie_lanes_to_csd=16
             ),
-        )
-        self.board = SocBoard(
-            self.env,
-            self.ssd,
-            spec=SocSpec(
+            soc=SocSpec(
                 sort_budget_bytes=sort_budget,
                 compaction_shards=compaction_shards,
                 block_cache_bytes=block_cache_bytes,
                 query_workers=query_workers,
                 bloom_bits_per_key=bloom_bits_per_key,
             ),
-        )
-        self.device = KvCsdDevice(
-            self.board,
-            rng=np.random.default_rng(42),
+            geometry=SsdGeometry(
+                n_channels=n_channels, n_zones=n_zones, zone_size=zone_size
+            ),
             membuf_bytes=membuf_bytes,
             cluster_zones=cluster_zones,
         )
-        self.link = PcieLink(self.env, lanes=16)
-        self.client = KvCsdClient(self.device, self.link)
-        self.cpu = CpuPool(self.env, n_cores=host_cores)
-        self.ctx = ThreadCtx(cpu=self.cpu, core=0)
-
-    def run(self, gen):
-        return self.env.run(self.env.process(gen))
+        self.ctx = self.thread_ctx(0)
 
 
 @pytest.fixture

@@ -2,23 +2,54 @@
 
 import struct
 
+import numpy as np
 import pytest
 
+from repro.core import KvCsdClient, KvCsdDevice
 from repro.core.keyspace import KeyspaceState
 from repro.core.klog import MAX_KEY_BYTES
 from repro.core.sidx import SidxConfig
 from repro.errors import (
+    DbError,
     KeyNotFoundError,
     KeyspaceError,
     KeyspaceExistsError,
     KeyspaceNotFoundError,
     KeyspaceStateError,
     SecondaryIndexError,
+    SimulationError,
 )
 from repro.nvme.kv_commands import CompactCmd
 from repro.obs.audit import InvariantAuditor
+from repro.soc import SocSpec
 
 from tests.core.conftest import CsdTestbed, make_pairs
+
+
+@pytest.mark.parametrize(
+    "knob, bad, good, error",
+    [
+        ("block_bytes", 63, 64, DbError),
+        ("membuf_bytes", 1023, 1024, DbError),
+        ("bulk_message_bytes", 0, 1, DbError),
+        ("timeslice", 0.0, 1e-6, SimulationError),
+    ],
+)
+def test_size_knobs_are_refused_where_they_are_given(knob, bad, good, error):
+    """A size no later operation could work with fails its constructor, not
+    the first flush, compaction or command that trips on it."""
+    tb = CsdTestbed()
+
+    def build(value):
+        if knob == "timeslice":
+            return SocSpec(timeslice=value)
+        if knob == "bulk_message_bytes":
+            return KvCsdClient(tb.device, tb.link, bulk_message_bytes=value)
+        return KvCsdDevice(tb.board, rng=np.random.default_rng(0), **{knob: value})
+
+    build(good)
+    with pytest.raises(error):
+        build(bad)
 
 
 def setup_keyspace(tb, name="ks", pairs=None):

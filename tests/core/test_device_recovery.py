@@ -2,38 +2,18 @@
 
 import struct
 
-import numpy as np
 import pytest
 
-from repro.core import KvCsdClient, KvCsdDevice, SidxConfig
+from repro.bench.calibration import KvcsdTestbed, bench_geometry
+from repro.core import ClientCostModel, CsdCostModel, SidxConfig
 from repro.core.keyspace import KeyspaceState
-from repro.errors import DbError, KeyNotFoundError
-from repro.nvme import PcieLink
-from repro.soc import SocBoard
+from repro.errors import DbError, SimulationError
+from repro.obs.audit import InvariantAuditor
+from repro.obs.journal import install_journal
+from repro.ssd.faults import FaultPlan, PowerCut
+from repro.units import KiB, MiB
 
 from tests.core.conftest import CsdTestbed, make_pairs
-
-
-def power_cycle(tb):
-    """Simulate a SoC power cycle: a fresh board + device over the same SSD.
-
-    (The SSD keeps its zones — NAND is non-volatile; the SoC's DRAM state,
-    including membufs and the in-memory keyspace table, is lost.)
-    """
-    board2 = SocBoard(tb.env, tb.ssd, spec=tb.board.spec)
-    device2 = KvCsdDevice(
-        board2,
-        rng=np.random.default_rng(43),
-        membuf_bytes=tb.device.membuf_bytes,
-        cluster_zones=tb.device.cluster_zones,
-    )
-    client2 = KvCsdClient(device2, PcieLink(tb.env, lanes=16))
-
-    def mount():
-        yield from device2.recover(tb.ctx)
-
-    tb.run(mount())
-    return device2, client2
 
 
 def test_recover_compacted_keyspace_and_query(tb=None):
@@ -48,14 +28,14 @@ def test_recover_compacted_keyspace_and_query(tb=None):
         yield from tb.client.wait_for_device("ks", tb.ctx)
 
     tb.run(setup())
-    device2, client2 = power_cycle(tb)
-    assert device2.keyspaces["ks"].state == KeyspaceState.COMPACTED
-    assert device2.keyspaces["ks"].n_pairs == 3000
-    assert device2.stats.counter("recoveries").value == 1
+    tb.power_cycle()
+    assert tb.device.keyspaces["ks"].state == KeyspaceState.COMPACTED
+    assert tb.device.keyspaces["ks"].n_pairs == 3000
+    assert tb.device.stats.counter("recoveries").value == 1
 
     def query():
-        point = yield from client2.get("ks", pairs[1234][0], tb.ctx)
-        rows = yield from client2.range_query(
+        point = yield from tb.client.get("ks", pairs[1234][0], tb.ctx)
+        rows = yield from tb.client.range_query(
             "ks", pairs[10][0], pairs[13][0], tb.ctx
         )
         return point, rows
@@ -83,10 +63,10 @@ def test_recover_secondary_index_sketch():
         yield from tb.client.wait_for_device("ks", tb.ctx)
 
     tb.run(setup())
-    _device2, client2 = power_cycle(tb)
+    tb.power_cycle()
 
     def query():
-        rows = yield from client2.sidx_range_query(
+        rows = yield from tb.client.sidx_range_query(
             "ks", "tag", struct.pack("<I", 7), struct.pack("<I", 8), tb.ctx
         )
         return rows
@@ -107,8 +87,8 @@ def test_recover_writable_keyspace_continues_ingest():
 
     tb.run(setup())
     flushed = tb.device.keyspaces["ks"].n_pairs  # includes membuf'd pairs
-    device2, client2 = power_cycle(tb)
-    ks = device2.keyspaces["ks"]
+    tb.power_cycle()
+    ks = tb.device.keyspaces["ks"]
     assert ks.state == KeyspaceState.WRITABLE
     # membuf contents were lost; KLOG-resident pairs survive
     assert 0 < ks.n_pairs <= flushed
@@ -116,11 +96,11 @@ def test_recover_writable_keyspace_continues_ingest():
     more = make_pairs(500, key_bytes=24, prefix="late")
 
     def continue_ingest():
-        yield from client2.bulk_put("ks", more, tb.ctx)
-        yield from client2.compact("ks", tb.ctx)
-        yield from client2.wait_for_device("ks", tb.ctx)
-        v_new = yield from client2.get("ks", more[123][0], tb.ctx)
-        v_old = yield from client2.get("ks", pairs[0][0], tb.ctx)
+        yield from tb.client.bulk_put("ks", more, tb.ctx)
+        yield from tb.client.compact("ks", tb.ctx)
+        yield from tb.client.wait_for_device("ks", tb.ctx)
+        v_new = yield from tb.client.get("ks", more[123][0], tb.ctx)
+        v_old = yield from tb.client.get("ks", pairs[0][0], tb.ctx)
         return v_new, v_old
 
     v_new, v_old = tb.run(continue_ingest())
@@ -129,30 +109,46 @@ def test_recover_writable_keyspace_continues_ingest():
 
 
 def test_recover_mid_compaction_reverts_to_writable():
+    """Power fails while the job writes its outputs: the remount finds the
+    keyspace WRITABLE over its intact logs, reclaims the job's partial
+    outputs, and the re-run compaction serves reads."""
     tb = CsdTestbed()
     pairs = make_pairs(20_000)
 
-    def setup():
+    def load():
         yield from tb.client.create_keyspace("ks", tb.ctx)
         yield from tb.client.open_keyspace("ks", tb.ctx)
         yield from tb.client.bulk_put("ks", pairs, tb.ctx)
-        yield from tb.client.compact("ks", tb.ctx)
-        # power fails while the device is COMPACTING
 
-    tb.run(setup())
+    def compact():
+        yield from tb.client.compact("ks", tb.ctx)
+        yield from tb.client.wait_for_device("ks", tb.ctx)
+
+    tb.run(load())
+    # the job's second cluster is its PIDX one: the sorted values are on
+    # flash by then, referenced by nothing durable
+    plan = FaultPlan(cut_at_event=2, cut_event_type="cluster.allocate")
+    tb.ssd.faults = plan
+    install_journal(tb.env).on_record = plan.observe_event
+    with pytest.raises(PowerCut):
+        tb.run(compact())
     assert tb.device.keyspaces["ks"].state == KeyspaceState.COMPACTING
-    device2, client2 = power_cycle(tb)
-    ks = device2.keyspaces["ks"]
-    assert ks.state == KeyspaceState.WRITABLE
-    assert device2.stats.counter("orphan_zones_reclaimed").value >= 0
+
+    tb2 = CsdTestbed()
+    tb2.ssd.load_flash_state(tb.ssd.flash_state())
+    tb2.power_cycle()
+    assert tb2.device.keyspaces["ks"].state == KeyspaceState.WRITABLE
+    assert tb2.device.stats.counter("orphan_zones_reclaimed").value > 0
+    tb2.env.run()
+    report = InvariantAuditor(tb2.device).run("mount")
+    assert report.ok, report.violations
 
     def redo():
-        yield from client2.compact("ks", tb.ctx)
-        yield from client2.wait_for_device("ks", tb.ctx)
-        value = yield from client2.get("ks", pairs[777][0], tb.ctx)
-        return value
+        yield from tb2.client.compact("ks", tb2.ctx)
+        yield from tb2.client.wait_for_device("ks", tb2.ctx)
+        return (yield from tb2.client.get("ks", pairs[777][0], tb2.ctx))
 
-    assert tb.run(redo()) == pairs[777][1]
+    assert tb2.run(redo()) == pairs[777][1]
 
 
 def test_recover_respects_deletions():
@@ -168,8 +164,8 @@ def test_recover_respects_deletions():
         yield from tb.client.delete_keyspace("drop", tb.ctx)
 
     tb.run(setup())
-    device2, _client2 = power_cycle(tb)
-    assert device2.list_keyspaces() == ["keep"]
+    tb.power_cycle()
+    assert tb.device.list_keyspaces() == ["keep"]
 
 
 def test_recover_reclaims_free_zones_consistently():
@@ -184,8 +180,8 @@ def test_recover_reclaims_free_zones_consistently():
 
     tb.run(setup())
     free_before = tb.device.zone_manager.free_zone_count
-    device2, _client2 = power_cycle(tb)
-    assert device2.zone_manager.free_zone_count == free_before
+    tb.power_cycle()
+    assert tb.device.zone_manager.free_zone_count == free_before
 
 
 def test_recover_requires_fresh_device():
@@ -205,12 +201,73 @@ def test_recover_requires_fresh_device():
 
 def test_recover_empty_device():
     tb = CsdTestbed()
-    device2, client2 = power_cycle(tb)
-    assert device2.list_keyspaces() == []
+    tb.power_cycle()
+    assert tb.device.list_keyspaces() == []
 
     def create_after():
-        yield from client2.create_keyspace("fresh", tb.ctx)
-        yield from client2.open_keyspace("fresh", tb.ctx)
+        yield from tb.client.create_keyspace("fresh", tb.ctx)
+        yield from tb.client.open_keyspace("fresh", tb.ctx)
 
     tb.run(create_after())
-    assert device2.keyspaces["fresh"].state == KeyspaceState.WRITABLE
+    assert tb.device.keyspaces["fresh"].state == KeyspaceState.WRITABLE
+
+
+def test_power_cycle_keeps_the_testbed_configuration():
+    csd_costs = CsdCostModel(request_overhead=3e-6)
+    client_costs = ClientCostModel(per_command=2e-6)
+    tb = KvcsdTestbed(
+        seed=5,
+        geometry=bench_geometry(n_channels=4, n_zones=64, zone_size=1 * MiB),
+        csd_costs=csd_costs,
+        client_costs=client_costs,
+        cluster_zones=3,
+        membuf_bytes=96 * KiB,
+        bulk_message_bytes=64 * KiB,
+        bloom_bits_per_key=7,
+        queue_depth=8,
+    )
+    before = (tb.board, tb.device, tb.client, tb.ssd, tb.link)
+    spec, qp_name = tb.board.spec, tb.client.qp.name
+    tb.power_cycle()
+    assert all(new is not old for new, old in zip((tb.board, tb.device, tb.client), before))
+    assert (tb.ssd, tb.link) == before[3:]
+    assert tb.board.spec == spec and tb.board.spec.bloom_bits_per_key == 7
+    assert tb.device.membuf_bytes == 96 * KiB
+    assert tb.device.cluster_zones == 3
+    assert tb.client.bulk_message_bytes == 64 * KiB
+    assert tb.client.qp.depth == 8
+    assert (tb.device.costs, tb.client.costs) == (csd_costs, client_costs)
+    assert (tb.device.name, tb.ssd.name, tb.client.qp.name) == (
+        before[1].name, before[3].name, qp_name
+    )
+    assert tb.adapter.client is tb.client
+
+
+def test_power_cycle_refuses_a_job_in_flight():
+    tb = CsdTestbed()
+
+    def start_compaction():
+        yield from tb.client.create_keyspace("ks", tb.ctx)
+        yield from tb.client.open_keyspace("ks", tb.ctx)
+        yield from tb.client.bulk_put("ks", make_pairs(5000), tb.ctx)
+        yield from tb.client.compact("ks", tb.ctx)
+
+    tb.run(start_compaction())
+    assert tb.device.keyspaces["ks"].jobs
+    with pytest.raises(SimulationError, match="jobs in flight"):
+        tb.power_cycle()
+
+
+def test_power_cycle_refuses_an_unreaped_command():
+    tb = CsdTestbed()
+
+    def post():
+        yield from tb.client.create_keyspace("ks", tb.ctx)
+        yield from tb.client.open_keyspace("ks", tb.ctx)
+        return (yield from tb.client.put_async("ks", b"k", b"v", tb.ctx))
+
+    ticket = tb.run(post())
+    tb.env.run()
+    assert ticket.done and tb.client.qp.unreaped == 1
+    with pytest.raises(SimulationError, match="host command in flight"):
+        tb.power_cycle()

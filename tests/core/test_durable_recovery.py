@@ -1,42 +1,17 @@
 """The metadata log and the mount pipeline: staged recovery, bloom reload,
 A/B checkpoints, torn-tail tolerance, deletes that stay dead."""
 
-import dataclasses
-
-import numpy as np
-
-from repro.core import KvCsdClient, KvCsdDevice
 from repro.core.mount import MOUNT_STAGES
 from repro.core.keyspace import KeyspaceState
 from repro.errors import KeyNotFoundError
-from repro.nvme import PcieLink
 from repro.obs.audit import InvariantAuditor
 from repro.obs.journal import install_journal
 from repro.obs.trace import install_tracer
 from repro.sim.sync import AllOf
-from repro.soc import SocBoard
 from repro.ssd.zone import ZoneState
 from repro.units import KiB
 
 from tests.core.conftest import CsdTestbed, make_pairs
-
-
-def power_cycle(tb, spec=None):
-    """A fresh board + device over the same SSD (DRAM state is lost)."""
-    board2 = SocBoard(tb.env, tb.ssd, spec=spec or tb.board.spec)
-    device2 = KvCsdDevice(
-        board2,
-        rng=np.random.default_rng(43),
-        membuf_bytes=tb.device.membuf_bytes,
-        cluster_zones=tb.device.cluster_zones,
-    )
-    client2 = KvCsdClient(device2, PcieLink(tb.env, lanes=16))
-
-    def mount():
-        yield from device2.recover(tb.ctx)
-
-    tb.run(mount())
-    return device2, client2
 
 
 def load_and_compact(tb, pairs, name="ks"):
@@ -56,28 +31,29 @@ def test_blooms_survive_power_cycle():
     tb = CsdTestbed(bloom_bits_per_key=10)
     pairs = make_pairs(3000)
     load_and_compact(tb, pairs)
-    sketch = tb.device.keyspaces["ks"].pidx_sketch
+    old = tb.device
+    sketch = old.keyspaces["ks"].pidx_sketch
     assert len(sketch.blooms) == len(sketch) > 0
 
-    device2, client2 = power_cycle(tb)
-    recovered = device2.keyspaces["ks"].pidx_sketch
+    tb.power_cycle()
+    recovered = tb.device.keyspaces["ks"].pidx_sketch
     assert len(recovered.blooms) == len(recovered) == len(sketch)
-    assert device2.stats.counter("blooms_reloaded").value == len(sketch)
-    built = tb.device.stats.counter("bloom_filters_built").value
-    assert device2.stats.counter("blooms_reloaded").value == built
-    assert device2.stats.counter("bloom_reload_bytes").value == (
-        tb.device.keyspaces["ks"].bloom_dram
+    assert tb.device.stats.counter("blooms_reloaded").value == len(sketch)
+    built = old.stats.counter("bloom_filters_built").value
+    assert tb.device.stats.counter("blooms_reloaded").value == built
+    assert tb.device.stats.counter("bloom_reload_bytes").value == (
+        old.keyspaces["ks"].bloom_dram
     )
 
     absent = [f"zz-{i:012d}".encode().ljust(16, b"0") for i in range(20)]
-    before = device2.stats.counter("pidx_block_reads").value
+    before = tb.device.stats.counter("pidx_block_reads").value
 
     def probe():
-        hit = yield from client2.get("ks", pairs[42][0], tb.ctx)
+        hit = yield from tb.client.get("ks", pairs[42][0], tb.ctx)
         misses = 0
         for key in absent:
             try:
-                yield from client2.get("ks", key, tb.ctx)
+                yield from tb.client.get("ks", key, tb.ctx)
             except KeyNotFoundError:
                 misses += 1
         return hit, misses
@@ -87,7 +63,7 @@ def test_blooms_survive_power_cycle():
     assert misses == len(absent)
     # reloaded blooms eliminate (nearly) every absent-key block read
     eliminated_misses = before + 1  # +1 block read for the present key
-    assert device2.stats.counter("pidx_block_reads").value <= eliminated_misses + 2
+    assert tb.device.stats.counter("pidx_block_reads").value <= eliminated_misses + 2
 
 
 def test_bloomless_record_mounts_without_blooms():
@@ -99,24 +75,26 @@ def test_bloomless_record_mounts_without_blooms():
     load_and_compact(tb, pairs)
 
     def mount(bits):
-        before = tb.ssd.stats.bytes_read
-        spec = dataclasses.replace(tb.board.spec, bloom_bits_per_key=bits)
-        device2, client2 = power_cycle(tb, spec)
-        return device2, client2, tb.ssd.stats.bytes_read - before
+        # a second testbed whose board builds ``bits``-per-key blooms,
+        # mounted over the first one's flash image
+        tb2 = CsdTestbed(bloom_bits_per_key=bits)
+        tb2.ssd.load_flash_state(tb.ssd.flash_state())
+        tb2.power_cycle()
+        return tb2
 
-    _device, _client, plain_bytes = mount(0)
-    device2, client2, bytes_read = mount(10)
-    assert device2.indexes.bloom_bits_per_key == 10
-    assert not device2.keyspaces["ks"].pidx_sketch.blooms
-    assert bytes_read <= plain_bytes
-    assert device2.stats.counter("blooms_reloaded").value == 0
+    plain_bytes = mount(0).ssd.stats.bytes_read
+    tb2 = mount(10)
+    assert tb2.device.indexes.bloom_bits_per_key == 10
+    assert not tb2.device.keyspaces["ks"].pidx_sketch.blooms
+    assert tb2.ssd.stats.bytes_read <= plain_bytes
+    assert tb2.device.stats.counter("blooms_reloaded").value == 0
 
     def read_all():
         for key, value in pairs:
-            assert (yield from client2.get("ks", key, tb.ctx)) == value
+            assert (yield from tb2.client.get("ks", key, tb2.ctx)) == value
 
-    tb.run(read_all())
-    report = InvariantAuditor(device2).run("mount")
+    tb2.run(read_all())
+    report = InvariantAuditor(tb2.device).run("mount")
     assert report.ok, report.violations
 
 
@@ -124,18 +102,18 @@ def test_mount_stages_journaled_and_gauged():
     tb = CsdTestbed(bloom_bits_per_key=10)
     journal = install_journal(tb.env)
     load_and_compact(tb, make_pairs(1500))
-    device2, _client2 = power_cycle(tb)
+    tb.power_cycle()
 
-    assert set(device2.mount_stages) == set(MOUNT_STAGES)
+    assert set(tb.device.mount_stages) == set(MOUNT_STAGES)
     begins = [e for e in journal.events if e.type == "mount.stage_begin"]
     ends = [e for e in journal.events if e.type == "mount.stage_end"]
     assert [e.fields["stage"] for e in begins] == list(MOUNT_STAGES)
     assert [e.fields["stage"] for e in ends] == list(MOUNT_STAGES)
 
-    assert device2.stats.counter("recoveries").value == 1.0
-    gauges = device2.metric_gauges()
+    assert tb.device.stats.counter("recoveries").value == 1.0
+    gauges = tb.device.metric_gauges()
     assert gauges["recovery.mount_seconds"]() == sum(
-        device2.mount_stages.values()
+        tb.device.mount_stages.values()
     )
     for stage in MOUNT_STAGES:
         assert gauges[f"recovery.stage_seconds.{stage}"]() >= 0.0
@@ -161,14 +139,14 @@ def test_ab_checkpoint_swaps_zones_and_survives_torn_target():
         yield from tb.ssd.append(active, torn)
 
     tb.run(tear())
-    device2, client2 = power_cycle(tb)
+    tb.power_cycle()
     # mount fell back to the sealed epoch-1 stream, data intact
-    assert device2.metalog.epoch == 1
-    assert device2.metalog.zone_ids == [standby, active]
-    assert device2.keyspaces["ks"].n_pairs == 1000
+    assert tb.device.metalog.epoch == 1
+    assert tb.device.metalog.zone_ids == [standby, active]
+    assert tb.device.keyspaces["ks"].n_pairs == 1000
 
     def query():
-        return (yield from client2.get("ks", make_pairs(1000)[5][0], tb.ctx))
+        return (yield from tb.client.get("ks", make_pairs(1000)[5][0], tb.ctx))
 
     assert tb.run(query()) == make_pairs(1000)[5][1]
 
@@ -185,13 +163,13 @@ def test_torn_metadata_append_applies_intact_prefix():
         yield from tb.ssd.append(log.zone_ids[0], record[: len(record) // 2])
 
     tb.run(tear())
-    device2, client2 = power_cycle(tb)
-    assert device2.stats.counter("metadata_torn_tails").value == 1
-    assert device2.keyspaces["ks"].state == KeyspaceState.COMPACTED
-    assert device2.keyspaces["ks"].n_pairs == 1200
+    tb.power_cycle()
+    assert tb.device.stats.counter("metadata_torn_tails").value == 1
+    assert tb.device.keyspaces["ks"].state == KeyspaceState.COMPACTED
+    assert tb.device.keyspaces["ks"].n_pairs == 1200
 
     def query():
-        return (yield from client2.get("ks", pairs[7][0], tb.ctx))
+        return (yield from tb.client.get("ks", pairs[7][0], tb.ctx))
 
     assert tb.run(query()) == pairs[7][1]
 
@@ -240,9 +218,9 @@ def test_delete_surviving_zone_full_checkpoint_is_not_resurrected():
     assert dev.stats.counter("metadata_checkpoints").value == 1
     assert "victim" not in dev.keyspaces
 
-    device2, _client2 = power_cycle(tb)
-    assert device2.metalog.epoch == 1
-    assert device2.list_keyspaces() == []
+    tb.power_cycle()
+    assert tb.device.metalog.epoch == 1
+    assert tb.device.list_keyspaces() == []
 
 
 def test_committed_delete_survives_another_writers_checkpoint():
@@ -280,9 +258,9 @@ def test_committed_delete_survives_another_writers_checkpoint():
     assert dev.stats.counter("metadata_checkpoints").value == 1
     assert dev.list_keyspaces() == ["other"]
 
-    device2, _client2 = power_cycle(tb)
-    assert device2.list_keyspaces() == ["other"]
-    report = InvariantAuditor(device2).run("mount")
+    tb.power_cycle()
+    assert tb.device.list_keyspaces() == ["other"]
+    report = InvariantAuditor(tb.device).run("mount")
     assert report.ok, report.violations
 
 
@@ -300,10 +278,10 @@ def test_recreated_keyspace_is_snapshotted_again():
     load_and_compact(tb, pairs[:100], name="ks")
     tb.run(tb.device.metalog.checkpoint(tb.ctx))
 
-    device2, _client2 = power_cycle(tb)
-    assert device2.metalog.epoch == 1
-    assert device2.list_keyspaces() == ["ks"]
-    assert device2.keyspaces["ks"].n_pairs == 100
+    tb.power_cycle()
+    assert tb.device.metalog.epoch == 1
+    assert tb.device.list_keyspaces() == ["ks"]
+    assert tb.device.keyspaces["ks"].n_pairs == 100
 
 
 def test_metadata_writers_serialized_by_meta_lock():
@@ -401,13 +379,13 @@ def test_concurrent_appends_overflowing_the_zone_checkpoint_once():
     assert log.epoch == 1
     assert dev.stats.counter("metadata_checkpoints").value == checkpoints + 1
 
-    device2, _client2 = power_cycle(tb)
-    assert device2.list_keyspaces() == names
+    tb.power_cycle()
+    assert tb.device.list_keyspaces() == names
     for name in names:
-        assert log.codec.encode_upsert(device2.keyspaces[name], 0) == (
+        assert log.codec.encode_upsert(tb.device.keyspaces[name], 0) == (
             log.codec.encode_upsert(dev.keyspaces[name], 0)
         )
-    report = InvariantAuditor(device2).run("mount")
+    report = InvariantAuditor(tb.device).run("mount")
     assert report.ok, report.violations
 
 
@@ -429,8 +407,8 @@ def test_racing_upserts_of_one_keyspace_remount_to_the_later_state():
         yield AllOf(tb.env, [hog, first, second])
 
     tb.run(race())
-    device2, _client2 = power_cycle(tb)
-    assert device2.keyspaces["ks"].state == KeyspaceState.WRITABLE
+    tb.power_cycle()
+    assert tb.device.keyspaces["ks"].state == KeyspaceState.WRITABLE
 
 
 def test_upsert_claiming_after_a_delete_of_its_keyspace_is_dropped():
@@ -451,9 +429,9 @@ def test_upsert_claiming_after_a_delete_of_its_keyspace_is_dropped():
 
     tb.run(race())
     assert "victim" in dev.keyspaces
-    device2, _client2 = power_cycle(tb)
-    assert device2.list_keyspaces() == []
-    report = InvariantAuditor(device2).run("mount")
+    tb.power_cycle()
+    assert tb.device.list_keyspaces() == []
+    report = InvariantAuditor(tb.device).run("mount")
     assert report.ok, report.violations
 
 
@@ -479,22 +457,22 @@ def test_torn_klog_tail_sealed_on_mount():
         yield from tb.ssd.append(target, b"\x10\x00" + b"xx")
 
     tb.run(tear())
-    device2, client2 = power_cycle(tb)
-    assert device2.stats.counter("klog_torn_tails").value >= 1
+    tb.power_cycle()
+    assert tb.device.stats.counter("klog_torn_tails").value >= 1
     # the torn zone was sealed so later appends cannot corrupt rescans
     assert tb.ssd.zone(target).state is ZoneState.FULL
-    recovered = device2.keyspaces["ks"]
+    recovered = tb.device.keyspaces["ks"]
     assert recovered.state == KeyspaceState.WRITABLE
     assert recovered.n_pairs > 0
 
     more = make_pairs(500, key_bytes=24, prefix="late")
 
     def continue_ingest():
-        yield from client2.bulk_put("ks", more, tb.ctx)
-        yield from client2.compact("ks", tb.ctx)
-        yield from client2.wait_for_device("ks", tb.ctx)
-        v_new = yield from client2.get("ks", more[123][0], tb.ctx)
-        v_old = yield from client2.get("ks", pairs[0][0], tb.ctx)
+        yield from tb.client.bulk_put("ks", more, tb.ctx)
+        yield from tb.client.compact("ks", tb.ctx)
+        yield from tb.client.wait_for_device("ks", tb.ctx)
+        v_new = yield from tb.client.get("ks", more[123][0], tb.ctx)
+        v_old = yield from tb.client.get("ks", pairs[0][0], tb.ctx)
         return v_new, v_old
 
     v_new, v_old = tb.run(continue_ingest())
@@ -516,8 +494,9 @@ def test_durable_delete_then_power_cycle_reclaims_orphans():
         yield from tb.client.delete_keyspace("drop", tb.ctx)
 
     tb.run(setup())
-    device2, _client2 = power_cycle(tb)
-    assert device2.list_keyspaces() == ["keep"]
-    assert device2.zone_manager.free_zone_count == (
-        tb.device.zone_manager.free_zone_count
+    old = tb.device
+    tb.power_cycle()
+    assert tb.device.list_keyspaces() == ["keep"]
+    assert tb.device.zone_manager.free_zone_count == (
+        old.zone_manager.free_zone_count
     )

@@ -4,8 +4,10 @@ zero-byte values, reversed bounds."""
 import pytest
 
 from repro.core.klog import MAX_KEY_BYTES
-from repro.errors import KeyNotFoundError, KeyTooLargeError
+from repro.errors import KeyNotFoundError, KeyTooLargeError, ValueTooLargeError
 from repro.nvme.kv_commands import KvBulkDeleteCmd, KvBulkPutCmd, KvDeleteCmd
+from repro.obs.audit import InvariantAuditor
+from repro.units import KiB, MiB
 
 from tests.core.conftest import CsdTestbed, make_pairs
 from tests.lsm.conftest import LsmTestbed, small_options
@@ -163,6 +165,78 @@ def test_oversized_key_is_refused_at_admission_and_poisons_nothing():
     assert statuses == ["OK", "KeyTooLargeError", "KeyTooLargeError"]
     assert tb.device.keyspaces["ks"].state.name == "COMPACTED"
     assert rows == sorted(pairs + [(b"after", b"ok")])
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["zone", "zone+1"])
+def test_value_larger_than_a_zone_is_refused_and_drains_nothing(over):
+    """A value one zone long is stored; one byte more fails its own command,
+    typed, before anything is buffered or allocated.  It used to make the
+    flush allocate cluster after cluster until the zone pool was empty, and
+    then every write to every keyspace failed OutOfSpaceError."""
+    tb = CsdTestbed(zone_size=1 * MiB, cluster_zones=2)
+    limit = tb.ssd.geometry.zone_size
+    big = b"b" * (limit + over)
+    pairs = make_pairs(300)
+    dev, client, ctx = tb.device, tb.client, tb.ctx
+
+    def setup():
+        for name in ("ks", "other"):
+            yield from client.create_keyspace(name, ctx)
+            yield from client.open_keyspace(name, ctx)
+        yield from client.bulk_put("ks", pairs, ctx)
+
+    def table():
+        return (
+            dev.zone_manager.free_zone_count,
+            {name: dev.metalog.codec.encode_upsert(ks, ks.seq) for name, ks in dev.keyspaces.items()},
+            [tb.ssd.zone(z).write_pointer for z in dev.metalog.zone_ids],
+        )
+
+    tb.run(setup())
+    before = table()
+    if over:
+        with pytest.raises(ValueTooLargeError) as exc:
+            tb.run(client.put("ks", b"big", big, ctx))
+        assert (exc.value.value_bytes, exc.value.limit) == (limit + 1, limit)
+        # one bulk message: its small pair is refused with the big one
+        message = KvBulkPutCmd.of("ks", [(b"a", b"small"), (b"big", big)])
+        (completion,) = tb.run(client.submit_many([message], ctx))
+        assert completion.status == "ValueTooLargeError"
+        assert table() == before
+    else:
+        tb.run(client.put("ks", b"big", big, ctx))
+        assert dev.zone_manager.free_zone_count < before[0]
+
+    def serve():
+        yield from client.bulk_put("other", pairs, ctx)
+        for name in ("ks", "other"):
+            yield from client.compact(name, ctx)
+            yield from client.wait_for_device(name, ctx)
+        got = yield from client.multi_get("other", [k for k, _ in pairs], ctx)
+        assert got == dict(pairs)
+        try:
+            return (yield from client.get("ks", b"big", ctx))
+        except KeyNotFoundError:
+            return None
+
+    assert tb.run(serve()) == (None if over else big)
+    report = InvariantAuditor(dev).run("oversized-value")
+    assert report.ok, report.violations
+
+
+def test_values_between_the_membuf_and_a_zone_are_stored():
+    tb = CsdTestbed(zone_size=1 * MiB, cluster_zones=2)
+    pairs = [(b"k%d" % i, bytes([i]) * (300 * KiB)) for i in range(4)]
+
+    def proc():
+        yield from tb.client.create_keyspace("ks", tb.ctx)
+        yield from tb.client.open_keyspace("ks", tb.ctx)
+        yield from tb.client.bulk_put("ks", pairs, tb.ctx)
+        yield from tb.client.compact("ks", tb.ctx)
+        yield from tb.client.wait_for_device("ks", tb.ctx)
+        return (yield from tb.client.multi_get("ks", [k for k, _ in pairs], tb.ctx))
+
+    assert tb.run(proc()) == dict(pairs)
 
 
 def test_longest_admitted_key_survives_flush_compaction_and_metadata():

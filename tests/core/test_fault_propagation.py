@@ -6,15 +6,13 @@ state (the invariant auditor passes), and leave the queue pair healthy so
 a retry succeeds.
 """
 
-import numpy as np
 import pytest
 
-from repro.core import KvCsdClient, KvCsdDevice, SidxConfig
+from repro.core import SidxConfig
 from repro.core.keyspace import KeyspaceState
 from repro.errors import SecondaryIndexError, StorageError
 from repro.nvme.kv_commands import KvGetCmd, WaitCompactionCmd
 from repro.obs.audit import InvariantAuditor
-from repro.soc import SocBoard
 from repro.ssd.faults import FaultPlan, MediaError
 
 from tests.core.conftest import CsdTestbed, make_pairs
@@ -61,24 +59,6 @@ def test_media_error_during_flush_contained():
     assert tb.run(retry()) == pairs[77][1]
 
 
-def power_cycle(tb):
-    """Swap in a fresh board + device mounted from the same SSD."""
-    board = SocBoard(tb.env, tb.ssd, spec=tb.board.spec)
-    device = KvCsdDevice(
-        board,
-        rng=np.random.default_rng(43),
-        membuf_bytes=tb.device.membuf_bytes,
-        cluster_zones=tb.device.cluster_zones,
-    )
-
-    def mount():
-        yield from device.recover(tb.ctx)
-
-    tb.run(mount())
-    tb.board, tb.device = board, device
-    tb.client = KvCsdClient(device, tb.link)
-
-
 @pytest.mark.parametrize("remount", [False, True])
 def test_media_error_during_compaction_unwinds(remount):
     """A fault mid-compaction parks on the wait ticket only: the keyspace
@@ -111,7 +91,7 @@ def test_media_error_during_compaction_unwinds(remount):
 
     tb.ssd.faults = None
     if remount:
-        power_cycle(tb)
+        tb.power_cycle()
         ks = tb.device.keyspaces["ks"]
         assert ks.state == KeyspaceState.WRITABLE
         assert ks.klog_clusters

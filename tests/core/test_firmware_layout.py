@@ -3,7 +3,7 @@
 ``repro.core`` is split into services no larger than 600 lines each, and
 nothing outside it reaches into the device's private state: observers,
 benches and the CLI read the keyspace table, its per-keyspace record and
-the device's public fields.
+the device's public fields.  One module assembles a device stack.
 """
 
 import re
@@ -31,3 +31,13 @@ def test_nothing_outside_core_reads_private_device_state():
         if private.search(line)
     ]
     assert offenders == []
+
+
+def test_one_module_constructs_the_device():
+    constructs = re.compile(r"\bKvCsdDevice\(")
+    modules = sorted(
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        if constructs.search(path.read_text())
+    )
+    assert modules == ["bench/calibration.py"]

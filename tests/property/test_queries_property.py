@@ -6,26 +6,28 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.calibration import HostSpec, KvcsdTestbed
 from repro.core import KvCsdClient, KvCsdDevice, SidxConfig
 from repro.core.pidx import PidxColumns
 from repro.errors import KeyNotFoundError
 from repro.host import ThreadCtx
 from repro.nvme import PcieLink
 from repro.sim import CpuPool, Environment
-from repro.soc import SocBoard
+from repro.sim.cpu import DEFAULT_TIMESLICE
+from repro.soc import SocBoard, SocSpec
 from repro.ssd import SsdGeometry, ZnsSsd
 from repro.units import MiB
 
 
 def build(pairs, sidx_config=None):
-    env = Environment()
-    ssd = ZnsSsd(
-        env, geometry=SsdGeometry(n_channels=2, n_zones=32, zone_size=2 * MiB)
+    tb = KvcsdTestbed(
+        seed=1,
+        host=HostSpec(n_cores=2, timeslice=DEFAULT_TIMESLICE),
+        soc=SocSpec(),
+        geometry=SsdGeometry(n_channels=2, n_zones=32, zone_size=2 * MiB),
+        cluster_zones=2,
     )
-    board = SocBoard(env, ssd)
-    device = KvCsdDevice(board, rng=np.random.default_rng(1), cluster_zones=2)
-    client = KvCsdClient(device, PcieLink(env))
-    ctx = ThreadCtx(cpu=CpuPool(env, 2), core=0)
+    env, client, ctx = tb.env, tb.client, tb.thread_ctx(0)
 
     def setup():
         yield from client.create_keyspace("ks", ctx)

@@ -6,18 +6,18 @@ every observable result matches a plain dictionary executing the same
 sequence — the strongest end-to-end correctness statement the library makes.
 """
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import KvCsdClient, KvCsdDevice
+from repro.bench.calibration import HostSpec, KvcsdTestbed
 from repro.errors import KeyNotFoundError
 from repro.host import Filesystem, PageCache, ThreadCtx
 from repro.lsm import Db, DbOptions
-from repro.nvme import NvmeController, PcieLink, QueuePair
+from repro.nvme import NvmeController, QueuePair
 from repro.sim import CpuPool, Environment
-from repro.soc import SocBoard
-from repro.ssd import ConventionalSsd, SsdGeometry, ZnsSsd
+from repro.sim.cpu import DEFAULT_TIMESLICE
+from repro.soc import SocSpec
+from repro.ssd import ConventionalSsd, SsdGeometry
 from repro.units import KiB, MiB
 
 # Small key/value spaces force overwrites, deletes of present keys, and
@@ -110,15 +110,13 @@ csd_ops = st.lists(
 )
 @given(csd_ops)
 def test_kvcsd_matches_dict_model(ops):
-    env = Environment()
-    ssd = ZnsSsd(
-        env, geometry=SsdGeometry(n_channels=2, n_zones=16, zone_size=MiB)
+    tb = KvcsdTestbed(
+        host=HostSpec(n_cores=2, timeslice=DEFAULT_TIMESLICE),
+        soc=SocSpec(),
+        geometry=SsdGeometry(n_channels=2, n_zones=16, zone_size=MiB),
+        cluster_zones=2,
     )
-    board = SocBoard(env, ssd)
-    device = KvCsdDevice(board, rng=np.random.default_rng(0), cluster_zones=2)
-    client = KvCsdClient(device, PcieLink(env))
-    cpu = CpuPool(env, 2)
-    ctx = ThreadCtx(cpu=cpu, core=0)
+    client, ctx = tb.client, tb.thread_ctx(0)
     model: dict[bytes, bytes] = {}
 
     def driver():
@@ -146,4 +144,4 @@ def test_kvcsd_matches_dict_model(ops):
         stat = yield from client.keyspace_stat("ks", ctx)
         assert stat["n_pairs"] == len(model)
 
-    env.run(env.process(driver()))
+    tb.run(driver())
