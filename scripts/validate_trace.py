@@ -1,5 +1,9 @@
 #!/usr/bin/env python
-"""Validate a Chrome-trace JSON file produced by ``repro trace``.
+"""Validate a Chrome trace, an explain report or a Prometheus dump.
+
+``repro run <id> --trace --out doc.json`` writes the Chrome trace as
+``doc.trace.json`` (and the Prometheus dump as ``doc.prom``); with
+``--explain`` the document itself carries the explain report.
 
 Checks the invariants chrome://tracing / Perfetto rely on:
 
@@ -18,7 +22,7 @@ Checks the invariants chrome://tracing / Perfetto rely on:
 * every fanned-out per-device command span (a ``cmd.*`` span stamped
   with a ``dev`` arg by the cluster router) has an ancestor named
   ``cluster.*`` or ``migrate.*`` — a device command with no originating
-  router span means the fan-out lost its parent and ``repro explain``
+  router span means the fan-out lost its parent and the explain report
   cannot attribute its latency to the logical operation;
 * counter (``C``) tracks — the timeline's saturation curves — carry
   finite numeric ``args.value`` samples with per-track monotonically
@@ -27,21 +31,21 @@ Checks the invariants chrome://tracing / Perfetto rely on:
   (both are driven by the same virtual clock, so a counter past the
   final span means the sampler and tracer disagreed about ``env.now``).
 
-Explain reports (``repro explain --out``) are detected by shape (top-level
-``ops`` + ``min_attributed``) and validated instead against the tiling
+Explain reports are detected by shape (top-level ``ops`` +
+``min_attributed``, or a run document whose ``explain`` key holds one) and
+validated instead against the tiling
 invariant: every sampled op's critical-path segments must exactly tile the
 op's span — contiguous, starting at the span start, ending at the span
 end, with segment widths summing to the span duration.  Gaps, overlaps,
 or a mismatched sum mean the attribution engine double-counted or lost
 time.
 
-Prometheus text dumps (``repro metrics --out metrics.prom``) are detected by
-the ``.prom`` suffix and validated against the exposition format: one
+Prometheus text dumps (``.prom``) are detected by the suffix and validated against the exposition format: one
 ``# TYPE`` line per family, each family's samples contiguous under it,
 every sample line parses (``name{label="value",...} value``), and no
 ``(metric, labels)`` pair repeats.
 
-Usage: ``python scripts/validate_trace.py trace.json|explain.json|metrics.prom``
+Usage: ``python scripts/validate_trace.py doc.trace.json|doc.json|doc.prom``
 """
 
 from __future__ import annotations
@@ -68,8 +72,8 @@ def validate(path: str) -> list[str]:
     errors: list[str] = []
     with open(path) as fh:
         doc = json.load(fh, parse_constant=_reject_constant)
-    if isinstance(doc, dict) and "ops" in doc and "min_attributed" in doc:
-        return _check_explain_tiling(path, doc)
+    if _explain_of(doc) is not None:
+        return _check_explain_tiling(path, _explain_of(doc))
     if not isinstance(doc, dict) or not isinstance(doc.get("traceEvents"), list):
         return [f"{path}: top level must be an object with a traceEvents list"]
 
@@ -106,6 +110,15 @@ def validate(path: str) -> list[str]:
     errors.extend(_check_cluster_fanout_parenting(path, complete))
     errors.extend(_check_counter_tracks(path, counters, complete))
     return errors
+
+
+def _explain_of(doc) -> dict | None:
+    """The explain report a document is or carries, else ``None``."""
+    if isinstance(doc, dict) and isinstance(doc.get("explain"), dict):
+        doc = doc["explain"]
+    if isinstance(doc, dict) and "ops" in doc and "min_attributed" in doc:
+        return doc
+    return None
 
 
 def _check_exposition(path: str) -> list[str]:
@@ -351,7 +364,7 @@ def main(argv: list[str]) -> int:
     elif not errors:
         with open(argv[1]) as fh:
             doc = json.load(fh)
-        if isinstance(doc, dict) and "ops" in doc and "min_attributed" in doc:
+        if _explain_of(doc) is not None:
             print(
                 f"{argv[1]}: valid explain report (segments exactly tile "
                 "every sampled op span)"

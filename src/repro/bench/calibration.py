@@ -263,23 +263,6 @@ class KvcsdTestbed:
         )
         return tracer, hub, recorder
 
-    def enable_introspection(
-        self, audit_level: str = "phase", journal_capacity: int = 4096
-    ):
-        """Install the event journal and attach the invariant auditor.
-
-        Returns ``(journal, auditor)``; ``auditor`` is ``None`` when
-        ``audit_level="off"``.  Composes with :meth:`enable_tracing`
-        (journal events correlate to spans when both are on); like tracing,
-        neither creates simulation events, so the run stays byte-identical.
-        """
-        from repro.obs.audit import attach_auditor
-        from repro.obs.journal import install_journal
-
-        journal = install_journal(self.env, capacity=journal_capacity)
-        auditor = attach_auditor(self.device, level=audit_level)
-        return journal, auditor
-
     def io_snapshot(self):
         return self.ssd.stats.snapshot()
 

@@ -29,7 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bench.calibration import bench_geometry
-from repro.bench.report import ResultTable, ShapeCheck, require_ascending, unobserved
+from repro.bench.report import (
+    ResultTable,
+    ShapeCheck,
+    require_ascending,
+    require_counts,
+    unobserved,
+)
 from repro.cluster import build_cluster_testbed, execute_ring_change
 from repro.cluster.ring import HashRing
 from repro.nvme.kv_commands import KvGetCmd
@@ -95,6 +101,7 @@ class ClusterBenchConfig:
     max_p99_ratio: float = 2.0
 
     def __post_init__(self):
+        require_counts(self)
         require_ascending("devices", self.devices)
 
 

@@ -25,7 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bench.calibration import build_kvcsd_testbed
-from repro.bench.report import ResultTable, ShapeCheck, device_stats, speedup, unobserved
+from repro.bench.report import (
+    ResultTable,
+    ShapeCheck,
+    device_stats,
+    require_counts,
+    speedup,
+    unobserved,
+)
 from repro.units import MiB
 from repro.workloads import (
     SyntheticSpec,
@@ -54,6 +61,9 @@ class CompactionBenchConfig:
     n_queries: int = 1024
     query_rounds: int = 2
     zipf_theta: float = 0.99
+
+    def __post_init__(self):
+        require_counts(self)
 
 
 @dataclass

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bench.calibration import HostSpec, KvcsdTestbed, bench_geometry
-from repro.bench.report import ResultTable, ShapeCheck
+from repro.bench.report import ResultTable, ShapeCheck, require_counts
 from repro.core import SidxConfig
 from repro.core.keyspace import KeyspaceState
 from repro.obs.audit import InvariantAuditor
@@ -76,6 +76,9 @@ class CrashBenchConfig:
     #: hard floor on distinct crash points the campaign must cover (the
     #: per-workload samples are capped by that run's journal/write counts)
     min_points: int = 200
+
+    def __post_init__(self):
+        require_counts(self)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bench.calibration import build_kvcsd_testbed, build_rocksdb_testbed
-from repro.bench.report import ResultTable, ShapeCheck, speedup
+from repro.bench.report import ResultTable, ShapeCheck, require_counts, speedup
 from repro.ssd.metrics import IoStats
 from repro.workloads import SyntheticSpec, generate_pairs, get_phase, load_phase
 
@@ -47,6 +47,9 @@ class Fig10Config:
     query_workers: int = 0
     #: per-key bloom bits for PIDX/SIDX block filters; 0 disables them
     bloom_bits_per_key: int = 0
+
+    def __post_init__(self):
+        require_counts(self)
 
 
 @dataclass

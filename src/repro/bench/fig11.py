@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bench.calibration import build_kvcsd_testbed, build_rocksdb_testbed
-from repro.bench.report import ResultTable, ShapeCheck, speedup
+from repro.bench.report import ResultTable, ShapeCheck, require_counts, speedup
 from repro.core.sidx import encode_skey
 from repro.workloads import (
     ENERGY_DTYPE,
@@ -56,6 +56,9 @@ class Fig11Config:
     query_workers: int = 0
     #: per-key bloom bits for PIDX/SIDX block filters; 0 disables them
     bloom_bits_per_key: int = 0
+
+    def __post_init__(self):
+        require_counts(self)
 
     def spec(self) -> VpicSpec:
         return VpicSpec(

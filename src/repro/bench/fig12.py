@@ -27,7 +27,7 @@ from repro.bench.fig11 import (
     load_vpic_kvcsd,
     load_vpic_rocksdb,
 )
-from repro.bench.report import ResultTable, ShapeCheck, speedup
+from repro.bench.report import ResultTable, ShapeCheck, require_counts, speedup
 from repro.core.sidx import encode_skey
 from repro.workloads import ENERGY_DTYPE, VpicDataset, run_phase
 
@@ -44,6 +44,9 @@ class Fig12Config:
     query_workers: int = 0
     #: per-key bloom bits for PIDX/SIDX block filters; 0 disables them
     bloom_bits_per_key: int = 0
+
+    def __post_init__(self):
+        require_counts(self)
 
     def fig11(self) -> Fig11Config:
         return Fig11Config(

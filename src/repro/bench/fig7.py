@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bench.calibration import build_kvcsd_testbed, build_rocksdb_testbed
-from repro.bench.report import ResultTable, ShapeCheck, speedup
+from repro.bench.report import ResultTable, ShapeCheck, require_counts, speedup
 from repro.ssd.metrics import IoStats
 from repro.workloads import SyntheticSpec, generate_pairs, load_phase
 
@@ -37,6 +37,9 @@ class Fig7Config:
     seed: int = 7
     #: SoC key-range shards for the deferred compaction (1 = serial firmware)
     compaction_shards: int = 1
+
+    def __post_init__(self):
+        require_counts(self)
 
 
 @dataclass

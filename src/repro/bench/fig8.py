@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bench.calibration import build_kvcsd_testbed, build_rocksdb_testbed
-from repro.bench.report import ResultTable, ShapeCheck, speedup
+from repro.bench.report import ResultTable, ShapeCheck, require_counts, speedup
 from repro.workloads import SyntheticSpec, generate_pairs, load_phase
 
 __all__ = ["Fig8Config", "Fig8Row", "Fig8Result", "run_fig8"]
@@ -32,6 +32,9 @@ class Fig8Config:
     rocksdb_threads: int = 32
     kvcsd_thread_counts: tuple[int, ...] = (2, 32)
     seed: int = 8
+
+    def __post_init__(self):
+        require_counts(self)
 
 
 @dataclass

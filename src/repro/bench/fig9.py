@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bench.calibration import build_kvcsd_testbed, build_rocksdb_testbed
-from repro.bench.report import ResultTable, ShapeCheck, speedup
+from repro.bench.report import ResultTable, ShapeCheck, require_counts, speedup
 from repro.lsm import CompactionMode
 from repro.workloads import SyntheticSpec, generate_pairs, load_phase
 
@@ -31,6 +31,9 @@ class Fig9Config:
     value_bytes: int = 32
     thread_counts: tuple[int, ...] = (1, 4, 16, 32)
     seed: int = 9
+
+    def __post_init__(self):
+        require_counts(self)
 
 
 @dataclass

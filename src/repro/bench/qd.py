@@ -26,6 +26,7 @@ from repro.bench.report import (
     ResultTable,
     ShapeCheck,
     require_ascending,
+    require_counts,
     speedup,
     unobserved,
 )
@@ -52,6 +53,7 @@ class QdBenchConfig:
     puts_per_depth: int = 512
 
     def __post_init__(self):
+        require_counts(self)
         require_ascending("depths", self.depths)
         if self.depths[0] != 1:
             raise ValueError(f"depths must start at 1, got {self.depths!r}")

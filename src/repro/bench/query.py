@@ -28,7 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bench.calibration import build_kvcsd_testbed
-from repro.bench.report import ResultTable, ShapeCheck, device_stats, speedup, unobserved
+from repro.bench.report import (
+    ResultTable,
+    ShapeCheck,
+    device_stats,
+    require_counts,
+    speedup,
+    unobserved,
+)
 from repro.workloads import SyntheticSpec, generate_pairs, get_phase, load_phase
 
 __all__ = ["QueryBenchConfig", "QueryBenchResult", "run_query_bench"]
@@ -51,6 +58,9 @@ class QueryBenchConfig:
     queries_per_thread: int = 192
     #: all-absent keys probed in the bloom ablation phase
     absent_queries: int = 1024
+
+    def __post_init__(self):
+        require_counts(self)
 
 
 @dataclass

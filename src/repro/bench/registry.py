@@ -11,7 +11,9 @@ observers the scenario accepts.  ``repro run``, ``benchmarks/`` and
 A scenario is called as ``scenario(config)``, or ``scenario(config,
 observe)`` when the entry accepts observers: it calls ``observe(testbed)``
 on the one testbed whose run is worth observing, and the runner installs
-the requested observers there and attaches their reports to the document.
+the requested observers there, attaches their reports to the document,
+turns their gates into checks and offers their native exports
+(:meth:`Run.exports`).
 """
 
 from __future__ import annotations
@@ -29,6 +31,14 @@ from repro.bench.fig9 import Fig9Config, run_fig9
 from repro.bench.fig10 import Fig10Config, run_fig10
 from repro.bench.fig11 import Fig11Config, run_fig11
 from repro.bench.fig12 import Fig12Config, run_fig12
+from repro.bench.observed import (
+    ObsLifecycleConfig,
+    ObsSaturateConfig,
+    ObsSelftestConfig,
+    run_obs_lifecycle,
+    run_obs_saturate,
+    run_obs_selftest,
+)
 from repro.bench.qd import QdBenchConfig, run_qd_bench
 from repro.bench.query import QueryBenchConfig, run_query_bench
 from repro.bench.report import ResultTable, ShapeCheck
@@ -39,6 +49,7 @@ from repro.units import KiB
 __all__ = [
     "Entry",
     "OBSERVERS",
+    "Observe",
     "REGISTRY",
     "Run",
     "configure",
@@ -47,7 +58,7 @@ __all__ = [
 ]
 
 #: Observer flags, in the order the runner installs them on a testbed.
-OBSERVERS = ("trace", "timeline", "explain")
+OBSERVERS = ("trace", "timeline", "explain", "journal", "audit")
 
 
 @dataclass(frozen=True)
@@ -242,6 +253,30 @@ _ENTRIES = (
             ("mount.max_seconds", "lower", 0.05),
         ),
     ),
+    Entry(
+        "obs_selftest",
+        "Observed selftest: load, compact, point/multi/range queries",
+        run_obs_selftest,
+        ObsSelftestConfig(),
+        ObsSelftestConfig(n_pairs=400),
+        observers=OBSERVERS,
+    ),
+    Entry(
+        "obs_saturate",
+        "One query worker overdriven by a deep GET burst (trips the SLO watchdog)",
+        run_obs_saturate,
+        ObsSaturateConfig(),
+        ObsSaturateConfig(n_pairs=1024, burst=192),
+        observers=OBSERVERS,
+    ),
+    Entry(
+        "obs_lifecycle",
+        "Keyspace lifecycle with an inline secondary index, for the auditor",
+        run_obs_lifecycle,
+        ObsLifecycleConfig(),
+        ObsLifecycleConfig(n_pairs=800),
+        observers=OBSERVERS,
+    ),
 )
 
 REGISTRY: dict[str, Entry] = {entry.id: entry for entry in _ENTRIES}
@@ -308,8 +343,13 @@ def configure(
 
 
 # ---------------------------------------------------------------- running
-class _Observe:
-    """The ``observe(testbed)`` hook handed to a scenario."""
+#: journal events a document keeps (the ``.journal.jsonl`` export has all)
+JOURNAL_TAIL = 32
+
+
+class Observe:
+    """The ``observe(testbed)`` hook handed to a scenario: the one observer
+    installer, and what the observers report, gate and export."""
 
     def __init__(self, names):
         self.names = frozenset(names)
@@ -322,10 +362,11 @@ class _Observe:
         env = testbed.env
         if "trace" in self.names:
             testbed.enable_tracing()
-        if "timeline" in self.names:
+        if {"journal", "timeline"} & self.names:
             from repro.obs.journal import install_journal
 
             install_journal(env)
+        if "timeline" in self.names:
             # a timeline alone keeps no spans (flat memory at 1M keys); the
             # explain report is built from the span trees
             testbed.enable_timeline(retain_spans="explain" in self.names)
@@ -335,12 +376,19 @@ class _Observe:
             if env.tracer is None:
                 testbed.enable_tracing()
             install_critpath(env, tracer=env.tracer)
+        if "audit" in self.names:
+            from repro.obs.audit import attach_auditor
+
+            attach_auditor(testbed.device, level="phase")
 
     def reports(self) -> dict:
-        """The observed testbed's attribution/timeline/explain documents."""
+        """The observed testbed's JSON-able reports, for the document."""
         if self.testbed is None:
             return {}
         env = self.testbed.env
+        if "audit" in self.names:
+            # first, so the journal below includes the pass's own event
+            self.testbed.device.auditor.run("final")
         out = {}
         if "trace" in self.names:
             from repro.obs import attribution_rows
@@ -352,20 +400,86 @@ class _Observe:
             from repro.obs.critpath import explain_report
 
             out["explain"] = explain_report(env.tracer, env.critpath, now=env.now)
+        if "journal" in self.names:
+            out["journal"] = {
+                "summary": env.journal.summary(),
+                "tail": [event.as_dict() for event in env.journal.tail(JOURNAL_TAIL)],
+            }
+        if "audit" in self.names:
+            from repro.obs.inspect import device_snapshot
+
+            auditor = self.testbed.device.auditor
+            out["audit"] = {
+                "summary": auditor.summary(),
+                "reports": [report.as_dict() for report in auditor.reports],
+            }
+            out["snapshot"] = device_snapshot(self.testbed.device)
+        return out
+
+    def gates(self, reports: dict) -> list[ShapeCheck]:
+        """One check per gated observer; a failed gate fails the run."""
+        checks = []
+        if "explain" in self.names:
+            attributed = reports.get("explain", {}).get("min_attributed", 0.0)
+            checks.append(ShapeCheck(
+                "explain: >= 95% of every sampled op's latency is "
+                "attributed to typed segments",
+                attributed >= 0.95, f"{attributed * 100:.1f}%",
+            ))
+        if "audit" in reports:
+            violations = reports["audit"]["summary"]["total_violations"]
+            checks.append(ShapeCheck(
+                "audit: no device invariant is violated at any flush, "
+                "phase boundary or the end",
+                violations == 0, f"{violations} violation(s)",
+            ))
+        return checks
+
+    def exports(self, reports: dict) -> dict[str, str]:
+        """Each observer's native export, by the file suffix it is saved as."""
+        if self.testbed is None:
+            return {}
+        env = self.testbed.env
+        out = {}
+        if "trace" in self.names:
+            from repro.obs import to_chrome_trace
+
+            out[".trace.json"] = json.dumps(
+                to_chrome_trace(env.tracer, timeline=env.timeline)
+            )
+        if {"trace", "timeline"} & self.names:
+            out[".prom"] = env.tracer.hub.to_prometheus()
+        if "timeline" in self.names:
+            from repro.obs import timeline_to_csv
+
+            out[".timeline.csv"] = timeline_to_csv(reports["timeline"])
+        if "explain" in self.names:
+            from repro.obs.critpath import explain_to_folded
+
+            out[".explain.folded"] = explain_to_folded(reports["explain"])
+        if "journal" in self.names:
+            out[".journal.jsonl"] = env.journal.to_jsonl()
         return out
 
 
 @dataclass
 class Run:
-    """One executed entry: the scenario's result, its checks, its document."""
+    """One executed entry: the scenario's result, its checks, its document,
+    and the testbed the observers watched (``None`` when none were asked
+    for)."""
 
     result: Any
     checks: list[ShapeCheck]
     document: dict = field(default_factory=dict)
+    observed: Observe = field(default_factory=lambda: Observe(()))
 
     @property
     def ok(self) -> bool:
         return all(check.passed for check in self.checks)
+
+    @property
+    def testbed(self):
+        return self.observed.testbed
 
     def tables(self) -> list[ResultTable]:
         tables = [self.result.table()]
@@ -373,27 +487,20 @@ class Run:
             tables.append(self.result.io_table())
         return tables
 
+    def exports(self) -> dict[str, str]:
+        return self.observed.exports(self.document)
+
 
 def execute(entry: Entry, config, observers=()) -> Run:
     """Run one configured entry and build its JSON document."""
-    observe = _Observe(observers)
+    observe = Observe(observers)
     if entry.observers:
         result = entry.scenario(config, observe)
     else:
         result = entry.scenario(config)
     reports = observe.reports()
-    checks = result.checks()
-    if "explain" in observers:
-        attributed = reports.get("explain", {}).get("min_attributed", 0.0)
-        checks.append(
-            ShapeCheck(
-                "explain: >= 95% of every sampled op's latency is "
-                "attributed to typed segments",
-                attributed >= 0.95,
-                f"{attributed * 100:.1f}%",
-            )
-        )
-    run = Run(result, checks)
+    checks = result.checks() + observe.gates(reports)
+    run = Run(result, checks, observed=observe)
     if hasattr(result, "metrics"):
         metrics = result.metrics()
     else:

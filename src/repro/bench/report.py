@@ -9,7 +9,7 @@ paper's evaluation section.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Sequence
 
 __all__ = [
@@ -17,6 +17,7 @@ __all__ = [
     "ShapeCheck",
     "device_stats",
     "require_ascending",
+    "require_counts",
     "speedup",
     "unobserved",
 ]
@@ -56,6 +57,36 @@ def require_ascending(name: str, values: tuple) -> None:
         raise ValueError(
             f"{name} must be non-empty and strictly ascending, got {values!r}"
         )
+
+
+#: integer config fields where 0 is meaningful (a seed, or "feature off")
+_ZERO_ALLOWED = frozenset(
+    {"seed", "block_cache_bytes", "query_workers", "bloom_bits_per_key"}
+)
+
+
+def require_counts(config) -> None:
+    """Reject a count or size that is not positive and an empty sequence.
+
+    Every integer field of a bench config but a seed or a zero-means-off
+    knob is a count or a size, and every tuple a sweep axis or a list of
+    workloads: a zero or an empty value would crash mid-run or pass having
+    run nothing.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, tuple):
+            if not value or any(
+                isinstance(v, (int, float)) and v <= 0 for v in value
+            ):
+                raise ValueError(
+                    f"{f.name} must be non-empty and positive, got {value!r}"
+                )
+        elif (
+            isinstance(value, int) and not isinstance(value, bool)
+            and f.name not in _ZERO_ALLOWED and value <= 0
+        ):
+            raise ValueError(f"{f.name} must be positive, got {value!r}")
 
 
 @dataclass

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bench.calibration import build_kvcsd_testbed
-from repro.bench.report import ResultTable, ShapeCheck, unobserved
+from repro.bench.report import ResultTable, ShapeCheck, require_counts, unobserved
 from repro.errors import KeyNotFoundError
 from repro.obs.audit import check_queue_pair_accounting
 from repro.units import KiB, MiB
@@ -68,6 +68,9 @@ class ScaleBenchConfig:
     #: comfortably holds 1 MiB write buffers per keyspace at this load
     membuf_bytes: int = 1 * MiB
     bulk_message_bytes: int = 256 * KiB
+
+    def __post_init__(self):
+        require_counts(self)
 
 
 @dataclass

@@ -23,14 +23,12 @@ from repro.cluster.rebalance import (
     execute_ring_change,
     plan_ring_change,
 )
-from repro.cluster.ring import HashRing, PlacementPolicy, RangePolicy
+from repro.cluster.ring import HashRing
 from repro.cluster.router import ClusterRouter, LogicalKeyspace
 from repro.cluster.testbed import ClusterTestbed, build_cluster_testbed
 
 __all__ = [
     "HashRing",
-    "PlacementPolicy",
-    "RangePolicy",
     "ClusterRouter",
     "LogicalKeyspace",
     "RingChange",

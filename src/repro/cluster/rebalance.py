@@ -28,7 +28,7 @@ are skipped; they seal before they ever need to move.
 Progress (``cluster.migration.progress`` / ``copied_pairs``) is exported
 through the router's :meth:`~repro.cluster.router.ClusterRouter.metric_gauges`
 and every phase journals ``ring.change_*`` / ``migrate.*`` events, so the
-timeline and ``repro explain`` can attribute foreground tail latency to a
+timeline and the explain report can attribute foreground tail latency to a
 migration in flight.
 """
 
@@ -38,7 +38,7 @@ from collections import deque
 from collections.abc import Generator
 from dataclasses import dataclass, field
 
-from repro.cluster.ring import PlacementPolicy
+from repro.cluster.ring import HashRing
 from repro.cluster.router import ClusterRouter, LogicalKeyspace, _Migration
 from repro.core.wire import split_into_messages
 from repro.errors import SimulationError
@@ -72,7 +72,7 @@ _VERIFY_BATCH = 256
 class RingChange:
     """A planned placement change: which ring, which keyspaces move."""
 
-    new_ring: PlacementPolicy
+    new_ring: HashRing
     #: sealed keyspaces whose slices may move (scanned by the executor)
     keyspaces: tuple[str, ...]
     #: still-writable keyspaces left on their creation-time placement
@@ -125,7 +125,7 @@ class MigrationReport:
 
 
 def plan_ring_change(
-    router: ClusterRouter, new_ring: PlacementPolicy
+    router: ClusterRouter, new_ring: HashRing
 ) -> RingChange:
     """Describe what moving to ``new_ring`` would touch (no simulation)."""
     unknown = set(new_ring.devices) - set(router.devices)
@@ -153,7 +153,7 @@ def plan_ring_change(
 
 def execute_ring_change(
     router: ClusterRouter,
-    new_ring: PlacementPolicy,
+    new_ring: HashRing,
     ctx,
     copy_qd: int = 4,
 ) -> Generator:
@@ -204,7 +204,7 @@ def execute_ring_change(
 def _migrate_keyspace(
     router: ClusterRouter,
     lk: LogicalKeyspace,
-    new_ring: PlacementPolicy,
+    new_ring: HashRing,
     ctx,
     copy_qd: int,
 ) -> Generator:

@@ -1,6 +1,6 @@
-"""Placement policies: which devices own a ``(keyspace, key)`` pair.
+"""Placement: which devices own a ``(keyspace, key)`` pair.
 
-The default policy is a consistent-hash ring with virtual nodes (the DHT
+The placement is a consistent-hash ring with virtual nodes (the DHT
 construction SILT-style stores use for scale-out): each device contributes
 ``vnodes`` points on a 64-bit circle, a key hashes to a point, and its
 owners are the next distinct devices clockwise.  Virtual nodes smooth the
@@ -8,8 +8,8 @@ per-device share to ``weight / total_weight`` and make a device
 add/remove move only ~``1/N`` of the keys — the property online
 rebalancing depends on.
 
-Policies are immutable: :meth:`~PlacementPolicy.with_devices` returns a
-*new* policy for a changed fleet, so a router can hold the whole epoch
+Rings are immutable: :meth:`~HashRing.with_devices` returns a *new* ring
+for a changed fleet, so a router can hold the whole epoch
 chain (creation-time ring, post-migration rings) and resolve any key's
 location at any epoch.  Hash points are derived from sha256, like
 :func:`repro.sim.rng.derive_seed` — stable across processes and Python
@@ -24,7 +24,7 @@ from collections.abc import Sequence
 
 from repro.errors import SimulationError
 
-__all__ = ["PlacementPolicy", "HashRing", "RangePolicy"]
+__all__ = ["HashRing"]
 
 
 def _point64(label: bytes) -> int:
@@ -37,29 +37,14 @@ def key_point(keyspace: str, key: bytes) -> int:
     return _point64(keyspace.encode() + b"\x00" + key)
 
 
-class PlacementPolicy:
-    """Interface every placement policy implements.
+class HashRing:
+    """Consistent-hash ring with weighted virtual nodes.
 
-    ``devices`` is the ordered fleet (order is the deterministic
-    tie-break everywhere); ``owners`` maps a pair to its primary plus
-    replica devices; ``with_devices`` rebuilds the policy for a changed
-    fleet (the rebalancer's input).
+    ``devices`` is the ordered fleet (order is the deterministic tie-break
+    everywhere); ``owners`` maps a pair to its primary plus replica
+    devices; ``with_devices`` rebuilds the ring for a changed fleet (the
+    rebalancer's input).
     """
-
-    devices: tuple[str, ...]
-
-    def owners(self, keyspace: str, key: bytes, n: int = 1) -> tuple[str, ...]:
-        raise NotImplementedError
-
-    def primary(self, keyspace: str, key: bytes) -> str:
-        return self.owners(keyspace, key, 1)[0]
-
-    def with_devices(self, devices: Sequence[str]) -> "PlacementPolicy":
-        raise NotImplementedError
-
-
-class HashRing(PlacementPolicy):
-    """Consistent-hash ring with weighted virtual nodes."""
 
     def __init__(
         self,
@@ -110,6 +95,9 @@ class HashRing(PlacementPolicy):
                     break
         return tuple(chosen)
 
+    def primary(self, keyspace: str, key: bytes) -> str:
+        return self.owners(keyspace, key, 1)[0]
+
     def with_devices(self, devices: Sequence[str]) -> "HashRing":
         return HashRing(
             devices, vnodes=self.vnodes, weights=self.weights, salt=self.salt
@@ -147,55 +135,3 @@ class HashRing(PlacementPolicy):
                 owned += pos - prev
             prev = pos
         return owned / total
-
-
-class RangePolicy(PlacementPolicy):
-    """Range partitioning: contiguous key-prefix slices per device.
-
-    The pluggable alternative to hashing for workloads whose scans
-    dominate: keys are compared by their first 8 bytes (big-endian), each
-    device owns one contiguous slice, replicas are the next devices in
-    fleet order.  Default boundaries split the 64-bit prefix space evenly;
-    pass explicit ``boundaries`` (len(devices) - 1 ascending 8-byte
-    prefixes) to match a known key distribution.
-    """
-
-    def __init__(
-        self,
-        devices: Sequence[str],
-        boundaries: Sequence[bytes] | None = None,
-    ):
-        if not devices:
-            raise SimulationError("a range policy needs at least one device")
-        self.devices = tuple(devices)
-        n = len(self.devices)
-        if boundaries is None:
-            step = (1 << 64) // n
-            self._bounds = [(i + 1) * step for i in range(n - 1)]
-        else:
-            if len(boundaries) != n - 1:
-                raise SimulationError(
-                    f"need {n - 1} boundaries for {n} devices"
-                )
-            self._bounds = [
-                int.from_bytes(b[:8].ljust(8, b"\x00"), "big")
-                for b in boundaries
-            ]
-            if self._bounds != sorted(self._bounds):
-                raise SimulationError("range boundaries must be ascending")
-        self.boundaries = tuple(
-            b.to_bytes(8, "big") for b in self._bounds
-        )
-
-    def owners(self, keyspace: str, key: bytes, n: int = 1) -> tuple[str, ...]:
-        n = min(n, len(self.devices))
-        prefix = int.from_bytes(key[:8].ljust(8, b"\x00"), "big")
-        idx = bisect_right(self._bounds, prefix)
-        return tuple(
-            self.devices[(idx + r) % len(self.devices)] for r in range(n)
-        )
-
-    def with_devices(self, devices: Sequence[str]) -> "RangePolicy":
-        # A changed fleet gets fresh even boundaries; explicit boundaries
-        # don't survive because they were sized to the old fleet.
-        return RangePolicy(devices)

@@ -25,8 +25,8 @@ exactly the compacted, query-ready data worth moving.
 
 Observability: every routed operation opens a ``cluster.<op>`` command
 span; the per-device ``cmd.*`` spans it fans out are parented under it
-(and stamped with ``dev=<device>``), so ``repro explain`` attributes
-cluster-level tail latency to device-labeled queue-pair resources and
+(and stamped with ``dev=<device>``), so ``repro run cluster --explain``
+attributes cluster-level tail latency to device-labeled queue-pair resources and
 ``validate_trace.py`` can check the fan-out tree shape.
 """
 
@@ -38,7 +38,7 @@ from dataclasses import replace as dc_replace
 from itertools import zip_longest
 from typing import Any, Optional
 
-from repro.cluster.ring import HashRing, PlacementPolicy
+from repro.cluster.ring import HashRing
 from repro.core.client import KvCsdClient
 from repro.core.sidx import SidxConfig
 from repro.core.wire import split_into_messages
@@ -86,7 +86,7 @@ class _Migration:
     __slots__ = ("new_ring", "epoch", "fragment_ready", "total_pairs",
                  "copied_pairs")
 
-    def __init__(self, new_ring: PlacementPolicy, epoch: int):
+    def __init__(self, new_ring: HashRing, epoch: int):
         self.new_ring = new_ring
         self.epoch = epoch
         #: flips once the destination fragment is compacted and queryable —
@@ -99,11 +99,11 @@ class _Migration:
 class LogicalKeyspace:
     """Router-side routing state for one logical keyspace."""
 
-    def __init__(self, name: str, ring: PlacementPolicy, replicas: int):
+    def __init__(self, name: str, ring: HashRing, replicas: int):
         self.name = name
         #: epoch chain: ring at creation plus one ring per completed
         #: migration; never mutated in place (rings are immutable)
-        self.rings: list[PlacementPolicy] = [ring]
+        self.rings: list[HashRing] = [ring]
         #: epoch -> devices that received that migration's fragment
         self.fragment_devices: dict[int, tuple[str, ...]] = {}
         self.replicas = replicas
@@ -114,7 +114,7 @@ class LogicalKeyspace:
         return f"{self.name}.m{epoch}"
 
     def _locate_chain(
-        self, rings: Sequence[PlacementPolicy], key: bytes
+        self, rings: Sequence[HashRing], key: bytes
     ) -> tuple[tuple[str, ...], int]:
         owners = chosen = rings[0].owners(self.name, key, self.replicas)
         epoch = 0
@@ -164,7 +164,7 @@ class ClusterRouter:
     def __init__(
         self,
         clients: Sequence[tuple[str, KvCsdClient]],
-        ring: Optional[PlacementPolicy] = None,
+        ring: Optional[HashRing] = None,
         replicas: int = 1,
         merge_cpu_per_pair: float = 2e-8,
     ):
@@ -177,7 +177,7 @@ class ClusterRouter:
         self._order = {name: i for i, name in enumerate(self.devices)}
         first = self.clients[self.devices[0]]
         self.env = first.env
-        self.ring: PlacementPolicy = ring or HashRing(self.devices)
+        self.ring: HashRing = ring or HashRing(self.devices)
         unknown = set(self.ring.devices) - set(self.devices)
         if unknown:
             raise SimulationError(f"ring names unknown devices: {sorted(unknown)}")

@@ -24,7 +24,7 @@ from repro.bench.calibration import (
     bench_geometry,
     device_stack,
 )
-from repro.cluster.ring import HashRing, PlacementPolicy
+from repro.cluster.ring import HashRing
 from repro.cluster.router import ClusterRouter
 from repro.core import KvCsdClient, KvCsdDevice
 from repro.errors import SimulationError
@@ -64,7 +64,7 @@ class ClusterTestbed:
         soc: SocSpec = TABLE1_CSD,
         geometry: SsdGeometry | None = None,
         nand: NandLatencyModel | None = None,
-        ring: PlacementPolicy | None = None,
+        ring: HashRing | None = None,
         replicas: int = 1,
         vnodes: int = 64,
         cluster_zones: int = 4,

@@ -125,7 +125,7 @@ class BlockCache:
         }
 
     def introspect(self) -> dict:
-        """Snapshot for ``repro inspect``: the report plus zone residency."""
+        """Device-snapshot state: the report plus zone residency."""
         out = self.report()
         out["zones_cached"] = sorted(self._by_zone)
         return out

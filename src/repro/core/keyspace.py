@@ -119,7 +119,7 @@ class Keyspace:
             self.max_key = key
 
     def introspect(self) -> dict:
-        """Versioned state dump for ``repro inspect`` (see obs/inspect.py).
+        """Versioned state dump for the device snapshot (see obs/inspect.py).
 
         Pure table read: no device time, no simulation events.  Byte keys
         are hex-encoded so the snapshot is JSON-safe.

@@ -105,6 +105,7 @@ class Mount:
         # ---- stage 2: keyspace-table replay
         with self._stage("replay") as fields:
             used_zones: set[int] = set(self.metalog.zone_ids)
+            recovered_clusters = 0
             for name, (ks, last_seq) in chosen.table.items():
                 if ks.state is KeyspaceState.COMPACTING:
                     # The job died with the power; its inputs (KLOG/VLOG) are
@@ -115,6 +116,7 @@ class Mount:
                 ks.attach_runtime(self.env, self.membuf_bytes, last_seq)
                 for cluster in ks.all_clusters():
                     used_zones.update(cluster.zone_ids)
+                    recovered_clusters += 1
                 self._journal(
                     "keyspace.recover", keyspace=name, state=ks.state.value
                 )
@@ -160,7 +162,7 @@ class Mount:
 
         # ---- stage 5: orphan-zone reclamation + free-list reconciliation
         with self._stage("reclaim") as fields:
-            self.zone_manager.mark_used(sorted(used_zones))
+            self.zone_manager.mark_used(sorted(used_zones), recovered_clusters)
             # Orphans: written zones nobody references (failed jobs, torn
             # flushes, released-after-persist compaction inputs).
             orphans = 0

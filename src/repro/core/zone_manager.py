@@ -197,10 +197,12 @@ class ZoneManager:
             for _ in range(n_zones):
                 probe.acquire("zones.pool", token)
 
-    def mark_used(self, zone_ids: list[int]) -> None:
-        """Remove recovered zones from the free pool (device mount)."""
+    def mark_used(self, zone_ids: list[int], n_clusters: int = 0) -> None:
+        """Remove recovered zones from the free pool and count the
+        ``n_clusters`` recovered clusters they form (device mount)."""
         used = set(zone_ids)
         self._free = [z for z in self._free if z not in used]
+        self.allocated_clusters += n_clusters
 
     def rebuild_free_list(self) -> None:
         """Recompute the free pool from the SSD's zone states, keeping only

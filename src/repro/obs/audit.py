@@ -10,9 +10,9 @@ free pool, and the block cache must never hold bytes that differ from the
 zone they claim to mirror.
 
 :class:`InvariantAuditor` runs the registered checks on demand
-(``repro audit``), or continuously at flush/compaction-phase boundaries via
-the device's audit boundary hook when attached with
-``level="phase"``.  Audits are **pure state reads**: every check goes
+(the final pass of ``repro run <id> --audit``), or continuously at
+flush/compaction-phase boundaries via the device's audit boundary hook
+when attached with ``level="phase"``.  Audits are **pure state reads**: every check goes
 through :meth:`repro.ssd.zone.Zone.read` (a plain function) rather than the
 timed SSD operations, so an audited run's virtual timeline is byte-identical
 to an unaudited one.  Violations carry the journal tail recorded up to the
@@ -44,6 +44,7 @@ __all__ = [
     "AuditReport",
     "InvariantAuditor",
     "attach_auditor",
+    "format_audit_report",
 ]
 
 #: ``off`` leaves the device unhooked; ``phase`` audits at every membuf
@@ -281,6 +282,40 @@ def check_zone_ownership_disjoint(device: "KvCsdDevice") -> list[str]:
     return problems
 
 
+def check_zone_accounting(device: "KvCsdDevice") -> list[str]:
+    """With no job in flight, every zone is metadata-owned, keyspace-owned
+    or free, and the zone manager counts exactly the owned clusters.
+
+    A running job's outputs (and an external sort's temporary clusters)
+    belong to no keyspace until it commits, so the check waits for
+    quiescence: a zone lost between owner and pool would otherwise surface
+    only when the pool runs dry.
+    """
+    if any(ks.jobs for ks in device.keyspaces.values()):
+        return []
+    manager = device.zone_manager
+    owned = set(device.metalog.zone_ids)
+    # each metadata zone is a one-zone cluster of its own
+    clusters = len(owned)
+    for ks in device.keyspaces.values():
+        for cluster in ks.all_clusters():
+            owned.update(cluster.zone_ids)
+            clusters += 1
+    problems: list[str] = []
+    accounted = owned.union(manager._free)
+    lost = [z.zone_id for z in device.ssd.zones if z.zone_id not in accounted]
+    if lost:
+        problems.append(
+            f"{len(lost)} zone(s) neither owned nor free: {lost[:16]}"
+        )
+    if manager.allocated_clusters != clusters:
+        problems.append(
+            f"zone manager counts {manager.allocated_clusters} allocated "
+            f"cluster(s), owners hold {clusters}"
+        )
+    return problems
+
+
 def check_free_list_zones_empty(device: "KvCsdDevice") -> list[str]:
     """The free pool holds no duplicates and only EMPTY, rewound zones."""
     problems: list[str] = []
@@ -462,6 +497,7 @@ INVARIANTS: list[tuple[str, Callable[["KvCsdDevice"], list[str]]]] = [
     ("sidx_primary_resolution", check_sidx_primary_resolution),
     ("zone_ownership_disjoint", check_zone_ownership_disjoint),
     ("free_list_zones_empty", check_free_list_zones_empty),
+    ("zone_accounting", check_zone_accounting),
     ("zone_state_write_pointer", check_zone_state_write_pointer),
     ("block_cache_coherence", check_block_cache_coherence),
     ("keyspace_job_legality", check_keyspace_job_legality),
@@ -514,21 +550,26 @@ class AuditReport:
         }
 
     def format(self) -> str:
-        """Human-readable report for ``repro audit``."""
-        verdict = "PASS" if self.ok else "FAIL"
-        lines = [
-            f"audit @ t={self.time:.6f}s (boundary={self.boundary}): "
-            f"{verdict}, {len(self.checks)} checks, "
-            f"{len(self.violations)} violation(s)"
-        ]
-        for violation in self.violations:
-            lines.append(f"  FAIL {violation.invariant}: {violation.detail}")
-            for event in violation.journal_tail[-5:]:
-                lines.append(
-                    f"    journal: #{event['seq']} {event['type']} "
-                    f"@ t={event['time']:.6f}s"
-                )
-        return "\n".join(lines) + "\n"
+        """Human-readable report (see :func:`format_audit_report`)."""
+        return format_audit_report(self.as_dict())
+
+
+def format_audit_report(report: dict[str, Any]) -> str:
+    """Render one :meth:`AuditReport.as_dict`, failures first-hand."""
+    verdict = "PASS" if report["ok"] else "FAIL"
+    lines = [
+        f"audit @ t={report['time']:.6f}s (boundary={report['boundary']}): "
+        f"{verdict}, {len(report['checks'])} checks, "
+        f"{len(report['violations'])} violation(s)"
+    ]
+    for violation in report["violations"]:
+        lines.append(f"  FAIL {violation['invariant']}: {violation['detail']}")
+        for event in violation["journal_tail"][-5:]:
+            lines.append(
+                f"    journal: #{event['seq']} {event['type']} "
+                f"@ t={event['time']:.6f}s"
+            )
+    return "\n".join(lines) + "\n"
 
 
 class InvariantAuditor:

@@ -5,7 +5,7 @@ sketches, membufs, zone manager, ZNS zone table, SoC DRAM budget, block
 cache, fault plan);  :func:`device_snapshot` aggregates them
 into one JSON-ready document stamped with :data:`SNAPSHOT_SCHEMA_VERSION`
 and the virtual clock.  :func:`format_snapshot` renders the same document
-as a human-readable tree for ``repro inspect``.
+as a human-readable tree for ``repro run <id> --audit``.
 
 Snapshots are pure state reads — no simulation events, no device time — so
 taking one mid-run cannot perturb the workload being observed.

@@ -22,7 +22,6 @@ __all__ = [
     "profile_call",
     "subsystem_rows",
     "format_profile",
-    "top_functions",
 ]
 
 
@@ -73,23 +72,6 @@ def subsystem_rows(stats: pstats.Stats) -> list[dict[str, Any]]:
         row["calls"] += ncalls
         row["tottime"] += tottime
     return sorted(groups.values(), key=lambda r: -r["tottime"])
-
-
-def top_functions(stats: pstats.Stats, n: int = 10) -> list[dict[str, Any]]:
-    """The ``n`` hottest individual functions by exclusive time."""
-    rows = []
-    for (filename, lineno, name), entry in stats.stats.items():  # type: ignore[attr-defined]
-        _cc, ncalls, tottime, cumtime, _callers = entry
-        rows.append(
-            {
-                "function": f"{_subsystem_of(filename)}:{name}:{lineno}",
-                "calls": ncalls,
-                "tottime": tottime,
-                "cumtime": cumtime,
-            }
-        )
-    rows.sort(key=lambda r: -r["tottime"])
-    return rows[:n]
 
 
 def format_profile(

@@ -38,7 +38,7 @@ and an optional duration (``for_seconds``): the condition must hold
 continuously that long before the alert fires.  Fire/clear transitions
 emit ``slo.alert_fire`` / ``slo.alert_clear`` journal events; each rule's
 fire count and firing state are hub rows (``slo.alerts_fired{rule=...}``,
-``slo.alert_firing{rule=...}``), so they reach ``repro metrics`` and are
+``slo.alert_firing{rule=...}``), so they reach the Prometheus dump and are
 sampled like any other row — a tick reads them before it evaluates the
 rules, so their series trail the watchdog by one tick.
 """

@@ -93,6 +93,7 @@ def test_registry_covers_every_table_and_figure():
     assert set(REGISTRY) == {
         "table1", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
         "compaction", "query", "qd", "scale", "cluster", "crash",
+        "obs_selftest", "obs_saturate", "obs_lifecycle",
     }
     for entry_id, entry in REGISTRY.items():
         assert entry.id == entry_id

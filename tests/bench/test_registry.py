@@ -2,7 +2,9 @@
 
 import importlib.util
 import json
+from dataclasses import fields
 from pathlib import Path
+from typing import get_origin, get_type_hints
 
 import pytest
 
@@ -93,6 +95,39 @@ def test_sweep_axes_are_rejected_before_anything_runs(make):
 def test_bad_sweep_axis_from_the_command_line_exits_2(capsys):
     assert main(["run", "qd", "--smoke", "--set", "depths=4,16"]) == 2
     assert "depths" in capsys.readouterr().err
+
+
+#: integer config fields where 0 is meaningful; every other one is a count
+ZERO_ALLOWED = {"seed", "block_cache_bytes", "query_workers", "bloom_bits_per_key"}
+
+
+def _count_and_sequence_settings():
+    """``(entry, FIELD=VALUE)`` for a zero count or an empty sequence of
+    every registry entry's config."""
+    cases = []
+    for entry in REGISTRY.values():
+        if entry.config is None:
+            continue
+        hints = get_type_hints(type(entry.config))
+        for f in fields(entry.config):
+            if get_origin(hints[f.name]) is tuple:
+                cases.append((entry.id, f"{f.name}="))
+            elif hints[f.name] is int and f.name not in ZERO_ALLOWED:
+                cases.append((entry.id, f"{f.name}=0"))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "entry_id,setting", _count_and_sequence_settings(),
+    ids=lambda value: value,
+)
+def test_zero_counts_and_empty_sequences_exit_2_before_running(
+    entry_id, setting, capsys
+):
+    # each used to crash mid-run with a traceback, or run zero operations
+    # and pass
+    assert main(["run", entry_id, "--smoke", "--set", setting]) == 2
+    assert setting.partition("=")[0] in capsys.readouterr().err
 
 
 def test_committed_bench_results_are_small_and_carry_no_observer_reports():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.ring import HashRing, RangePolicy, key_point
+from repro.cluster.ring import HashRing, key_point
 from repro.errors import SimulationError
 
 
@@ -113,22 +113,3 @@ class TestRingChanges:
         ring = HashRing(("dev0",))
         with pytest.raises(SimulationError):
             ring.remove_device("dev0")
-
-
-class TestRangePolicy:
-    def test_contiguous_prefix_buckets(self):
-        policy = RangePolicy(("dev0", "dev1"))
-        lo = policy.primary("ks", b"\x00" * 8)
-        hi = policy.primary("ks", b"\xff" * 8)
-        assert lo == "dev0" and hi == "dev1"
-
-    def test_replicas_distinct(self):
-        policy = RangePolicy(tuple(f"dev{i}" for i in range(4)))
-        for key in _keys(100):
-            owners = policy.owners("ks", key, 2)
-            assert len(set(owners)) == 2
-
-    def test_with_devices_resplits(self):
-        policy = RangePolicy(("dev0", "dev1"))
-        grown = policy.with_devices(("dev0", "dev1", "dev2"))
-        assert grown.primary("ks", b"\xff" * 8) == "dev2"

@@ -275,3 +275,62 @@ def test_sealed_partial_zone_not_appendable():
     # the surviving zone
     assert before == ssd.zone(other).remaining + 4 * 512
     assert ssd.zone(target).write_pointer == 1024
+
+
+def test_keyspace_streams_grow_cluster_chains_across_compaction_and_remount():
+    """A keyspace larger than one cluster spills every stream into a chain.
+
+    Paper-scale keyspaces take :meth:`ZoneManager.append_stream`'s grow
+    branch on every write; at bench geometry (32 MiB clusters) no small run
+    does.  64 KiB zones in 2-zone clusters and a 16 KiB membuf make 3,000
+    small pairs spill KLOG, VLOG, PIDX and sorted-value streams over more
+    than one cluster; the compacted data reads back before and after a power
+    cycle and every invariant holds throughout.
+    """
+    from repro.bench import bench_geometry, build_kvcsd_testbed
+    from repro.obs.audit import InvariantAuditor
+    from repro.workloads import SyntheticSpec, generate_pairs
+
+    kv = build_kvcsd_testbed(
+        seed=3, geometry=bench_geometry(n_zones=64, zone_size=64 * KiB),
+        cluster_zones=2, membuf_bytes=16 * KiB,
+    )
+    pairs = generate_pairs(
+        SyntheticSpec(n_pairs=3000, key_bytes=16, value_bytes=100, seed=3)
+    )
+    probes = pairs[::7]
+
+    def read_back():
+        ctx = kv.thread_ctx(0)
+        values = []
+        for key, _ in probes:
+            values.append((yield from kv.client.get("ks", key, ctx)))
+        return values
+
+    def ingest():
+        ctx = kv.thread_ctx(0)
+        yield from kv.client.create_keyspace("ks", ctx)
+        yield from kv.client.open_keyspace("ks", ctx)
+        yield from kv.client.bulk_put("ks", pairs, ctx)
+        yield from kv.client.fsync("ks", ctx)
+
+    kv.run(ingest())
+    ks = kv.device.keyspaces["ks"]
+    assert len(ks.klog_clusters) > 1 and len(ks.vlog_clusters) > 1
+    assert InvariantAuditor(kv.device).run("ingest").ok
+
+    def compact():
+        ctx = kv.thread_ctx(0)
+        yield from kv.client.compact("ks", ctx)
+        yield from kv.client.wait_for_device("ks", ctx)
+
+    kv.run(compact())
+    ks = kv.device.keyspaces["ks"]
+    assert len(ks.pidx_clusters) > 1 and len(ks.sorted_value_clusters) > 1
+    assert kv.run(read_back()) == [value for _, value in probes]
+    assert InvariantAuditor(kv.device).run("compacted").ok
+
+    kv.power_cycle()
+    assert kv.run(read_back()) == [value for _, value in probes]
+    report = InvariantAuditor(kv.device).run("remounted")
+    assert report.ok, report.format()

@@ -1,20 +1,35 @@
 """Shared fixtures for the observability suite.
 
-``compacted_kv`` runs the reference audited workload fresh per test (it is
-cheap at 800 pairs) so corruption tests can mutate device state freely.
-``audited_testbed`` is the fixture ISSUE-style integration tests use: any
-test that drives it gets an automatic full invariant audit at teardown.
+``observed_run`` runs a registry entry's reduced config under observers
+through the one installer, as ``repro run <id> --smoke --<observer>`` does.
+``compacted_kv`` runs the journaled, audited lifecycle entry fresh per test
+(it is cheap at 800 pairs) so corruption tests can mutate device state
+freely.  ``audited_testbed`` is the fixture integration tests use: any test
+that drives it gets an automatic full invariant audit at teardown.
 """
 
 import pytest
 
-from repro.obs.harness import run_audited_workload
+from repro.bench.registry import Observe, configure, execute
+
+
+@pytest.fixture(scope="session")
+def observed_run():
+    """``observed_run(entry_id, *observers, smoke=True)`` -> a ``Run``."""
+
+    def run(entry_id, *observers, smoke=True):
+        entry, config = configure(entry_id, smoke, (), observers)
+        return execute(entry, config, observers)
+
+    return run
 
 
 @pytest.fixture
-def compacted_kv():
+def compacted_kv(observed_run):
     """(testbed, auditor, final_report) after ingest -> compact -> query."""
-    return run_audited_workload(seed=0, n_pairs=800, audit_level="off")
+    run = observed_run("obs_lifecycle", "journal", "audit")
+    auditor = run.testbed.device.auditor
+    return run.testbed, auditor, auditor.reports[-1]
 
 
 @pytest.fixture
@@ -24,7 +39,7 @@ def audited_testbed():
     from repro.units import MiB
 
     kv = build_kvcsd_testbed(seed=0, block_cache_bytes=4 * MiB)
-    _journal, auditor = kv.enable_introspection(audit_level="phase")
+    Observe(["journal", "audit"])(kv)
     yield kv
-    report = auditor.run("teardown")
+    report = kv.device.auditor.run("teardown")
     assert report.ok, report.format()

@@ -7,6 +7,7 @@ must surface as in-flight depth gauges through the MetricsHub.
 """
 
 from repro.bench import build_kvcsd_testbed
+from repro.bench.registry import Observe
 from repro.workloads import SyntheticSpec, generate_pairs
 
 
@@ -29,7 +30,7 @@ def _run_commands(kv, n_pairs=400):
 
 def test_every_reap_pairs_with_a_post():
     kv = build_kvcsd_testbed(seed=0)
-    kv.enable_introspection(audit_level="off")
+    Observe(["journal"])(kv)
     _run_commands(kv)
     posts = kv.env.journal.of_type("sq.post")
     reaps = kv.env.journal.of_type("cq.reap")
@@ -46,7 +47,7 @@ def test_every_reap_pairs_with_a_post():
 
 def test_reap_records_queue_wait_vs_execution_split():
     kv = build_kvcsd_testbed(seed=0)
-    kv.enable_introspection(audit_level="off")
+    Observe(["journal"])(kv)
     _run_commands(kv)
     for reap in kv.env.journal.of_type("cq.reap"):
         assert reap.fields["queued"] >= 0.0

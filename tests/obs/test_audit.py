@@ -1,6 +1,6 @@
 """Invariant auditor: every check's pass and fail path, plus zero-cost.
 
-The clean reference workload must pass all eleven invariants; each
+The clean reference workload must pass all twelve invariants; each
 corruption test then breaks exactly one structural property and asserts
 the report names the right invariant.  Corruption happens on a fresh
 per-test device (the ``compacted_kv`` fixture), so mutations never leak.
@@ -8,6 +8,7 @@ per-test device (the ``compacted_kv`` fixture), so mutations never leak.
 
 import pytest
 
+from repro.bench.registry import Observe
 from repro.core.keyspace import KeyspaceState
 from repro.errors import SimulationError
 from repro.obs import audit as audit_mod
@@ -17,7 +18,6 @@ from repro.obs.audit import (
     attach_auditor,
     check_klog_vlog_pointers,
 )
-from repro.obs.harness import run_audited_workload
 from repro.ssd.zone import ZoneState
 from repro.units import KiB, MiB
 
@@ -33,13 +33,11 @@ def test_clean_workload_passes_every_invariant(compacted_kv):
     _kv, _auditor, report = compacted_kv
     assert report.ok
     assert report.checks == [name for name, _fn in INVARIANTS]
-    assert len(report.checks) == 11
+    assert len(report.checks) == 12
 
 
-def test_phase_level_audits_cover_flush_and_compaction_boundaries():
-    _kv, auditor, report = run_audited_workload(
-        seed=0, n_pairs=800, audit_level="phase"
-    )
+def test_phase_level_audits_cover_flush_and_compaction_boundaries(compacted_kv):
+    _kv, auditor, report = compacted_kv
     assert report.ok
     summary = auditor.summary()
     assert summary["failed_runs"] == 0
@@ -271,7 +269,7 @@ def test_audited_run_is_byte_identical_to_plain():
     plain = build_kvcsd_testbed(seed=0, block_cache_bytes=4 * MiB)
     _drive(plain)
     observed = build_kvcsd_testbed(seed=0, block_cache_bytes=4 * MiB)
-    observed.enable_introspection(audit_level="phase")
+    Observe(["journal", "audit"])(observed)
     _drive(observed)
     assert observed.env.now == plain.env.now
     assert observed.io_snapshot() == plain.io_snapshot()
@@ -282,3 +280,16 @@ def test_audited_run_is_byte_identical_to_plain():
 def test_audited_testbed_fixture_guards_workload(audited_testbed):
     # the fixture's teardown runs the full registry and asserts it passes
     _drive(audited_testbed, n_pairs=300)
+
+
+def test_zone_accounting_fail_on_leaked_cluster(compacted_kv):
+    kv, auditor, _report = compacted_kv
+    kv.device.zone_manager.allocate_cluster()  # out of the pool, owned by nobody
+    assert violated(kv, auditor) == {"zone_accounting"}
+
+
+def test_zone_accounting_waits_for_jobs_to_commit(compacted_kv):
+    kv, auditor, _report = compacted_kv
+    kv.device.zone_manager.allocate_cluster()  # a running job's output
+    kv.device.keyspaces["ks"].jobs.append(kv.env.event())
+    assert "zone_accounting" not in violated(kv, auditor)

@@ -357,13 +357,8 @@ def test_folded_stacks_and_diff():
 
 # -- acceptance: the saturate workload names its own bottleneck ---------------
 @pytest.fixture(scope="module")
-def saturate_explain():
-    from repro.obs.harness import run_saturated_workload
-
-    kv, tracer, _hub, _recorder = run_saturated_workload(
-        critpath=True, reap="prompt"
-    )
-    return explain_report(tracer, kv.env.critpath, now=kv.env.now)
+def saturate_explain(observed_run):
+    return observed_run("obs_saturate", "explain", smoke=False).document["explain"]
 
 
 def test_saturate_attributes_at_least_95_percent(saturate_explain):

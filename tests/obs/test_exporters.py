@@ -44,11 +44,10 @@ def _cluster_run():
 
 
 @pytest.fixture(scope="module", params=["selftest", "cluster"])
-def observed(request):
+def observed(request, observed_run):
     if request.param == "selftest":
-        from repro.obs.harness import run_timed_selftest
-
-        _kv, _tracer, hub, recorder = run_timed_selftest(seed=0, n_pairs=400)
+        env = observed_run("obs_selftest", "trace", "timeline").testbed.env
+        hub, recorder = env.tracer.hub, env.timeline
     else:
         hub, recorder = _cluster_run()
     recorder.sample()  # the timeline's last row, read when the others are

@@ -5,6 +5,9 @@ export — Chrome trace (spans + counter tracks), attribution rows, explain
 report, journal JSONL, timeline document, Prometheus text — of the
 ``selftest`` and ``saturate`` reference workloads, captured from the
 per-observer implementation *before* the single-probe recorder replaced it.
+Both run as registry entries (``repro run obs_selftest --trace --timeline``
+and ``repro run obs_saturate --trace --timeline --explain``), so the digests
+net the one observer installer and the run document as well.
 A host-side optimisation of ``repro.obs`` has to reproduce them bit for bit:
 span ids, parent links, lanes, args, journal sequence numbers and span
 correlation, every sampled series value, every alert transition.
@@ -29,18 +32,24 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.registry import configure, execute
 from repro.obs.critpath import explain_report
-from repro.obs.export import attribution_rows, to_chrome_trace
-from repro.obs.harness import run_saturated_workload, run_timed_selftest
 
 GOLDEN_PATH = Path(__file__).with_name("golden_obs.json")
 
+#: golden workload -> (registry entry, observers), default configs
 WORKLOADS = {
-    "selftest": lambda: run_timed_selftest(seed=0),
-    "saturate": lambda: run_saturated_workload(
-        seed=0, critpath=True, reap="prompt"
-    ),
+    "selftest": ("obs_selftest", ["trace", "timeline"]),
+    "saturate": ("obs_saturate", ["trace", "timeline", "explain"]),
 }
+
+
+def observed_run(name: str):
+    entry_id, observers = WORKLOADS[name]
+    entry, config = configure(entry_id, observers=observers)
+    run = execute(entry, config, observers)
+    assert run.ok, [str(check) for check in run.checks]
+    return run
 
 
 def _digest(obj) -> str:
@@ -70,19 +79,19 @@ def _model_series_only(trace: dict, timeline: dict, prometheus: str):
 
 
 def collect(name: str) -> dict[str, str]:
-    kv, tracer, hub, recorder = WORKLOADS[name]()
+    run = observed_run(name)
+    doc, exports = run.document, run.exports()
     trace, timeline, prometheus = _model_series_only(
-        to_chrome_trace(tracer, timeline=recorder),
-        recorder.to_json(),
-        hub.to_prometheus(),
+        json.loads(exports[".trace.json"]), doc["timeline"], exports[".prom"]
     )
+    env = run.testbed.env
+    # the selftest digest is of the report without blocked-by edges
+    explain = doc.get("explain") or explain_report(env.tracer, None, now=env.now)
     return {
         "chrome_trace": _digest(trace),
-        "attribution": _digest(attribution_rows(tracer)),
-        "explain": _digest(
-            explain_report(tracer, kv.env.critpath, now=kv.env.now)
-        ),
-        "journal": _digest(kv.env.journal.to_jsonl()),
+        "attribution": _digest(doc["attribution"]),
+        "explain": _digest(explain),
+        "journal": _digest(env.journal.to_jsonl()),
         "timeline": _digest(timeline),
         "prometheus": _digest(prometheus),
     }
@@ -108,13 +117,11 @@ def test_explain_and_trace_pass_the_validator(tmp_path):
     validate = runpy.run_path(
         str(Path(__file__).parents[2] / "scripts" / "validate_trace.py")
     )["validate"]
-    kv, tracer, _hub, recorder = WORKLOADS["saturate"]()
+    run = observed_run("saturate")
     trace_path = tmp_path / "trace.json"
-    trace_path.write_text(json.dumps(to_chrome_trace(tracer, timeline=recorder)))
+    trace_path.write_text(run.exports()[".trace.json"])
     explain_path = tmp_path / "explain.json"
-    explain_path.write_text(
-        json.dumps(explain_report(tracer, kv.env.critpath, now=kv.env.now))
-    )
+    explain_path.write_text(json.dumps(run.document["explain"]))
     assert validate(str(trace_path)) == []
     assert validate(str(explain_path)) == []
 

@@ -207,10 +207,9 @@ def test_unretained_leaf_spans_leave_no_trace_but_their_id():
 
 
 # -- kernel self-telemetry --------------------------------------------------------
-def test_kernel_gauges_move_during_a_run():
-    from repro.obs.harness import run_timed_selftest
-
-    kv, _tracer, hub, recorder = run_timed_selftest(seed=0, n_pairs=400)
+def test_kernel_gauges_move_during_a_run(observed_run):
+    kv = observed_run("obs_selftest", "trace", "timeline").testbed
+    hub, recorder = kv.env.tracer.hub, kv.env.timeline
     series = recorder.series
     scheduled = series["sim.events_scheduled"].values
     assert scheduled == sorted(scheduled) and scheduled[-1] > scheduled[0] > 0

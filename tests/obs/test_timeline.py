@@ -435,11 +435,9 @@ def test_reservoir_histogram_is_deterministic_per_name():
     assert fill("cmd.get") == fill("cmd.get")  # crc32-seeded reservoir
 
 
-# -- harness integration ------------------------------------------------------
-def test_timed_selftest_records_device_series():
-    from repro.obs.harness import run_timed_selftest
-
-    _kv, _tracer, _hub, recorder = run_timed_selftest(seed=0, n_pairs=400)
+# -- the observed runs ---------------------------------------------------------
+def test_timed_selftest_records_device_series(observed_run):
+    recorder = observed_run("obs_selftest", "trace", "timeline").testbed.env.timeline
     assert recorder.ticks > 10
     assert "soc.query_queue_depth" in recorder.series
     assert "dram.budget_used_frac" in recorder.series
@@ -447,12 +445,9 @@ def test_timed_selftest_records_device_series():
     json.dumps(recorder.to_json(), allow_nan=False)
 
 
-def test_saturated_workload_trips_the_watchdog():
-    from repro.obs.harness import run_saturated_workload
-
-    kv, _tracer, _hub, recorder = run_saturated_workload(
-        seed=0, n_pairs=1024, burst=192, queue_depth=64
-    )
+def test_saturated_workload_trips_the_watchdog(observed_run):
+    kv = observed_run("obs_saturate", "timeline").testbed
+    recorder = kv.env.timeline
     assert recorder.alert_counts()["query-queue-saturated"] >= 1
     fires = kv.env.journal.of_type("slo.alert_fire")
     assert any(e.fields["rule"] == "query-queue-saturated" for e in fires)
