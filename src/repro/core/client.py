@@ -189,6 +189,12 @@ class KvCsdClient:
             )
         )
 
+    def _messages(
+        self, pairs: Sequence[tuple[bytes, bytes]]
+    ) -> list[list[tuple[bytes, bytes]]]:
+        """Bulk-PUT messages for ``pairs``; one empty message for none."""
+        return split_into_messages(list(pairs), self.bulk_message_bytes) or [[]]
+
     def bulk_put(
         self,
         keyspace: str,
@@ -199,8 +205,10 @@ class KvCsdClient:
 
         Pairs are chunked into messages; each message is packed on the host,
         DMA'd to the device, and ingested into the keyspace's write buffer.
+        No pairs still send one empty message, so the device checks the
+        keyspace exactly as it does for a PUT.
         """
-        for message in split_into_messages(list(pairs), self.bulk_message_bytes):
+        for message in self._messages(pairs):
             yield from self._call(
                 KvBulkPutCmd.of(keyspace, message),
                 ctx,
@@ -217,7 +225,7 @@ class KvCsdClient:
     ) -> Generator:
         """Post every bulk-PUT message without waiting; returns the tickets."""
         tickets = []
-        for message in split_into_messages(list(pairs), self.bulk_message_bytes):
+        for message in self._messages(pairs):
             ticket = yield from self.submit_async(
                 KvBulkPutCmd.of(keyspace, message),
                 ctx,

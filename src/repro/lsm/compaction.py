@@ -1,13 +1,14 @@
 """Compaction execution: merge input tables into new output tables.
 
-One compaction reads every entry of its input tables, k-way merges them
-(newest wins, tombstones dropped only at the bottom level), and streams the
-result into new tables capped at ``target_file_bytes``.  All CPU is charged
-to the executing thread context (a background worker for auto compaction,
-or whatever context the caller supplies for the deferred single pass), and
-all I/O flows through the filesystem — so compaction contends with
-foreground work for both cores and device channels, which is precisely the
-interference the paper measures.
+One compaction reads every entry of its input tables as stored bytes,
+merges them (newest wins, tombstones dropped only at the bottom level), and
+writes the result, values unchanged, into new tables capped at
+``target_file_bytes``.  All CPU is charged to the executing thread context
+(a background worker for auto compaction, or whatever context the caller
+supplies for the deferred single pass), and all I/O flows through the
+filesystem — so compaction contends with foreground work for both cores
+and device channels, which is precisely the interference the paper
+measures.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.host.filesystem import Filesystem
 from repro.host.threads import ThreadCtx
 from repro.lsm.iterator import count_merge_comparisons, merge_entries
 from repro.lsm.options import DbOptions
-from repro.lsm.sstable import TableBuilder, TableMeta, TableReader
+from repro.lsm.sstable import TOMBSTONE, TableBuilder, TableMeta, TableReader, split_runs
 from repro.lsm.version import CompactionTask
 
 __all__ = ["CompactionExecutor", "CompactionResult"]
@@ -57,38 +58,36 @@ class CompactionExecutor:
         The caller installs the outputs into the version set and deletes the
         input files.
         """
-        streams = []
-        entries_in = 0
-        # task.inputs are newest-first (L0 order); next-level inputs are older.
-        for meta in list(task.inputs) + list(task.next_level_inputs):
-            entries = yield from self._reader_for(meta).all_entries(ctx)
-            entries_in += len(entries)
-            streams.append(entries)
-        merged = merge_entries(streams, drop_tombstones=task.to_bottom)
-        comparisons = count_merge_comparisons(entries_in, len(streams))
-        yield from ctx.execute(self.options.costs.key_compare * comparisons)
-
+        merged, entries_in = yield from self._merge_inputs(task, ctx)
+        # An output table closes at the first entry that takes it to
+        # target_file_bytes, counting each entry's key, stored value and 8.
         outputs: list[TableMeta] = []
-        builder: TableBuilder | None = None
-        approx = 0
-        for key, value in merged:
-            if builder is None:
-                table_id = self._next_table_id()
-                builder = TableBuilder(
-                    self.fs,
-                    self._table_path(table_id),
-                    table_id,
-                    self.options,
-                    expected_keys=max(1, len(merged)),
-                )
-                approx = 0
-            yield from builder.add(key, value, ctx)
-            approx += len(key) + len(value or b"") + 9
-            if approx >= self.options.target_file_bytes:
-                outputs.append((yield from builder.finish(ctx)))
-                builder = None
-        if builder is not None and builder.n_entries:
-            outputs.append((yield from builder.finish(ctx)))
+        sizes = [len(key) + len(stored) + 8 for key, stored in merged]
+        for start, stop in split_runs(sizes, self.options.target_file_bytes):
+            table_id = self._next_table_id()
+            builder = TableBuilder(
+                self.fs,
+                self._table_path(table_id),
+                table_id,
+                self.options,
+                expected_keys=len(merged),
+            )
+            outputs.append((yield from builder.build(merged[start:stop], ctx)))
         return CompactionResult(
             outputs=outputs, entries_in=entries_in, entries_out=len(merged)
         )
+
+    def _merge_inputs(self, task: CompactionTask, ctx: ThreadCtx) -> Generator:
+        """Read every input entry as stored and merge them newest-wins;
+        returns ``(merged, entries_in)``."""
+        streams = []
+        # task.inputs are newest-first (L0 order); next-level inputs are older.
+        for meta in task.all_inputs:
+            streams.append((yield from self._reader_for(meta).all_entries(ctx)))
+        entries_in = sum(map(len, streams))
+        merged = merge_entries(
+            streams, drop_tombstones=task.to_bottom, tombstone=TOMBSTONE
+        )
+        comparisons = count_merge_comparisons(entries_in, len(streams))
+        yield from ctx.execute(self.options.costs.key_compare * comparisons)
+        return merged, entries_in

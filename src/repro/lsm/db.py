@@ -35,7 +35,7 @@ from repro.lsm.iterator import merge_entries
 from repro.lsm.manifest import VersionEdit, decode_edits, encode_edit
 from repro.lsm.memtable import LookupState, Memtable
 from repro.lsm.options import CompactionMode, DbOptions
-from repro.lsm.sstable import TableBuilder, TableMeta, TableReader
+from repro.lsm.sstable import TableBuilder, TableMeta, TableReader, encode_value
 from repro.lsm.version import CompactionTask, VersionSet
 from repro.lsm.wal import WriteAheadLog
 from repro.sim.core import Environment, Event
@@ -344,7 +344,9 @@ class Db:
 
     def _do_flush(self, payload) -> Generator:
         memtable, wal, flush_seq = payload
-        entries = memtable.sorted_entries()
+        entries = [
+            (key, encode_value(value)) for key, value in memtable.sorted_entries()
+        ]
         table_id = self._take_table_id()
         builder = TableBuilder(
             self.fs,
@@ -353,9 +355,7 @@ class Db:
             self.options,
             expected_keys=len(entries),
         )
-        for key, value in entries:
-            yield from builder.add(key, value, self.bg_ctx)
-        meta = yield from builder.finish(self.bg_ctx)
+        meta = yield from builder.build(entries, self.bg_ctx)
         meta = replace(meta, l0_seq=flush_seq)
         self.versions.add_l0(meta)
         yield from self._log_version_edit(VersionEdit(added=((0, meta),)))

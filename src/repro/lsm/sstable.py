@@ -4,13 +4,15 @@ Layout of one table file::
 
     [data block]*  [bloom filter]  [index block]  [footer]
 
-* data blocks hold sorted entries (:mod:`repro.lsm.block`); tombstones are
-  encoded with a 1-byte value prefix (``0x00`` tombstone, ``0x01`` value);
+* data blocks hold sorted entries in the :mod:`repro.lsm.block` format;
+  tombstones are encoded with a 1-byte value prefix (``0x00`` tombstone,
+  ``0x01`` value);
 * the index block maps each data block's last key to ``(offset, length)``;
 * the footer locates the index and filter and carries a magic number.
 
-The builder charges serialization, checksum and bloom CPU to the building
-thread and writes through the filesystem (buffered + final fsync), so table
+The builder takes a whole sorted run and packs it a block at a time.  It
+charges serialization, checksum and bloom CPU to the building thread and
+writes through the filesystem (buffered + final fsync), so table
 construction shows up in both CPU contention and device I/O — the two
 channels through which RocksDB compaction hurts foreground writers in the
 paper's Figure 7.
@@ -18,9 +20,12 @@ paper's Figure 7.
 
 from __future__ import annotations
 
+import operator
 import struct
+from bisect import bisect_left
 from collections.abc import Generator
 from dataclasses import dataclass
+from itertools import accumulate, islice
 from typing import Optional
 
 from repro.errors import DbError
@@ -31,11 +36,14 @@ from repro.lsm.bloom import BloomFilter
 from repro.lsm.memtable import LookupState
 from repro.lsm.options import DbOptions
 
-__all__ = ["TableBuilder", "TableReader", "TableMeta", "encode_value", "decode_value"]
+__all__ = [
+    "TableBuilder", "TableReader", "TableMeta", "encode_value", "decode_value", "split_runs"
+]
 
 _FOOTER = struct.Struct("<QQQQQQ")
 _MAGIC = 0x88E241B785F4CF9E
 _U64U32 = struct.Struct("<QI")
+_U32 = struct.Struct("<I")
 
 TOMBSTONE = b"\x00"
 VALUE_PREFIX = b"\x01"
@@ -51,6 +59,20 @@ def decode_value(stored: bytes) -> tuple[bool, Optional[bytes]]:
     if stored[:1] == TOMBSTONE:
         return True, None
     return False, stored[1:]
+
+
+def split_runs(sizes: list[int], limit: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of the consecutive runs that cut ``sizes``: a run
+    closes at the first entry that takes its total to ``limit``."""
+    ends = list(accumulate(sizes))
+    runs = []
+    start = 0
+    while start < len(ends):
+        base = ends[start - 1] if start else 0
+        stop = min(len(ends), bisect_left(ends, base + limit, start) + 1)
+        runs.append((start, stop))
+        start = stop
+    return runs
 
 
 @dataclass(frozen=True)
@@ -79,7 +101,7 @@ class TableMeta:
 
 
 class TableBuilder:
-    """Streams sorted entries into a new table file."""
+    """Writes one sorted run of entries as a new table file, a block at a time."""
 
     def __init__(
         self,
@@ -94,83 +116,76 @@ class TableBuilder:
         self.table_id = table_id
         self.options = options
         self._bloom = BloomFilter(expected_keys, options.bloom_bits_per_key)
-        self._block = BlockBuilder(options.block_bytes)
-        self._index: list[tuple[bytes, int, int]] = []  # (last_key, offset, len)
-        self._offset = 0
-        self._pending_cpu = 0.0
-        self._smallest: Optional[bytes] = None
-        self._largest: Optional[bytes] = None
-        self.n_entries = 0
-        self._opened = False
 
-    def _open(self, ctx: ThreadCtx) -> Generator:
-        if not self._opened:
-            yield from self.fs.create(self.path, ctx)
-            self._opened = True
+    def build(self, entries: list[tuple[bytes, bytes]], ctx: ThreadCtx) -> Generator:
+        """Write ``entries`` — ``(key, stored)`` pairs, keys strictly
+        increasing, values already :func:`encode_value`'d — as the whole
+        table: data blocks, filter, index, footer, fsync.  Returns its
+        :class:`TableMeta`.
 
-    def add(self, key: bytes, value: Optional[bytes], ctx: ThreadCtx) -> Generator:
-        """Append one entry (sorted order); flushes full blocks to the file."""
-        yield from self._open(ctx)
-        if self._largest is not None and key <= self._largest:
-            raise DbError("table entries must be strictly increasing")
-        if self._smallest is None:
-            self._smallest = key
-        self._largest = key
-        stored = encode_value(value)
-        self._block.add(key, stored)
-        self._bloom.add(key)
-        self.n_entries += 1
-        costs = self.options.costs
-        self._pending_cpu += costs.bloom_add_per_key + (
-            costs.block_build_per_byte + costs.checksum_per_byte
-        ) * (len(key) + len(stored) + 8)
-        if self._block.full:
-            yield from self._flush_block(ctx)
-
-    def _flush_block(self, ctx: ThreadCtx) -> Generator:
-        if self._block.empty:
-            return
-        blob = self._block.finish()
-        # Charge the accumulated serialization CPU in one slice per block so
-        # the event count stays proportional to blocks, not entries.
-        yield from ctx.execute(self._pending_cpu)
-        self._pending_cpu = 0.0
-        yield from self.fs.write(self.path, self._offset, blob, ctx)
-        self._index.append((self._block.last_key, self._offset, len(blob)))
-        self._offset += len(blob)
-        self._block = BlockBuilder(self.options.block_bytes)
-
-    def finish(self, ctx: ThreadCtx) -> Generator:
-        """Flush remaining data, write filter + index + footer, fsync."""
-        yield from self._open(ctx)
-        if self.n_entries == 0:
+        A block closes at the first entry that takes it to ``block_bytes``;
+        each block's CPU (bloom, serialization and checksum of its entries)
+        is charged in one slice just before its write, so the event count
+        stays proportional to blocks, not entries.
+        """
+        n = len(entries)
+        if n == 0:
             raise DbError("refusing to build an empty table")
-        yield from self._flush_block(ctx)
+        keys = [key for key, _stored in entries]
+        if not all(map(operator.lt, keys, islice(keys, 1, None))):
+            raise DbError("table entries must be strictly increasing")
+        yield from self.fs.create(self.path, ctx)
+        self._bloom.add_many(keys)
+        sizes = [len(key) + len(stored) + 8 for key, stored in entries]
+        costs = self.options.costs
+        per_key = costs.bloom_add_per_key
+        per_byte = costs.block_build_per_byte + costs.checksum_per_byte
+        index = BlockBuilder(max(64, self.options.block_bytes))
+        offset = 0
+        for start, stop in split_runs(sizes, self.options.block_bytes):
+            block_sizes = sizes[start:stop]
+            # the repro.lsm.block format: u32 key_len | key | u32 value_len |
+            # value per entry, then the u32 entry offsets and the u32 count
+            parts = [
+                _U32.pack(len(key)) + key + _U32.pack(len(stored)) + stored
+                for key, stored in entries[start:stop]
+            ]
+            parts.append(
+                struct.pack(
+                    f"<{stop - start + 1}I",
+                    *accumulate(block_sizes[:-1], initial=0),
+                    stop - start,
+                )
+            )
+            blob = b"".join(parts)
+            cpu = 0.0
+            for size in block_sizes:  # in entry order: sum() compensates on 3.12+
+                cpu += per_key + per_byte * size
+            yield from ctx.execute(cpu)
+            yield from self.fs.write(self.path, offset, blob, ctx)
+            index.add(keys[stop - 1], _U64U32.pack(offset, len(blob)))
+            offset += len(blob)
         bloom_blob = self._bloom.to_bytes()
-        bloom_off = self._offset
+        bloom_off = offset
         yield from self.fs.write(self.path, bloom_off, bloom_blob, ctx)
-        self._offset += len(bloom_blob)
-        index_builder = BlockBuilder(max(64, self.options.block_bytes))
-        for last_key, off, length in self._index:
-            index_builder.add(last_key, _U64U32.pack(off, length))
-        index_blob = index_builder.finish()
-        index_off = self._offset
+        offset += len(bloom_blob)
+        index_blob = index.finish()
+        index_off = offset
         yield from self.fs.write(self.path, index_off, index_blob, ctx)
-        self._offset += len(index_blob)
+        offset += len(index_blob)
         footer = _FOOTER.pack(
-            index_off, len(index_blob), bloom_off, len(bloom_blob), self.n_entries, _MAGIC
+            index_off, len(index_blob), bloom_off, len(bloom_blob), n, _MAGIC
         )
-        yield from self.fs.write(self.path, self._offset, footer, ctx)
-        self._offset += len(footer)
+        yield from self.fs.write(self.path, offset, footer, ctx)
+        offset += len(footer)
         yield from self.fs.fsync(self.path, ctx)
-        assert self._smallest is not None and self._largest is not None
         return TableMeta(
             path=self.path,
             table_id=self.table_id,
-            smallest=self._smallest,
-            largest=self._largest,
-            n_entries=self.n_entries,
-            file_bytes=self._offset,
+            smallest=keys[0],
+            largest=keys[-1],
+            n_entries=n,
+            file_bytes=offset,
         )
 
 
@@ -271,14 +286,13 @@ class TableReader:
         return out
 
     def all_entries(self, ctx: ThreadCtx) -> Generator:
-        """Every entry in the table (compaction input); tombstones included."""
+        """Every entry as stored — ``(key, encoded value)``, tombstones
+        included — for compaction, which carries the bytes through."""
         yield from self._load_footer_and_index(ctx)
         assert self._index is not None
-        out: list[tuple[bytes, Optional[bytes]]] = []
+        out: list[tuple[bytes, bytes]] = []
         for _last_key, offset, length in self._index:
             reader = yield from self._read_block(offset, length, ctx)
-            for key, stored in reader.entries():
-                is_tombstone, value = decode_value(stored)
-                out.append((key, None if is_tombstone else value))
+            out += reader.entries()
         yield from ctx.execute(self.options.costs.iterator_next * max(1, len(out)))
         return out

@@ -4,7 +4,13 @@ zero-byte values, reversed bounds."""
 import pytest
 
 from repro.core.klog import MAX_KEY_BYTES
-from repro.errors import KeyNotFoundError, KeyTooLargeError, ValueTooLargeError
+from repro.errors import (
+    KeyNotFoundError,
+    KeyspaceNotFoundError,
+    KeyspaceStateError,
+    KeyTooLargeError,
+    ValueTooLargeError,
+)
 from repro.nvme.kv_commands import KvBulkDeleteCmd, KvBulkPutCmd, KvDeleteCmd
 from repro.obs.audit import InvariantAuditor
 from repro.units import KiB, MiB
@@ -316,3 +322,65 @@ def test_lsm_empty_write_batch_is_noop():
 
     tb.run(proc())
     assert tb.db.stats.counter("puts").value == 0
+
+
+# ------------------------------------------------------------------ empty bulk PUT
+def _empty_bulk_put(tb, name, asynchronous):
+    """``bulk_put(name, [])``, synchronously or posted and then reaped."""
+    client, ctx = tb.client, tb.ctx
+
+    def proc():
+        if not asynchronous:
+            return (yield from client.bulk_put(name, [], ctx))
+        tickets = yield from client.bulk_put_async(name, [], ctx)
+        assert len(tickets) == 1  # an empty batch is still one command
+        for ticket in tickets:
+            yield from client.wait(ticket, ctx)
+
+    return tb.run(proc())
+
+
+@pytest.mark.parametrize("asynchronous", [False, True], ids=["sync", "async"])
+def test_empty_bulk_put_on_a_missing_keyspace_raises(asynchronous):
+    tb = CsdTestbed()
+    with pytest.raises(KeyspaceNotFoundError):
+        _empty_bulk_put(tb, "absent", asynchronous)
+
+
+@pytest.mark.parametrize("asynchronous", [False, True], ids=["sync", "async"])
+def test_empty_bulk_put_on_a_compacted_keyspace_raises(asynchronous):
+    tb = CsdTestbed()
+
+    def setup():
+        yield from tb.client.create_keyspace("ks", tb.ctx)
+        yield from tb.client.open_keyspace("ks", tb.ctx)
+        yield from tb.client.bulk_put("ks", make_pairs(50), tb.ctx)
+        yield from tb.client.compact("ks", tb.ctx)
+        yield from tb.client.wait_for_device("ks", tb.ctx)
+
+    tb.run(setup())
+    assert tb.device.keyspaces["ks"].state.name == "COMPACTED"
+    with pytest.raises(KeyspaceStateError):
+        _empty_bulk_put(tb, "ks", asynchronous)
+
+
+@pytest.mark.parametrize("asynchronous", [False, True], ids=["sync", "async"])
+def test_empty_bulk_put_on_a_writable_keyspace_succeeds_and_allocates_nothing(
+    asynchronous,
+):
+    tb = CsdTestbed()
+    dev = tb.device
+
+    def setup():
+        yield from tb.client.create_keyspace("ks", tb.ctx)
+        yield from tb.client.open_keyspace("ks", tb.ctx)
+
+    tb.run(setup())
+    free_zones = dev.zone_manager.free_zone_count
+    _empty_bulk_put(tb, "ks", asynchronous)
+    ks = dev.keyspaces["ks"]
+    assert ks.state.name == "WRITABLE"
+    assert ks.n_pairs == 0
+    assert dev.zone_manager.free_zone_count == free_zones
+    report = InvariantAuditor(dev).run("empty-bulk-put")
+    assert report.ok, report.violations

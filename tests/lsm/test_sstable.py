@@ -10,16 +10,12 @@ from tests.lsm.conftest import LsmTestbed, small_options
 
 
 def build_table(tb, entries, table_id=1, path="t1.sst"):
-    def proc():
-        builder = TableBuilder(
-            tb.fs, path, table_id, tb.db.options, expected_keys=len(entries)
-        )
-        for k, v in entries:
-            yield from builder.add(k, v, tb.fg)
-        meta = yield from builder.finish(tb.fg)
-        return meta
-
-    return tb.run(proc())
+    """Build a table from ``(key, value-or-None)`` entries."""
+    builder = TableBuilder(
+        tb.fs, path, table_id, tb.db.options, expected_keys=len(entries)
+    )
+    stored = [(k, encode_value(v)) for k, v in entries]
+    return tb.run(builder.build(stored, tb.fg))
 
 
 def test_encode_decode_value():
@@ -87,42 +83,28 @@ def test_table_all_entries():
         got = yield from reader.all_entries(tb.fg)
         return got
 
-    assert tb.run(proc()) == entries
+    # compaction input: values as stored, not decoded
+    assert tb.run(proc()) == [(k, encode_value(v)) for k, v in entries]
 
 
 def test_table_rejects_unsorted():
     tb = LsmTestbed(options=small_options())
-
-    def proc():
-        builder = TableBuilder(tb.fs, "bad.sst", 9, tb.db.options, expected_keys=2)
-        yield from builder.add(b"b", b"1", tb.fg)
-        yield from builder.add(b"a", b"2", tb.fg)
-
     with pytest.raises(DbError):
-        tb.run(proc())
+        build_table(tb, [(b"b", b"1"), (b"a", b"2")], table_id=9, path="bad.sst")
+    assert not tb.fs.exists("bad.sst")
 
 
 def test_table_rejects_duplicate_keys():
     tb = LsmTestbed(options=small_options())
-
-    def proc():
-        builder = TableBuilder(tb.fs, "dup.sst", 9, tb.db.options, expected_keys=2)
-        yield from builder.add(b"a", b"1", tb.fg)
-        yield from builder.add(b"a", b"2", tb.fg)
-
     with pytest.raises(DbError):
-        tb.run(proc())
+        build_table(tb, [(b"a", b"1"), (b"a", b"2")], table_id=9, path="dup.sst")
+    assert not tb.fs.exists("dup.sst")
 
 
 def test_empty_table_rejected():
     tb = LsmTestbed(options=small_options())
-
-    def proc():
-        builder = TableBuilder(tb.fs, "e.sst", 9, tb.db.options, expected_keys=1)
-        yield from builder.finish(tb.fg)
-
     with pytest.raises(DbError):
-        tb.run(proc())
+        build_table(tb, [], table_id=9, path="e.sst")
 
 
 def test_meta_overlap_predicates():

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from repro.host.pagecache import PageCache
 from repro.lsm.iterator import merge_entries
 from repro.lsm.memtable import LookupState, Memtable
+from repro.lsm.sstable import TOMBSTONE, encode_value
 from repro.ssd.ftl import Ftl
+
+from tests.lsm.reference import heap_merge_entries
 
 keys = st.binary(min_size=1, max_size=16)
 values = st.binary(min_size=0, max_size=32)
@@ -79,6 +82,30 @@ def test_merge_output_sorted_and_unique(layer_dicts):
     merged = merge_entries(streams, drop_tombstones=False)
     out_keys = [k for k, _ in merged]
     assert out_keys == sorted(set(out_keys))
+
+
+@given(
+    st.lists(
+        st.dictionaries(keys, st.one_of(st.none(), values), max_size=30),
+        max_size=6,
+    ),
+    st.booleans(),
+)
+def test_merge_equals_heap_merge_on_decoded_and_stored_values(layer_dicts, drop_tombstones):
+    """The dict merge picks what a k-way heap merge picks: the newest
+    stream's entry per key, its tombstone kept or dropped — whether
+    deletions are ``None`` (scans) or the stored ``b"\\x00"`` (compaction)."""
+    decoded = [sorted(d.items()) for d in layer_dicts]
+    assert merge_entries(decoded, drop_tombstones) == heap_merge_entries(
+        decoded, drop_tombstones
+    )
+    stored = [[(k, encode_value(v)) for k, v in stream] for stream in decoded]
+    merged = merge_entries(stored, drop_tombstones, tombstone=TOMBSTONE)
+    assert merged == heap_merge_entries(stored, drop_tombstones, tombstone=TOMBSTONE)
+    assert merged == [
+        (k, encode_value(v))
+        for k, v in merge_entries(decoded, drop_tombstones)
+    ]
 
 
 # ------------------------------------------------------------------ FTL invariants
