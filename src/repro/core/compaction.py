@@ -27,7 +27,7 @@ from repro.core.costs import CsdCostModel
 from repro.core.index_build import IndexBuilder
 from repro.core.ingest import Ingest
 from repro.core.keyspace import Keyspace, KeyspaceState, lookup
-from repro.core.klog import KlogColumns, column_key_bytes
+from repro.core.klog import KlogColumns
 from repro.core.metalog import MetadataLog
 from repro.core.pidx import PidxColumns, PidxPacker, PidxSketch
 from repro.core.sidx import SidxConfig
@@ -362,7 +362,7 @@ class Compactor:
         ks.n_pairs = len(live)
         if self.indexes.bloom_bits_per_key and len(sketch):
             yield from self.indexes.attach_blooms(
-                ks, sketch, column_key_bytes(live.keys), packer.bounds, ctx
+                ks, sketch, live.keys, packer.bounds, ctx
             )
         self._journal("sketch.build", keyspace=ks.name, kind="pidx", n_blocks=len(sketch))
 

@@ -76,12 +76,11 @@ class KvCommandDispatcher:
         if isinstance(command, KeyspaceStatCmd):
             return device.keyspace_stat(command.name)
         if isinstance(command, KvBulkPutCmd):
-            pairs = list(zip(command.keys, command.values))
-            message_bytes = command.message_bytes or sum(
-                len(k) + len(v) + 6 for k, v in pairs
-            )
             return (
-                yield from device.bulk_put(command.keyspace, pairs, message_bytes, ctx)
+                yield from device.bulk_put(
+                    command.keyspace, command.keys, command.values,
+                    command.payload_bytes(), ctx,
+                )
             )
         if isinstance(command, KvDeleteCmd):
             return (

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Generator
 
+import numpy as np
+
 from repro.core.costs import CsdCostModel
 from repro.core.keyspace import Keyspace
-from repro.core.klog import column_key_bytes
 from repro.core.metalog import MetadataLog
 from repro.core.pidx import PidxColumns
 from repro.core.query import QueryEngine
@@ -28,7 +29,7 @@ from repro.core.sidx import SidxColumns, SidxConfig, SidxSketch
 from repro.core.sort import ExternalSorter
 from repro.core.zone_manager import ZoneManager
 from repro.host.threads import ThreadCtx
-from repro.lsm.bloom import BloomFilter
+from repro.lsm.bloom import BloomFilter, key_hashes
 from repro.obs.trace import trace_span
 from repro.sim.stats import StatsRegistry
 from repro.soc.board import SocBoard
@@ -64,11 +65,14 @@ class IndexBuilder:
         self._audit = audit
 
     def attach_blooms(
-        self, ks: Keyspace, sketch, keys: list[bytes], bounds: list[int], ctx: ThreadCtx
+        self, ks: Keyspace, sketch, keys: np.ndarray | list[bytes], bounds: list[int],
+        ctx: ThreadCtx,
     ) -> Generator:
         """Build one bloom filter per index block and charge DRAM for them.
 
         Block ``i`` holds ``keys[bounds[i]:bounds[i + 1]]``; ``bounds[0]`` is 0.
+        The keys (an ``S`` column or a list of bytes) are hashed once, and
+        each block's filter is set from its slice of the hashes.
 
         Works for PIDX sketches (member = primary key) and SIDX sketches
         (member = encoded secondary key) alike.  The filter bytes are
@@ -82,10 +86,11 @@ class IndexBuilder:
             return
         total_bytes = 0
         with trace_span(self.env, "compact.build_blooms", "stage", blocks=n_blocks):
+            h1, h2 = key_hashes(keys)
             for idx in range(n_blocks):
-                members = keys[bounds[idx] : bounds[idx + 1]]
-                bloom = BloomFilter(len(members), bits_per_key=bits)
-                bloom.add_many(members)
+                lo, hi = bounds[idx], bounds[idx + 1]
+                bloom = BloomFilter(hi - lo, bits_per_key=bits)
+                bloom.add_hashes(h1[lo:hi], h2[lo:hi])
                 sketch.attach_bloom(idx, bloom)
                 total_bytes += bloom.size_bytes
             yield from self.board.charge(ctx, self.costs.bloom_build_per_key * bounds[-1])
@@ -161,9 +166,7 @@ class IndexBuilder:
             sketch.add_block(pivot, pointer)
         if self.bloom_bits_per_key:
             # per-block blooms over each block's *encoded secondary keys*
-            yield from self.attach_blooms(
-                ks, sketch, column_key_bytes(pairs.skeys), bounds, ctx
-            )
+            yield from self.attach_blooms(ks, sketch, pairs.skeys, bounds, ctx)
         ks.sidx[config.name] = (config, sketch)
         yield from self.metalog.upsert(ctx, ks)
         return sketch

@@ -8,8 +8,7 @@ the KLOG directly.  Writes into one keyspace serialise on its write lock.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator
-from operator import itemgetter
+from collections.abc import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from repro.core.klog import MAX_KEY_BYTES, TOMBSTONE_LEN, pack_klog_columns
 from repro.core.metalog import MetadataLog
 from repro.core.vlog import pointer_columns, stripe_groups
 from repro.core.zone_manager import ZoneManager
-from repro.errors import KeyTooLargeError, ValueTooLargeError
+from repro.errors import DbError, KeyTooLargeError, ValueTooLargeError
 from repro.host.threads import ThreadCtx
 from repro.obs.trace import trace_span, trace_wait
 from repro.sim.resources import Resource
@@ -29,7 +28,7 @@ from repro.soc.board import SocBoard
 __all__ = ["Ingest"]
 
 
-def admit_keys(keys: list[bytes]) -> None:
+def admit_keys(keys: Sequence[bytes]) -> None:
     """Refuse a write command that carries a key no format can hold.
 
     Checked before the command buffers a pair or takes a sequence number:
@@ -65,18 +64,22 @@ class Ingest:
         self._audit = audit
 
     def bulk_put(
-        self, name: str, pairs: list[tuple[bytes, bytes]], message_bytes: int, ctx: ThreadCtx
+        self, name: str, keys: Sequence[bytes], values: Sequence[bytes],
+        message_bytes: int, ctx: ThreadCtx,
     ) -> Generator:
-        """Ingest one bulk-PUT message into the keyspace's membuf."""
+        """Ingest one bulk-PUT message, given as key and value columns, into
+        the keyspace's membuf."""
         with self._inflight.request() as slot:
             yield from trace_wait(self.env, slot, "dev.inflight_wait")
             ks = lookup(self.keyspaces, name)
             ks.require(KeyspaceState.WRITABLE)
-            keys = [key for key, _value in pairs]
+            n = len(keys)
+            if len(values) != n:
+                raise DbError(f"bulk PUT carries {n} keys but {len(values)} values")
             admit_keys(keys)
             # a value is one VLOG group and a group lives in one zone: a
             # longer value would have the flush drain the zone pool
-            longest = max(map(len, map(itemgetter(1), pairs)), default=0)
+            longest = max(map(len, values), default=0)
             if longest > self.board.ssd.geometry.zone_size:
                 raise ValueTooLargeError(longest, self.board.ssd.geometry.zone_size)
             with ks.write_lock.request() as lock:
@@ -85,15 +88,15 @@ class Ingest:
                     ctx,
                     self.costs.request_overhead
                     + self.costs.unpack_per_byte * message_bytes
-                    + self.costs.membuf_insert_per_pair * len(pairs),
+                    + self.costs.membuf_insert_per_pair * n,
                 )
-                if pairs:
-                    ks.membuf.add_many(pairs, ks.seq + 1)
-                    ks.seq += len(pairs)
+                if n:
+                    ks.membuf.extend(keys, values, ks.seq + 1)
+                    ks.seq += n
                     ks.observe_key(min(keys))
                     ks.observe_key(max(keys))
-                ks.n_pairs += len(pairs)
-                self.stats.counter("pairs_inserted").add(len(pairs))
+                ks.n_pairs += n
+                self.stats.counter("pairs_inserted").add(n)
                 if ks.membuf.should_flush:
                     yield from self.flush(ks, ctx)
 
@@ -151,26 +154,25 @@ class Ingest:
 
         The caller holds the keyspace's write lock.
         """
-        pairs = ks.membuf.drain()
-        if not pairs:
+        keys, values, seqs = ks.membuf.drain()
+        if not keys:
             return
         charge, append = self.board.charge, self.zone_manager.append_stream
-        with trace_span(self.env, "dev.flush", "stage", pairs=len(pairs)):
+        with trace_span(self.env, "dev.flush", "stage", pairs=len(keys)):
             clusters_before = len(ks.klog_clusters) + len(ks.vlog_clusters)
             # Values go to VLOG stripe groups; each value's place in its
             # group plus the group's pointer is the KLOG record's pointer.
-            values = [value for _key, value, _seq in pairs]
             lengths = np.fromiter(map(len, values), dtype=np.int64, count=len(values))
             groups, group_index, group_off = stripe_groups(b"".join(values), lengths)
             yield from charge(
-                ctx, self.costs.block_build_per_byte * sum(len(g) for g in groups)
+                ctx, self.costs.block_build_per_byte * sum(map(len, groups))
             )
             group_zone, group_start = pointer_columns(
                 (yield from append(ks.vlog_clusters, groups))
             )
             blob = pack_klog_columns(
-                [key for key, _value, _seq in pairs],
-                [seq for _key, _value, seq in pairs],
+                keys,
+                seqs,
                 group_zone[group_index],
                 group_start[group_index] + group_off,
                 lengths,
@@ -183,5 +185,5 @@ class Ingest:
                 # the only pointer to these zones).
                 yield from self.metalog.upsert(ctx, ks)
             self.stats.counter("membuf_flushes").add()
-        self._journal("membuf.flush", keyspace=ks.name, pairs=len(pairs))
+        self._journal("membuf.flush", keyspace=ks.name, pairs=len(keys))
         self._audit("flush")

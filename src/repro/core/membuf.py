@@ -7,6 +7,8 @@ the SSD zone clusters that are mapped to the keyspace."
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.errors import DbError
 from repro.units import KiB
 
@@ -19,20 +21,22 @@ MIN_MEMBUF_BYTES = 1 * KiB
 
 
 class MemBuffer:
-    """Accumulates pairs until the flush threshold."""
+    """Accumulates pairs, as key/value/seq columns, until the flush threshold."""
 
     def __init__(self, capacity: int = MEMBUF_BYTES):
         if capacity < MIN_MEMBUF_BYTES:
             raise DbError("membuf too small")
         self.capacity = capacity
-        #: (key, value, seq) — seq is the keyspace-wide insertion sequence,
-        #: assigned when the pair *enters* the buffer so recency is preserved
-        #: against tombstones written directly to the KLOG meanwhile.
-        self._pairs: list[tuple[bytes, bytes, int]] = []
+        #: parallel columns.  A pair's seq is the keyspace-wide insertion
+        #: sequence, assigned when the pair *enters* the buffer so recency is
+        #: preserved against tombstones written directly to the KLOG meanwhile.
+        self._keys: list[bytes] = []
+        self._values: list[bytes] = []
+        self._seqs: list[int] = []
         self._bytes = 0
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._keys)
 
     @property
     def bytes_buffered(self) -> int:
@@ -42,35 +46,35 @@ class MemBuffer:
     def should_flush(self) -> bool:
         return self._bytes >= self.capacity
 
-    def add(self, key: bytes, value: bytes, seq: int = 0) -> None:
-        self._pairs.append((key, value, seq))
-        self._bytes += len(key) + len(value)
+    def extend(
+        self, keys: Sequence[bytes], values: Sequence[bytes], first_seq: int
+    ) -> None:
+        """Append one message's columns, with seqs ``first_seq, first_seq+1, ...``."""
+        self._keys += keys
+        self._values += values
+        self._seqs += range(first_seq, first_seq + len(keys))
+        self._bytes += sum(map(len, keys)) + sum(map(len, values))
 
-    def add_many(self, pairs: list[tuple[bytes, bytes]], first_seq: int) -> None:
-        """Append pairs with consecutive seqs ``first_seq, first_seq+1, ...``."""
-        self._pairs.extend(
-            (key, value, first_seq + i) for i, (key, value) in enumerate(pairs)
-        )
-        self._bytes += sum(len(key) + len(value) for key, value in pairs)
-
-    def drain(self) -> list[tuple[bytes, bytes, int]]:
-        """Remove and return all buffered (key, value, seq) triples."""
-        pairs, self._pairs = self._pairs, []
+    def drain(self) -> tuple[list[bytes], list[bytes], list[int]]:
+        """Remove and return the buffered ``(keys, values, seqs)`` columns."""
+        columns = self._keys, self._values, self._seqs
+        self._keys, self._values, self._seqs = [], [], []
         self._bytes = 0
-        return pairs
+        return columns
 
     def introspect(self) -> dict:
         """Buffer occupancy for device snapshots (no simulation events)."""
         return {
             "capacity_bytes": self.capacity,
             "bytes_buffered": self._bytes,
-            "n_pairs": len(self._pairs),
+            "n_pairs": len(self._keys),
             "should_flush": self.should_flush,
         }
 
     def get(self, key: bytes) -> bytes | None:
         """Lookup inside the buffer (newest write wins)."""
-        for k, v, _seq in reversed(self._pairs):
-            if k == key:
-                return v
+        keys = self._keys
+        for i in range(len(keys) - 1, -1, -1):
+            if keys[i] == key:
+                return self._values[i]
         return None

@@ -11,6 +11,7 @@ realistic framing, and keep the 128 KB default message budget.
 from __future__ import annotations
 
 import struct
+from operator import itemgetter
 
 from repro.errors import DbError
 from repro.units import KiB
@@ -83,8 +84,10 @@ def split_into_messages(
     if message_bytes <= 0:
         raise DbError("message size must be positive")
     if len(pairs) >= 8:
-        klen, vlen = len(pairs[0][0]), len(pairs[0][1])
-        if all(len(k) == klen and len(v) == vlen for k, v in pairs):
+        klens = set(map(len, map(itemgetter(0), pairs)))
+        vlens = set(map(len, map(itemgetter(1), pairs)))
+        if len(klens) == len(vlens) == 1:
+            (klen,), (vlen,) = klens, vlens
             # Uniform pairs (the YCSB-style norm): every message holds the
             # same pair count, so the greedy scan collapses to slicing.  A
             # pair that alone exceeds the budget still gets its own message.

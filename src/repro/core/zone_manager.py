@@ -14,6 +14,7 @@ parallel while records stay contiguous for pointer-based reads.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Generator
 
 import numpy as np
@@ -166,7 +167,21 @@ class ZoneManager:
         self._free = [
             z.zone_id for z in ssd.zones if z.state == ZoneState.EMPTY
         ]
+        #: the channel of every zone, by zone id
+        self._channel = [zone.channel for zone in ssd.zones]
+        self._index_channels()
         self.allocated_clusters = 0
+
+    def _index_channels(self) -> None:
+        """Rebuild the per-channel queues from the free pool."""
+        #: per channel, that channel's free zones in pool order (kept in step
+        #: with ``_free``, so an allocation never scans the whole pool)
+        self._by_channel: list[deque[int]] = [
+            deque() for _ in range(self.ssd.geometry.n_channels)
+        ]
+        channel = self._channel
+        for zone_id in self._free:
+            self._by_channel[channel[zone_id]].append(zone_id)
 
     @property
     def free_zone_count(self) -> int:
@@ -175,7 +190,9 @@ class ZoneManager:
     def reserve_zone(self, zone_id: int) -> ZoneCluster:
         """Claim a specific zone (e.g. the fixed metadata zone) regardless of
         its current state; removes it from the free pool if present."""
-        self._free = [z for z in self._free if z != zone_id]
+        if zone_id in self._free:
+            self._free.remove(zone_id)
+            self._by_channel[self._channel[zone_id]].remove(zone_id)
         self.allocated_clusters += 1
         journal_event(
             self.ssd.env, "cluster.reserve", dev=self.ssd.name, zones=[zone_id]
@@ -202,6 +219,7 @@ class ZoneManager:
         ``n_clusters`` recovered clusters they form (device mount)."""
         used = set(zone_ids)
         self._free = [z for z in self._free if z not in used]
+        self._index_channels()
         self.allocated_clusters += n_clusters
 
     def rebuild_free_list(self) -> None:
@@ -213,6 +231,7 @@ class ZoneManager:
             for z in self.ssd.zones
             if z.state == ZoneState.EMPTY and z.zone_id in currently_free
         ]
+        self._index_channels()
 
     def reconcile_free_list(self, used_zones: set[int] | list[int]) -> list[int]:
         """Rebuild the free pool against the set of zones in use.
@@ -245,6 +264,7 @@ class ZoneManager:
             and z.zone_id not in have
         ]
         self._free = kept + reclaimed
+        self._index_channels()
         return reclaimed
 
     def allocate_cluster(self, n_zones: int | None = None) -> ZoneCluster:
@@ -254,27 +274,19 @@ class ZoneManager:
             raise OutOfSpaceError(
                 f"need {want} free zones, only {len(self._free)} available"
             )
-        # Prefer zones on distinct channels so the stripe actually parallelises.
-        by_channel: dict[int, list[int]] = {}
-        for zone_id in self._free:
-            by_channel.setdefault(self.ssd.geometry.channel_of_zone(zone_id), []).append(
-                zone_id
-            )
+        # Prefer zones on distinct channels so the stripe actually parallelises:
+        # round-robin over the channels in ascending order, each giving up
+        # its free zones in pool order.
         chosen: list[int] = []
-        channels = sorted(by_channel)
-        idx = 0
-        while len(chosen) < want:
-            ch = channels[idx % len(channels)]
-            if by_channel[ch]:
-                chosen.append(by_channel[ch].pop(0))
-            idx += 1
-            if idx > want * len(channels) + len(channels):
-                break
-        if len(chosen) < want:  # not enough channel spread; take anything left
-            leftovers = [z for zs in by_channel.values() for z in zs]
-            chosen.extend(leftovers[: want - len(chosen)])
-        chosen_set = set(chosen)
-        self._free = [z for z in self._free if z not in chosen_set]
+        queues = [queue for queue in self._by_channel if queue]
+        while len(chosen) < want and queues:
+            for queue in queues:
+                chosen.append(queue.popleft())
+                if len(chosen) == want:
+                    break
+            queues = [queue for queue in queues if queue]
+        for zone_id in chosen:
+            self._free.remove(zone_id)
         rotation = int(self.rng.integers(0, want))
         self.allocated_clusters += 1
         journal_event(
@@ -318,6 +330,8 @@ class ZoneManager:
         for zone_id in cluster.zone_ids:
             yield from self.ssd.reset_zone(zone_id)
         self._free.extend(cluster.zone_ids)
+        for zone_id in cluster.zone_ids:
+            self._by_channel[self._channel[zone_id]].append(zone_id)
         self.allocated_clusters -= 1
         journal_event(
             self.ssd.env, "cluster.release", dev=self.ssd.name,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.nvme.commands import NvmeCommand
 
@@ -119,19 +120,18 @@ class KvBulkPutCmd(KvCommand):
         cls, keyspace: str, pairs: Sequence[tuple[bytes, bytes]]
     ) -> "KvBulkPutCmd":
         """One bulk-PUT message carrying ``pairs``, its wire size set."""
-        return cls(
-            keyspace=keyspace,
-            keys=tuple(k for k, _ in pairs),
-            values=tuple(v for _, v in pairs),
-            # == 4 + sum(pair_wire_size(k, v)): 6 framing bytes per pair
-            message_bytes=4 + 6 * len(pairs)
-            + sum(len(k) + len(v) for k, v in pairs),
-        )
+        keys = tuple(map(itemgetter(0), pairs))
+        values = tuple(map(itemgetter(1), pairs))
+        return cls(keyspace, keys, values, _message_bytes(keys, values))
 
     def payload_bytes(self) -> int:
-        return self.message_bytes or (
-            4 + sum(6 + len(k) + len(v) for k, v in zip(self.keys, self.values))
-        )
+        return self.message_bytes or _message_bytes(self.keys, self.values)
+
+
+def _message_bytes(keys: Sequence[bytes], values: Sequence[bytes]) -> int:
+    """Serialized bulk-PUT size: a 4-byte pair count, then 6 framing bytes
+    per pair (``== 4 + sum(pair_wire_size(k, v))``)."""
+    return 4 + 6 * len(keys) + sum(map(len, keys)) + sum(map(len, values))
 
 
 @dataclass(frozen=True)

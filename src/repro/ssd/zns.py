@@ -110,7 +110,7 @@ class ZnsSsd:
                 # journal line is best-effort (the environment dies with the
                 # PowerCut); the surviving evidence is the torn zone tail.
                 if keep:
-                    zone.append(bytes(data[:keep]))
+                    zone.append(memoryview(data)[:keep])
                 journal_event(
                     self.env, "power.cut", dev=self.name, op="torn_append",
                     zone=zone_id, kept=keep, intended=len(data),
@@ -119,7 +119,7 @@ class ZnsSsd:
                     f"torn append to zone {zone_id}: "
                     f"{keep}/{len(data)} bytes persisted"
                 )
-        offset = zone.append(bytes(data))  # validates state/space, claims range
+        offset = zone.append(data)  # validates state/space, claims range
         yield from self._occupy_channel(
             zone.channel, self.latency.write_time(len(data)), "nand.append",
             len(data),

@@ -71,7 +71,9 @@ class Zone:
                 f"zone {self.zone_id}: read [{offset}, {offset + length}) "
                 f"beyond write pointer {len(self._data)}"
             )
-        return bytes(self._data[offset : offset + length])
+        # one copy; the views die with this statement, so no buffer export
+        # outlives the call to block a later append
+        return memoryview(self._data)[offset : offset + length].tobytes()
 
     def finish(self) -> None:
         """Explicitly transition the zone to FULL (no more writes)."""

@@ -90,7 +90,9 @@ class _LegacyDirectClient:
             for message in split_into_messages(list(pairs), self.bulk_message_bytes):
                 message_bytes = 4 + sum(pair_wire_size(k, v) for k, v in message)
                 yield from self._send_command(message_bytes, ctx)
-                yield from self.device.bulk_put(keyspace, message, message_bytes, ctx)
+                keys = [k for k, _v in message]
+                values = [v for _k, v in message]
+                yield from self.device.bulk_put(keyspace, keys, values, message_bytes, ctx)
                 yield from self._receive_result(COMMAND_WIRE_BYTES, ctx)
 
     def bulk_delete(self, keyspace, keys, ctx):

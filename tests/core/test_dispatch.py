@@ -166,3 +166,30 @@ def test_unsupported_command_rejected(dispatch_tb):
     c = submit(tb, dispatcher, KvCommand())
     assert not c.ok
     assert c.status == "ReproError"
+
+
+def test_unsized_bulk_put_charges_like_a_sized_one():
+    """The device charges a message by ``payload_bytes()`` — pair-count
+    header included — whether or not the command carries its size."""
+    pairs = [(f"k{i:04d}".encode(), bytes([i % 256]) * 16) for i in range(50)]
+    sized = KvBulkPutCmd.of("ks", pairs)
+    unsized = KvBulkPutCmd("ks", sized.keys, sized.values)
+    clocks = []
+    for command in (sized, unsized):
+        tb = CsdTestbed()
+        dispatcher = KvCommandDispatcher(tb.device)
+        submit(tb, dispatcher, CreateKeyspaceCmd(name="ks"))
+        submit(tb, dispatcher, OpenKeyspaceCmd(name="ks"))
+        assert submit(tb, dispatcher, command).ok
+        clocks.append(tb.env.now)
+    assert clocks[0] == clocks[1]
+
+
+def test_bulk_put_with_unequal_columns_is_refused(dispatch_tb):
+    tb, dispatcher = dispatch_tb
+    submit(tb, dispatcher, CreateKeyspaceCmd(name="ks"))
+    submit(tb, dispatcher, OpenKeyspaceCmd(name="ks"))
+    done = submit(tb, dispatcher, KvBulkPutCmd("ks", (b"a", b"b"), (b"1",)))
+    assert done.status == "DbError" and "2 keys but 1 values" in done.value
+    stat = submit(tb, dispatcher, KeyspaceStatCmd(name="ks")).value
+    assert stat["n_pairs"] == 0

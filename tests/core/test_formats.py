@@ -320,18 +320,18 @@ def test_membuf_accumulates_and_flush_threshold():
     mb = MemBuffer(capacity=1024)
     assert not mb.should_flush
     for i in range(20):
-        mb.add(f"key-{i}".encode(), b"v" * 50)
+        mb.extend([f"key-{i}".encode()], [b"v" * 50], first_seq=i + 1)
     assert mb.should_flush
-    pairs = mb.drain()
-    assert len(pairs) == 20
+    keys, values, seqs = mb.drain()
+    assert len(keys) == len(values) == 20
+    assert seqs == list(range(1, 21))
     assert mb.bytes_buffered == 0
     assert not mb.should_flush
 
 
 def test_membuf_get_newest_wins():
     mb = MemBuffer(capacity=4096)
-    mb.add(b"k", b"old")
-    mb.add(b"k", b"new")
+    mb.extend((b"k", b"k"), (b"old", b"new"), first_seq=1)
     assert mb.get(b"k") == b"new"
     assert mb.get(b"nope") is None
 

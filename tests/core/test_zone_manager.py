@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.zone_manager import ZoneCluster, ZoneManager
 from repro.errors import OutOfSpaceError, StorageError, ZoneFullError
 from repro.sim import Environment
 from repro.ssd import SsdGeometry, ZnsSsd
 from repro.units import KiB, MiB
+
+from tests.core.zone_manager_reference import ReferenceZoneManager
 
 
 def make_zm(env, n_channels=4, n_zones=16, zone_size=256 * KiB, cluster_zones=4, seed=0):
@@ -334,3 +338,58 @@ def test_keyspace_streams_grow_cluster_chains_across_compaction_and_remount():
     assert kv.run(read_back()) == [value for _, value in probes]
     report = InvariantAuditor(kv.device).run("remounted")
     assert report.ok, report.format()
+
+
+# -- the per-channel queues against the whole-pool scan they replaced --------
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("allocate"), st.sampled_from([None, 1, 2, 3, 5, 7])),
+        st.tuples(st.just("release"), st.integers(0, 99)),
+        st.tuples(st.just("mark_used"), st.lists(st.integers(0, 99), max_size=4)),
+        st.tuples(st.just("write"), st.integers(0, 99)),
+        st.tuples(st.just("reconcile"), st.lists(st.integers(0, 99), max_size=4)),
+    ),
+    max_size=40,
+)
+
+
+def _play(cls, ops, n_channels, n_zones):
+    """Apply ``ops`` to a fresh manager of class ``cls``; returns every
+    observable step: the chosen zones and rotation, errors, the pool."""
+    env = Environment()
+    ssd = ZnsSsd(
+        env, geometry=SsdGeometry(n_channels=n_channels, n_zones=n_zones, zone_size=4 * KiB)
+    )
+    zm = cls(ssd, np.random.default_rng(7), cluster_zones=3)
+    held: list[ZoneCluster] = []
+    seen = []
+    for op, arg in ops:
+        if op == "allocate":
+            try:
+                cluster = zm.allocate_cluster(arg)
+            except OutOfSpaceError:
+                seen.append("out of space")
+            else:
+                held.append(cluster)
+                seen.append((cluster.zone_ids, cluster.rotation))
+        elif op == "release" and held:
+            run(env, zm.release_cluster(held.pop(arg % len(held))))
+        elif op == "mark_used" and zm._free:
+            zm.mark_used([zm._free[i % len(zm._free)] for i in arg])
+        elif op == "write" and zm._free:
+            # a free zone that took data: reconcile must drop it
+            run(env, ssd.append(zm._free[arg % len(zm._free)], b"stray"))
+        elif op == "reconcile":
+            used = {z for c in held for z in c.zone_ids} | {i % n_zones for i in arg}
+            seen.append(zm.reconcile_free_list(used))
+        seen.append((list(zm._free), zm.allocated_clusters))
+    return seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(_OPS, st.sampled_from([1, 3, 4]), st.sampled_from([2, 3, 6]))
+def test_allocate_matches_the_whole_pool_scan(ops, n_channels, per_channel):
+    n_zones = n_channels * per_channel
+    assert _play(ZoneManager, ops, n_channels, n_zones) == _play(
+        ReferenceZoneManager, ops, n_channels, n_zones
+    )

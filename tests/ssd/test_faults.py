@@ -217,3 +217,21 @@ def test_fault_plan_introspects_power_cut_state():
     assert state["cut_event_type"] == "membuf.flush"
     assert state["torn_after_writes"] == 3
     assert state["power_cut"] is False
+
+
+def test_torn_append_keeps_the_prefix_of_a_mutable_buffer():
+    from repro.ssd.faults import PowerCut
+
+    env = Environment()
+    ssd = ZnsSsd(env, geometry=SsdGeometry(n_channels=2, n_zones=4, zone_size=MiB))
+    ssd.faults = FaultPlan(torn_after_writes=1, torn_keep_fraction=0.5)
+    data = bytearray(b"0123456789")
+
+    def proc():
+        yield from ssd.append(1, data)
+
+    env.process(proc())
+    with pytest.raises(PowerCut):
+        env.run()
+    data[:] = b"XXXXXXXXXX"
+    assert ssd.zone(1).read(0, ssd.zone(1).write_pointer) == b"01234"

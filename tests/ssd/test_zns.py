@@ -208,3 +208,23 @@ def test_channel_busy_tracked():
 
     run(env, proc())
     assert ssd.stats.channel_busy[0] == pytest.approx(ssd.latency.write_time(8192))
+
+
+def test_append_after_read_and_caller_buffers_stay_independent():
+    """The zone keeps one copy of appended bytes, and a read leaves no
+    buffer export behind that would stop the zone from growing."""
+    env = Environment()
+    ssd = small_ssd(env)
+    buf = bytearray(b"abcdef")
+
+    def proc():
+        yield from ssd.append(0, buf)
+        first = yield from ssd.read(0, 1, 3)
+        buf[:] = b"XXXXXX"  # the caller reuses its buffer
+        yield from ssd.append(0, b"gh")  # no BufferError after the read
+        whole = yield from ssd.read(0, 0, 8)
+        return first, whole
+
+    first, whole = run(env, proc())
+    assert type(first) is bytes and first == b"bcd"
+    assert whole == b"abcdefgh"
