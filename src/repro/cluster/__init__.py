@@ -3,8 +3,9 @@
 The host-side :class:`~repro.cluster.router.ClusterRouter` owns one
 :class:`~repro.nvme.queues.KvQueuePair` per simulated device (each behind
 its own NVMe-oF fabric link) and presents the whole fleet through the
-:class:`~repro.core.client.KvCsdClient` generator API — point/multi GETs
-fan out to the least-loaded replica, bulk PUT batches split per device and
+subset of the :class:`~repro.core.client.KvCsdClient` generator API that
+:class:`~repro.workloads.adapters.KvCsdAdapter` drives — point/multi GETs
+go to the least-loaded replica, bulk PUT batches split per device and
 post in parallel at QD>1, and range/SIDX scans scatter to every owning
 device with an ordered streaming merge on the host.
 

@@ -47,7 +47,6 @@ from repro.nvme.kv_commands import (
     CreateKeyspaceCmd,
     KvBulkPutCmd,
     KvFsyncCmd,
-    KvMultiGetCmd,
     OpenKeyspaceCmd,
     RangeQueryCmd,
     WaitCompactionCmd,
@@ -214,7 +213,7 @@ def _migrate_keyspace(
     mig = _Migration(new_ring, epoch)
     lk.migration = mig
 
-    # -- scan every slice, keep authoritative rows whose owners change
+    # -- scan every slice, keep authoritative rows; split the ones that move
     sources = lk.physical_locations()
     scans = yield from router._fan_out(
         (
@@ -224,26 +223,23 @@ def _migrate_keyspace(
         ctx, "range_query", migrate=lk.name,
     )
     scanned = 0
-    moved: list[tuple[bytes, bytes]] = []
-    move_dests: dict[bytes, tuple[str, ...]] = {}
+    rows: list[tuple[bytes, bytes]] = []
     seen: set[bytes] = set()
     for (dev, phys), completion in zip(sources, scans):
         scanned += len(completion.value)
         for key, value in completion.value:
-            loc_devs, loc_phys = lk.locate(key)
-            if phys != loc_phys or dev not in loc_devs or key in seen:
-                continue  # stale leftover or replica duplicate
-            seen.add(key)
-            new_devs, new_phys = lk.locate_pending(key)
-            if (set(new_devs), new_phys) != (set(loc_devs), loc_phys):
-                moved.append((key, value))
-                move_dests[key] = new_devs
-    if not moved:
+            # a replica duplicate or a past migration's leftover drops
+            if key not in seen and lk.holds(dev, phys, key):
+                seen.add(key)
+                rows.append((key, value))
+    copy = router._split(lk, [key for key, _ in rows], write=True, pending=True)
+    if not copy:
         lk.migration = None
         return None
+    moved = [rows[i] for i in sorted({i for _, _, idx in copy for i in idx})]
     mig.total_pairs = len(moved)
     fragment = lk.fragment_name(epoch)
-    dests = tuple(sorted({d for devs in move_dests.values() for d in devs}))
+    dests = tuple(sorted(dev for dev, _, _ in copy))
     journal_event(
         env, "migrate.slice_begin",
         keyspace=lk.name, epoch=epoch, pairs=len(moved), dests=list(dests),
@@ -260,17 +256,11 @@ def _migrate_keyspace(
     )
 
     # -- bounded bulk-put pipeline, messages round-robined across dests
-    per_dev: dict[str, list[tuple[bytes, bytes]]] = {}
-    for key, value in moved:
-        for dev in move_dests[key]:
-            per_dev.setdefault(dev, []).append((key, value))
     message_queues = [
         (dev, deque(split_into_messages(
-            pairs, router.clients[dev].bulk_message_bytes
+            [rows[i] for i in idx], router.clients[dev].bulk_message_bytes
         )))
-        for dev, pairs in sorted(
-            per_dev.items(), key=lambda kv: router._order[kv[0]]
-        )
+        for dev, _, idx in copy
     ]
     window = max(1, copy_qd) * len(message_queues)
     outstanding: deque = deque()
@@ -320,32 +310,12 @@ def _migrate_keyspace(
     keys = [k for k, _ in moved]
     for i in range(0, len(keys), _VERIFY_BATCH):
         batch = keys[i : i + _VERIFY_BATCH]
-        old_groups: dict[tuple[str, str], list[bytes]] = {}
-        new_groups: dict[str, list[bytes]] = {}
-        for key in batch:
-            loc_devs, loc_phys = lk.locate(key)
-            old_groups.setdefault(
-                (router._pick(loc_devs), loc_phys), []
-            ).append(key)
-            new_groups.setdefault(router._pick(move_dests[key]), []).append(key)
-        targets = [
-            (dev, KvMultiGetCmd(keyspace=phys, keys=tuple(group)))
-            for (dev, phys), group in sorted(
-                old_groups.items(),
-                key=lambda kv: (router._order[kv[0][0]], kv[0][1]),
-            )
-        ] + [
-            (dev, KvMultiGetCmd(keyspace=fragment, keys=tuple(group)))
-            for dev, group in sorted(
-                new_groups.items(), key=lambda kv: router._order[kv[0]]
-            )
-        ]
+        targets, n_old = router._multi_get_targets(lk, batch, dual=True)
         completions = yield from router._fan_out(
             targets, ctx, "multi_get", migrate=lk.name
         )
         old_vals: dict[bytes, bytes] = {}
         new_vals: dict[bytes, bytes] = {}
-        n_old = len(old_groups)
         for j, completion in enumerate(completions):
             (old_vals if j < n_old else new_vals).update(completion.value)
         for key in batch:

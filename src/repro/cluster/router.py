@@ -1,16 +1,22 @@
 """Host-side cluster router: N KV-CSD devices as one logical store.
 
-The router mirrors :class:`~repro.core.client.KvCsdClient`'s generator API
-(the :class:`~repro.workloads.adapters.KvCsdAdapter` drives it unchanged)
-while owning one :class:`~repro.nvme.queues.KvQueuePair` per device and
-driving them concurrently:
+The router serves the calls :class:`~repro.workloads.adapters.KvCsdAdapter`
+makes of a :class:`~repro.core.client.KvCsdClient` (create/open, bulk PUT,
+compact, wait, GET, range query) plus the few the benches and ``perf/``
+use (``submit_many``, ``multi_get``, ``put``/``bulk_delete``, ``fsync``,
+``sidx_point_query``), while owning one
+:class:`~repro.nvme.queues.KvQueuePair` per device and driving them
+concurrently:
 
-* point GETs go to the least-loaded replica (live ``qp.inflight``, fleet
-  order as the deterministic tie-break);
-* ``submit_many`` batches split per device and post in parallel at QD>1 —
-  one slow device backpressures only its own queue slots;
-* bulk PUTs group pairs by owner and round-robin their 128 KB messages
-  across the owning devices' queues;
+* one owner split (:meth:`ClusterRouter._split`) groups every keyed batch
+  by ``(device, physical keyspace)`` in fleet order — bulk PUTs/deletes,
+  multi-GETs and the rebalancer's copy and verify all use it;
+* reads go to the least-loaded replica (live ``qp.inflight``, fleet order
+  as the deterministic tie-break); writes go to every replica;
+* ``submit_many`` posts a batch of point reads at QD>1 — one slow device
+  backpressures only its own queue slots;
+* bulk PUTs round-robin their 128 KB messages across the owning devices'
+  queues;
 * range/SIDX scans scatter to every device holding a slice and stream an
   ordered merge on the host (``heapq.merge`` over per-device sorted runs).
 
@@ -45,15 +51,11 @@ from repro.core.wire import split_into_messages
 from repro.errors import KeyspaceNotFoundError, NvmeError, SimulationError
 from repro.nvme.commands import Completion
 from repro.nvme.kv_commands import (
-    BuildSidxCmd,
     CompactCmd,
     CreateKeyspaceCmd,
-    DeleteKeyspaceCmd,
-    KeyspaceStatCmd,
     KvBulkDeleteCmd,
     KvBulkPutCmd,
     KvCommand,
-    KvDeleteCmd,
     KvExistCmd,
     KvFsyncCmd,
     KvGetCmd,
@@ -62,22 +64,15 @@ from repro.nvme.kv_commands import (
     OpenKeyspaceCmd,
     RangeQueryCmd,
     SidxPointQueryCmd,
-    SidxRangeQueryCmd,
     WaitCompactionCmd,
 )
 from repro.obs.trace import CAT_COMMAND, trace_span
 
-__all__ = ["ClusterRouter", "LogicalKeyspace", "RouterTicket"]
+__all__ = ["ClusterRouter", "LogicalKeyspace"]
 
-#: command types routed by a single key, with the op name their command
+#: the point reads ``submit_many`` routes, with the op name their command
 #: span gets (matching the single-device client's vocabulary)
-_SINGLE_KEY_CMDS = (KvGetCmd, KvExistCmd, KvDeleteCmd)
-_BATCH_OPS = {
-    KvGetCmd: "get",
-    KvExistCmd: "exist",
-    KvDeleteCmd: "delete",
-    KvBulkPutCmd: "bulk_put",
-}
+_BATCH_OPS = {KvGetCmd: "get", KvExistCmd: "exist"}
 
 
 class _Migration:
@@ -130,12 +125,23 @@ class LogicalKeyspace:
         devs, epoch = self._locate_chain(self.rings, key)
         return devs, (self.name if epoch == 0 else self.fragment_name(epoch))
 
-    def locate_pending(self, key: bytes) -> tuple[tuple[str, ...], str]:
-        """Where the key will live once the active migration cuts over."""
+    def locate_pending(
+        self, key: bytes
+    ) -> Optional[tuple[tuple[str, ...], str]]:
+        """Where the active migration moves the key, or ``None`` when its
+        owner set does not change (it stays where :meth:`locate` says)."""
         assert self.migration is not None
-        rings = [*self.rings, self.migration.new_ring]
-        devs, epoch = self._locate_chain(rings, key)
-        return devs, (self.name if epoch == 0 else self.fragment_name(epoch))
+        epoch = len(self.rings)
+        devs, changed = self._locate_chain(
+            [*self.rings, self.migration.new_ring], key
+        )
+        return (devs, self.fragment_name(epoch)) if changed == epoch else None
+
+    def holds(self, dev: str, phys: str, key: bytes) -> bool:
+        """Whether ``dev``'s copy of ``key`` in ``phys`` is authoritative —
+        not a leftover a past migration moved elsewhere."""
+        devs, loc_phys = self.locate(key)
+        return phys == loc_phys and dev in devs
 
     def physical_locations(self) -> list[tuple[str, str]]:
         """Every ``(device, physical keyspace)`` holding a slice of this
@@ -147,15 +153,6 @@ class LogicalKeyspace:
                 for dev in self.fragment_devices[epoch]
             )
         return locs
-
-
-class RouterTicket:
-    """Future for an async router op: one ticket per owning device."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: list[tuple[KvCsdClient, Any]]):
-        self.parts = parts
 
 
 class ClusterRouter:
@@ -236,19 +233,14 @@ class ClusterRouter:
 
     def _fan_out(
         self, targets: Iterable[tuple[str, KvCommand]], ctx, op: str,
-        reap: bool = True, **span_args,
+        **span_args,
     ) -> Generator:
-        """Post one command per ``(device, command)`` target, in order.
-
-        With ``reap`` every ticket is then reaped and the completions come
-        back in target order (see :meth:`_wait_all`); without, the posted
-        tickets come back as one :class:`RouterTicket`.
-        """
+        """Post one command per ``(device, command)`` target, in order,
+        then reap them all; completions come back in target order (see
+        :meth:`_wait_all`)."""
         parts = []
         for dev, command in targets:
             parts.append((yield from self._post(dev, command, ctx, op, **span_args)))
-        if not reap:
-            return RouterTicket(parts)
         return (yield from self._wait_all(parts, ctx))
 
     def _wait_all(
@@ -270,6 +262,62 @@ class ClusterRouter:
                     raise completion.error
                 raise NvmeError(completion.status, "cluster op failed")
         return completions
+
+    def _split(
+        self,
+        lk: LogicalKeyspace,
+        keys: Sequence[bytes],
+        write: bool,
+        pending: bool = False,
+    ) -> list[tuple[str, str, list[int]]]:
+        """Group ``keys`` by owner: ``[(device, physical keyspace, indices)]``.
+
+        Groups come in fleet order, then by physical keyspace; each group's
+        indices into ``keys`` keep input order, duplicates included.  A
+        write goes to every replica, a read to the least-loaded one.  With
+        ``pending`` a key goes where the active migration moves it, and a
+        key that does not move is dropped.
+        """
+        groups: dict[tuple[str, str], list[int]] = {}
+        for i, key in enumerate(keys):
+            loc = lk.locate_pending(key) if pending else lk.locate(key)
+            if loc is None:
+                continue
+            devs, phys = loc
+            for dev in devs if write else (self._pick(devs),):
+                groups.setdefault((dev, phys), []).append(i)
+        return [
+            (dev, phys, indices)
+            for (dev, phys), indices in sorted(
+                groups.items(), key=lambda kv: (self._order[kv[0][0]], kv[0][1])
+            )
+        ]
+
+    def _write_split(
+        self, lk: LogicalKeyspace, keys: Sequence[bytes]
+    ) -> list[tuple[str, str, list[int]]]:
+        """:meth:`_split` for a write; no keys still make one empty group on
+        the first base shard, so the device checks the keyspace exactly as
+        it does for one pair (the single-device client's rule)."""
+        return self._split(lk, keys, write=True) or [
+            (lk.rings[0].devices[0], lk.name, [])
+        ]
+
+    def _multi_get_targets(
+        self, lk: LogicalKeyspace, keys: Sequence[bytes], dual: bool
+    ) -> tuple[list[tuple[str, KvMultiGetCmd]], int]:
+        """One MultiGet per primary group, then (with ``dual``) one per
+        group the active migration moves; returns them and the primary
+        count."""
+        groups = self._split(lk, keys, write=False)
+        n_primary = len(groups)
+        if dual:
+            groups += self._split(lk, keys, write=False, pending=True)
+        targets = [
+            (dev, KvMultiGetCmd(keyspace=phys, keys=tuple(keys[i] for i in idx)))
+            for dev, phys, idx in groups
+        ]
+        return targets, n_primary
 
     def _broadcast(
         self, command: KvCommand, devices: Sequence[str], ctx, op: str
@@ -344,16 +392,6 @@ class ClusterRouter:
                 "open_keyspace",
             )
 
-    def delete_keyspace(self, name: str, ctx) -> Generator:
-        """Delete the base shards and every migration fragment."""
-        lk = self._lk(name)
-        with self._span("delete_keyspace", keyspace=name):
-            for dev, phys in lk.physical_locations():
-                yield from self._fan_out(
-                    [(dev, DeleteKeyspaceCmd(name=phys))], ctx, "delete_keyspace"
-                )
-        del self.keyspaces[name]
-
     def list_keyspaces(self, ctx) -> Generator:
         """Union of device listings, minus internal migration fragments."""
         with self._span("list_keyspaces"):
@@ -370,40 +408,9 @@ class ClusterRouter:
         }
         return sorted(names - fragments)
 
-    def keyspace_stat(self, name: str, ctx) -> Generator:
-        """Per-device stats of the base shards: ``{device: stat}``."""
-        lk = self._lk(name)
-        with self._span("keyspace_stat", keyspace=name):
-            stats = yield from self._broadcast(
-                KeyspaceStatCmd(name=name), lk.rings[0].devices, ctx,
-                "keyspace_stat",
-            )
-        return stats
-
     # ------------------------------------------------------------------ writes
     def put(self, keyspace: str, key: bytes, value: bytes, ctx) -> Generator:
         yield from self.bulk_put(keyspace, [(key, value)], ctx)
-
-    def put_async(self, keyspace: str, key: bytes, value: bytes, ctx) -> Generator:
-        """Post one PUT to every owner; returns a :class:`RouterTicket`."""
-        lk = self._lk(keyspace)
-        devs, phys = lk.locate(key)
-        return (
-            yield from self._fan_out(
-                ((dev, KvBulkPutCmd.of(phys, [(key, value)])) for dev in devs),
-                ctx, "bulk_put", reap=False, keyspace=keyspace,
-            )
-        )
-
-    def wait(self, ticket, ctx) -> Generator:
-        """Reap a router or plain ticket; returns the (primary) Completion."""
-        if not isinstance(ticket, RouterTicket):
-            raise SimulationError(
-                "plain tickets are ambiguous across devices; use the "
-                "RouterTicket returned by the router's async methods"
-            )
-        completions = yield from self._wait_all(ticket.parts, ctx)
-        return completions[0]
 
     def bulk_put(
         self, keyspace: str, pairs: Sequence[tuple[bytes, bytes]], ctx
@@ -415,21 +422,14 @@ class ClusterRouter:
         the fleet instead of draining one device at a time.
         """
         lk = self._lk(keyspace)
-        groups: dict[tuple[str, str], list[tuple[bytes, bytes]]] = {}
-        for key, value in pairs:
-            devs, phys = lk.locate(key)
-            for dev in devs:
-                groups.setdefault((dev, phys), []).append((key, value))
         per_owner = [
             [
                 (dev, KvBulkPutCmd.of(phys, message))
                 for message in split_into_messages(
-                    group, self.clients[dev].bulk_message_bytes
-                )
+                    [pairs[i] for i in idx], self.clients[dev].bulk_message_bytes
+                ) or [[]]
             ]
-            for (dev, phys), group in sorted(
-                groups.items(), key=lambda kv: (self._order[kv[0][0]], kv[0][1])
-            )
+            for dev, phys, idx in self._write_split(lk, [key for key, _ in pairs])
         ]
         # one message per owner per round
         targets = [
@@ -441,19 +441,13 @@ class ClusterRouter:
 
     def bulk_delete(self, keyspace: str, keys: Sequence[bytes], ctx) -> Generator:
         lk = self._lk(keyspace)
-        groups: dict[tuple[str, str], list[bytes]] = {}
-        for key in keys:
-            devs, phys = lk.locate(key)
-            for dev in devs:
-                groups.setdefault((dev, phys), []).append(key)
         with self._span("bulk_delete", keyspace=keyspace, keys=len(keys)):
             yield from self._fan_out(
                 (
-                    (dev, KvBulkDeleteCmd(keyspace=phys, keys=tuple(group)))
-                    for (dev, phys), group in sorted(
-                        groups.items(),
-                        key=lambda kv: (self._order[kv[0][0]], kv[0][1]),
-                    )
+                    (dev, KvBulkDeleteCmd(
+                        keyspace=phys, keys=tuple(keys[i] for i in idx)
+                    ))
+                    for dev, phys, idx in self._write_split(lk, keys)
                 ),
                 ctx, "bulk_delete", keyspace=keyspace,
             )
@@ -492,31 +486,6 @@ class ClusterRouter:
             )
         lk.sealed = True
 
-    def build_secondary_index(
-        self,
-        keyspace: str,
-        index_name: str,
-        value_offset: int,
-        width: int,
-        dtype: str = "bytes",
-        ctx=None,
-    ) -> Generator:
-        lk = self._lk(keyspace)
-        config = SidxConfig(
-            name=index_name, value_offset=value_offset, width=width, dtype=dtype
-        )
-        self.sidx_configs[keyspace] = (
-            *self.sidx_configs.get(keyspace, ()), config
-        )
-        with self._span("build_sidx", keyspace=keyspace, index=index_name):
-            yield from self._broadcast(
-                BuildSidxCmd(
-                    keyspace=keyspace, index_name=index_name,
-                    value_offset=value_offset, width=width, dtype=dtype,
-                ),
-                lk.rings[0].devices, ctx, "build_sidx",
-            )
-
     def wait_for_device(self, keyspace: str, ctx) -> Generator:
         """Wait for offloaded jobs on every shard-holding device."""
         lk = self._lk(keyspace)
@@ -544,14 +513,12 @@ class ClusterRouter:
         devs, phys = lk.locate(key)
         mig = lk.migration
         with self._span("get", keyspace=keyspace):
-            if mig is not None and mig.fragment_ready:
-                new_devs, new_phys = lk.locate_pending(key)
-                if (set(new_devs), new_phys) != (set(devs), phys):
-                    return (
-                        yield from self._dual_get(
-                            key, devs, phys, new_devs, new_phys, ctx
-                        )
-                    )
+            moved = (
+                lk.locate_pending(key)
+                if mig is not None and mig.fragment_ready else None
+            )
+            if moved is not None:
+                return (yield from self._dual_get(key, devs, phys, *moved, ctx))
             (completion,) = yield from self._fan_out(
                 [(self._pick(devs), KvGetCmd(keyspace=phys, key=key))], ctx,
                 "get", keyspace=keyspace,
@@ -582,51 +549,21 @@ class ClusterRouter:
             raise NvmeError(old_c.status, "get failed")
         return old_c.value
 
-    def get_async(self, keyspace: str, key: bytes, ctx) -> Generator:
-        lk = self._lk(keyspace)
-        devs, phys = lk.locate(key)
-        return (
-            yield from self._fan_out(
-                [(self._pick(devs), KvGetCmd(keyspace=phys, key=key))],
-                ctx, "get", reap=False, keyspace=keyspace,
-            )
-        )
-
     def multi_get(self, keyspace: str, keys: Sequence[bytes], ctx) -> Generator:
         """Batched GETs: one MultiGet per owning device, merged on the host."""
         lk = self._lk(keyspace)
-        groups: dict[tuple[str, str], list[bytes]] = {}
-        pending_groups: dict[tuple[str, str], list[bytes]] = {}
         mig = lk.migration
-        dual = mig is not None and mig.fragment_ready
-        for key in keys:
-            devs, phys = lk.locate(key)
-            groups.setdefault((self._pick(devs), phys), []).append(key)
-            if dual:
-                new_devs, new_phys = lk.locate_pending(key)
-                if (set(new_devs), new_phys) != (set(devs), phys):
-                    pending_groups.setdefault(
-                        (self._pick(new_devs), new_phys), []
-                    ).append(key)
-        targets = []
-        order = []
-        for bucket, primary in ((groups, True), (pending_groups, False)):
-            for (dev, phys), group in sorted(
-                bucket.items(),
-                key=lambda kv: (self._order[kv[0][0]], kv[0][1]),
-            ):
-                targets.append(
-                    (dev, KvMultiGetCmd(keyspace=phys, keys=tuple(group)))
-                )
-                order.append(primary)
+        targets, n_primary = self._multi_get_targets(
+            lk, keys, dual=mig is not None and mig.fragment_ready
+        )
         with self._span("multi_get", keyspace=keyspace, keys=len(keys)):
             completions = yield from self._fan_out(
                 targets, ctx, "multi_get", keyspace=keyspace
             )
             merged: dict[bytes, bytes] = {}
             shadow: dict[bytes, bytes] = {}
-            for primary, completion in zip(order, completions):
-                (merged if primary else shadow).update(completion.value)
+            for j, completion in enumerate(completions):
+                (merged if j < n_primary else shadow).update(completion.value)
             if shadow:
                 self.counters["dual_reads"] += len(shadow)
                 for key, value in shadow.items():
@@ -665,8 +602,7 @@ class ClusterRouter:
         merged = []
         last_key = None
         for skey, dev, phys, row in heapq.merge(*runs):
-            loc_devs, loc_phys = lk.locate(row[0])
-            if phys != loc_phys or dev not in loc_devs:
+            if not lk.holds(dev, phys, row[0]):
                 continue  # stale copy left behind by a past migration
             if last_key is not None and skey == last_key and merged and merged[-1] == row:
                 continue  # replica duplicate
@@ -693,24 +629,8 @@ class ClusterRouter:
                 return lambda row: (row[1][off : off + width], row[0])
         raise SimulationError(
             f"unknown secondary index {index_name!r} on {keyspace!r} — the "
-            "router only merges indexes it saw configured via compact() or "
-            "build_secondary_index()"
+            "router only merges indexes it saw configured via compact()"
         )
-
-    def sidx_range_query(
-        self, keyspace: str, index_name: str, lo_raw: bytes, hi_raw: bytes, ctx
-    ) -> Generator:
-        lk = self._lk(keyspace)
-        sort_key = self._sidx_key(keyspace, index_name)
-        with self._span("sidx_range_query", keyspace=keyspace, index=index_name):
-            rows = yield from self._scatter_sorted(
-                lk,
-                lambda phys: SidxRangeQueryCmd(
-                    keyspace=phys, index_name=index_name, lo=lo_raw, hi=hi_raw
-                ),
-                ctx, "sidx_range_query", sort_key=sort_key,
-            )
-        return rows
 
     def sidx_point_query(
         self, keyspace: str, index_name: str, skey_raw: bytes, ctx
@@ -728,42 +648,13 @@ class ClusterRouter:
         return rows
 
     # ------------------------------------------------------------------ batches
-    def _route_command(self, command: KvCommand) -> list[tuple[str, KvCommand]]:
-        """Device assignments for one batch command (keyspace rewritten to
-        the physical shard/fragment when they differ)."""
-        if isinstance(command, _SINGLE_KEY_CMDS):
-            lk = self._lk(command.keyspace)
-            devs, phys = lk.locate(command.key)
-            if isinstance(command, KvDeleteCmd):
-                targets = devs  # writes touch every replica
-            else:
-                targets = (self._pick(devs),)
-            if phys != command.keyspace:
-                command = dc_replace(command, keyspace=phys)
-            return [(dev, command) for dev in targets]
-        if isinstance(command, KvBulkPutCmd):
-            lk = self._lk(command.keyspace)
-            located = {lk.locate(key) for key in command.keys}
-            if len(located) != 1:
-                raise SimulationError(
-                    "a batched KvBulkPutCmd must target one owner; use "
-                    "router.bulk_put() to split arbitrary pair sets"
-                )
-            (devs, phys), = located
-            if phys != command.keyspace:
-                command = dc_replace(command, keyspace=phys)
-            return [(dev, command) for dev in devs]
-        raise SimulationError(
-            f"submit_many cannot route {type(command).__name__}; use the "
-            "router's dedicated method for multi-device commands"
-        )
-
     def submit_many(self, commands: Iterable[KvCommand], ctx) -> Generator:
-        """Split a batch per device, post in parallel at QD>1, reap in order.
+        """Post a batch of point reads (GET/EXIST) to their owners at QD>1,
+        then reap in input order.
 
-        Returns one :class:`Completion` per input command (the primary
-        replica's, for replicated writes); error completions are returned,
-        not raised — same contract as the single-device client.
+        Each read goes to its least-loaded replica.  Returns one
+        :class:`Completion` per input command; error completions are
+        returned, not raised — same contract as the single-device client.
 
         Identical point reads (same command type, keyspace and key) are
         *coalesced*: one device command is posted and its completion fans
@@ -774,45 +665,32 @@ class ClusterRouter:
         pacing the whole fleet.
         """
         with self._span("submit_many"):
-            posted: list[RouterTicket] = []
+            posted: list[tuple[KvCsdClient, Any]] = []
             slot_of: list[int] = []
             seen: dict[tuple, int] = {}
             for command in commands:
-                read_key = None
-                if isinstance(command, (KvGetCmd, KvExistCmd)):
-                    read_key = (
-                        type(command), command.keyspace, command.key
+                op = _BATCH_OPS.get(type(command))
+                if op is None:
+                    raise SimulationError(
+                        f"submit_many routes point reads, not "
+                        f"{type(command).__name__}; use the router's method"
                     )
-                    slot = seen.get(read_key)
-                    if slot is not None:
-                        self.counters["coalesced_reads"] += 1
-                        slot_of.append(slot)
-                        continue
-                targets = self._route_command(command)
-                ticket = yield from self._fan_out(
-                    targets, ctx, _BATCH_OPS[type(command)], reap=False
-                )
-                if read_key is not None:
-                    seen[read_key] = len(posted)
+                read_key = (op, command.keyspace, command.key)
+                slot = seen.get(read_key)
+                if slot is not None:
+                    self.counters["coalesced_reads"] += 1
+                    slot_of.append(slot)
+                    continue
+                lk = self._lk(command.keyspace)
+                ((dev, phys, _),) = self._split(lk, (command.key,), write=False)
+                if phys != command.keyspace:
+                    command = dc_replace(command, keyspace=phys)
+                seen[read_key] = len(posted)
                 slot_of.append(len(posted))
-                posted.append(ticket)
+                posted.append((yield from self._post(dev, command, ctx, op)))
             unique: list[Completion] = []
-            for ticket in posted:
-                first: Optional[Completion] = None
-                for client, part in ticket.parts:
-                    completion = yield from client.qp.wait(
-                        part, ctx, raise_on_error=False
-                    )
-                    if first is None:
-                        first = completion
-                unique.append(first)
+            for client, ticket in posted:
+                unique.append(
+                    (yield from client.qp.wait(ticket, ctx, raise_on_error=False))
+                )
             return [unique[slot] for slot in slot_of]
-
-    def submit_async(self, command: KvCommand, ctx, op=None, **span_args) -> Generator:
-        targets = self._route_command(command)
-        return (
-            yield from self._fan_out(
-                targets, ctx, op or _BATCH_OPS[type(command)], reap=False,
-                **span_args,
-            )
-        )

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.cluster import build_cluster_testbed
-from repro.errors import KeyNotFoundError, SimulationError
-from repro.nvme.kv_commands import KvExistCmd, KvGetCmd
-from repro.workloads import SyntheticSpec, generate_pairs, load_phase, run_phase
+from repro.errors import KeyNotFoundError, KeyspaceStateError, SimulationError
+from repro.nvme.kv_commands import KvDeleteCmd, KvExistCmd, KvGetCmd
+from repro.obs.audit import InvariantAuditor
+from repro.workloads import SyntheticSpec, generate_pairs, load_phase
 
 
 def _pairs(n: int, seed: int = 11):
@@ -230,15 +231,81 @@ class TestRouterGuards:
                 ring=HashRing(("dev0", "dev1", "dev9")),
             )
 
-    def test_wait_rejects_foreign_tickets(self):
+    def test_submit_many_rejects_writes(self):
         tb = build_cluster_testbed(n_devices=2, seed=0)
 
         def bad():
+            ctx = tb.thread_ctx(0)
+            yield from tb.router.create_keyspace("ks", ctx)
             with pytest.raises(SimulationError):
-                yield from tb.router.wait(object(), tb.thread_ctx(0))
+                yield from tb.router.submit_many(
+                    [KvDeleteCmd(keyspace="ks", key=b"k")], ctx
+                )
             return True
 
         assert _run(tb, bad())
+
+
+class TestEmptyWrites:
+    """An empty router write is one empty message to the keyspace's first
+    base shard, so it is checked like a one-pair write (the single-device
+    client's rule)."""
+
+    @staticmethod
+    def _empty_write(tb, op, name):
+        ctx = tb.thread_ctx(0)
+        if op == "put":
+            return tb.router.bulk_put(name, [], ctx)
+        return tb.router.bulk_delete(name, [], ctx)
+
+    @pytest.mark.parametrize("op", ["put", "delete"])
+    def test_empty_write_on_a_compacted_keyspace_raises(self, op):
+        tb = build_cluster_testbed(n_devices=2, seed=5)
+        load_phase(tb.env, tb.adapter, [("ks", _pairs(64), tb.thread_ctx(0))])
+
+        def ready():
+            yield from tb.adapter.prepare_queries("ks", tb.thread_ctx(0))
+
+        tb.env.run(tb.env.process(ready()))
+
+        def write():
+            with pytest.raises(KeyspaceStateError):
+                yield from self._empty_write(tb, op, "ks")
+            return True
+
+        assert _run(tb, write())
+
+    @pytest.mark.parametrize("op", ["put", "delete"])
+    def test_empty_write_on_a_writable_keyspace_allocates_nothing(self, op):
+        tb = build_cluster_testbed(n_devices=2, seed=5)
+
+        def setup():
+            ctx = tb.thread_ctx(0)
+            yield from tb.router.create_keyspace("ks", ctx)
+            yield from tb.router.open_keyspace("ks", ctx)
+            return True
+
+        assert _run(tb, setup())
+        free = [node.device.zone_manager.free_zone_count for node in tb.nodes]
+        submitted = [node.client.qp.introspect()["submitted"] for node in tb.nodes]
+
+        def write():
+            yield from self._empty_write(tb, op, "ks")
+            return True
+
+        assert _run(tb, write())
+        sent = [
+            node.client.qp.introspect()["submitted"] - before
+            for node, before in zip(tb.nodes, submitted)
+        ]
+        assert sent == [1, 0]  # one message, to the first base shard
+        for node, zones in zip(tb.nodes, free):
+            ks = node.device.keyspaces["ks"]
+            assert ks.state.name == "WRITABLE"
+            assert ks.n_pairs == 0
+            assert node.device.zone_manager.free_zone_count == zones
+            report = InvariantAuditor(node.device).run("empty-router-write")
+            assert report.ok, report.violations
 
 
 class TestDeterminism:
