@@ -227,9 +227,9 @@ def _migrate_keyspace(
     seen: set[bytes] = set()
     for (dev, phys), completion in zip(sources, scans):
         scanned += len(completion.value)
-        for key, value in completion.value:
-            # a replica duplicate or a past migration's leftover drops
-            if key not in seen and lk.holds(dev, phys, key):
+        # a replica duplicate or a past migration's leftover drops
+        for key, value in lk.held(dev, phys, completion.value):
+            if key not in seen:
                 seen.add(key)
                 rows.append((key, value))
     copy = router._split(lk, [key for key, _ in rows], write=True, pending=True)

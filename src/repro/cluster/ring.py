@@ -14,6 +14,10 @@ chain (creation-time ring, post-migration rings) and resolve any key's
 location at any epoch.  Hash points are derived from sha256, like
 :func:`repro.sim.rng.derive_seed` — stable across processes and Python
 versions, never from ``hash()``.
+
+:meth:`~HashRing.owners` places one key; :meth:`~HashRing.slots` is its
+batch form (a key column → ring positions, one sha256 ``map`` and one
+``np.searchsorted``).  Both read one slot table per replica count.
 """
 
 from __future__ import annotations
@@ -21,6 +25,10 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from collections.abc import Sequence
+from functools import cached_property
+from operator import methodcaller
+
+import numpy as np
 
 from repro.errors import SimulationError
 
@@ -74,6 +82,43 @@ class HashRing:
         self._points = points
         self._positions = [p for p, _ in points]
         self._owners_at = [d for _, d in points]
+        #: n -> (slot table, its rows as name tuples), built on first use
+        self._tables: dict[int, tuple[np.ndarray, list[tuple[str, ...]]]] = {}
+
+    def table(self, n: int) -> tuple[np.ndarray, list[tuple[str, ...]]]:
+        """The slot table for ``n`` owners (clamped as in :meth:`owners`):
+        row ``s`` indexes ``devices`` with the first ``n`` distinct devices
+        clockwise from position ``s``; beside it, the rows as name tuples."""
+        n = min(n, len(self.devices))
+        if n not in self._tables:
+            at = np.array([self.devices.index(dev) for dev in self._owners_at])
+            table = at[:, None]
+            if n > 1:  # each device's next slot, over two laps: the n nearest
+                laps = np.arange(2 * len(at))[:, None]
+                hits = np.where(
+                    np.tile(at, 2)[:, None] == np.arange(len(self.devices)),
+                    laps, len(laps),
+                )
+                nearest = np.minimum.accumulate(hits[::-1])[::-1][: len(at)]
+                table = np.argsort(nearest, axis=1)[:, :n]
+            names = np.array(self.devices, dtype=object)[table].tolist()
+            rows = list(map(tuple, names))
+            shared: dict = {}  # one tuple object per distinct owner set
+            self._tables[n] = (table, list(map(shared.setdefault, rows, rows)))
+        return self._tables[n]
+
+    @cached_property
+    def _position_array(self) -> np.ndarray:
+        return np.array(self._positions, np.uint64)
+
+    def slots(self, keyspace: str, keys: Sequence[bytes]) -> np.ndarray:
+        """Batch :func:`key_point`: each key's slot, a :meth:`table` row (a
+        point is the first 8 bytes of a digest, read as ``>u8``)."""
+        prefixed = map((keyspace.encode() + b"\x00").__add__, keys)
+        digests = b"".join(map(methodcaller("digest"), map(hashlib.sha256, prefixed)))
+        points = np.frombuffer(digests, ">u8")[::4]
+        slots = np.searchsorted(self._position_array, points, side="right")
+        return slots % len(self._positions)
 
     def owners(self, keyspace: str, key: bytes, n: int = 1) -> tuple[str, ...]:
         """The first ``n`` *distinct* devices clockwise from the key's point.
@@ -81,19 +126,8 @@ class HashRing:
         ``n`` is clamped to the fleet size, so asking for 3 replicas on a
         2-device ring yields both devices rather than raising.
         """
-        n = min(n, len(self.devices))
-        start = bisect_right(self._positions, key_point(keyspace, key))
-        chosen: list[str] = []
-        seen: set[str] = set()
-        total = len(self._points)
-        for step in range(total):
-            dev = self._owners_at[(start + step) % total]
-            if dev not in seen:
-                seen.add(dev)
-                chosen.append(dev)
-                if len(chosen) == n:
-                    break
-        return tuple(chosen)
+        slot = bisect_right(self._positions, key_point(keyspace, key))
+        return self.table(n)[1][slot % len(self._positions)]
 
     def primary(self, keyspace: str, key: bytes) -> str:
         return self.owners(keyspace, key, 1)[0]

@@ -44,6 +44,8 @@ from dataclasses import replace as dc_replace
 from itertools import zip_longest
 from typing import Any, Optional
 
+import numpy as np
+
 from repro.cluster.ring import HashRing
 from repro.core.client import KvCsdClient
 from repro.core.sidx import SidxConfig
@@ -106,42 +108,69 @@ class LogicalKeyspace:
         self.migration: Optional[_Migration] = None
 
     def fragment_name(self, epoch: int) -> str:
-        return f"{self.name}.m{epoch}"
+        """The physical keyspace written at ``epoch`` (0: the base)."""
+        return f"{self.name}.m{epoch}" if epoch else self.name
 
-    def _locate_chain(
+    def _walk(
         self, rings: Sequence[HashRing], key: bytes
     ) -> tuple[tuple[str, ...], int]:
-        owners = chosen = rings[0].owners(self.name, key, self.replicas)
-        epoch = 0
-        for e in range(1, len(rings)):
-            nxt = rings[e].owners(self.name, key, self.replicas)
-            if set(nxt) != set(owners):
-                epoch, chosen = e, nxt
-            owners = nxt
-        return chosen, epoch
+        """Scalar :meth:`locate_many`: the owners at the last epoch whose
+        owner set differs from the epoch before (0 if none does)."""
+        sets = [ring.owners(self.name, key, self.replicas) for ring in rings]
+        epoch = max(
+            (e for e in range(1, len(sets)) if set(sets[e]) != set(sets[e - 1])),
+            default=0,
+        )
+        return sets[epoch], epoch
 
     def locate(self, key: bytes) -> tuple[tuple[str, ...], str]:
         """Authoritative ``(replica devices, physical keyspace)`` of a key."""
-        devs, epoch = self._locate_chain(self.rings, key)
-        return devs, (self.name if epoch == 0 else self.fragment_name(epoch))
+        devs, epoch = self._walk(self.rings, key)
+        return devs, self.fragment_name(epoch)
 
     def locate_pending(
         self, key: bytes
     ) -> Optional[tuple[tuple[str, ...], str]]:
         """Where the active migration moves the key, or ``None`` when its
         owner set does not change (it stays where :meth:`locate` says)."""
-        assert self.migration is not None
-        epoch = len(self.rings)
-        devs, changed = self._locate_chain(
-            [*self.rings, self.migration.new_ring], key
-        )
-        return (devs, self.fragment_name(epoch)) if changed == epoch else None
+        devs, epoch = self._walk([*self.rings, self.migration.new_ring], key)
+        return (devs, self.fragment_name(epoch)) if epoch == len(self.rings) else None
 
-    def holds(self, dev: str, phys: str, key: bytes) -> bool:
-        """Whether ``dev``'s copy of ``key`` in ``phys`` is authoritative —
-        not a leftover a past migration moved elsewhere."""
-        devs, loc_phys = self.locate(key)
-        return phys == loc_phys and dev in devs
+    def locate_many(
+        self, keys: Sequence[bytes], pending: bool = False
+    ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """Batch :meth:`locate` (:meth:`locate_pending`): ``(names, owners,
+        epochs)``; ``owners[i]`` indexes ``names`` (-1 pads a clamped replica
+        set), ``epochs[i]`` is -1 where ``pending`` leaves a key.  One pass
+        per ring; owner sets compare as one bit per device."""
+        rings = [*self.rings, self.migration.new_ring] if pending else self.rings
+        names = tuple(dict.fromkeys(d for ring in rings for d in ring.devices))
+        rows = np.arange(len(keys))[:, None]
+        for e, ring in enumerate(rings):
+            table = ring.table(self.replicas)[0]
+            nxt = np.full((len(keys), self.replicas), -1)
+            nxt[:, : table.shape[1]] = np.array(
+                [names.index(dev) for dev in ring.devices]
+            )[table[ring.slots(self.name, keys)]]
+            mask = np.zeros((len(keys), len(names) + 1), bool)  # last: padding
+            mask[rows, nxt] = True
+            if e == 0:
+                owners, epochs = nxt, np.zeros(len(keys), np.intp)
+            else:
+                moved = (mask != members).any(axis=1)
+                owners[moved], epochs[moved] = nxt[moved], e
+            members = mask
+        if pending:
+            epochs[epochs != len(self.rings)] = -1
+        return names, owners, epochs
+
+    def held(self, dev: str, phys: str, rows: Sequence[tuple]) -> list[tuple]:
+        """The ``(key, ...)`` rows whose copy on ``dev`` in ``phys`` is
+        authoritative — not a leftover a past migration moved elsewhere."""
+        names, owners, epochs = self.locate_many([row[0] for row in rows])
+        epoch = {self.fragment_name(e): e for e in (0, *self.fragment_devices)}
+        keep = (epochs == epoch.get(phys, -1)) & (owners == names.index(dev)).any(axis=1)
+        return [row for row, ok in zip(rows, keep.tolist()) if ok]
 
     def physical_locations(self) -> list[tuple[str, str]]:
         """Every ``(device, physical keyspace)`` holding a slice of this
@@ -278,19 +307,27 @@ class ClusterRouter:
         ``pending`` a key goes where the active migration moves it, and a
         key that does not move is dropped.
         """
-        groups: dict[tuple[str, str], list[int]] = {}
-        for i, key in enumerate(keys):
-            loc = lk.locate_pending(key) if pending else lk.locate(key)
-            if loc is None:
-                continue
-            devs, phys = loc
-            for dev in devs if write else (self._pick(devs),):
-                groups.setdefault((dev, phys), []).append(i)
+        names, owners, epochs = lk.locate_many(keys, pending)
+        if write:  # every replica, key-major: each group keeps input order
+            rows = np.repeat(np.arange(len(keys)), owners.shape[1])
+            devs, epochs = owners.ravel(), epochs[rows]
+        else:  # ``qp.inflight`` cannot move here: one pick per owner tuple
+            rows = np.arange(len(keys))
+            unique, inverse = np.unique(owners, axis=0, return_inverse=True)
+            devs = np.array([
+                names.index(self._pick([names[j] for j in row if j >= 0]))
+                for row in unique.tolist()
+            ], np.intp)[inverse.reshape(-1)]
+        phys = [*map(lk.fragment_name, range(len(lk.rings) + pending))]
+        rank = np.argsort(np.argsort(phys))  # string order: "ks.m10" < "ks.m2"
+        code = np.array([self._order[dev] for dev in names])[devs] * len(phys)
+        code += rank[epochs]
+        keep = np.flatnonzero((devs >= 0) & (epochs >= 0))
+        perm = keep[np.argsort(code[keep], kind="stable")]
+        starts = np.flatnonzero(np.diff(code[perm], prepend=-1))
         return [
-            (dev, phys, indices)
-            for (dev, phys), indices in sorted(
-                groups.items(), key=lambda kv: (self._order[kv[0][0]], kv[0][1])
-            )
+            (names[devs[perm[s]]], phys[epochs[perm[s]]], idx.tolist())
+            for s, idx in zip(starts.tolist(), np.split(rows[perm], starts[1:]))
         ]
 
     def _write_split(
@@ -593,17 +630,14 @@ class ClusterRouter:
         completions = yield from self._fan_out(
             ((dev, make_cmd(phys)) for dev, phys in sources), ctx, op
         )
-        runs = []
-        total = 0
-        for (dev, phys), completion in zip(sources, completions):
-            rows = completion.value
-            total += len(rows)
-            runs.append([(sort_key(row), dev, phys, row) for row in rows])
+        total = sum(len(completion.value) for completion in completions)
+        runs = [
+            [(sort_key(row), dev, phys, row) for row in lk.held(dev, phys, c.value)]
+            for (dev, phys), c in zip(sources, completions)
+        ]
         merged = []
         last_key = None
         for skey, dev, phys, row in heapq.merge(*runs):
-            if not lk.holds(dev, phys, row[0]):
-                continue  # stale copy left behind by a past migration
             if last_key is not None and skey == last_key and merged and merged[-1] == row:
                 continue  # replica duplicate
             merged.append(row)
@@ -665,29 +699,33 @@ class ClusterRouter:
         pacing the whole fleet.
         """
         with self._span("submit_many"):
-            posted: list[tuple[KvCsdClient, Any]] = []
-            slot_of: list[int] = []
-            seen: dict[tuple, int] = {}
-            for command in commands:
-                op = _BATCH_OPS.get(type(command))
-                if op is None:
+            commands = list(commands)
+            for command in commands:  # all checked before the first post
+                if type(command) not in _BATCH_OPS:
                     raise SimulationError(
                         f"submit_many routes point reads, not "
                         f"{type(command).__name__}; use the router's method"
                     )
+                self._lk(command.keyspace)
+            posted: list[tuple[KvCsdClient, Any]] = []
+            slot_of: list[int] = []
+            seen: dict[tuple, int] = {}
+            for command in commands:
+                op = _BATCH_OPS[type(command)]
                 read_key = (op, command.keyspace, command.key)
                 slot = seen.get(read_key)
                 if slot is not None:
                     self.counters["coalesced_reads"] += 1
                     slot_of.append(slot)
                     continue
-                lk = self._lk(command.keyspace)
-                ((dev, phys, _),) = self._split(lk, (command.key,), write=False)
+                # located and picked at post time, as a cutover or a reap
+                # between two posts moves the next one
+                devs, phys = self._lk(command.keyspace).locate(command.key)
                 if phys != command.keyspace:
                     command = dc_replace(command, keyspace=phys)
                 seen[read_key] = len(posted)
                 slot_of.append(len(posted))
-                posted.append((yield from self._post(dev, command, ctx, op)))
+                posted.append((yield from self._post(self._pick(devs), command, ctx, op)))
             unique: list[Completion] = []
             for client, ticket in posted:
                 unique.append(

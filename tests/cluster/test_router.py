@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.cluster import build_cluster_testbed
-from repro.errors import KeyNotFoundError, KeyspaceStateError, SimulationError
+from repro.errors import (
+    KeyNotFoundError,
+    KeyspaceNotFoundError,
+    KeyspaceStateError,
+    SimulationError,
+)
 from repro.nvme.kv_commands import KvDeleteCmd, KvExistCmd, KvGetCmd
 from repro.obs.audit import InvariantAuditor
 from repro.workloads import SyntheticSpec, generate_pairs, load_phase
@@ -244,6 +249,31 @@ class TestRouterGuards:
             return True
 
         assert _run(tb, bad())
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (KvGetCmd(keyspace="nope", key=b"a"), KeyspaceNotFoundError),
+            (KvDeleteCmd(keyspace="ks", key=b"a"), SimulationError),
+        ],
+    )
+    def test_submit_many_checks_the_batch_before_posting(self, bad, error):
+        """A bad command anywhere in a batch raises before the first post,
+        so no earlier read is left posted and never reaped."""
+        tb = build_cluster_testbed(n_devices=2, seed=0)
+
+        def batch():
+            ctx = tb.thread_ctx(0)
+            yield from tb.router.create_keyspace("ks", ctx)
+            reads = [KvGetCmd(keyspace="ks", key=b"%d" % i) for i in range(4)]
+            with pytest.raises(error):
+                yield from tb.router.submit_many([*reads, bad], ctx)
+            return True
+
+        assert _run(tb, batch())
+        for dev, qp in tb.router.introspect()["qp"].items():
+            assert qp["submitted"] == qp["reaped"], (dev, qp)
+            assert qp["unreaped"] == 0, (dev, qp)
 
 
 class TestEmptyWrites:
