@@ -31,8 +31,7 @@ promise into a measured quantity:
    (sketch-reload-bound) keyspaces.
 
 ``repro run crash`` runs this and writes ``results/BENCH_crash.json``;
-the CI regression gate pins ``campaign.clean_fraction`` and the smoke
-mount time.
+its smoke document must match ``results/baselines/smoke`` exactly.
 """
 
 from __future__ import annotations

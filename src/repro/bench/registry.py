@@ -2,9 +2,8 @@
 
 Every table and figure of the paper's evaluation and every ablation bench is
 one :class:`Entry`: a scenario function, its default and reduced (``--smoke``)
-configs, the file its JSON document lands in, the regression gates
-``scripts/check_bench_regression.py`` applies to that document, and the
-observers the scenario accepts.  ``repro run``, ``benchmarks/`` and
+configs, the file its JSON document lands in, and the observers the
+scenario accepts.  ``repro run``, ``benchmarks/`` and
 ``examples/reproduce_paper.py`` all go through :func:`configure` +
 :func:`execute`; DESIGN.md "Bench registry" says how to add an entry.
 
@@ -74,11 +73,6 @@ class Entry:
     reduced: Any = None
     #: JSON document name; figures without one write ``<id>.json``
     result_file: str | None = None
-    #: ``(dotted path, "higher" | "lower", relative tolerance)`` rows the
-    #: regression gate checks against ``results/baselines/smoke``
-    gates: tuple[tuple[str, str, float], ...] = ()
-    #: dotted paths reported next to the gates, never gated (wall clocks)
-    context: tuple[str, ...] = ()
     #: which of :data:`OBSERVERS` the scenario accepts
     observers: tuple[str, ...] = ()
 
@@ -170,11 +164,6 @@ _ENTRIES = (
             n_pairs=2048, n_threads=4, queries_per_thread=64, absent_queries=256
         ),
         result_file="BENCH_query.json",
-        gates=(
-            ("get_speedup", "higher", 0.10),
-            ("parallel_get_seconds", "lower", 0.02),
-            ("block_read_elimination", "higher", 0.05),
-        ),
         observers=("timeline", "explain"),
     ),
     Entry(
@@ -184,11 +173,6 @@ _ENTRIES = (
         QdBenchConfig(),
         QdBenchConfig(n_pairs=2048, gets_per_depth=192, puts_per_depth=192),
         result_file="BENCH_qd.json",
-        gates=(
-            ("get_speedup.16", "higher", 0.10),
-            ("get_seconds.16", "lower", 0.02),
-            ("put_seconds.16", "lower", 0.02),
-        ),
         observers=("timeline", "explain"),
     ),
     Entry(
@@ -199,12 +183,6 @@ _ENTRIES = (
         # same shape, ~1/16 the keys
         ScaleBenchConfig(n_pairs=64_000, ops=4_000, membuf_bytes=256 * KiB),
         result_file="BENCH_scale.json",
-        gates=(
-            ("phases.load.virtual_seconds", "lower", 0.02),
-            ("phases.prepare.virtual_seconds", "lower", 0.02),
-            ("phases.ycsb.virtual_seconds", "lower", 0.02),
-        ),
-        context=("phases.load.wall_seconds", "phases.ycsb.wall_seconds"),
         observers=("timeline", "explain"),
     ),
     Entry(
@@ -224,11 +202,6 @@ _ENTRIES = (
             rebalance_pairs=32_768,
         ),
         result_file="BENCH_cluster.json",
-        gates=(
-            ("get_speedup_max", "higher", 0.10),
-            ("put_speedup_max", "higher", 0.10),
-            ("rebalance.p99_ratio", "lower", 0.10),
-        ),
         observers=("explain",),
     ),
     Entry(
@@ -246,12 +219,6 @@ _ENTRIES = (
             min_points=20,
         ),
         result_file="BENCH_crash.json",
-        # Every sampled power cut must remount clean (no tolerance: one lost
-        # ack is a durability bug, not a perf wobble).
-        gates=(
-            ("campaign.clean_fraction", "higher", 0.0),
-            ("mount.max_seconds", "lower", 0.05),
-        ),
     ),
     Entry(
         "obs_selftest",

@@ -16,6 +16,8 @@ __all__ = [
     "ResultTable",
     "ShapeCheck",
     "device_stats",
+    "drift",
+    "flat",
     "require_ascending",
     "require_counts",
     "speedup",
@@ -28,6 +30,31 @@ def speedup(baseline_seconds: float, ours_seconds: float) -> float:
     if ours_seconds <= 0:
         return float("inf")
     return baseline_seconds / ours_seconds
+
+
+def flat(node, path: str = ""):
+    """``(dotted path, leaf)`` for every leaf of a JSON-like document; a
+    list also yields its length as ``<path>.len``."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from flat(value, f"{path}.{key}" if path else str(key))
+    elif isinstance(node, (list, tuple)):
+        yield f"{path}.len", len(node)
+        for i, value in enumerate(node):
+            yield from flat(value, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+def drift(pinned, fresh) -> dict[str, tuple]:
+    """``{path: (pinned leaf, fresh leaf)}`` for every leaf the two documents
+    disagree on; a leaf only one side has pairs with ``None``."""
+    old, new = dict(flat(pinned)), dict(flat(fresh))
+    return {
+        path: (old.get(path), new.get(path))
+        for path in sorted(old.keys() | new.keys())
+        if path not in old or path not in new or old[path] != new[path]
+    }
 
 
 def unobserved(testbed) -> None:

@@ -15,9 +15,9 @@ location at any epoch.  Hash points are derived from sha256, like
 :func:`repro.sim.rng.derive_seed` — stable across processes and Python
 versions, never from ``hash()``.
 
-:meth:`~HashRing.owners` places one key; :meth:`~HashRing.slots` is its
-batch form (a key column → ring positions, one sha256 ``map`` and one
-``np.searchsorted``).  Both read one slot table per replica count.
+:meth:`~HashRing.owners` places one key, :meth:`~HashRing.slots` a column of
+:func:`key_points`; both read one slot table per replica count.  A point is
+the same on every ring, so an epoch-chain walk hashes a key once.
 """
 
 from __future__ import annotations
@@ -43,6 +43,13 @@ def _point64(label: bytes) -> int:
 def key_point(keyspace: str, key: bytes) -> int:
     """Ring position of one ``(keyspace, key)`` pair."""
     return _point64(keyspace.encode() + b"\x00" + key)
+
+
+def key_points(keyspace: str, keys: Sequence[bytes]) -> np.ndarray:
+    """Batch :func:`key_point`: each digest's first 8 bytes, as ``>u8``."""
+    prefixed = map((keyspace.encode() + b"\x00").__add__, keys)
+    digests = b"".join(map(methodcaller("digest"), map(hashlib.sha256, prefixed)))
+    return np.frombuffer(digests, ">u8")[::4]
 
 
 class HashRing:
@@ -111,12 +118,8 @@ class HashRing:
     def _position_array(self) -> np.ndarray:
         return np.array(self._positions, np.uint64)
 
-    def slots(self, keyspace: str, keys: Sequence[bytes]) -> np.ndarray:
-        """Batch :func:`key_point`: each key's slot, a :meth:`table` row (a
-        point is the first 8 bytes of a digest, read as ``>u8``)."""
-        prefixed = map((keyspace.encode() + b"\x00").__add__, keys)
-        digests = b"".join(map(methodcaller("digest"), map(hashlib.sha256, prefixed)))
-        points = np.frombuffer(digests, ">u8")[::4]
+    def slots(self, points: np.ndarray) -> np.ndarray:
+        """Each point's :meth:`table` row, over :func:`key_points`."""
         slots = np.searchsorted(self._position_array, points, side="right")
         return slots % len(self._positions)
 
@@ -126,8 +129,12 @@ class HashRing:
         ``n`` is clamped to the fleet size, so asking for 3 replicas on a
         2-device ring yields both devices rather than raising.
         """
-        slot = bisect_right(self._positions, key_point(keyspace, key))
-        return self.table(n)[1][slot % len(self._positions)]
+        return self.owners_at(key_point(keyspace, key), n)
+
+    def owners_at(self, point: int, n: int = 1) -> tuple[str, ...]:
+        """:meth:`owners` of one ring point."""
+        slot = bisect_right(self._positions, point) % len(self._positions)
+        return self.table(n)[1][slot]
 
     def primary(self, keyspace: str, key: bytes) -> str:
         return self.owners(keyspace, key, 1)[0]

@@ -46,7 +46,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.cluster.ring import HashRing
+from repro.cluster.ring import HashRing, key_point, key_points
 from repro.core.client import KvCsdClient
 from repro.core.sidx import SidxConfig
 from repro.core.wire import split_into_messages
@@ -116,7 +116,8 @@ class LogicalKeyspace:
     ) -> tuple[tuple[str, ...], int]:
         """Scalar :meth:`locate_many`: the owners at the last epoch whose
         owner set differs from the epoch before (0 if none does)."""
-        sets = [ring.owners(self.name, key, self.replicas) for ring in rings]
+        point = key_point(self.name, key)
+        sets = [ring.owners_at(point, self.replicas) for ring in rings]
         epoch = max(
             (e for e in range(1, len(sets)) if set(sets[e]) != set(sets[e - 1])),
             default=0,
@@ -146,12 +147,13 @@ class LogicalKeyspace:
         rings = [*self.rings, self.migration.new_ring] if pending else self.rings
         names = tuple(dict.fromkeys(d for ring in rings for d in ring.devices))
         rows = np.arange(len(keys))[:, None]
+        points = key_points(self.name, keys)
         for e, ring in enumerate(rings):
             table = ring.table(self.replicas)[0]
             nxt = np.full((len(keys), self.replicas), -1)
             nxt[:, : table.shape[1]] = np.array(
                 [names.index(dev) for dev in ring.devices]
-            )[table[ring.slots(self.name, keys)]]
+            )[table[ring.slots(points)]]
             mask = np.zeros((len(keys), len(names) + 1), bool)  # last: padding
             mask[rows, nxt] = True
             if e == 0:

@@ -378,19 +378,6 @@ class KvCsdClient:
             )
         )
 
-    def range_query_async(
-        self, keyspace: str, lo: bytes, hi: bytes, ctx: ThreadCtx
-    ) -> Generator:
-        """Post one range query; returns a ticket."""
-        return (
-            yield from self.submit_async(
-                RangeQueryCmd(keyspace=keyspace, lo=lo, hi=hi),
-                ctx,
-                op="range_query",
-                keyspace=keyspace,
-            )
-        )
-
     def sidx_range_query(
         self,
         keyspace: str,

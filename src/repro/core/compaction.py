@@ -48,12 +48,6 @@ __all__ = ["Compactor"]
 _FAILURES = {"compaction": "compaction_failures", "sidx": "sidx_build_failures"}
 
 
-def _require_new_indexes(ks: Keyspace, names: list[str]) -> None:
-    for name in names:
-        if name in ks.sidx:
-            raise SecondaryIndexError(f"keyspace {ks.name!r} already has index {name!r}")
-
-
 class Compactor:
     """Kicks off and runs one device's compactions and index-build jobs.
 
@@ -87,6 +81,15 @@ class Compactor:
         self.job_durations = job_durations
         self._journal = journal
         self._audit = audit
+        #: running job (its completion event) -> the indexes it builds
+        self._job_indexes: dict[Event, list[str]] = {}
+
+    def _require_new_indexes(self, ks: Keyspace, names: list[str]) -> None:
+        """Refuse an index the keyspace has, or a running job builds."""
+        building = {n for job in ks.jobs for n in self._job_indexes[job]}
+        for name in names:
+            if name in ks.sidx or name in building:
+                raise SecondaryIndexError(f"keyspace {ks.name!r} already has index {name!r}")
 
     # ------------------------------------------------------------------ commands
     def compact(
@@ -112,7 +115,7 @@ class Compactor:
         names = [config.name for config in sidx_configs]
         if len(set(names)) != len(names):
             raise SecondaryIndexError(f"duplicate index names in request: {names}")
-        _require_new_indexes(ks, names)
+        self._require_new_indexes(ks, names)
         with ks.write_lock.request() as lock:
             yield from trace_wait(self.env, lock, "dev.write_lock_wait")
             yield from self.ingest.flush(ks, ctx)
@@ -133,7 +136,7 @@ class Compactor:
         yield from self.board.charge(ctx, self.costs.request_overhead)
         ks = lookup(self.keyspaces, name)
         ks.require(KeyspaceState.COMPACTED)
-        _require_new_indexes(ks, [config.name])
+        self._require_new_indexes(ks, [config.name])
         self._spawn_scan(ks, config)
 
     # ------------------------------------------------------------------ job harness
@@ -152,6 +155,7 @@ class Compactor:
         compaction or sidx) that owns the secondary indexes ``indexes``."""
         done = Event(self.env)
         ks.jobs.append(done)
+        self._job_indexes[done] = indexes
         self.env.process(
             self._job(ks, kind, indexes, body, span_args, done), name=process_name
         )
@@ -183,6 +187,7 @@ class Compactor:
             if job_span is not None:
                 probe.span_end(job_span)
             ks.jobs.remove(done)
+            del self._job_indexes[done]
             done.succeed()
 
     def _unwind(self, ks: Keyspace, before: tuple, indexes: list[str]) -> Generator:
@@ -190,9 +195,7 @@ class Compactor:
 
         A compaction that had not finished also drops its SORTED_VALUES and
         PIDX clusters and returns the keyspace to WRITABLE with its logs
-        intact.  Then every secondary index the job owned goes: its entry,
-        its clusters, and the bloom DRAM the entry holds (an index whose
-        blooms were reserved is always registered).
+        intact.  Then every secondary index the job owned goes.
         """
         if ks.state is KeyspaceState.COMPACTING:
             n_pairs, sketch, n_sorted, n_pidx = before
@@ -205,7 +208,12 @@ class Compactor:
             ks.pidx_sketch = sketch
             ks.n_pairs = n_pairs
             ks.state = KeyspaceState.WRITABLE
-        for name in sorted(indexes):
+        yield from self._drop_indexes(ks, indexes)
+
+    def _drop_indexes(self, ks: Keyspace, names: list[str]) -> Generator:
+        """Drop each index's entry, clusters and bloom DRAM (an index whose
+        blooms were reserved is always registered)."""
+        for name in sorted(names):
             entry = ks.sidx.pop(name, None)
             for cluster in ks.sidx_clusters.pop(name, []):
                 yield from self._release(cluster)
@@ -406,13 +414,21 @@ class Compactor:
                     {0: b"".join(groups)},
                 )
                 # Each index sorts an independent pair set: build them
-                # concurrently across the SoC cores.
+                # concurrently across the SoC cores.  One that fails goes
+                # alone and parks its error, as its own build job would.
+                def build(config: SidxConfig) -> Generator:
+                    try:
+                        yield from self.indexes.build(ks, config, ctx, resident)
+                    except ReproError as exc:
+                        yield from self._drop_indexes(ks, [config.name])
+                        self.stats.counter(_FAILURES["sidx"]).add()
+                        ks.job_errors.append(exc)
+
                 yield AllOf(
                     self.env,
                     [
                         self.env.process(
-                            self.indexes.build(ks, config, ctx, resident),
-                            name=f"sidx-inline-{ks.name}-{config.name}",
+                            build(config), name=f"sidx-inline-{ks.name}-{config.name}"
                         )
                         for config in sidx_configs
                     ],

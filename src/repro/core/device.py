@@ -241,13 +241,13 @@ class KvCsdDevice:
         # the data zones.  A cut before the record leaves the keyspace fully
         # intact; a cut after it leaves orphan zones the next mount reclaims.
         yield from self.metalog.delete(ctx, name)
+        # Gone for every command from here on, as for a remount: the entry
+        # takes its volatile state (and any unwaited job error) with it.
+        del self.keyspaces[name]
         for cluster in ks.all_clusters():
             yield from self._release_cluster(cluster)
         if ks.bloom_dram:
             yield from self.board.dram.release(ks.bloom_dram)
-        # The entry takes the keyspace's volatile state (and any job error
-        # nobody waited for) with it.
-        del self.keyspaces[name]
         self.stats.counter("keyspaces_deleted").add()
         self._journal("keyspace.delete", keyspace=name)
 

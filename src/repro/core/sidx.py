@@ -101,6 +101,8 @@ def encode_skey(raw: bytes, dtype: str) -> bytes:
     """Order-preserving encoding of one raw (little-endian) secondary key."""
     if dtype == "bytes":
         return raw
+    if len(raw) != (width := _DTYPE_WIDTH.get(dtype, len(raw))):
+        raise SecondaryIndexError(f"{dtype} secondary key of {len(raw)} bytes, not {width}")
     if dtype == "u32":
         return struct.pack(">I", struct.unpack("<I", raw)[0])
     if dtype == "u64":

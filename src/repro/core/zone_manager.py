@@ -171,6 +171,8 @@ class ZoneManager:
         self._channel = [zone.channel for zone in ssd.zones]
         self._index_channels()
         self.allocated_clusters = 0
+        #: clusters whose zones are being reset: owned by no one, not free
+        self.releasing = 0
 
     def _index_channels(self) -> None:
         """Rebuild the per-channel queues from the free pool."""
@@ -327,8 +329,12 @@ class ZoneManager:
 
     def release_cluster(self, cluster: ZoneCluster) -> Generator:
         """Reset a cluster's zones and return them to the free pool."""
-        for zone_id in cluster.zone_ids:
-            yield from self.ssd.reset_zone(zone_id)
+        self.releasing += 1
+        try:
+            for zone_id in cluster.zone_ids:
+                yield from self.ssd.reset_zone(zone_id)
+        finally:
+            self.releasing -= 1
         self._free.extend(cluster.zone_ids)
         for zone_id in cluster.zone_ids:
             self._by_channel[self._channel[zone_id]].append(zone_id)

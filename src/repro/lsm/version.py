@@ -43,10 +43,6 @@ class CompactionTask:
     def all_inputs(self) -> tuple[TableMeta, ...]:
         return self.inputs + self.next_level_inputs
 
-    @property
-    def input_bytes(self) -> int:
-        return sum(t.file_bytes for t in self.all_inputs)
-
 
 class VersionSet:
     """Mutable catalog of the DB's levels."""

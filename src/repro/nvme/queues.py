@@ -114,6 +114,8 @@ class _TicketQueue:
         self.name = name
         self._slots = Resource(env, capacity=depth)
         self.submitted = 0
+        #: commands holding a slot while their capsule is packed and sent
+        self.posting = 0
         self.completed = 0
         self.reaped = 0
         self.errors = 0
@@ -368,11 +370,13 @@ class KvQueuePair(_TicketQueue):
             )
         with scope as post_span:
             yield from self._take_slot(ticket, probe, post_span)
+            self.posting += 1
             yield from ctx.execute(
                 self.costs.per_command + self.costs.pack_per_byte * payload
             )
             yield from self.link.send(COMMAND_WIRE_BYTES + payload)
         ticket.submitted_at = env.now
+        self.posting -= 1
         self.submitted += 1
         if probe is not None:
             probe.event(

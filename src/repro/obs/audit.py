@@ -287,13 +287,14 @@ def check_zone_accounting(device: "KvCsdDevice") -> list[str]:
     or free, and the zone manager counts exactly the owned clusters.
 
     A running job's outputs (and an external sort's temporary clusters)
-    belong to no keyspace until it commits, so the check waits for
-    quiescence: a zone lost between owner and pool would otherwise surface
-    only when the pool runs dry.
+    belong to no keyspace until it commits, and a cluster being released
+    to none until its zones are reset, so the check waits for quiescence:
+    a zone lost between owner and pool would otherwise surface only when
+    the pool runs dry.
     """
-    if any(ks.jobs for ks in device.keyspaces.values()):
-        return []
     manager = device.zone_manager
+    if manager.releasing or any(ks.jobs for ks in device.keyspaces.values()):
+        return []
     owned = set(device.metalog.zone_ids)
     # each metadata zone is a one-zone cluster of its own
     clusters = len(owned)
@@ -449,9 +450,10 @@ def check_nvme_queue_sanity(device: "KvCsdDevice") -> list[str]:
 
     Covers every host KV queue pair registered on the device.  With async
     post/reap the in-flight set is first-class state, so beyond the counter
-    ordering this checks the identity ``submitted - completed == inflight``
-    (slots are acquired and released atomically with the counters) and
-    that unreaped completions reconcile with the reap counters.
+    ordering this checks the identity ``submitted - completed + posting ==
+    inflight`` (a slot is held from before its capsule is packed until the
+    command completes) and that unreaped completions reconcile with the
+    reap counters.
     """
     problems: list[str] = []
     for i, qp in enumerate(device.host_qps):
@@ -470,9 +472,10 @@ def check_queue_pair_accounting(qp) -> list[str]:
         problems.append(
             f"queue pair inflight {qp.inflight} outside [0, {qp.depth}]"
         )
-    if qp.submitted - qp.completed != qp.inflight:
+    if qp.submitted - qp.completed + qp.posting != qp.inflight:
         problems.append(
             f"queue pair submitted {qp.submitted} - completed {qp.completed} "
+            f"+ posting {qp.posting} "
             f"!= inflight {qp.inflight}"
         )
     if qp.reaped > qp.completed:

@@ -28,7 +28,7 @@ top so wait time carries its resource and holders.  :func:`explain_report`
 aggregates instances into p50/p99 percentile cohorts per op name to answer
 "what makes the slow ops slow", :func:`explain_to_folded` emits
 folded-stack flamegraph lines, and :func:`diff_explain` turns two captures
-into "what changed" hints for the bench regression gate.
+into the "what changed" rows ``repro show BEFORE AFTER`` prints.
 """
 
 from __future__ import annotations
@@ -456,9 +456,7 @@ def diff_explain(
 
     Rows compare per-op p99 latency and the p99 cohort's per-instance
     segment seconds by kind, sorted by absolute delta — the first rows name
-    the resource/kind whose movement explains a latency shift.  Context
-    only: callers (the bench regression gate) print these but never fail
-    on them.
+    the resource/kind whose movement explains a latency shift.
     """
     rows: list[dict[str, Any]] = []
     before_ops = before.get("ops", {})

@@ -112,12 +112,6 @@ class Ftl:
         self.total_erases = 0
 
     # -- inspection ------------------------------------------------------------
-    def channel_of_block(self, block: int) -> int:
-        return block % self.n_channels
-
-    def free_blocks_on(self, channel: int) -> int:
-        return len(self._free_blocks[channel])
-
     def mapped_pages(self) -> int:
         return int(np.count_nonzero(self.l2p != UNMAPPED))
 

@@ -39,11 +39,6 @@ def nsec(n: float) -> float:
     return n * 1e-9
 
 
-def bytes_per_sec(bandwidth: float) -> float:
-    """Identity helper used to document that a constant is a bandwidth."""
-    return float(bandwidth)
-
-
 def transfer_time(nbytes: int, bandwidth_bytes_per_s: float) -> float:
     """Time in seconds to move ``nbytes`` at the given bandwidth.
 

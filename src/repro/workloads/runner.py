@@ -29,10 +29,6 @@ class PhaseReport:
     per_thread_seconds: list[float] = field(default_factory=list)
     operations: int = 0
 
-    @property
-    def ops_per_second(self) -> float:
-        return self.operations / self.seconds if self.seconds > 0 else float("inf")
-
 
 def run_phase(env: Environment, thread_bodies: Sequence[Generator]) -> PhaseReport:
     """Run thread bodies concurrently; returns phase timing.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.cluster.ring import HashRing, key_point
@@ -113,3 +115,44 @@ class TestRingChanges:
         ring = HashRing(("dev0",))
         with pytest.raises(SimulationError):
             ring.remove_device("dev0")
+
+
+class TestHashOnce:
+    """A key's point does not depend on the ring: walking an epoch chain
+    hashes each key once, however many rings the chain holds."""
+
+    @pytest.fixture
+    def chain(self, monkeypatch):
+        import repro.cluster.ring as ring_module
+        from repro.cluster import LogicalKeyspace
+        from repro.cluster.router import _Migration
+
+        lk = LogicalKeyspace("ks", HashRing(("dev0", "dev1")), replicas=2)
+        for dev in ("dev2", "dev3", "dev4"):
+            lk.rings.append(lk.rings[-1].add_device(dev))
+        lk.migration = _Migration(lk.rings[-1].remove_device("dev0"), len(lk.rings))
+        assert len(lk.rings) == 4
+        hashes = []
+
+        class CountingHashlib:
+            @staticmethod
+            def sha256(data):
+                hashes.append(data)
+                return hashlib.sha256(data)
+
+        # the rings are built: from here on only placement hashes
+        monkeypatch.setattr(ring_module, "hashlib", CountingHashlib)
+        return lk, hashes
+
+    def test_scalar_walks_hash_once(self, chain):
+        lk, hashes = chain
+        lk.locate(b"k")
+        assert len(hashes) == 1
+        lk.locate_pending(b"k")
+        assert len(hashes) == 2
+
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_a_batch_hashes_each_key_once(self, chain, pending):
+        lk, hashes = chain
+        lk.locate_many(_keys(50), pending=pending)
+        assert len(hashes) == 50

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import HashRing, LogicalKeyspace
+from repro.cluster.ring import key_points
 from repro.cluster.router import _Migration
 
 from tests.cluster import router_reference as ref
@@ -48,7 +49,7 @@ def test_slot_tables_match_the_ring_walk(ring, keys, data):
     for slot, row in enumerate(table.tolist()):
         assert tuple(ring.devices[j] for j in row) == ref.walk_from(ring, slot, n)
         assert names[slot] == ref.walk_from(ring, slot, n)
-    assert ring.slots("ks", keys).tolist() == [
+    assert ring.slots(key_points("ks", keys)).tolist() == [
         ref.ring_slot(ring, "ks", key) for key in keys
     ]
     for key in keys:

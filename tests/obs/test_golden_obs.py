@@ -33,6 +33,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.registry import configure, execute
+from repro.bench.report import drift
 from repro.obs.critpath import explain_report
 
 GOLDEN_PATH = Path(__file__).with_name("golden_obs.json")
@@ -100,13 +101,7 @@ def collect(name: str) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_exports_match_golden(name: str):
     golden = json.loads(GOLDEN_PATH.read_text())
-    fresh = collect(name)
-    drifted = {
-        key: (golden[name][key], fresh[key])
-        for key in golden[name]
-        if fresh.get(key) != golden[name][key]
-    }
-    assert fresh.keys() == golden[name].keys()
+    drifted = drift(golden[name], collect(name))
     assert not drifted, f"observability exports changed: {drifted}"
 
 

@@ -29,6 +29,7 @@ from repro.bench.golden import (
     critpath_testbeds,
     observed_testbeds,
 )
+from repro.bench.report import drift
 
 GOLDEN_PATH = Path(__file__).with_name("golden_clock.json")
 
@@ -39,34 +40,15 @@ def golden() -> dict:
         return json.load(fh)
 
 
-def _flatten(prefix: str, obj, out: dict) -> dict:
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            _flatten(f"{prefix}.{key}", value, out)
-    elif isinstance(obj, list):
-        for i, value in enumerate(obj):
-            _flatten(f"{prefix}[{i}]", value, out)
-    else:
-        out[prefix] = obj
-    return out
-
-
 @pytest.mark.parametrize("name", sorted(GOLDEN_WORKLOADS))
 def test_fingerprint_matches_golden(name: str, golden: dict):
     assert name in golden, (
         f"no golden record for workload {name!r} — regenerate "
         "tests/sim/golden_clock.json (see module docstring)"
     )
-    fresh = _flatten(name, GOLDEN_WORKLOADS[name](), {})
-    recorded = _flatten(name, golden[name], {})
     # Compare flat, so a failure names the exact checkpoint that drifted
     # instead of dumping two page-size dicts.
-    assert fresh.keys() == recorded.keys()
-    drifted = {
-        key: (recorded[key], fresh[key])
-        for key in recorded
-        if fresh[key] != recorded[key]
-    }
+    drifted = drift(golden[name], GOLDEN_WORKLOADS[name]())
     assert not drifted, f"virtual-clock drift detected: {drifted}"
 
 
@@ -83,13 +65,7 @@ def test_idle_observability_leaves_fingerprints_identical(name: str, golden: dic
     ``start()`` may schedule sampler events, and only installation makes
     the blocked-by/holder sites record anything."""
     with observed_testbeds():
-        fresh = _flatten(name, GOLDEN_WORKLOADS[name](), {})
-    recorded = _flatten(name, golden[name], {})
-    drifted = {
-        key: (recorded[key], fresh[key])
-        for key in recorded
-        if fresh[key] != recorded[key]
-    }
+        drifted = drift(golden[name], GOLDEN_WORKLOADS[name]())
     assert not drifted, (
         f"idle observability moved the virtual clock: {drifted}"
     )
@@ -103,13 +79,7 @@ def test_installed_critpath_leaves_fingerprints_identical(name: str, golden: dic
     pure bookkeeping with no simulation events, so the fingerprints still
     have to come out byte-identical to the uninstrumented reference."""
     with critpath_testbeds():
-        fresh = _flatten(name, GOLDEN_WORKLOADS[name](), {})
-    recorded = _flatten(name, golden[name], {})
-    drifted = {
-        key: (recorded[key], fresh[key])
-        for key in recorded
-        if fresh[key] != recorded[key]
-    }
+        drifted = drift(golden[name], GOLDEN_WORKLOADS[name]())
     assert not drifted, (
         f"recording blocked-by edges moved the virtual clock: {drifted}"
     )
