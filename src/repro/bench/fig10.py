@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bench.calibration import build_kvcsd_testbed, build_rocksdb_testbed
-from repro.bench.report import ResultTable, ShapeCheck, require_counts, speedup
+from repro.bench.report import ResultTable, require_counts, speedup
 from repro.ssd.metrics import IoStats
 from repro.workloads import SyntheticSpec, generate_pairs, get_phase, load_phase
 
@@ -69,7 +69,7 @@ class Fig10Row:
 
 @dataclass
 class Fig10Result:
-    """The full Figure 10 sweep with tables and shape checks."""
+    """The full Figure 10 sweep; its checks are rows of ``bench.claims``."""
 
     config: Fig10Config
     rows: list[Fig10Row] = field(default_factory=list)
@@ -109,42 +109,6 @@ class Fig10Result:
                 r.rocksdb_io.bytes_read / returned,
             )
         return t
-
-    def checks(self) -> list[ShapeCheck]:
-        first, last = self.rows[0], self.rows[-1]
-        rocksdb_per_query = [r.rocksdb_seconds / r.queries for r in self.rows]
-        return [
-            ShapeCheck(
-                "KV-CSD is faster at the smallest query count (paper: up to 1.3x)",
-                first.speedup > 1.0,
-                f"{first.speedup:.2f}x",
-            ),
-            ShapeCheck(
-                "RocksDB per-query time improves as more keys are queried "
-                "(client-side caching)",
-                rocksdb_per_query[-1] < rocksdb_per_query[0],
-                f"{rocksdb_per_query[0] * 1e6:.0f}us -> {rocksdb_per_query[-1] * 1e6:.0f}us",
-            ),
-            ShapeCheck(
-                "KV-CSD speedup shrinks as query count grows (no device cache)",
-                last.speedup < first.speedup,
-                f"{first.speedup:.2f}x -> {last.speedup:.2f}x",
-            ),
-            ShapeCheck(
-                "Fig 10b: RocksDB reads far more than it returns (read inflation)",
-                all(
-                    r.rocksdb_io.bytes_read
-                    > 4 * r.queries * self.config.value_bytes
-                    for r in self.rows
-                ),
-            ),
-            ShapeCheck(
-                "Fig 10b: on a cold cache (smallest run) KV-CSD reads less "
-                "from the media than RocksDB",
-                first.kvcsd_io.bytes_read < first.rocksdb_io.bytes_read,
-                f"{first.kvcsd_io.bytes_read} vs {first.rocksdb_io.bytes_read} bytes",
-            ),
-        ]
 
 
 def run_fig10(config: Fig10Config = Fig10Config()) -> Fig10Result:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bench.calibration import build_kvcsd_testbed, build_rocksdb_testbed
-from repro.bench.report import ResultTable, ShapeCheck, require_counts, speedup
+from repro.bench.report import ResultTable, require_counts, speedup
 from repro.core.sidx import encode_skey
 from repro.workloads import (
     ENERGY_DTYPE,
@@ -123,28 +123,6 @@ class Fig11Result:
         )
         t.add_note(f"effective speedup: {self.effective_speedup:.1f}x (paper: 10.6x)")
         return t
-
-    def checks(self) -> list[ShapeCheck]:
-        return [
-            ShapeCheck(
-                "KV-CSD effective write time is a multiple faster (paper: 10.6x)",
-                self.effective_speedup >= 4.0,
-                f"{self.effective_speedup:.1f}x",
-            ),
-            ShapeCheck(
-                "End-to-end (insert+compact+index) both systems are the same "
-                "order of magnitude (paper: 'about the same amount of time')",
-                self.kvcsd_total_s < 3.0 * self.rocksdb_effective_s
-                and self.rocksdb_effective_s < 5.0 * self.kvcsd_total_s,
-                f"kvcsd total {self.kvcsd_total_s:.3f}s vs rocksdb "
-                f"{self.rocksdb_effective_s:.3f}s",
-            ),
-            ShapeCheck(
-                "RocksDB's reported time includes a compaction wait",
-                self.rocksdb_wait_s > 0,
-                f"{self.rocksdb_wait_s:.3f}s",
-            ),
-        ]
 
 
 def load_vpic_kvcsd(config: Fig11Config, dataset: VpicDataset):

@@ -27,7 +27,7 @@ from repro.bench.fig11 import (
     load_vpic_kvcsd,
     load_vpic_rocksdb,
 )
-from repro.bench.report import ResultTable, ShapeCheck, require_counts, speedup
+from repro.bench.report import ResultTable, require_counts, speedup
 from repro.core.sidx import encode_skey
 from repro.workloads import ENERGY_DTYPE, VpicDataset, run_phase
 
@@ -77,7 +77,7 @@ class Fig12Row:
 
 @dataclass
 class Fig12Result:
-    """The full Figure 12 sweep with table and shape checks."""
+    """The full Figure 12 sweep; its checks are rows of ``bench.claims``."""
 
     config: Fig12Config
     rows: list[Fig12Row] = field(default_factory=list)
@@ -97,35 +97,6 @@ class Fig12Result:
             )
         t.add_note("paper: 7.4x at 0.1% decaying to 1.3x at 20%")
         return t
-
-    def checks(self) -> list[ShapeCheck]:
-        first, last = self.rows[0], self.rows[-1]
-        return [
-            ShapeCheck(
-                "Both systems return exactly the matching particles",
-                all(
-                    r.kvcsd_hits == r.expected_hits
-                    and r.rocksdb_hits == r.expected_hits
-                    for r in self.rows
-                ),
-            ),
-            ShapeCheck(
-                "KV-CSD is a multiple faster at the most selective query "
-                "(paper: 7.4x at 0.1%)",
-                first.speedup >= 2.0,
-                f"{first.speedup:.2f}x at {first.selectivity * 100}%",
-            ),
-            ShapeCheck(
-                "The speedup decays as selectivity grows (paper: down to 1.3x "
-                "at 20%)",
-                last.speedup < first.speedup,
-                f"{first.speedup:.2f}x -> {last.speedup:.2f}x",
-            ),
-            ShapeCheck(
-                "KV-CSD query time is ~linear in the result size (no caching)",
-                self.rows[-1].kvcsd_seconds > self.rows[0].kvcsd_seconds,
-            ),
-        ]
 
 
 def _kvcsd_query_phase(

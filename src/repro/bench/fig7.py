@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bench.calibration import build_kvcsd_testbed, build_rocksdb_testbed
-from repro.bench.report import ResultTable, ShapeCheck, require_counts, speedup
+from repro.bench.report import ResultTable, require_counts, speedup
 from repro.ssd.metrics import IoStats
 from repro.workloads import SyntheticSpec, generate_pairs, load_phase
 
-__all__ = ["Fig7Config", "Fig7Row", "Fig7Result", "run_fig7"]
+__all__ = ["Fig7Config", "Fig7Row", "Fig7Result", "run_fig7", "split_evenly"]
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class Fig7Row:
 
 @dataclass
 class Fig7Result:
-    """The full Figure 7 sweep with tables and shape checks."""
+    """The full Figure 7 sweep; its checks are rows of ``bench.claims``."""
 
     config: Fig7Config
     rows: list[Fig7Row] = field(default_factory=list)
@@ -73,10 +73,11 @@ class Fig7Result:
             t.add_row(r.threads, r.kvcsd_seconds, r.rocksdb_seconds, r.speedup)
         return t
 
+    @property
+    def user_bytes(self) -> int:
+        return self.config.n_pairs * (self.config.key_bytes + self.config.value_bytes)
+
     def io_table(self) -> ResultTable:
-        user_bytes = self.config.n_pairs * (
-            self.config.key_bytes + self.config.value_bytes
-        )
         t = ResultTable(
             "Figure 7b: device I/O during insertion (bytes, x user data)",
             [
@@ -92,71 +93,17 @@ class Fig7Result:
             t.add_row(
                 r.threads,
                 r.kvcsd_io.bytes_written,
-                r.kvcsd_io.bytes_written / user_bytes,
+                r.kvcsd_io.bytes_written / self.user_bytes,
                 r.rocksdb_io.bytes_written,
-                r.rocksdb_io.bytes_written / user_bytes,
+                r.rocksdb_io.bytes_written / self.user_bytes,
                 r.rocksdb_io.bytes_read,
             )
-        t.add_note(f"user data volume: {user_bytes} bytes")
+        t.add_note(f"user data volume: {self.user_bytes} bytes")
         return t
 
-    def checks(self) -> list[ShapeCheck]:
-        rows = {r.threads: r for r in self.rows}
-        out = [
-            ShapeCheck(
-                "KV-CSD beats RocksDB at every thread count",
-                all(r.speedup > 1.0 for r in self.rows),
-                f"min speedup {min(r.speedup for r in self.rows):.2f}x",
-            )
-        ]
-        if 2 in rows:
-            best = min(r.kvcsd_seconds for r in self.rows)
-            out.append(
-                ShapeCheck(
-                    "KV-CSD reaches ~peak insert performance by 2 host cores",
-                    rows[2].kvcsd_seconds <= 1.35 * best,
-                    f"2-core time {rows[2].kvcsd_seconds:.4f}s vs best {best:.4f}s",
-                )
-            )
-        first, last = self.rows[0], self.rows[-1]
-        out.append(
-            ShapeCheck(
-                "RocksDB improves with more host cores",
-                last.rocksdb_seconds < first.rocksdb_seconds,
-                f"{first.rocksdb_seconds:.3f}s @ {first.threads}t -> "
-                f"{last.rocksdb_seconds:.3f}s @ {last.threads}t",
-            )
-        )
-        out.append(
-            ShapeCheck(
-                "KV-CSD speedup at max threads is a multiple (paper: 4.2x)",
-                last.speedup >= 2.0,
-                f"{last.speedup:.2f}x @ {last.threads} threads",
-            )
-        )
-        user_bytes = self.config.n_pairs * (
-            self.config.key_bytes + self.config.value_bytes
-        )
-        out.append(
-            ShapeCheck(
-                "Fig 7b: RocksDB writes a multiple of user data (compaction)",
-                all(r.rocksdb_io.bytes_written > 1.8 * user_bytes for r in self.rows),
-                f"max amp {max(r.rocksdb_io.bytes_written / user_bytes for r in self.rows):.1f}x",
-            )
-        )
-        out.append(
-            ShapeCheck(
-                "Fig 7b: KV-CSD moves less I/O during insertion than RocksDB",
-                all(
-                    r.kvcsd_io.total_bytes < r.rocksdb_io.total_bytes
-                    for r in self.rows
-                ),
-            )
-        )
-        return out
 
-
-def _split(pairs, n_threads):
+def split_evenly(pairs, n_threads):
+    """``n_threads`` equal chunks of ``pairs`` (a remainder is dropped)."""
     per = len(pairs) // n_threads
     return [pairs[i * per : (i + 1) * per] for i in range(n_threads)]
 
@@ -173,7 +120,7 @@ def run_fig7(config: Fig7Config = Fig7Config()) -> Fig7Result:
     )
     result = Fig7Result(config=config)
     for threads in config.thread_counts:
-        chunks = _split(pairs, threads)
+        chunks = split_evenly(pairs, threads)
 
         # --- KV-CSD: reset device, new keyspace, bulk puts, deferred compaction
         kv = build_kvcsd_testbed(

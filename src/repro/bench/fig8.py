@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bench.calibration import build_kvcsd_testbed, build_rocksdb_testbed
-from repro.bench.report import ResultTable, ShapeCheck, require_counts, speedup
+from repro.bench.fig7 import split_evenly
+from repro.bench.report import ResultTable, require_counts, speedup
 from repro.workloads import SyntheticSpec, generate_pairs, load_phase
 
 __all__ = ["Fig8Config", "Fig8Row", "Fig8Result", "run_fig8"]
@@ -51,7 +52,7 @@ class Fig8Row:
 
 @dataclass
 class Fig8Result:
-    """The full Figure 8 sweep with table and shape checks."""
+    """The full Figure 8 sweep; its checks are rows of ``bench.claims``."""
 
     config: Fig8Config
     rows: list[Fig8Row] = field(default_factory=list)
@@ -67,35 +68,6 @@ class Fig8Result:
                 cells += [r.kvcsd_seconds[threads], r.speedup_at(threads)]
             t.add_row(*cells)
         return t
-
-    def checks(self) -> list[ShapeCheck]:
-        t_low = self.config.kvcsd_thread_counts[0]
-        t_high = self.config.kvcsd_thread_counts[-1]
-        small, large = self.rows[0], self.rows[-1]
-        return [
-            ShapeCheck(
-                "KV-CSD advantage grows with value size (compaction becomes "
-                "data-movement bound)",
-                large.speedup_at(t_high) > small.speedup_at(t_high),
-                f"{small.speedup_at(t_high):.2f}x @ {small.value_bytes}B -> "
-                f"{large.speedup_at(t_high):.2f}x @ {large.value_bytes}B",
-            ),
-            ShapeCheck(
-                "2-core KV-CSD still beats 32-core RocksDB at 4KB values "
-                "(paper: 8.9x)",
-                large.speedup_at(t_low) > 1.5,
-                f"{large.speedup_at(t_low):.2f}x",
-            ),
-            ShapeCheck(
-                "KV-CSD beats RocksDB at every value size",
-                all(r.speedup_at(t_high) > 1.0 for r in self.rows),
-            ),
-        ]
-
-
-def _split(pairs, n_threads):
-    per = len(pairs) // n_threads
-    return [pairs[i * per : (i + 1) * per] for i in range(n_threads)]
 
 
 def run_fig8(config: Fig8Config = Fig8Config()) -> Fig8Result:
@@ -113,7 +85,7 @@ def run_fig8(config: Fig8Config = Fig8Config()) -> Fig8Result:
         kvcsd_seconds: dict[int, float] = {}
         for threads in config.kvcsd_thread_counts:
             kv = build_kvcsd_testbed(seed=config.seed)
-            chunks = _split(pairs, threads)
+            chunks = split_evenly(pairs, threads)
             assignments = [
                 ("shared", chunks[i], kv.thread_ctx(i)) for i in range(threads)
             ]
@@ -130,7 +102,7 @@ def run_fig8(config: Fig8Config = Fig8Config()) -> Fig8Result:
             n_test_threads=config.rocksdb_threads,
             data_bytes=config.n_pairs * (config.key_bytes + anchor),
         )
-        chunks = _split(pairs, config.rocksdb_threads)
+        chunks = split_evenly(pairs, config.rocksdb_threads)
         assignments = [
             ("db", chunks[i], rk.thread_ctx(i))
             for i in range(config.rocksdb_threads)

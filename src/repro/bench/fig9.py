@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bench.calibration import build_kvcsd_testbed, build_rocksdb_testbed
-from repro.bench.report import ResultTable, ShapeCheck, require_counts, speedup
+from repro.bench.report import ResultTable, require_counts, speedup
 from repro.lsm import CompactionMode
 from repro.workloads import SyntheticSpec, generate_pairs, load_phase
 
@@ -50,7 +50,7 @@ class Fig9Row:
 
 @dataclass
 class Fig9Result:
-    """The full Figure 9 sweep with table and shape checks."""
+    """The full Figure 9 sweep; its checks are rows of ``bench.claims``."""
 
     config: Fig9Config
     rows: list[Fig9Row] = field(default_factory=list)
@@ -81,44 +81,6 @@ class Fig9Result:
                 r.speedup_over(CompactionMode.NONE),
             )
         return t
-
-    def checks(self) -> list[ShapeCheck]:
-        last = self.rows[-1]
-        return [
-            ShapeCheck(
-                "KV-CSD beats every RocksDB mode at every scale",
-                all(
-                    r.speedup_over(mode) > 1.0
-                    for r in self.rows
-                    for mode in MODES
-                ),
-                f"min {min(r.speedup_over(m) for r in self.rows for m in MODES):.2f}x",
-            ),
-            ShapeCheck(
-                "Deferred compaction beats automatic compaction for RocksDB "
-                "(single final pass moves less data)",
-                last.rocksdb_seconds[CompactionMode.DEFERRED]
-                < last.rocksdb_seconds[CompactionMode.AUTO],
-                f"deferred {last.rocksdb_seconds[CompactionMode.DEFERRED]:.3f}s vs "
-                f"auto {last.rocksdb_seconds[CompactionMode.AUTO]:.3f}s",
-            ),
-            ShapeCheck(
-                "No-compaction is the fastest RocksDB mode",
-                last.rocksdb_seconds[CompactionMode.NONE]
-                == min(last.rocksdb_seconds.values()),
-            ),
-            ShapeCheck(
-                "Speedup ordering at max scale: auto > deferred > none "
-                "(paper: 7.8x / 6.1x / 2.9x)",
-                last.speedup_over(CompactionMode.AUTO)
-                > last.speedup_over(CompactionMode.DEFERRED)
-                > last.speedup_over(CompactionMode.NONE)
-                > 1.0,
-                f"{last.speedup_over(CompactionMode.AUTO):.2f}x / "
-                f"{last.speedup_over(CompactionMode.DEFERRED):.2f}x / "
-                f"{last.speedup_over(CompactionMode.NONE):.2f}x",
-            ),
-        ]
 
 
 def _per_thread_pairs(config: Fig9Config, thread_id: int):

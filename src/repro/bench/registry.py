@@ -3,9 +3,11 @@
 Every table and figure of the paper's evaluation and every ablation bench is
 one :class:`Entry`: a scenario function, its default and reduced (``--smoke``)
 configs, the file its JSON document lands in, and the observers the
-scenario accepts.  ``repro run``, ``benchmarks/`` and
-``examples/reproduce_paper.py`` all go through :func:`configure` +
-:func:`execute`; DESIGN.md "Bench registry" says how to add an entry.
+scenario accepts.  A paper entry's checks are its rows of
+:data:`repro.bench.claims.CLAIMS`; a bench's are its result's ``checks()``.
+``repro run``, ``benchmarks/`` and ``examples/reproduce_paper.py`` all go
+through :func:`configure` + :func:`execute`; DESIGN.md "Bench registry"
+says how to add an entry.
 
 A scenario is called as ``scenario(config)``, or ``scenario(config,
 observe)`` when the entry accepts observers: it calls ``observe(testbed)``
@@ -19,8 +21,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
+from types import SimpleNamespace
 from typing import Any, Callable, get_args, get_origin, get_type_hints
 
+from repro.bench.claims import CLAIMED, FidelityConfig, run_fidelity, shape_checks
 from repro.bench.cluster import ClusterBenchConfig, run_cluster_bench
 from repro.bench.compaction import CompactionBenchConfig, run_compaction_bench
 from repro.bench.crash import CrashBenchConfig, run_crash_bench
@@ -42,7 +46,7 @@ from repro.bench.qd import QdBenchConfig, run_qd_bench
 from repro.bench.query import QueryBenchConfig, run_query_bench
 from repro.bench.report import ResultTable, ShapeCheck
 from repro.bench.scale import ScaleBenchConfig, run_scale_bench
-from repro.bench.table1 import table1, table1_checks
+from repro.bench.table1 import table1
 from repro.units import KiB
 
 __all__ = [
@@ -66,7 +70,8 @@ class Entry:
 
     id: str
     description: str
-    #: ``scenario(config[, observe])`` -> a result with ``table()``/``checks()``
+    #: ``scenario(config[, observe])`` -> a result with ``table()``, and
+    #: ``checks()`` unless the entry has ``bench.claims`` rows
     scenario: Callable[..., Any]
     config: Any = None
     #: the reduced configuration ``--smoke`` selects
@@ -77,21 +82,11 @@ class Entry:
     observers: tuple[str, ...] = ()
 
 
-class _Table1Result:
-    """Table I as a result: a configuration table, not a measurement."""
-
-    def table(self) -> ResultTable:
-        return table1()
-
-    def checks(self) -> list[ShapeCheck]:
-        return table1_checks()
-
-
 _ENTRIES = (
     Entry(
         "table1",
         "Hardware specification (configuration encoding)",
-        lambda config: _Table1Result(),
+        lambda config: SimpleNamespace(table=table1),  # a configuration, not a measurement
     ),
     Entry(
         "fig7",
@@ -244,6 +239,14 @@ _ENTRIES = (
         ObsLifecycleConfig(n_pairs=800),
         observers=OBSERVERS,
     ),
+    Entry(
+        "fidelity",
+        "The ledger: every claim of Table I and Figs 7-12, ours beside the paper's",
+        run_fidelity,
+        FidelityConfig(),
+        FidelityConfig(smoke=True),
+        result_file="FIDELITY.json",
+    ),
 )
 
 REGISTRY: dict[str, Entry] = {entry.id: entry for entry in _ENTRIES}
@@ -265,7 +268,7 @@ def _parse(kind, text: str):
 
 
 def _apply_settings(entry: Entry, config, settings) -> Any:
-    if config is None:
+    if config is None or isinstance(config, FidelityConfig):
         raise ValueError(f"{entry.id} has no configuration to --set")
     hints = get_type_hints(type(config))
     names = [f.name for f in fields(config)]
@@ -466,7 +469,8 @@ def execute(entry: Entry, config, observers=()) -> Run:
     else:
         result = entry.scenario(config)
     reports = observe.reports()
-    checks = result.checks() + observe.gates(reports)
+    own = shape_checks(entry.id, result) if entry.id in CLAIMED else result.checks()
+    checks = own + observe.gates(reports)
     run = Run(result, checks, observed=observe)
     if hasattr(result, "metrics"):
         metrics = result.metrics()

@@ -2,17 +2,17 @@
 
 The paper's Table I is a configuration table, not a measurement; this module
 renders our simulation-scale encoding of it next to the paper values so the
-scale factors are explicit, and sanity-checks the internal consistency of
-the encoded specs.
+scale factors are explicit; ``bench.claims`` checks the encoded specs'
+internal consistency.
 """
 
 from __future__ import annotations
 
 from repro.bench.calibration import TABLE1_CSD, TABLE1_HOST, bench_geometry
-from repro.bench.report import ResultTable, ShapeCheck
+from repro.bench.report import ResultTable
 from repro.units import fmt_bytes
 
-__all__ = ["table1", "table1_checks"]
+__all__ = ["table1"]
 
 
 def table1() -> ResultTable:
@@ -39,27 +39,3 @@ def table1() -> ResultTable:
     )
     return t
 
-
-def table1_checks() -> list[ShapeCheck]:
-    geometry = bench_geometry()
-    return [
-        ShapeCheck(
-            "Host has 8x the SoC's core count (32 vs 4 in the paper)",
-            TABLE1_HOST.n_cores == 8 * TABLE1_CSD.n_cores,
-            f"{TABLE1_HOST.n_cores} vs {TABLE1_CSD.n_cores}",
-        ),
-        ShapeCheck(
-            "SoC cores are weaker than host cores (A53 vs EPYC)",
-            TABLE1_CSD.arm_slowdown > 1.0,
-            f"slowdown {TABLE1_CSD.arm_slowdown}x",
-        ),
-        ShapeCheck(
-            "SoC sort budget fits in SoC DRAM",
-            TABLE1_CSD.sort_budget_bytes <= TABLE1_CSD.dram_bytes,
-        ),
-        ShapeCheck(
-            "SSD capacity dwarfs SoC DRAM (15 TB vs 8 GB in the paper)",
-            geometry.capacity >= 4 * TABLE1_CSD.dram_bytes,
-            f"{fmt_bytes(geometry.capacity)} vs {fmt_bytes(TABLE1_CSD.dram_bytes)}",
-        ),
-    ]

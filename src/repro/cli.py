@@ -13,7 +13,6 @@ Commands:
   or diff two documents' explain reports;
 * ``profile <id>... [--smoke]`` — run registry entries under cProfile and
   print the per-subsystem wall-clock cost table;
-* ``table1``               — print the hardware-spec encoding;
 * ``selftest``             — a fast end-to-end sanity run of both stores.
 """
 
@@ -31,15 +30,6 @@ def _cmd_list(_args) -> int:
     width = max(len(e) for e in REGISTRY)
     for entry in REGISTRY.values():
         print(f"{entry.id.ljust(width)}  {entry.description}")
-    return 0
-
-
-def _cmd_table1(_args) -> int:
-    from repro.bench.table1 import table1, table1_checks
-
-    print(table1())
-    for check in table1_checks():
-        print(check)
     return 0
 
 
@@ -185,9 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list the paper's experiments").set_defaults(
         func=_cmd_list
-    )
-    sub.add_parser("table1", help="print the Table I encoding").set_defaults(
-        func=_cmd_table1
     )
     run = sub.add_parser(
         "run", help="run experiments/benches, print their tables and checks"

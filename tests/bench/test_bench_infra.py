@@ -10,9 +10,10 @@ from repro.bench.calibration import (
     build_kvcsd_testbed,
     build_rocksdb_testbed,
 )
+from repro.bench.claims import shape_checks
 from repro.bench.registry import REGISTRY
 from repro.bench.report import ResultTable, ShapeCheck, speedup
-from repro.bench.table1 import table1, table1_checks
+from repro.bench.table1 import table1
 from repro.cli import main as cli_main
 from repro.lsm import CompactionMode
 from repro.units import KiB, MiB
@@ -85,7 +86,8 @@ def test_testbed_builders():
 def test_table1_encoding_consistent():
     t = table1()
     assert len(t.rows) >= 7
-    assert all(check.passed for check in table1_checks())
+    checks = shape_checks("table1", None)
+    assert len(checks) == 4 and all(check.passed for check in checks)
 
 
 # ------------------------------------------------------------------ experiments registry
@@ -93,7 +95,7 @@ def test_registry_covers_every_table_and_figure():
     assert set(REGISTRY) == {
         "table1", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
         "compaction", "query", "qd", "scale", "cluster", "crash",
-        "obs_selftest", "obs_saturate", "obs_lifecycle",
+        "obs_selftest", "obs_saturate", "obs_lifecycle", "fidelity",
     }
     for entry_id, entry in REGISTRY.items():
         assert entry.id == entry_id
@@ -114,7 +116,7 @@ def test_cli_list(capsys):
 
 
 def test_cli_table1(capsys):
-    assert cli_main(["table1"]) == 0
+    assert cli_main(["run", "table1"]) == 0
     out = capsys.readouterr().out
     assert "Table I" in out
     assert "PASS" in out
