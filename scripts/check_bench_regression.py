@@ -15,6 +15,13 @@ Usage (exit 1 on any drift)::
 
     PYTHONPATH=src python -m repro run query qd scale cluster crash --smoke --out results
     python scripts/check_bench_regression.py --fresh results --baseline results/baselines/smoke
+
+With ``--perf`` it checks the other pinned file of the baseline directory
+instead: each workload's ``detail.virt_fingerprint`` in a ``perf/run.py``
+document must equal ``perf_fingerprints.json``, exactly::
+
+    python3 perf/run.py --smoke --out /tmp/perf_smoke.json
+    python scripts/check_bench_regression.py --perf /tmp/perf_smoke.json
 """
 
 from __future__ import annotations
@@ -59,13 +66,44 @@ def compare(fresh_dir: str, baseline_dir: str) -> dict[str, dict]:
     return out
 
 
+def check_perf(perf_path: str, baseline_dir: str) -> int:
+    """Exit code of the ``--perf`` comparison.  A fingerprint is a sha256 over
+    a workload's model clocks, device counters and checked-op counts: a
+    host-clock-only change leaves all six alone, and a change that moves one
+    regenerates the file and says why."""
+    pins = os.path.join(baseline_dir, "perf_fingerprints.json")
+    with open(pins) as fh:
+        pinned = json.load(fh)["virt_fingerprint"]
+    with open(perf_path) as fh:
+        runs = json.load(fh)["workloads"]
+    moved = drift(
+        pinned, {name: run["detail"]["virt_fingerprint"] for name, run in runs.items()}
+    )
+    for name, (old, new) in sorted(moved.items()):
+        print(f"{name}: baseline {old!r} fresh {new!r}")
+    if moved:
+        print(
+            f"model fingerprint moved on {', '.join(sorted(moved))}: see {pins}",
+            file=sys.stderr,
+        )
+        return 1
+    print("every model fingerprint equals its baseline")
+    return 0
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         description="fresh smoke documents must equal their committed baselines"
     )
     parser.add_argument("--fresh", default="results")
     parser.add_argument("--baseline", default="results/baselines/smoke")
+    parser.add_argument(
+        "--perf", metavar="PERF_JSON",
+        help="compare this perf/run.py document's model fingerprints instead",
+    )
     args = parser.parse_args(argv[1:])
+    if args.perf:
+        return check_perf(args.perf, args.baseline)
 
     drifted = compare(args.fresh, args.baseline)
     if not drifted:

@@ -206,13 +206,16 @@ class KvcsdTestbed:
         while the old device has work in flight — a powered-off device
         cannot keep writing to the flash the new one mounts; cut power
         *during* work with a :class:`~repro.ssd.faults.FaultPlan` and cycle
-        a fresh testbed over the flash image instead.
+        a fresh testbed over the flash image instead.  An audited device
+        stays audited: the mounted one gets a fresh auditor at the old
+        one's level once the mount is done.
         """
         busy = sorted(name for name, ks in self.device.keyspaces.items() if ks.jobs)
         if busy:
             raise SimulationError(f"power cycle with jobs in flight on {busy}")
         if any(qp.inflight or qp.unreaped for qp in self.device.host_qps):
             raise SimulationError("power cycle with a host command in flight")
+        auditor = self.device.auditor
         self.board, self.device, self.client = device_stack(
             self.ssd, self.link, rng=np.random.default_rng(self.seed + 1),
             **self._stack,
@@ -220,6 +223,10 @@ class KvcsdTestbed:
         self.adapter.client = self.client
         t0 = self.env.now
         self.run(self.device.recover(self.thread_ctx(0)))
+        if auditor is not None:
+            from repro.obs.audit import attach_auditor
+
+            attach_auditor(self.device, auditor.level, auditor.journal_tail)
         return self.env.now - t0
 
     def thread_ctx(self, core: int) -> ThreadCtx:

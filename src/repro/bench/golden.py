@@ -14,11 +14,17 @@ the RocksDB-style baseline — and reduces each to a JSON-able fingerprint:
 * monotonic counters (link bytes, NAND I/O, device stat counters) are
   recorded directly.
 
+The six KV-CSD workloads take the ``observe(testbed)`` hook every registry
+scenario takes and call it on their testbed as soon as it is built; the
+cluster and baseline workloads run unobserved.  Observing is free on the
+virtual clock: with all five observers installed (trace, a started
+timeline, explain, journal and audit) every fingerprint stays the same.
+
 ``tests/sim/test_golden_clock.py`` compares fresh fingerprints against
 ``tests/sim/golden_clock.json``, which was captured from the pre-fast-path
-kernel.  Regenerate with::
+kernel, unobserved and with every observer.  Regenerate with::
 
-    PYTHONPATH=src python -m repro.bench.golden > tests/sim/golden_clock.json
+    PYTHONPATH=src python tests/sim/test_golden_clock.py > tests/sim/golden_clock.json
 
 but only when a change is *supposed* to move the virtual clock (e.g. a new
 cost model) — never to paper over an optimisation that reordered events.
@@ -26,15 +32,14 @@ cost model) — never to paper over an optimisation that reordered events.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import json
 from typing import Any
 
 import numpy as np
 
 from repro.bench.calibration import build_kvcsd_testbed, build_rocksdb_testbed
-from repro.bench.report import device_stats
+from repro.bench.query import _collect_results
+from repro.bench.report import device_stats, unobserved
 from repro.nvme.kv_commands import KvGetCmd
 from repro.units import MiB
 from repro.workloads import (
@@ -46,12 +51,7 @@ from repro.workloads import (
     run_phase,
 )
 
-__all__ = [
-    "collect_fingerprints",
-    "observed_testbeds",
-    "critpath_testbeds",
-    "GOLDEN_WORKLOADS",
-]
+__all__ = ["GOLDEN_WORKLOADS"]
 
 
 # ---------------------------------------------------------------- helpers
@@ -96,13 +96,22 @@ def _io_fp(kv) -> dict:
     }
 
 
-def _link_fp(kv) -> dict:
-    return {
-        "bytes_tx": kv.link.bytes_tx,
-        "bytes_rx": kv.link.bytes_rx,
-        "ops_tx": kv.link.ops_tx,
-        "ops_rx": kv.link.ops_rx,
+def _counters(kv, device: bool = True) -> dict:
+    """A KV-CSD fingerprint's tail: NAND I/O, PCIe link and, with
+    ``device``, the device's own counters."""
+    link = kv.link
+    out = {
+        "io": _io_fp(kv),
+        "link": {
+            "bytes_tx": link.bytes_tx,
+            "bytes_rx": link.bytes_rx,
+            "ops_tx": link.ops_tx,
+            "ops_rx": link.ops_rx,
+        },
     }
+    if device:
+        out["device_stats"] = _jsonable(device_stats(kv.device))
+    return out
 
 
 def _pidx_fp(device, name: str) -> dict:
@@ -134,7 +143,7 @@ def _run_gets(kv, name: str, keys, ctx) -> list[bytes]:
 
 
 # ---------------------------------------------------------------- workloads
-def _fp_compaction(shards: int) -> dict:
+def _fp_compaction(shards: int, observe=unobserved) -> dict:
     """Load + device compaction (serial or sharded) + point GETs."""
     pairs = _pairs(4096, seed=35)
     kv = build_kvcsd_testbed(
@@ -142,6 +151,7 @@ def _fp_compaction(shards: int) -> dict:
         compaction_shards=shards,
         block_cache_bytes=2 * MiB if shards > 1 else 0,
     )
+    observe(kv)
     fp: dict = {}
     load_phase(kv.env, kv.adapter, [("ks", pairs, kv.thread_ctx(0))])
     fp["now_after_load"] = _hx(kv.env.now)
@@ -163,16 +173,15 @@ def _fp_compaction(shards: int) -> dict:
     if kv.device.block_cache is not None:
         fp["block_cache"] = _jsonable(kv.device.block_cache.report())
     fp["soc_busy"] = [_hx(b) for b in kv.board.cpu.busy_time]
-    fp["io"] = _io_fp(kv)
-    fp["link"] = _link_fp(kv)
-    fp["device_stats"] = _jsonable(device_stats(kv.device))
+    fp.update(_counters(kv))
     return fp
 
 
-def _fp_query_offload() -> dict:
+def _fp_query_offload(observe=unobserved) -> dict:
     """Multi-threaded GETs + absent probes + mixed queries, 4 workers/blooms."""
     pairs = _pairs(2048, seed=41)
     kv = build_kvcsd_testbed(seed=41, query_workers=4, bloom_bits_per_key=10)
+    observe(kv)
     fp: dict = {}
     load_phase(kv.env, kv.adapter, [("ks", pairs, kv.thread_ctx(0))])
 
@@ -203,33 +212,20 @@ def _fp_query_offload() -> dict:
     sorted_keys = sorted(k for k, _ in pairs)
     lo, hi = sorted_keys[len(pairs) // 3], sorted_keys[2 * len(pairs) // 3]
     sample = [pairs[i][0] for i in picks[:64]]
-    out: dict = {}
-
-    def mixed():
-        values = []
-        for key in sample:
-            values.append((yield from kv.client.get("ks", key, kv.thread_ctx(0))))
-        out["gets"] = values
-        multi = yield from kv.client.multi_get("ks", sample, kv.thread_ctx(1))
-        out["multi"] = [k + (v or b"") for k, v in sorted(multi.items())]
-        rng_rows = yield from kv.client.range_query("ks", lo, hi, kv.thread_ctx(2))
-        out["range"] = [k + v for k, v in rng_rows]
-
-    kv.env.run(kv.env.process(mixed()))
+    out = _collect_results(kv, sample, lo, hi)
     fp["now_after_mixed"] = _hx(kv.env.now)
     fp["gets"] = _digest(out["gets"])
-    fp["multi"] = _digest(out["multi"])
-    fp["range"] = _digest(out["range"])
-    fp["io"] = _io_fp(kv)
-    fp["link"] = _link_fp(kv)
-    fp["device_stats"] = _jsonable(device_stats(kv.device))
+    fp["multi"] = _digest([k + (v or b"") for k, v in out["multi"]])
+    fp["range"] = _digest([k + v for k, v in out["range"]])
+    fp.update(_counters(kv))
     return fp
 
 
-def _fp_async_qd() -> dict:
+def _fp_async_qd(observe=unobserved) -> dict:
     """Single host thread at QD=16 over the async SQ/CQ path."""
     pairs = _pairs(1024, seed=47)
     kv = build_kvcsd_testbed(seed=47, query_workers=4, queue_depth=16)
+    observe(kv)
     fp: dict = {}
     load_phase(kv.env, kv.adapter, [("ks", pairs, kv.thread_ctx(0))])
 
@@ -272,12 +268,11 @@ def _fp_async_qd() -> dict:
     fp["qd_put_seconds"] = _hx(kv.env.now - t0)
     fp["now_after_puts"] = _hx(kv.env.now)
     fp["queue_state"] = _jsonable(kv.client.qp.introspect())
-    fp["io"] = _io_fp(kv)
-    fp["link"] = _link_fp(kv)
+    fp.update(_counters(kv, device=False))
     return fp
 
 
-def _fp_mixed_contention() -> dict:
+def _fp_mixed_contention(observe=unobserved) -> dict:
     """4 threads of interleaved sync GETs + delta-keyspace PUTs.
 
     The YCSB-style mix from the scale bench in miniature: concurrent point
@@ -290,6 +285,7 @@ def _fp_mixed_contention() -> dict:
     """
     pairs = _pairs(2048, seed=53)
     kv = build_kvcsd_testbed(seed=53, query_workers=2)
+    observe(kv)
     fp: dict = {}
     per = len(pairs) // 2
     slices = [pairs[:per], pairs[per:]]
@@ -332,9 +328,7 @@ def _fp_mixed_contention() -> dict:
     fp["now_after_mixed"] = _hx(kv.env.now)
     for t in range(4):
         fp[f"values_t{t}"] = _digest(values[t])
-    fp["io"] = _io_fp(kv)
-    fp["link"] = _link_fp(kv)
-    fp["device_stats"] = _jsonable(device_stats(kv.device))
+    fp.update(_counters(kv))
     return fp
 
 
@@ -401,14 +395,7 @@ def _fp_cluster_router() -> dict:
     fp["range"] = _digest(out["range"])
     fp["multi"] = _digest(out["multi"])
     for node in tb.nodes:
-        s = node.ssd.stats
-        fp[f"{node.name}_io"] = {
-            "bytes_written": s.bytes_written,
-            "bytes_read": s.bytes_read,
-            "write_ops": s.write_ops,
-            "read_ops": s.read_ops,
-            "erase_ops": s.erase_ops,
-        }
+        fp[f"{node.name}_io"] = _io_fp(node)
         fp[f"{node.name}_link"] = {
             "bytes_tx": node.link.bytes_tx,
             "bytes_rx": node.link.bytes_rx,
@@ -417,7 +404,7 @@ def _fp_cluster_router() -> dict:
     return fp
 
 
-def _fp_crash_recovery() -> dict:
+def _fp_crash_recovery(observe=unobserved) -> dict:
     """Durable metadata + staged mount: power cycle mid-life, then serve.
 
     Pins the durability determinism contract: the v2 metadata checkpoint
@@ -433,6 +420,7 @@ def _fp_crash_recovery() -> dict:
     pairs = _pairs(2048, seed=61)
     delta = [(b"d-" + k, v) for k, v in pairs[:256]]
     kv = build_kvcsd_testbed(seed=61, bloom_bits_per_key=10)
+    observe(kv)
     fp: dict = {}
     load_phase(kv.env, kv.adapter, [("ks", pairs, kv.thread_ctx(0))])
     fp["now_after_load"] = _hx(kv.env.now)
@@ -485,9 +473,7 @@ def _fp_crash_recovery() -> dict:
     kv.env.run(kv.env.process(serve()))
     fp["now_after_recovered_gets"] = _hx(kv.env.now)
     fp["get_values"] = _digest(out)
-    fp["io"] = _io_fp(kv)
-    fp["link"] = _link_fp(kv)
-    fp["device_stats"] = _jsonable(device_stats(kv.device))
+    fp.update(_counters(kv))
     return fp
 
 
@@ -514,10 +500,11 @@ def _fp_lsm_baseline() -> dict:
     return fp
 
 
-#: name -> zero-arg callable producing that workload's fingerprint
+#: name -> callable producing that workload's fingerprint; the six KV-CSD
+#: workloads take ``observe``, called on their testbed once it is built
 GOLDEN_WORKLOADS = {
-    "serial_compaction": lambda: _fp_compaction(shards=1),
-    "sharded_compaction": lambda: _fp_compaction(shards=4),
+    "serial_compaction": lambda observe=unobserved: _fp_compaction(1, observe),
+    "sharded_compaction": lambda observe=unobserved: _fp_compaction(4, observe),
     "query_offload": _fp_query_offload,
     "async_qd16": _fp_async_qd,
     "mixed_contention": _fp_mixed_contention,
@@ -525,78 +512,3 @@ GOLDEN_WORKLOADS = {
     "crash_recovery": _fp_crash_recovery,
     "lsm_baseline": _fp_lsm_baseline,
 }
-
-
-@contextlib.contextmanager
-def observed_testbeds():
-    """Run golden workloads with the full observability stack installed.
-
-    Every KV-CSD testbed built inside the block gets a journal, a tracer +
-    metrics hub (with the device gauges registered), a *constructed but
-    unstarted* :class:`~repro.obs.timeline.TimelineRecorder`, and a
-    *constructed but uninstalled* critical-path observer
-    (:class:`~repro.obs.critpath.CritPathObserver`).  That is the
-    zero-cost contract in executable form: instrumentation that is present
-    but not sampling must leave every golden fingerprint byte-identical —
-    tracer and journal schedule no simulation events, a recorder only
-    creates events once ``start()`` arms it, and the blocked-by/holder
-    sites only fire once the observer is assigned to ``env.critpath``.
-    """
-    from repro.obs.critpath import CritPathObserver
-    from repro.obs.journal import install_journal
-    from repro.obs.timeline import TimelineConfig, TimelineRecorder
-
-    global build_kvcsd_testbed
-    real = build_kvcsd_testbed
-
-    def observed(*args, **kwargs):
-        kv = real(*args, **kwargs)
-        install_journal(kv.env)
-        tracer, hub = kv.enable_tracing()
-        TimelineRecorder(kv.env, hub, TimelineConfig())  # never started
-        CritPathObserver(kv.env, tracer=tracer)  # never installed
-        return kv
-
-    build_kvcsd_testbed = observed
-    try:
-        yield
-    finally:
-        build_kvcsd_testbed = real
-
-
-@contextlib.contextmanager
-def critpath_testbeds():
-    """Run golden workloads with the critical-path observer *installed*.
-
-    Stronger than :func:`observed_testbeds`: the blocked-by/holder sites
-    actually record on every wait and grant.  The observer is pure
-    bookkeeping — it creates no simulation events and never yields — so
-    even with it live the virtual clock, I/O counters, and result digests
-    must stay byte-identical to the reference fingerprints.
-    """
-    from repro.obs.critpath import install_critpath
-
-    global build_kvcsd_testbed
-    real = build_kvcsd_testbed
-
-    def observed(*args, **kwargs):
-        kv = real(*args, **kwargs)
-        tracer, _hub = kv.enable_tracing()
-        install_critpath(kv.env, tracer=tracer)
-        return kv
-
-    build_kvcsd_testbed = observed
-    try:
-        yield
-    finally:
-        build_kvcsd_testbed = real
-
-
-def collect_fingerprints(names: list[str] | None = None) -> dict:
-    """Run the golden workloads and return {name: fingerprint}."""
-    chosen = names or sorted(GOLDEN_WORKLOADS)
-    return {name: GOLDEN_WORKLOADS[name]() for name in chosen}
-
-
-if __name__ == "__main__":
-    print(json.dumps(collect_fingerprints(), indent=2, sort_keys=True))

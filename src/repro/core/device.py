@@ -259,14 +259,14 @@ class KvCsdDevice:
         (media error mid-compaction/index-build) parks its exception on the
         keyspace; the first parked error re-raises here, so the host's wait
         ticket — and only that ticket — completes with the error status.
+        A missing keyspace raises :class:`KeyspaceNotFoundError`, as for
+        every other keyspace command.
         """
-        return self._join_jobs(self.keyspaces.get(name), surface=True)
+        return self._join_jobs(lookup(self.keyspaces, name), surface=True)
 
-    def _join_jobs(self, ks: Keyspace | None, surface: bool) -> Generator:
+    def _join_jobs(self, ks: Keyspace, surface: bool) -> Generator:
         """Wait until ``ks``'s job list drains.  ``surface``: book the waits
         as ``dev.wait_jobs`` spans and raise the first parked job error."""
-        if ks is None:
-            return
         while ks.jobs:
             for job in list(ks.jobs):
                 if surface:

@@ -1,5 +1,6 @@
 """``scripts/check_bench_regression.py``: exact equality on a committed smoke
-baseline, run on a temporary copy with one field changed at a time."""
+baseline, run on a temporary copy with one field changed at a time, and on
+the pinned perf model fingerprints."""
 
 import importlib.util
 import json
@@ -10,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
 BASELINE = ROOT / "results" / "baselines" / "smoke" / "BENCH_scale.json"
+PERF_PINS = BASELINE.with_name("perf_fingerprints.json")
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +90,26 @@ def test_a_missing_fresh_document_fails(gate, tmp_path):
     assert gate.main(
         ["gate", "--fresh", str(tmp_path), "--baseline", str(tmp_path / "base")]
     ) == 1
+
+
+def _perf_document(tmp_path, moved: str | None) -> str:
+    """A ``perf/run.py`` document carrying the pinned fingerprints, with the
+    one of workload ``moved`` changed."""
+    pinned = json.loads(PERF_PINS.read_text())["virt_fingerprint"]
+    runs = {
+        name: {"detail": {"virt_fingerprint": "0" * 64 if name == moved else fp}}
+        for name, fp in pinned.items()
+    }
+    path = tmp_path / "perf_smoke.json"
+    path.write_text(json.dumps({"workloads": runs}))
+    return str(path)
+
+
+@pytest.mark.parametrize("moved", [None, "point_read"], ids=["equal", "moved"])
+def test_perf_fingerprints_are_compared_exactly(gate, tmp_path, capsys, moved):
+    code = gate.main(["gate", "--perf", _perf_document(tmp_path, moved),
+                      "--baseline", str(PERF_PINS.parent)])
+    out = capsys.readouterr()
+    assert code == (1 if moved else 0)
+    assert ("point_read: baseline" in out.out) == bool(moved)
+    assert ("moved on point_read" in out.err) == bool(moved)

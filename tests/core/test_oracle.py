@@ -243,10 +243,12 @@ class OneDevice(RuleBasedStateMachine):
     def settle(self, rule: str | None, name: str) -> str:
         """``wait_for_device``: every job of ``name`` has ended."""
         ks = self.model.get(name)
-        failed = ks is not None and ks.failed
+        if ks is None:
+            allowed = {"KeyspaceNotFoundError"}
+        else:
+            allowed = {"SecondaryIndexError"} if ks.failed else {"ok"}
         outcome = self.expect(
-            rule, self.client.wait_for_device(name, self.ctx),
-            {"SecondaryIndexError"} if failed else {"ok"},
+            rule, self.client.wait_for_device(name, self.ctx), allowed
         )
         if ks is not None:
             ks.busy, ks.failed = False, False
@@ -534,10 +536,10 @@ class OneDevice(RuleBasedStateMachine):
                 self.settle(None, name)
             if self.model[name].state != "compacted":
                 self.expect(None, self.client.fsync(name, self.ctx), {"ok"})
+        assert self.auditor.total_violations == 0
         self.tb.power_cycle()
         self.client = self.tb.client
-        assert self.auditor.total_violations == 0
-        self.auditor = attach_auditor(self.tb.device)
+        self.auditor = self.tb.device.auditor
         self.tally.outcomes["power_cycle"]["ok"] += 1
 
     # ------------------------------------------------------------ invariant
@@ -649,4 +651,14 @@ def test_a_typed_secondary_key_of_the_wrong_width_is_refused():
         ("load", dict(seed=1, compacted={"a"})),
         ("sidx_point_query", dict(name="a", index="u32", key=b"zz", fallback=b"\x01")),
         ("sidx_range_query", dict(name="a", index="u32", lo=b"zz", hi=b"zz", fallback=b"\x01")),
+    )
+
+
+def test_a_wait_on_a_deleted_keyspace_is_refused():
+    # the wait looked the keyspace up with a default, so a wait after the
+    # delete completed OK where every other keyspace command refuses
+    replay(
+        ("load", dict(seed=0, compacted=set())),
+        ("delete", dict(name="a", twice=False, compact_first=False)),
+        ("wait", dict(name="a")),
     )

@@ -19,6 +19,8 @@ import pytest
 
 from repro.bench import build_kvcsd_testbed
 from repro.bench.golden import GOLDEN_WORKLOADS
+from repro.bench.registry import Observe
+from repro.bench.report import drift
 from repro.obs.journal import install_journal
 from repro.obs.trace import install_tracer
 from repro.sim import Environment
@@ -224,12 +226,8 @@ def test_kernel_gauges_move_during_a_run(observed_run):
 def test_kernel_gauges_leave_fingerprints_identical(name):
     """The gauges are free reads: a hub that registers them (every
     ``enable_tracing``) must not move a golden-clock checkpoint."""
-    from repro.bench.golden import observed_testbeds
-    from repro.bench.report import drift
-
     golden = json.loads(
         (Path(__file__).parents[1] / "sim" / "golden_clock.json").read_text()
     )
-    with observed_testbeds():
-        drifted = drift(golden[name], GOLDEN_WORKLOADS[name]())
+    drifted = drift(golden[name], GOLDEN_WORKLOADS[name](Observe(["trace"])))
     assert not drifted, f"kernel gauges moved the virtual clock: {drifted}"
